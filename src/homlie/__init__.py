@@ -1,8 +1,8 @@
 """Exact rational bracket calculus for multiplicative Hom-Lie algebras."""
 
-from .linalg import Mat, Rational, Vec, kernel_basis, mat_rank, rat, rat_str, solve_linear
+from .linalg import Mat, Vec, kernel_basis, mat_rank, rat, rat_str, solve_linear
 from .cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
-                       compatibility_witness, contract, contract_mixed, evaluate,
+                       compatibility_witness, contract, evaluate,
                        fixed_vectors, is_compatible, operator_cochain, shuffles)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, RawHomStructure,
                          Representation, adjoint_action, adjoint_representation,
@@ -18,8 +18,8 @@ from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, RawHomStructu
 from .differentials import (Degree0Cochain, d_lambda, d_lambda_tilde, d_trivial,
                             delta_hom, delta_hom_deg0, delta_tr)
 from .brackets import (GradedPair, bicrossed_bracket, cup_bracket, derived_bracket,
-                       derived_bracket_rel, fn_bracket, nr_bracket, psi_action,
-                       rho_action, semidirect_graded_bracket, theta, theta_tilde)
+                       derived_bracket_rel, fn_bracket, nr_bracket,
+                       semidirect_graded_bracket, theta, theta_tilde)
 from .cohomology import (CohomologyReport, ComplexSpec, cohomology, d_phi, d_rb,
                          is_coboundary, square_zero_witness)
 from .operators import (ConsistencyError, deformed_bracket_n, induced_structures,

@@ -10,19 +10,20 @@ Four brackets live here, each with its own degree convention:
   operators);
 * ``derived_bracket`` on C(g, g): the cup bracket corrected by insertions of
   theta images (with the weighted differential, arity-1 Maurer-Cartan
-  elements are Rota-Baxter operators).
+  elements are Rota-Baxter operators); it is ``derived_bracket_rel`` for the
+  adjoint representation.
 
-The pair brackets (semidirect and bicrossed) and the action maps rho / psi
-combine these on direct sums.  Keeping each bracket's own degree bookkeeping
-localized here is deliberate: mixing the shifted and unshifted conventions is
-the main sign hazard in this calculus.
+The pair brackets (semidirect and bicrossed) combine these on direct sums.
+Keeping each bracket's own degree bookkeeping localized here is deliberate:
+mixing the shifted and unshifted conventions is the main sign hazard in this
+calculus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cochains import SkewCochain, contract, contract_mixed, shuffles
+from .cochains import SkewCochain, contract, shuffles
 from .linalg import Vec
 from .structures import HomLieAction, HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
@@ -95,12 +96,11 @@ def fn_bracket(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCochai
 def derived_bracket(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCochain:
     """Cup bracket corrected by insertions of theta images.
 
-    [P, Q] = [P, Q]_cup + i_{theta P} Q - (-1)^{mn} i_{theta Q} P.
+    [P, Q] = [P, Q]_cup + i_{theta P} Q - (-1)^{mn} i_{theta Q} P, computed as
+    the relative derived bracket of the adjoint representation (theta~ of the
+    adjoint representation is theta).
     """
-    m, n = P.arity, Q.arity
-    return (cup_bracket(P, Q, alg)
-            + contract(theta(alg, P), Q)
-            - contract(theta(alg, Q), P).scale(_sign(m * n)))
+    return derived_bracket_rel(adjoint_representation(alg), P, Q)
 
 
 def theta_tilde(rep: Representation | HomLieAction, P: SkewCochain) -> SkewCochain:
@@ -116,8 +116,7 @@ def theta_tilde(rep: Representation | HomLieAction, P: SkewCochain) -> SkewCocha
     if P.domain != module or P.codomain != rep.algebra.space:
         raise ValueError("expected a cochain from the module into the acting algebra")
     n = P.arity
-    power = module.twist_power(n - 1)
-    twisted = [power @ module.basis_vec(i) for i in range(module.dim)]
+    twisted = module.twisted_basis(n - 1)
 
     def value(key):
         total = Vec.zero(module.dim)
@@ -145,8 +144,8 @@ def derived_bracket_rel(action: Representation | HomLieAction, P: SkewCochain,
     g = rep.algebra
     m, n = P.arity, Q.arity
     return (cup_bracket(P, Q, g)
-            + contract_mixed(theta_tilde(rep, P), Q)
-            - contract_mixed(theta_tilde(rep, Q), P).scale(_sign(m * n)))
+            + contract(theta_tilde(rep, P), Q)
+            - contract(theta_tilde(rep, Q), P).scale(_sign(m * n)))
 
 
 @dataclass(frozen=True)
@@ -205,12 +204,3 @@ def bicrossed_bracket(alg: HomLieAlgebra, a: GradedPair, b: GradedPair) -> Grade
              - contract(b.upper, a.lower).scale(_sign(m * n)))
     return GradedPair(upper, lower)
 
-
-def rho_action(P: SkewCochain, E: SkewCochain) -> SkewCochain:
-    """The insertion algebra acting on the cup algebra: rho(P)(E) = i_P E."""
-    return contract(P, E)
-
-
-def psi_action(alg: HomLieAlgebra, E: SkewCochain, P: SkewCochain) -> SkewCochain:
-    """The reverse action in the matched pair: psi(E)(P) = [E, P]_fn."""
-    return fn_bracket(alg, E, P)

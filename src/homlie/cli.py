@@ -90,13 +90,17 @@ def _cmd_check_structure(args) -> int:
     return 0 if ok else 1
 
 
-def _operator_payload(kind: str, verdict: bool, defect) -> dict:
+def _operator_verdict(kind: str, label: str, verdict: bool, defect, as_json: bool) -> int:
+    """Print an operator verdict with its failing pair, if any; exit 0 yes / 1 no."""
     payload = {"operator": kind, "verdict": verdict}
+    human = f"{label}: " + ("yes" if verdict else "no")
     if defect is not None:
         (i, j), lhs, rhs = defect
         payload["witness"] = {"pair": [i + 1, j + 1], "lhs": hio.vec_to_json(lhs),
                               "rhs": hio.vec_to_json(rhs)}
-    return payload
+        human += f" (fails at pair {(i + 1, j + 1)}: {_vec_str(lhs)} vs {_vec_str(rhs)})"
+    _emit(payload, human, as_json)
+    return 0 if verdict else 1
 
 
 def _cmd_check_nijenhuis(args) -> int:
@@ -104,12 +108,7 @@ def _cmd_check_nijenhuis(args) -> int:
     op = hio.matrix_from_json(_read_json(args.op), "operator")
     verdict = is_nijenhuis(alg, op)
     defect = None if verdict else nijenhuis_defect(alg, op)
-    human = "Nijenhuis operator: yes" if verdict else (
-        "Nijenhuis operator: no"
-        + (f" (fails at pair {tuple(k + 1 for k in defect[0])}:"
-           f" {_vec_str(defect[1])} vs {_vec_str(defect[2])})" if defect else ""))
-    _emit(_operator_payload("nijenhuis", verdict, defect), human, args.json)
-    return 0 if verdict else 1
+    return _operator_verdict("nijenhuis", "Nijenhuis operator", verdict, defect, args.json)
 
 
 def _cmd_check_rotabaxter(args) -> int:
@@ -118,12 +117,8 @@ def _cmd_check_rotabaxter(args) -> int:
     lam = rat(args.weight)
     verdict = is_rota_baxter(alg, op, lam)
     defect = None if verdict else rota_baxter_defect(alg, op, lam)
-    human = (f"Rota-Baxter operator of weight {rat_str(lam)}: " + ("yes" if verdict else "no"))
-    if defect:
-        human += (f" (fails at pair {tuple(k + 1 for k in defect[0])}:"
-                  f" {_vec_str(defect[1])} vs {_vec_str(defect[2])})")
-    _emit(_operator_payload("rota-baxter", verdict, defect), human, args.json)
-    return 0 if verdict else 1
+    return _operator_verdict("rota-baxter", f"Rota-Baxter operator of weight {rat_str(lam)}",
+                             verdict, defect, args.json)
 
 
 def _cmd_check_relative_rb(args) -> int:
@@ -136,13 +131,9 @@ def _cmd_check_relative_rb(args) -> int:
     lam = rat(args.weight)
     verdict = is_relative_rb(action, op, lam)
     defect = None if verdict else relative_rb_defect(action, op, lam)
-    human = (f"relative Rota-Baxter operator of weight {rat_str(lam)}: "
-             + ("yes" if verdict else "no"))
-    if defect:
-        human += (f" (fails at pair {tuple(k + 1 for k in defect[0])}:"
-                  f" {_vec_str(defect[1])} vs {_vec_str(defect[2])})")
-    _emit(_operator_payload("relative-rota-baxter", verdict, defect), human, args.json)
-    return 0 if verdict else 1
+    return _operator_verdict("relative-rota-baxter",
+                             f"relative Rota-Baxter operator of weight {rat_str(lam)}",
+                             verdict, defect, args.json)
 
 
 def _cmd_check_morphism(args) -> int:

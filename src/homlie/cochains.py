@@ -23,7 +23,11 @@ from .linalg import Mat, Vec, kernel_basis, rat
 
 
 class TwistedSpace:
-    """A dimension together with its twist endomorphism and cached powers."""
+    """A dimension together with its twist endomorphism.
+
+    Caches the twist powers, the standard basis and the images of the basis
+    under each twist power, so callers never rebuild them.
+    """
 
     def __init__(self, alpha: Mat):
         if alpha.nrows != alpha.ncols:
@@ -31,6 +35,8 @@ class TwistedSpace:
         self.alpha = alpha
         self.dim = alpha.nrows
         self._powers: dict[int, Mat] = {0: Mat.identity(self.dim), 1: alpha}
+        self.basis: tuple[Vec, ...] = tuple(Vec.basis(self.dim, i) for i in range(self.dim))
+        self._twisted: dict[int, tuple[Vec, ...]] = {0: self.basis}
 
     @staticmethod
     def untwisted(dim: int) -> "TwistedSpace":
@@ -43,8 +49,15 @@ class TwistedSpace:
             self._powers[k] = self.alpha @ self.twist_power(k - 1)
         return self._powers[k]
 
+    def twisted_basis(self, k: int) -> tuple[Vec, ...]:
+        """The basis vectors hit by the k-th twist power, alpha^k(e_i)."""
+        if k not in self._twisted:
+            power = self.twist_power(k)
+            self._twisted[k] = tuple(power @ b for b in self.basis)
+        return self._twisted[k]
+
     def basis_vec(self, i: int) -> Vec:
-        return Vec.basis(self.dim, i)
+        return self.basis[i]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TwistedSpace) and self.alpha == other.alpha
@@ -231,17 +244,27 @@ def is_compatible(f: SkewCochain) -> bool:
     return compatibility_witness(f) is None
 
 
-def compatibility_witness(f: SkewCochain) -> tuple[tuple[int, ...], Vec, Vec] | None:
-    """First basis tuple where twist-compatibility fails, with both sides."""
+def compatibility_failures(f: SkewCochain) -> list[tuple[tuple[int, ...], Vec, Vec]]:
+    """Every increasing basis tuple where twist-compatibility fails, with both sides.
+
+    Tuples come in lexicographic order; the sides are beta(f(e_I)) and
+    f(alpha(e_I)).
+    """
     beta = f.codomain.alpha
-    alpha = f.domain.alpha
-    twisted_basis = [alpha @ Vec.basis(f.domain.dim, i) for i in range(f.domain.dim)]
+    twisted = f.domain.twisted_basis(1)
+    failures = []
     for key in combinations(range(f.domain.dim), f.arity):
         lhs = beta @ f.value_on(key)
-        rhs = evaluate(f, [twisted_basis[i] for i in key])
+        rhs = evaluate(f, [twisted[i] for i in key])
         if lhs != rhs:
-            return key, lhs, rhs
-    return None
+            failures.append((key, lhs, rhs))
+    return failures
+
+
+def compatibility_witness(f: SkewCochain) -> tuple[tuple[int, ...], Vec, Vec] | None:
+    """First basis tuple where twist-compatibility fails, with both sides."""
+    failures = compatibility_failures(f)
+    return failures[0] if failures else None
 
 
 _COMPAT_CACHE: dict[tuple, list[SkewCochain]] = {}
@@ -267,7 +290,7 @@ def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int
     columns = []
     for key in keys:
         for c in range(codomain.dim):
-            unit = SkewCochain(domain, codomain, arity, {key: Vec.basis(codomain.dim, c)})
+            unit = SkewCochain(domain, codomain, arity, {key: codomain.basis[c]})
             image = _compat_defect(unit)
             columns.append(flatten_cochain(image, keys))
     matrix = Mat.from_columns(columns)
@@ -277,14 +300,9 @@ def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int
 
 
 def _compat_defect(f: SkewCochain) -> SkewCochain:
-    beta = f.codomain.alpha
-    alpha = f.domain.alpha
-    twisted_basis = [alpha @ Vec.basis(f.domain.dim, i) for i in range(f.domain.dim)]
-
-    def defect(key):
-        return (beta @ f.value_on(key)) - evaluate(f, [twisted_basis[i] for i in key])
-
-    return SkewCochain.from_function(f.domain, f.codomain, f.arity, defect)
+    """The cochain beta o f - f o alpha^(wedge n)."""
+    return SkewCochain(f.domain, f.codomain, f.arity,
+                       {key: lhs - rhs for key, lhs, rhs in compatibility_failures(f)})
 
 
 def flatten_cochain(f: SkewCochain, keys: list[tuple[int, ...]] | None = None) -> Vec:
@@ -323,8 +341,7 @@ def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
     if inner.codomain != w or outer.domain != w:
         raise ValueError("contraction requires inner in C(W, W) and outer in C(W, V)")
     m, n = inner.arity, outer.arity
-    twist = w.twist_power(m - 1)
-    twisted_basis = [twist @ Vec.basis(w.dim, i) for i in range(w.dim)]
+    twisted_basis = w.twisted_basis(m - 1)
     shuffle_list = list(shuffles(m, n - 1))
 
     def value(key):
@@ -341,11 +358,6 @@ def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
         return total
 
     return SkewCochain.from_function(w, outer.codomain, m + n - 1, value)
-
-
-def contract_mixed(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
-    """Insertion for mixed-codomain cochains; same operation as ``contract``."""
-    return contract(inner, outer)
 
 
 def operator_cochain(domain: TwistedSpace, codomain: TwistedSpace, m: Mat) -> SkewCochain:

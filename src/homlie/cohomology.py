@@ -20,22 +20,26 @@ from .linalg import Mat, Vec, mat_rank, rat, solve_linear
 from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, fixed_vectors,
                        flatten_cochain, operator_cochain)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, Representation,
-                         adjoint_representation, check_morphism)
+                         adjoint_representation)
 from .differentials import (Degree0Cochain, d_lambda, d_lambda_tilde, d_trivial,
                             delta_hom, delta_hom_deg0)
-from .brackets import cup_bracket, derived_bracket_rel
-from .operators import is_relative_rb, relative_rb_pointwise
+from .brackets import derived_bracket_rel
+from .operators import is_relative_rb, morphism_differential, relative_rb_pointwise
 
 
 def d_phi(phi: HomMorphism, f: SkewCochain) -> SkewCochain:
-    """Morphism-twisted coboundary D(f) + [phi, f]_cup.
+    """Morphism-twisted coboundary D(f) + [phi, f]_cup; phi is verified first.
 
     Coincides with the module-coefficient coboundary for the representation
     x . y = [phi(x), y] on the target.
     """
-    if not check_morphism(phi):
-        raise ValueError("twisting map is not a morphism")
-    return d_trivial(phi.source, f) + cup_bracket(phi.as_cochain(), f, phi.target)
+    return morphism_differential(phi)(f)
+
+
+def _operator_differential(action: HomLieAction, R: Mat, lam):
+    """The map f -> d~_lam(f) + [R, f] (relative derived bracket); R is not checked."""
+    rc = operator_cochain(action.acted.space, action.acting.space, R)
+    return lambda f: d_lambda_tilde(action.acted, f, lam) + derived_bracket_rel(action, rc, f)
 
 
 def d_rb(action: HomLieAction, R: Mat, lam, f: SkewCochain) -> SkewCochain:
@@ -46,8 +50,7 @@ def d_rb(action: HomLieAction, R: Mat, lam, f: SkewCochain) -> SkewCochain:
     """
     if not relative_rb_pointwise(action, R, lam):
         raise ValueError("operator fails the relative Rota-Baxter identity")
-    rc = operator_cochain(action.acted.space, action.acting.space, R)
-    return d_lambda_tilde(action.acted, f, lam) + derived_bracket_rel(action, rc, f)
+    return _operator_differential(action, R, lam)(f)
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,8 @@ class ComplexSpec:
 
     @staticmethod
     def morphism(phi: HomMorphism) -> "ComplexSpec":
-        if not check_morphism(phi):
-            raise ValueError("twisting map is not a morphism")
         return ComplexSpec("morphism", phi.source.space, phi.target.space,
-                           lambda f: d_trivial(phi.source, f)
-                           + cup_bracket(phi.as_cochain(), f, phi.target),
-                           1, "morphism-twisted")
+                           morphism_differential(phi), 1, "morphism-twisted")
 
     @staticmethod
     def scaled_trivial(alg: HomLieAlgebra, lam) -> "ComplexSpec":
@@ -128,11 +127,8 @@ class ComplexSpec:
         lam = rat(lam)
         if not is_relative_rb(action, R, lam):
             raise ValueError("operator fails the relative Rota-Baxter identity")
-        rc = operator_cochain(action.acted.space, action.acting.space, R)
         return ComplexSpec("relative_rb", action.acted.space, action.acting.space,
-                           lambda f: d_lambda_tilde(action.acted, f, lam)
-                           + derived_bracket_rel(action, rc, f),
-                           1, f"operator weight {lam}")
+                           _operator_differential(action, R, lam), 1, f"operator weight {lam}")
 
     # -- complex data --------------------------------------------------
 
@@ -201,16 +197,13 @@ def is_coboundary(spec: ComplexSpec, c: SkewCochain):
     if not spec.differential(c).is_zero():
         raise ValueError("input cochain is not a cocycle")
     basis = spec.basis(degree - 1)
-    keys = list(combinations(range(spec.domain.dim), degree))
-    target = flatten_cochain(c, keys)
     if not basis:
         if not c.is_zero():
             return None
         if degree - 1 == 0:
             return Degree0Cochain(spec.codomain, Vec.zero(spec.codomain.dim))
         return SkewCochain.zero(spec.domain, spec.codomain, degree - 1)
-    columns = [flatten_cochain(spec.differential(b), keys) for b in basis]
-    solution = solve_linear(Mat.from_columns(columns), target)
+    solution = solve_linear(spec.matrix(degree - 1), flatten_cochain(c))
     if solution is None:
         return None
     return _combine(basis, solution)

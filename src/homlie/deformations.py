@@ -54,7 +54,7 @@ def deformation_witness(d: MorphismDeformation):
     phi_n([x, y]) = sum over i+j=n of [phi_i(x), phi_j(y)].
     """
     src, tgt = d.source, d.target
-    basis = [src.space.basis_vec(i) for i in range(src.dim)]
+    basis = src.space.basis
     for n, m in enumerate(d.terms):
         if tgt.alpha @ m != m @ src.alpha:
             return ("twist equivariance", n, None, None, None)
@@ -96,10 +96,7 @@ def obstruction(d: MorphismDeformation) -> ObstructionClass:
     n_next = d.order + 1
     cocycle = SkewCochain.zero(d.source.space, d.target.space, 2)
     for i in range(1, n_next):
-        j = n_next - i
-        if j < 1 or j > d.order:
-            continue
-        cocycle = cocycle + cup_bracket(d.term_cochain(i), d.term_cochain(j), d.target)
+        cocycle = cocycle + cup_bracket(d.term_cochain(i), d.term_cochain(n_next - i), d.target)
     cocycle = cocycle.scale(Fraction(-1, 2))
     spec = ComplexSpec.morphism(d.base)
     closed = spec.differential(cocycle)

@@ -48,50 +48,44 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
         raise ValueError("cochain does not live on the representation's complex")
     n = f.arity
     space = alg.space
-    alpha = space.alpha
-    power = space.twist_power(n - 1)
-    basis = [space.basis_vec(i) for i in range(space.dim)]
-    twisted = [alpha @ b for b in basis]
+    acting = space.twisted_basis(n - 1)
 
     def value(key):
         total = Vec.zero(rep.module.dim)
         for pos in range(n + 1):
             rest = key[:pos] + key[pos + 1:]
             sign = -1 if pos % 2 else 1
-            term = rep.act(power @ basis[key[pos]], f.value_on(rest))
+            term = rep.act(acting[key[pos]], f.value_on(rest))
             total = total + term.scale(sign)
-        for p1 in range(n + 1):
-            for p2 in range(p1 + 1, n + 1):
-                sign = -1 if (p1 + p2 + 2) % 2 else 1  # positions are 0-based
-                head = alg.bracket(basis[key[p1]], basis[key[p2]])
-                rest = [twisted[key[p]] for p in range(n + 1) if p != p1 and p != p2]
-                term = evaluate(f, [head] + rest)
-                total = total + term.scale(sign)
-        return total
+        return _bracket_sum(alg, f, key, total)
 
     return SkewCochain.from_function(space, rep.module, n + 1, value)
 
 
+def _bracket_sum(alg: HomLieAlgebra, f: SkewCochain, key: tuple[int, ...], total: Vec) -> Vec:
+    """total plus the bracket sum of the coboundary of f on the basis tuple key.
+
+    sum_{i<j} (-1)^{i+j} f([x_i, x_j], alpha(x_1), ..., twisted args with
+    positions i and j omitted), shared by ``delta_hom`` and ``d_trivial``.
+    """
+    basis, twisted = alg.space.basis, alg.space.twisted_basis(1)
+    size = len(key)
+    for p1 in range(size):
+        for p2 in range(p1 + 1, size):
+            sign = -1 if (p1 + p2 + 2) % 2 else 1  # positions are 0-based
+            head = alg.bracket(basis[key[p1]], basis[key[p2]])
+            rest = [twisted[key[p]] for p in range(size) if p != p1 and p != p2]
+            total = total + evaluate(f, [head] + rest).scale(sign)
+    return total
+
+
 def d_trivial(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
-    """Trivial-coefficient coboundary, the second sum of ``delta_hom`` alone."""
+    """Trivial-coefficient coboundary, the bracket sum of ``delta_hom`` alone."""
     if f.domain != alg.space:
         raise ValueError("cochain domain does not match the algebra")
-    n = f.arity
-    space = alg.space
-    basis = [space.basis_vec(i) for i in range(space.dim)]
-    twisted = [space.alpha @ b for b in basis]
-
-    def value(key):
-        total = Vec.zero(f.codomain.dim)
-        for p1 in range(n + 1):
-            for p2 in range(p1 + 1, n + 1):
-                sign = -1 if (p1 + p2 + 2) % 2 else 1
-                head = alg.bracket(basis[key[p1]], basis[key[p2]])
-                rest = [twisted[key[p]] for p in range(n + 1) if p != p1 and p != p2]
-                total = total + evaluate(f, [head] + rest).scale(sign)
-        return total
-
-    return SkewCochain.from_function(space, f.codomain, n + 1, value)
+    zero = Vec.zero(f.codomain.dim)
+    return SkewCochain.from_function(alg.space, f.codomain, f.arity + 1,
+                                     lambda key: _bracket_sum(alg, f, key, zero))
 
 
 def delta_tr(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:

@@ -21,6 +21,16 @@ class ParseError(ValueError):
     """Malformed input file; message carries the offending location."""
 
 
+def _int_in(x, lo: int | None = None, hi: int | None = None) -> bool:
+    """Whether x is a JSON integer in lo..hi (either bound optional).
+
+    JSON booleans load as Python bools, which are ints; they are rejected.
+    """
+    if isinstance(x, bool) or not isinstance(x, int):
+        return False
+    return (lo is None or x >= lo) and (hi is None or x <= hi)
+
+
 def rational_from_json(x) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ParseError(f"expected a rational as integer or 'p/q' string, got {x!r}")
@@ -55,11 +65,11 @@ def matrix_from_json(obj, where: str = "matrix") -> Mat:
     return Mat.make([[rational_from_json(e) for e in row] for row in obj])
 
 
-def _bracket_table(entries, dim: int, key_a: str, key_b: str, where: str):
-    """Parse [{key_a: i, key_b: j, "value": [...]}] into a 0-based map."""
+def _bracket_cochain(entries, space: TwistedSpace, where: str) -> SkewCochain:
+    """Parse [{"i": i, "j": j, "value": [...]}] (1-based, i < j) into a 2-cochain."""
+    dim = space.dim
     table = {}
-    if entries is None:
-        return table
+    entries = [] if entries is None else entries
     if not isinstance(entries, list):
         raise ParseError(f"{where}: expected a list of entries")
     for pos, entry in enumerate(entries):
@@ -67,18 +77,23 @@ def _bracket_table(entries, dim: int, key_a: str, key_b: str, where: str):
         if not isinstance(entry, dict):
             raise ParseError(f"{loc}: expected an object")
         try:
-            i, j = entry[key_a], entry[key_b]
+            i, j = entry["i"], entry["j"]
         except KeyError as exc:
             raise ParseError(f"{loc}: missing key {exc}") from exc
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _int_in(i) or not _int_in(j):
             raise ParseError(f"{loc}: indices must be integers")
-        if not (1 <= i <= dim) or not (1 <= j <= dim):
+        if not _int_in(i, 1, dim) or not _int_in(j, 1, dim):
             raise ParseError(f"{loc}: index out of range 1..{dim}")
         key = (i - 1, j - 1)
         if key in table:
             raise ParseError(f"{loc}: duplicate entry for ({i}, {j})")
         table[key] = entry.get("value")
-    return table
+    coeffs = {}
+    for (i, j), value in table.items():
+        if i >= j:
+            raise ParseError(f"{where}: need i < j, got ({i + 1}, {j + 1})")
+        coeffs[(i, j)] = vec_from_json(value, dim, f"{where} ({i + 1},{j + 1})")
+    return SkewCochain(space, space, 2, coeffs)
 
 
 def structure_to_json(s: RawHomStructure) -> dict:
@@ -92,19 +107,13 @@ def structure_from_json(obj) -> RawHomStructure:
     if not isinstance(obj, dict):
         raise ParseError("algebra: expected a JSON object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _int_in(dim, 1):
         raise ParseError("algebra: 'dim' must be a positive integer")
     alpha = matrix_from_json(obj.get("alpha"), "algebra.alpha")
     if alpha.nrows != dim or alpha.ncols != dim:
         raise ParseError(f"algebra.alpha: expected a {dim}x{dim} matrix")
-    raw = _bracket_table(obj.get("brackets"), dim, "i", "j", "algebra.brackets")
     space = TwistedSpace(alpha)
-    coeffs = {}
-    for (i, j), value in raw.items():
-        if i >= j:
-            raise ParseError(f"algebra.brackets: need i < j, got ({i + 1}, {j + 1})")
-        coeffs[(i, j)] = vec_from_json(value, dim, f"algebra.brackets ({i + 1},{j + 1})")
-    return RawHomStructure(space, SkewCochain(space, space, 2, coeffs))
+    return RawHomStructure(space, _bracket_cochain(obj.get("brackets"), space, "algebra.brackets"))
 
 
 def algebra_from_json(obj) -> HomLieAlgebra:
@@ -114,7 +123,7 @@ def algebra_from_json(obj) -> HomLieAlgebra:
 
 def _module_from_json(obj, where: str) -> TwistedSpace:
     mdim = obj.get("module_dim")
-    if not isinstance(mdim, int) or mdim < 1:
+    if not _int_in(mdim, 1):
         raise ParseError(f"{where}: 'module_dim' must be a positive integer")
     beta = matrix_from_json(obj.get("beta"), f"{where}.beta")
     if beta.nrows != mdim or beta.ncols != mdim:
@@ -135,9 +144,9 @@ def _action_table(obj, gdim: int, module: TwistedSpace, where: str):
         if not isinstance(entry, dict) or "g" not in entry or "v" not in entry:
             raise ParseError(f"{loc}: expected keys 'g', 'v', 'value'")
         g, v = entry["g"], entry["v"]
-        if not isinstance(g, int) or not (1 <= g <= gdim):
+        if not _int_in(g, 1, gdim):
             raise ParseError(f"{loc}: 'g' out of range 1..{gdim}")
-        if not isinstance(v, int) or not (1 <= v <= module.dim):
+        if not _int_in(v, 1, module.dim):
             raise ParseError(f"{loc}: 'v' out of range 1..{module.dim}")
         if (g, v) in seen:
             raise ParseError(f"{loc}: duplicate entry for (g={g}, v={v})")
@@ -173,15 +182,8 @@ def action_from_json(acting: HomLieAlgebra, obj) -> HomLieAction:
     if not isinstance(obj, dict):
         raise ParseError("action: expected a JSON object")
     module = _module_from_json(obj, "action")
-    raw = _bracket_table(obj.get("module_brackets"), module.dim, "i", "j",
-                         "action.module_brackets")
-    coeffs = {}
-    for (i, j), value in raw.items():
-        if i >= j:
-            raise ParseError(f"action.module_brackets: need i < j, got ({i + 1}, {j + 1})")
-        coeffs[(i, j)] = vec_from_json(value, module.dim,
-                                       f"action.module_brackets ({i + 1},{j + 1})")
-    acted = as_hom_lie(RawHomStructure(module, SkewCochain(module, module, 2, coeffs)))
+    mu = _bracket_cochain(obj.get("module_brackets"), module, "action.module_brackets")
+    acted = as_hom_lie(RawHomStructure(module, mu))
     table = _action_table(obj, acting.dim, module, "action")
     return HomLieAction(acting, acted, table)
 
@@ -204,7 +206,7 @@ def cochain_from_json(domain: TwistedSpace, codomain: TwistedSpace, obj) -> Skew
     if not isinstance(obj, dict):
         raise ParseError("cochain: expected a JSON object")
     arity = obj.get("arity")
-    if not isinstance(arity, int) or arity < 1:
+    if not _int_in(arity, 1):
         raise ParseError("cochain: 'arity' must be a positive integer")
     entries = obj.get("coeffs", [])
     if not isinstance(entries, list):
@@ -216,9 +218,9 @@ def cochain_from_json(domain: TwistedSpace, codomain: TwistedSpace, obj) -> Skew
             raise ParseError(f"{loc}: expected keys 'tuple', 'value'")
         key = entry["tuple"]
         if (not isinstance(key, list) or len(key) != arity
-                or not all(isinstance(i, int) for i in key)):
+                or not all(_int_in(i) for i in key)):
             raise ParseError(f"{loc}: 'tuple' must be {arity} integers")
-        if any(not (1 <= i <= domain.dim) for i in key):
+        if not all(_int_in(i, 1, domain.dim) for i in key):
             raise ParseError(f"{loc}: index out of range 1..{domain.dim}")
         if any(a >= b for a, b in zip(key, key[1:])):
             raise ParseError(f"{loc}: 'tuple' must be strictly increasing")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction or string like "3" / "-2/5" to a Fraction."""
@@ -172,9 +170,6 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat(tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)))
-
-    def apply_entrywise(self, fn) -> "Mat":
-        return Mat(tuple(tuple(fn(a) for a in r) for r in self.rows))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)

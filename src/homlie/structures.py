@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import Mat, Vec, rat
-from .cochains import (SkewCochain, TwistedSpace, compatibility_witness, evaluate,
-                       operator_cochain)
+from .cochains import (SkewCochain, TwistedSpace, compatibility_failures,
+                       compatibility_witness, evaluate, operator_cochain)
 
 
 class RawHomStructure:
@@ -84,9 +84,7 @@ def hom_jacobi_witness(s: RawHomStructure) -> tuple[tuple[int, int, int], Vec] |
     bracket inside the graded bracket machinery.
     """
     space = s.space
-    alpha = space.alpha
-    basis = [space.basis_vec(i) for i in range(space.dim)]
-    twisted = [alpha @ b for b in basis]
+    basis, twisted = space.basis, space.twisted_basis(1)
     for i, j, k in combinations(range(space.dim), 3):
         x, y, z = basis[i], basis[j], basis[k]
         total = (s.bracket(twisted[i], s.bracket(y, z))
@@ -112,16 +110,16 @@ def check_multiplicative(s: RawHomStructure) -> bool:
 
 def multiplicativity_failures(s: RawHomStructure) -> list[tuple[tuple[int, int], Vec, Vec]]:
     """Every basis pair where multiplicativity fails, with both sides."""
-    alpha = s.alpha
-    basis = [s.space.basis_vec(i) for i in range(s.dim)]
-    twisted = [alpha @ b for b in basis]
-    failures = []
-    for i, j in combinations(range(s.dim), 2):
-        lhs = alpha @ s.bracket(basis[i], basis[j])
-        rhs = s.bracket(twisted[i], twisted[j])
-        if lhs != rhs:
-            failures.append(((i, j), lhs, rhs))
-    return failures
+    return compatibility_failures(s.mu)
+
+
+def _bilinear(table, x: Vec, y: Vec, dim: int) -> Vec:
+    """Bilinear extension of basis values table[i][j] (vectors of length dim)."""
+    total = Vec.zero(dim)
+    for i, a in x.support():
+        for j, b in y.support():
+            total = total + table[i][j].scale(a * b)
+    return total
 
 
 class Representation:
@@ -141,11 +139,7 @@ class Representation:
 
     def act(self, x: Vec, v: Vec) -> Vec:
         """Bilinear extension of the basis action table."""
-        total = Vec.zero(self.module.dim)
-        for i, a in x.support():
-            for j, b in v.support():
-                total = total + self.table[i][j].scale(a * b)
-        return total
+        return _bilinear(self.table, x, v, self.module.dim)
 
     def __repr__(self) -> str:
         return f"Representation(algebra dim={self.algebra.dim}, module dim={self.module.dim})"
@@ -158,21 +152,20 @@ def representation_witness(rep: Representation):
     [x, y] . beta(v) = alpha(x) . (y . v) - alpha(y) . (x . v) on basis triples.
     """
     alg, mod = rep.algebra, rep.module
-    alpha, beta = alg.alpha, mod.alpha
-    gbasis = [alg.space.basis_vec(i) for i in range(alg.dim)]
-    vbasis = [mod.basis_vec(j) for j in range(mod.dim)]
+    gbasis, gtwisted = alg.space.basis, alg.space.twisted_basis(1)
+    vtwisted = mod.twisted_basis(1)
     for i in range(alg.dim):
         for j in range(mod.dim):
-            lhs = beta @ rep.table[i][j]
-            rhs = rep.act(alpha @ gbasis[i], beta @ vbasis[j])
+            lhs = mod.alpha @ rep.table[i][j]
+            rhs = rep.act(gtwisted[i], vtwisted[j])
             if lhs != rhs:
                 return ("twist equivariance", (i, j), lhs, rhs)
     for i in range(alg.dim):
         for j in range(alg.dim):
             for k in range(mod.dim):
-                lhs = rep.act(alg.bracket(gbasis[i], gbasis[j]), beta @ vbasis[k])
-                rhs = (rep.act(alpha @ gbasis[i], rep.table[j][k])
-                       - rep.act(alpha @ gbasis[j], rep.table[i][k]))
+                lhs = rep.act(alg.bracket(gbasis[i], gbasis[j]), vtwisted[k])
+                rhs = (rep.act(gtwisted[i], rep.table[j][k])
+                       - rep.act(gtwisted[j], rep.table[i][k]))
                 if lhs != rhs:
                     return ("bracket compatibility", (i, j, k), lhs, rhs)
     return None
@@ -210,14 +203,13 @@ def action_witness(a: HomLieAction):
     if w is not None:
         return w
     acting, acted = a.acting, a.acted
-    alpha, beta = acting.alpha, acted.alpha
-    gbasis = [acting.space.basis_vec(i) for i in range(acting.dim)]
-    hbasis = [acted.space.basis_vec(i) for i in range(acted.dim)]
+    gtwisted = acting.space.twisted_basis(1)
+    hbasis, htwisted = acted.space.basis, acted.space.twisted_basis(1)
     for i in range(acting.dim):
         for j, k in combinations(range(acted.dim), 2):
-            lhs = a.act(alpha @ gbasis[i], acted.bracket(hbasis[j], hbasis[k]))
-            rhs = (acted.bracket(a.table[i][j], beta @ hbasis[k])
-                   + acted.bracket(beta @ hbasis[j], a.table[i][k]))
+            lhs = a.act(gtwisted[i], acted.bracket(hbasis[j], hbasis[k]))
+            rhs = (acted.bracket(a.table[i][j], htwisted[k])
+                   + acted.bracket(htwisted[j], a.table[i][k]))
             if lhs != rhs:
                 return ("derivation law", (i, j, k), lhs, rhs)
     return None
@@ -229,17 +221,13 @@ def check_action(a: HomLieAction) -> bool:
 
 def adjoint_representation(alg: HomLieAlgebra) -> Representation:
     """The algebra acting on itself by its own bracket."""
-    basis = [alg.space.basis_vec(i) for i in range(alg.dim)]
-    table = tuple(tuple(alg.bracket(basis[i], basis[j]) for j in range(alg.dim))
-                  for i in range(alg.dim))
+    basis = alg.space.basis
+    table = tuple(tuple(alg.bracket(x, y) for y in basis) for x in basis)
     return Representation(alg, alg.space, table)
 
 
 def adjoint_action(alg: HomLieAlgebra) -> HomLieAction:
-    basis = [alg.space.basis_vec(i) for i in range(alg.dim)]
-    table = tuple(tuple(alg.bracket(basis[i], basis[j]) for j in range(alg.dim))
-                  for i in range(alg.dim))
-    return HomLieAction(alg, alg, table)
+    return HomLieAction(alg, alg, adjoint_representation(alg).table)
 
 
 def trivial_representation(alg: HomLieAlgebra, module: TwistedSpace) -> Representation:
@@ -269,7 +257,7 @@ def morphism_witness(phi: HomMorphism):
     src, tgt, m = phi.source, phi.target, phi.mat
     if tgt.alpha @ m != m @ src.alpha:
         return ("twist intertwining", None, tgt.alpha @ m, m @ src.alpha)
-    basis = [src.space.basis_vec(i) for i in range(src.dim)]
+    basis = src.space.basis
     for i, j in combinations(range(src.dim), 2):
         lhs = m @ src.bracket(basis[i], basis[j])
         rhs = tgt.bracket(m @ basis[i], m @ basis[j])
@@ -294,11 +282,10 @@ def yau_twist(lie_mu: SkewCochain, a: Mat) -> HomLieAlgebra:
     w = hom_jacobi_witness(base)
     if w is not None:
         raise ValueError(f"input bracket fails the Jacobi identity at {w[0]}")
-    basis = [Vec.basis(dim, i) for i in range(dim)]
-    for i, j in combinations(range(dim), 2):
-        if a @ base.bracket(basis[i], basis[j]) != base.bracket(a @ basis[i], a @ basis[j]):
-            raise ValueError(f"twisting map is not a bracket homomorphism at pair ({i}, {j})")
     space = TwistedSpace(a)
+    w = compatibility_witness(SkewCochain(space, space, 2, lie_mu.coeffs))
+    if w is not None:
+        raise ValueError(f"twisting map is not a bracket homomorphism at pair {w[0]}")
     twisted = SkewCochain(space, space, 2, {k: a @ v for k, v in lie_mu.coeffs.items()})
     return HomLieAlgebra(space, twisted)
 
@@ -314,21 +301,17 @@ def commutator_hom_lie(product: tuple[tuple[Vec, ...], ...], a: Mat) -> RawHomSt
         raise ValueError("product table must be square and match the twist size")
 
     def mul(x: Vec, y: Vec) -> Vec:
-        total = Vec.zero(dim)
-        for i, ci in x.support():
-            for j, cj in y.support():
-                total = total + product[i][j].scale(ci * cj)
-        return total
+        return _bilinear(product, x, y, dim)
 
-    basis = [Vec.basis(dim, i) for i in range(dim)]
+    space = TwistedSpace(a)
+    basis, twisted = space.basis, space.twisted_basis(1)
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                lhs = mul(a @ basis[i], mul(basis[j], basis[k]))
-                rhs = mul(mul(basis[i], basis[j]), a @ basis[k])
+                lhs = mul(twisted[i], mul(basis[j], basis[k]))
+                rhs = mul(mul(basis[i], basis[j]), twisted[k])
                 if lhs != rhs:
                     raise ValueError(f"product is not twisted-associative at triple ({i}, {j}, {k})")
-    space = TwistedSpace(a)
     mu = SkewCochain.from_function(space, space, 2,
                                    lambda key: mul(basis[key[0]], basis[key[1]]) - mul(basis[key[1]], basis[key[0]]))
     return RawHomStructure(space, mu)
@@ -438,12 +421,15 @@ def fixture_yau_sl2(t=2) -> HomLieAlgebra:
     return yau_twist(_sl2_lie_mu(), Mat.diagonal([t, 1, 1 / t]))
 
 
+def _heisenberg_lie_mu() -> SkewCochain:
+    space = TwistedSpace.untwisted(3)
+    return SkewCochain(space, space, 2, {(0, 1): Vec.make([0, 0, 1])})
+
+
 def fixture_yau_heisenberg(s=2, t=3) -> HomLieAlgebra:
     """Yau twist of the Heisenberg algebra [e1, e2] = e3 by diag(s, t, s t)."""
     s, t = rat(s), rat(t)
-    space = TwistedSpace.untwisted(3)
-    mu = SkewCochain(space, space, 2, {(0, 1): Vec.make([0, 0, 1])})
-    return yau_twist(mu, Mat.diagonal([s, t, s * t]))
+    return yau_twist(_heisenberg_lie_mu(), Mat.diagonal([s, t, s * t]))
 
 
 def fixture_yau_shear() -> HomLieAlgebra:
@@ -453,9 +439,7 @@ def fixture_yau_shear() -> HomLieAlgebra:
     bracket homomorphism but has a nontrivial Jordan block; exercises every
     code path that diagonal twists leave untested.
     """
-    space = TwistedSpace.untwisted(3)
-    mu = SkewCochain(space, space, 2, {(0, 1): Vec.make([0, 0, 1])})
-    return yau_twist(mu, Mat.make([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    return yau_twist(_heisenberg_lie_mu(), Mat.make([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def fixture_yau_dim4() -> HomLieAlgebra:
@@ -486,8 +470,4 @@ def bracket_action_on_abelian(alg: HomLieAlgebra) -> HomLieAction:
     the adjoint one but the acted algebra carries the zero bracket, so the
     derivation law is vacuous.
     """
-    target = abelianized(alg)
-    basis = [alg.space.basis_vec(i) for i in range(alg.dim)]
-    table = tuple(tuple(alg.bracket(basis[i], basis[j]) for j in range(alg.dim))
-                  for i in range(alg.dim))
-    return HomLieAction(alg, target, table)
+    return HomLieAction(alg, abelianized(alg), adjoint_representation(alg).table)

@@ -2,14 +2,13 @@ import pytest
 
 from homlie.linalg import Mat, Vec
 from homlie.cochains import (SkewCochain, cochain_matrix, contract, operator_cochain)
-from homlie.structures import (adjoint_action, adjoint_representation,
-                               bracket_action_on_abelian, check_hom_jacobi, fixture_b,
-                               fixture_abelian, RawHomStructure)
+from homlie.structures import (adjoint_representation, bracket_action_on_abelian,
+                               check_hom_jacobi, fixture_b, fixture_abelian, RawHomStructure)
 from homlie.differentials import delta_hom
 from homlie.brackets import (GradedPair, bicrossed_bracket, cup_bracket, derived_bracket,
-                             derived_bracket_rel, fn_bracket, nr_bracket, psi_action,
-                             rho_action, semidirect_graded_bracket, theta, theta_tilde)
-from homlie.theorems import (_derived_rel_explicit, _fn_explicit, _derived_explicit,
+                             derived_bracket_rel, fn_bracket, nr_bracket,
+                             semidirect_graded_bracket, theta, theta_tilde)
+from homlie.theorems import (_derived_rel_explicit, _fn_explicit, default_fixtures,
                              sample_cochain, _stream)
 
 B = fixture_b()
@@ -115,9 +114,10 @@ def test_derived_bracket_arity_one_square():
 
 def test_derived_explicit_agrees():
     rng = _stream(7, "derived2")
+    adj = adjoint_representation(B)
     for _ in range(5):
         p, q = _rand(rng.randint(1, 2), rng), _rand(rng.randint(1, 2), rng)
-        assert derived_bracket(B, p, q) == _derived_explicit(B, p, q)
+        assert derived_bracket(B, p, q) == _derived_rel_explicit(adj, p, q)
 
 
 def test_theta_tilde_cases():
@@ -131,19 +131,17 @@ def test_theta_tilde_cases():
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         expect = act.act(rm @ e[j], e[i]) - act.act(rm @ e[i], e[j])
         assert tr.value_on((i, j)) == expect
-    # adjoint action reduces theta_tilde to theta
-    adj_act = adjoint_action(B)
-    for arity in (1, 2):
-        p = _rand(arity, rng)
-        assert theta_tilde(adj_act, p) == theta(B, p)
 
 
 def test_derived_rel_specializes_and_matches_expansion():
     rng = _stream(9, "dr")
-    adj_act = adjoint_action(B)
-    for _ in range(3):
-        p, q = _rand(rng.randint(1, 2), rng), _rand(rng.randint(1, 2), rng)
-        assert derived_bracket_rel(adj_act, p, q) == derived_bracket(B, p, q)
+    # theta~ of the adjoint representation is theta (the two are independent
+    # routes; derived_bracket relies on their agreement)
+    for _, alg in default_fixtures():
+        adj = adjoint_representation(alg)
+        for arity in (1, 2, 3):
+            f = sample_cochain(alg.space, alg.space, arity, rng)
+            assert theta_tilde(adj, f) == theta(alg, f)
     act = bracket_action_on_abelian(B)
     hs = act.acted.space
     for _ in range(3):
@@ -191,11 +189,12 @@ def test_graded_pair_projections_of_pair_brackets():
 
 
 def test_rho_and_psi_examples():
+    # the matched-pair actions: rho(P)(E) = i_P E and psi(E)(P) = [E, P]_fn
     rng = _stream(12, "rho")
     E = _rand(2, rng)
-    assert rho_action(IDC, E) == E.scale(2)
+    assert contract(IDC, E) == E.scale(2)
     zero2 = SkewCochain.zero(SP, SP, 2)
-    assert psi_action(B, E, zero2).is_zero()
+    assert fn_bracket(B, E, zero2).is_zero()
 
 
 def test_bracket_space_mismatch_rejected():

@@ -7,7 +7,7 @@ import pytest
 
 from homlie.linalg import Mat, Vec
 from homlie.cochains import (SkewCochain, TwistedSpace, cochain_matrix,
-                             compatibility_basis, contract, contract_mixed, evaluate,
+                             compatibility_basis, contract, evaluate,
                              fixed_vectors, is_compatible, operator_cochain, perm_sign,
                              shuffles, sort_with_sign)
 from homlie.structures import fixture_3dim, fixture_b, fixture_jackson_sl2
@@ -170,14 +170,6 @@ def test_contract_preserves_compatibility():
     assert is_compatible(contract(P, Q))
 
 
-def test_contract_mixed_reduces_to_contract():
-    B = fixture_b()
-    rng = _stream(6, "mixed")
-    f = sample_cochain(B.space, B.space, 2, rng)
-    P = sample_cochain(B.space, B.space, 1, rng)
-    assert contract_mixed(f, P) == contract(f, P)
-
-
 def test_contract_mixed_matches_brute_force_on_module_valued_cochains():
     from homlie.structures import bracket_action_on_abelian
     B = fixture_b()
@@ -186,7 +178,7 @@ def test_contract_mixed_matches_brute_force_on_module_valued_cochains():
     rng = _stream(7, "mixed2")
     f = sample_cochain(hs, hs, 2, rng)       # endomorphism-type cochain on the module
     P = sample_cochain(hs, B.space, 2, rng)  # module-to-algebra cochain
-    got = contract_mixed(f, P)
+    got = contract(f, P)
     beta = hs.alpha
     basis = [hs.basis_vec(i) for i in range(3)]
     for key in [(0, 1, 2)]:

@@ -240,3 +240,44 @@ def test_cli_relative_rb_with_action_file(tmp_path):
     zero.write_text('[["0","0","0"],["0","0","0"],["0","0","0"]]')
     assert main(["check", "relative-rb", "--algebra", str(alg), "--action", str(act),
                  "--op", str(zero), "--weight", "1"]) == 0
+
+
+
+# case: (input file, key path of the entry set to JSON true, location in the message)
+_BOOL_CASES = {
+    "dim": ("structure", ["dim"], "algebra: 'dim'"),
+    "i": ("structure", ["brackets", 0, "i"], "algebra.brackets[0]: indices"),
+    "j": ("structure", ["brackets", 0, "j"], "algebra.brackets[0]: indices"),
+    "module_dim": ("rep", ["module_dim"], "representation: 'module_dim'"),
+    "g": ("rep", ["action", 0, "g"], "representation.action[0]: 'g'"),
+    "v": ("rep", ["action", 0, "v"], "representation.action[0]: 'v'"),
+    "arity": ("cochain", ["arity"], "cochain: 'arity'"),
+    "tuple": ("cochain", ["coeffs", 0, "tuple", 0], "cochain.coeffs[0]: 'tuple'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOOL_CASES))
+def test_cli_rejects_json_booleans_as_integers(tmp_path, capsys, case):
+    # JSON true loads as a Python bool, which is an int equal to 1
+    kind, keys, where = _BOOL_CASES[case]
+    docs = {"structure": hio.structure_to_json(fixture_b()),
+            "rep": {"module_dim": 1, "beta": [["1"]],
+                    "action": [{"g": 1, "v": 1, "value": ["0"]}]},
+            "cochain": {"arity": 1, "coeffs": [{"tuple": [1], "value": ["1", "0", "0"]}]}}
+    good = {}
+    for name, doc in docs.items():
+        good[name] = tmp_path / f"{name}.json"
+        good[name].write_text(json.dumps(doc))
+    node = docs[kind]
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(docs[kind]))
+    argv = {"structure": ["check", "structure", str(bad)],
+            "rep": ["cohomology", "--algebra", str(good["structure"]),
+                    "--coefficients", f"rep:{bad}", "--degree", "1"],
+            "cochain": ["bracket", "--kind", "cup", "--algebra", str(good["structure"]),
+                        "--p", str(bad), "--q", str(good["cochain"])]}[kind]
+    assert main(argv) == 2
+    assert where in capsys.readouterr().err

@@ -102,3 +102,15 @@ def test_mutated_cup_bracket_is_caught_with_witnesses(monkeypatch):
         assert failure.lhs != failure.rhs
     monkeypatch.undo()
     assert verify("cup_graded_lie", B, trials=3, seed=1).passed
+
+
+def test_sign_flip_in_theta_tilde_is_caught_by_the_explicit_formula(monkeypatch):
+    # derived_bracket goes through theta~ of the adjoint representation; the
+    # explicit shuffle sum does not, so a planted sign error shows up
+    real = brackets.theta_tilde
+    monkeypatch.setattr(brackets, "theta_tilde", lambda rep, P: -real(rep, P))
+    report = verify("derived_two_formulas", B, trials=12, seed=505)
+    assert not report.passed
+    assert report.failures[0].lhs != report.failures[0].rhs
+    monkeypatch.undo()
+    assert verify("derived_two_formulas", B, trials=12, seed=505).passed
