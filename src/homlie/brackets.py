@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cochains import SkewCochain, contract, shuffles
-from .linalg import Vec
+from .linalg import _lincomb
 from .structures import HomLieAction, HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
 
@@ -55,22 +55,20 @@ def cup_bracket(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra) -> 
     m, n = P.arity, Q.arity
     beta_n = codomain_alg.space.twist_power(n - 1)
     beta_m = codomain_alg.space.twist_power(m - 1)
-    shuffle_list = list(shuffles(m, n))
+    table = shuffles(m, n)
+    lefts, rights, dim = P.coeffs, Q.coeffs, codomain_alg.dim
 
-    def value(key):
-        total = Vec.zero(codomain_alg.dim)
-        for image, sign in shuffle_list:
-            left = P.value_on(tuple(key[p] for p in image[:m]))
-            if left.is_zero():
+    def terms(key):
+        for image, sign in table:
+            left = lefts.get(tuple([key[p] for p in image[:m]]))
+            if left is None:
                 continue
-            right = Q.value_on(tuple(key[p] for p in image[m:]))
-            if right.is_zero():
-                continue
-            term = codomain_alg.bracket(beta_n @ left, beta_m @ right)
-            total = total + term.scale(sign)
-        return total
+            right = rights.get(tuple([key[p] for p in image[m:]]))
+            if right is not None:
+                yield sign, codomain_alg.bracket(beta_n @ left, beta_m @ right)
 
-    return SkewCochain.from_function(P.domain, P.codomain, m + n, value)
+    return SkewCochain.from_function(P.domain, P.codomain, m + n,
+                                     lambda key: _lincomb(terms(key), dim))
 
 
 def theta(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
@@ -117,19 +115,17 @@ def theta_tilde(rep: Representation | HomLieAction, P: SkewCochain) -> SkewCocha
         raise ValueError("expected a cochain from the module into the acting algebra")
     n = P.arity
     twisted = module.twisted_basis(n - 1)
+    heads = P.coeffs
 
-    def value(key):
-        total = Vec.zero(module.dim)
+    def terms(key):
         for pos in range(n + 1):
-            rest = key[:pos] + key[pos + 1:]
-            head = P.value_on(rest)
-            if head.is_zero():
-                continue
-            sign = _sign(n + pos + 1)  # (-1)^{n+i} with i = pos + 1
-            total = total + rep.act(head, twisted[key[pos]]).scale(sign)
-        return total
+            head = heads.get(key[:pos] + key[pos + 1:])
+            if head is not None:
+                sign = _sign(n + pos + 1)  # (-1)^{n+i} with i = pos + 1
+                yield sign, rep.act(head, twisted[key[pos]])
 
-    return SkewCochain.from_function(module, module, n + 1, value)
+    return SkewCochain.from_function(module, module, n + 1,
+                                     lambda key: _lincomb(terms(key), module.dim))
 
 
 def derived_bracket_rel(action: Representation | HomLieAction, P: SkewCochain,

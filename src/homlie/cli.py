@@ -14,12 +14,12 @@ import sys
 
 from . import io as hio
 from .io import ParseError
-from .linalg import Mat, rat, rat_str
+from .linalg import Mat, rat_str
 from .structures import (HomMorphism, action_witness, fixture_abelian, fixture_3dim,
                          fixture_jackson_sl2, hom_jacobi_witness, morphism_witness,
                          multiplicativity_failures, representation_witness)
 from .cohomology import ComplexSpec, cohomology
-from .deformations import MorphismDeformation, deformation_witness, extend, obstruction
+from .deformations import MorphismDeformation, _extend_with, deformation_witness, obstruction
 from .operators import (ConsistencyError, is_nijenhuis, is_relative_rb, is_rota_baxter,
                         nijenhuis_defect, relative_rb_defect, rota_baxter_defect)
 from .theorems import IDENTITIES, default_fixtures, run_all
@@ -32,6 +32,14 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _rational_option(text: str, option: str):
+    """A rational command-line option value; bad input is a usage error naming the option."""
+    try:
+        return hio.rational_from_json(text)
+    except ParseError as exc:
+        raise ParseError(f"{option}: {exc}") from exc
 
 
 def _vec_str(v) -> str:
@@ -50,9 +58,9 @@ def _emit(payload: dict, human: str, as_json: bool):
 
 def _cmd_fixture(args) -> int:
     if args.name == "jackson-sl2":
-        s = fixture_jackson_sl2(rat(args.q))
+        s = fixture_jackson_sl2(_rational_option(args.q, "--q"))
     elif args.name == "threedim":
-        s = fixture_3dim(rat(args.a), rat(args.b), rat(args.c), rat(args.d))
+        s = fixture_3dim(*(_rational_option(getattr(args, k), f"--{k}") for k in "abcd"))
     else:
         s = fixture_abelian(args.dim)
     sys.stdout.write(hio.dumps(hio.structure_to_json(s)))
@@ -114,7 +122,7 @@ def _cmd_check_nijenhuis(args) -> int:
 def _cmd_check_rotabaxter(args) -> int:
     alg = hio.algebra_from_json(_read_json(args.algebra))
     op = hio.matrix_from_json(_read_json(args.op), "operator")
-    lam = rat(args.weight)
+    lam = _rational_option(args.weight, "--weight")
     verdict = is_rota_baxter(alg, op, lam)
     defect = None if verdict else rota_baxter_defect(alg, op, lam)
     return _operator_verdict("rota-baxter", f"Rota-Baxter operator of weight {rat_str(lam)}",
@@ -128,7 +136,7 @@ def _cmd_check_relative_rb(args) -> int:
     if w is not None:
         raise ParseError(f"action file violates the action axioms: {w[0]} at {w[1]}")
     op = hio.matrix_from_json(_read_json(args.op), "operator")
-    lam = rat(args.weight)
+    lam = _rational_option(args.weight, "--weight")
     verdict = is_relative_rb(action, op, lam)
     defect = None if verdict else relative_rb_defect(action, op, lam)
     return _operator_verdict("relative-rota-baxter",
@@ -181,7 +189,7 @@ def _complex_from_args(args) -> ComplexSpec:
     if spec == "adjoint":
         return ComplexSpec.adjoint(alg)
     if spec == "trivial":
-        lam = rat(args.lam) if args.lam is not None else rat(1)
+        lam = _rational_option(args.lam, "--lambda") if args.lam is not None else 1
         return ComplexSpec.scaled_trivial(alg, lam)
     if spec.startswith("rep:"):
         rep = hio.representation_from_json(alg, _read_json(spec[4:]))
@@ -234,7 +242,7 @@ def _cmd_deform_extend(args) -> int:
         entry = {"order": deformation.order,
                  "obstruction_zero": ob.cocycle.is_zero(),
                  "obstruction_coboundary": ob.is_coboundary}
-        extended = extend(deformation)
+        extended = _extend_with(deformation, ob)
         entry["extended"] = extended is not None
         orders.append(entry)
         if extended is None:

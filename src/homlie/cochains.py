@@ -15,11 +15,11 @@ graded brackets.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .linalg import Mat, Vec, kernel_basis, rat
+from .linalg import Mat, Vec, _lincomb, _vec_reduced, kernel_basis, rat
 
 
 class TwistedSpace:
@@ -60,7 +60,7 @@ class TwistedSpace:
         return self.basis[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TwistedSpace) and self.alpha == other.alpha
+        return self is other or (isinstance(other, TwistedSpace) and self.alpha == other.alpha)
 
     def __hash__(self) -> int:
         return hash(self.alpha)
@@ -69,20 +69,25 @@ class TwistedSpace:
         return f"TwistedSpace(dim={self.dim})"
 
 
-def shuffles(*block_sizes: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def shuffles(*block_sizes: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All (n1, ..., nk)-shuffles with their signatures.
 
     A shuffle is a permutation of {0, ..., N-1} that is increasing on each
-    consecutive block of positions.  Yields (image, sign) where image[p] is
-    the 0-based value of the permutation at position p, so a term indexed by
-    a shuffle reads its arguments as [args[i] for i in image].
+    consecutive block of positions.  Returns (image, sign) pairs where
+    image[p] is the 0-based value of the permutation at position p, so a term
+    indexed by a shuffle reads its arguments as [args[i] for i in image].
+    The table is computed once per tuple of block sizes.
     """
     if any(n < 0 for n in block_sizes):
         raise ValueError("block sizes must be nonnegative")
-    total = sum(block_sizes)
+    return _shuffle_table(block_sizes)
+
+
+@lru_cache(maxsize=None)
+def _shuffle_table(block_sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     blocks = [n for n in block_sizes if n > 0]
 
-    def rec(remaining: tuple[int, ...], blocks: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(remaining: tuple[int, ...], blocks: list[int]):
         if not blocks:
             yield ()
             return
@@ -92,8 +97,7 @@ def shuffles(*block_sizes: int) -> Iterator[tuple[tuple[int, ...], int]]:
             for tail in rec(left, rest):
                 yield chosen + tail
 
-    for image in rec(tuple(range(total)), blocks):
-        yield image, perm_sign(image)
+    return tuple((image, perm_sign(image)) for image in rec(tuple(range(sum(block_sizes))), blocks))
 
 
 def perm_sign(image: Sequence[int]) -> int:
@@ -160,10 +164,17 @@ class SkewCochain:
     def from_function(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                       fn: Callable[[tuple[int, ...]], Vec]) -> "SkewCochain":
         """Build a cochain from its values on increasing basis tuples."""
+        if arity < 1:
+            raise ValueError("cochain arity must be >= 1")
+        dim = codomain.dim
         table = {}
         for key in combinations(range(domain.dim), arity):
-            table[key] = fn(key)
-        return SkewCochain(domain, codomain, arity, table)
+            value = fn(key)
+            if value.dim != dim:
+                raise ValueError("coefficient value has wrong dimension")
+            if not value.is_zero():
+                table[key] = value
+        return _cochain(domain, codomain, arity, table)
 
     def value_on(self, key: tuple[int, ...]) -> Vec:
         """Value on a strictly increasing basis tuple."""
@@ -175,28 +186,34 @@ class SkewCochain:
         return (self.arity == other.arity and self.domain == other.domain
                 and self.codomain == other.codomain and self.coeffs == other.coeffs)
 
-    def __add__(self, other: "SkewCochain") -> "SkewCochain":
+    def _combine(self, other: "SkewCochain", op) -> "SkewCochain":
+        """Entrywise op of two same-shape tables, missing values counting as zero."""
         self._require_same_shape(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return SkewCochain(self.domain, self.codomain, self.arity,
-                           {k: self.value_on(k) + other.value_on(k) for k in keys})
+        zero = Vec.zero(self.codomain.dim)
+        a, b = self.coeffs, other.coeffs
+        table = {}
+        for k in a.keys() | b.keys():
+            value = op(a.get(k, zero), b.get(k, zero))
+            if not value.is_zero():
+                table[k] = value
+        return _cochain(self.domain, self.codomain, self.arity, table)
+
+    def __add__(self, other: "SkewCochain") -> "SkewCochain":
+        return self._combine(other, Vec.__add__)
 
     def __sub__(self, other: "SkewCochain") -> "SkewCochain":
-        self._require_same_shape(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return SkewCochain(self.domain, self.codomain, self.arity,
-                           {k: self.value_on(k) - other.value_on(k) for k in keys})
+        return self._combine(other, Vec.__sub__)
 
     def __neg__(self) -> "SkewCochain":
-        return SkewCochain(self.domain, self.codomain, self.arity,
-                           {k: -v for k, v in self.coeffs.items()})
+        return _cochain(self.domain, self.codomain, self.arity,
+                        {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c) -> "SkewCochain":
         c = rat(c)
         if c == 0:
             return SkewCochain.zero(self.domain, self.codomain, self.arity)
-        return SkewCochain(self.domain, self.codomain, self.arity,
-                           {k: v.scale(c) for k, v in self.coeffs.items()})
+        return _cochain(self.domain, self.codomain, self.arity,
+                        {k: v.scale(c) for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -210,33 +227,48 @@ class SkewCochain:
         return f"SkewCochain(arity={self.arity}, nonzero={len(self.coeffs)})"
 
 
+def _cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
+             table: dict[tuple[int, ...], Vec]) -> SkewCochain:
+    """A cochain from a table already valid for its shape, without re-checking.
+
+    Valid means increasing in-range keys and nonzero codomain-sized values.
+    """
+    f = object.__new__(SkewCochain)
+    f.domain, f.codomain, f.arity, f.coeffs = domain, codomain, arity, table
+    return f
+
+
 def evaluate(f: SkewCochain, args: Sequence[Vec]) -> Vec:
     """Multilinear, alternating evaluation on arbitrary vectors.
 
     Expands each argument over its nonzero coordinates, so evaluation on
-    near-basis vectors (basis vectors hit by twist powers) stays cheap.
+    near-basis vectors (basis vectors hit by twist powers) stays cheap.  The
+    terms are summed on integer numerators over one common denominator.
     """
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} arguments, got {len(args)}")
     dim = f.domain.dim
+    arg_den = 1
+    supports = []
     for a in args:
-        if a.dim != dim:
+        if len(a.num) != dim:
             raise ValueError("argument dimension mismatch")
-    total = Vec.zero(f.codomain.dim)
-    supports = [a.support() for a in args]
+        arg_den *= a.den
+        supports.append([(i, x) for i, x in enumerate(a.num) if x])
+    coeffs = f.coeffs
+    terms = []
     for combo in product(*supports):
-        idxs = [i for i, _ in combo]
-        sign, key = sort_with_sign(idxs)
+        sign, key = sort_with_sign([i for i, _ in combo])
         if sign == 0:
             continue
-        value = f.coeffs.get(key)
+        value = coeffs.get(key)
         if value is None:
             continue
-        c = Fraction(sign)
-        for _, coeff in combo:
-            c *= coeff
-        total = total + value.scale(c)
-    return total
+        c = sign
+        for _, x in combo:
+            c *= x
+        terms.append((c, value))
+    return _lincomb(terms, f.codomain.dim, arg_den)
 
 
 def is_compatible(f: SkewCochain) -> bool:
@@ -309,10 +341,7 @@ def flatten_cochain(f: SkewCochain, keys: list[tuple[int, ...]] | None = None) -
     """Raw coefficient table as a single vector (fixed tuple ordering)."""
     if keys is None:
         keys = list(combinations(range(f.domain.dim), f.arity))
-    entries = []
-    for key in keys:
-        entries.extend(f.value_on(key).entries)
-    return Vec(tuple(entries))
+    return Vec.concat(*[f.value_on(key) for key in keys])
 
 
 def unflatten_cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
@@ -320,7 +349,7 @@ def unflatten_cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
     table = {}
     d = codomain.dim
     for pos, key in enumerate(keys):
-        table[key] = Vec(tuple(v[pos * d + c] for c in range(d)))
+        table[key] = _vec_reduced(v.num[pos * d:(pos + 1) * d], v.den)
     return SkewCochain(domain, codomain, arity, table)
 
 
@@ -342,22 +371,18 @@ def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
         raise ValueError("contraction requires inner in C(W, W) and outer in C(W, V)")
     m, n = inner.arity, outer.arity
     twisted_basis = w.twisted_basis(m - 1)
-    shuffle_list = list(shuffles(m, n - 1))
+    table = shuffles(m, n - 1)
+    heads, dim = inner.coeffs, outer.codomain.dim
 
-    def value(key):
-        total = Vec.zero(outer.codomain.dim)
-        for image, sign in shuffle_list:
-            first = tuple(key[p] for p in image[:m])
-            head = inner.value_on(first)
-            if head.is_zero():
-                continue
-            rest = [twisted_basis[key[p]] for p in image[m:]]
-            term = evaluate(outer, [head] + rest)
-            if not term.is_zero():
-                total = total + term.scale(sign)
-        return total
+    def terms(key):
+        for image, sign in table:
+            head = heads.get(tuple([key[p] for p in image[:m]]))
+            if head is not None:
+                rest = [twisted_basis[key[p]] for p in image[m:]]
+                yield sign, evaluate(outer, [head] + rest)
 
-    return SkewCochain.from_function(w, outer.codomain, m + n - 1, value)
+    return SkewCochain.from_function(w, outer.codomain, m + n - 1,
+                                     lambda key: _lincomb(terms(key), dim))
 
 
 def operator_cochain(domain: TwistedSpace, codomain: TwistedSpace, m: Mat) -> SkewCochain:

@@ -112,7 +112,11 @@ def extend(d: MorphismDeformation) -> MorphismDeformation | None:
     The new term solves the next-order equation over the compatible arity-1
     cochains; the extended family is re-validated before being returned.
     """
-    ob = obstruction(d)
+    return _extend_with(d, obstruction(d))
+
+
+def _extend_with(d: MorphismDeformation, ob: ObstructionClass) -> MorphismDeformation | None:
+    """``extend`` given the already computed obstruction of d."""
     if ob.preimage is None:
         return None
     new_term = cochain_matrix(ob.preimage)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Vec, rat
+from .linalg import Vec, _lincomb, rat
 from .cochains import SkewCochain, TwistedSpace, contract, evaluate
 from .structures import HomLieAlgebra, Representation
 
@@ -49,21 +49,21 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
     n = f.arity
     space = alg.space
     acting = space.twisted_basis(n - 1)
+    values, dim = f.coeffs, rep.module.dim
 
-    def value(key):
-        total = Vec.zero(rep.module.dim)
+    def terms(key):
         for pos in range(n + 1):
-            rest = key[:pos] + key[pos + 1:]
-            sign = -1 if pos % 2 else 1
-            term = rep.act(acting[key[pos]], f.value_on(rest))
-            total = total + term.scale(sign)
-        return _bracket_sum(alg, f, key, total)
+            value = values.get(key[:pos] + key[pos + 1:])
+            if value is not None:
+                yield (-1 if pos % 2 else 1), rep.act(acting[key[pos]], value)
+        yield from _bracket_terms(alg, f, key)
 
-    return SkewCochain.from_function(space, rep.module, n + 1, value)
+    return SkewCochain.from_function(space, rep.module, n + 1,
+                                     lambda key: _lincomb(terms(key), dim))
 
 
-def _bracket_sum(alg: HomLieAlgebra, f: SkewCochain, key: tuple[int, ...], total: Vec) -> Vec:
-    """total plus the bracket sum of the coboundary of f on the basis tuple key.
+def _bracket_terms(alg: HomLieAlgebra, f: SkewCochain, key: tuple[int, ...]):
+    """The (sign, value) terms of the bracket sum of the coboundary of f on key.
 
     sum_{i<j} (-1)^{i+j} f([x_i, x_j], alpha(x_1), ..., twisted args with
     positions i and j omitted), shared by ``delta_hom`` and ``d_trivial``.
@@ -75,17 +75,16 @@ def _bracket_sum(alg: HomLieAlgebra, f: SkewCochain, key: tuple[int, ...], total
             sign = -1 if (p1 + p2 + 2) % 2 else 1  # positions are 0-based
             head = alg.bracket(basis[key[p1]], basis[key[p2]])
             rest = [twisted[key[p]] for p in range(size) if p != p1 and p != p2]
-            total = total + evaluate(f, [head] + rest).scale(sign)
-    return total
+            yield sign, evaluate(f, [head] + rest)
 
 
 def d_trivial(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
     """Trivial-coefficient coboundary, the bracket sum of ``delta_hom`` alone."""
     if f.domain != alg.space:
         raise ValueError("cochain domain does not match the algebra")
-    zero = Vec.zero(f.codomain.dim)
+    dim = f.codomain.dim
     return SkewCochain.from_function(alg.space, f.codomain, f.arity + 1,
-                                     lambda key: _bracket_sum(alg, f, key, zero))
+                                     lambda key: _lincomb(_bracket_terms(alg, f, key), dim))
 
 
 def delta_tr(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:

@@ -196,7 +196,7 @@ def relative_rb_graph(action: HomLieAction, R: Mat, lam) -> bool:
     _relative_cochain(action, R)
     big = semidirect_weight(action, lam)
     h = action.acted
-    graph_cols = [Vec((R @ e).entries + e.entries) for e in h.space.basis]
+    graph_cols = [Vec.concat(R @ e, e) for e in h.space.basis]
     graph_mat = Mat.from_columns(graph_cols)
     base_rank = mat_rank(graph_mat)
     for i, j in combinations(range(h.dim), 2):
@@ -311,8 +311,8 @@ def _twist_aligned_positions(basis: list[SkewCochain]) -> list[tuple[int, int]] 
     positions = []
     for b in basis:
         m = cochain_matrix(b)
-        nz = [(i, j) for i in range(m.nrows) for j in range(m.ncols) if m.rows[i][j] != 0]
-        if len(nz) != 1 or m.rows[nz[0][0]][nz[0][1]] != 1:
+        nz = [(i, j) for i, row in enumerate(m.num) for j, x in enumerate(row) if x]
+        if len(nz) != 1 or m.num[nz[0][0]][nz[0][1]] != m.den:
             return None
         positions.append(nz[0])
     return positions

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Mat, Vec, rat
+from .linalg import Mat, Vec, _lincomb, rat
 from .cochains import (SkewCochain, TwistedSpace, compatibility_failures,
                        compatibility_witness, evaluate, operator_cochain)
 
@@ -115,11 +115,9 @@ def multiplicativity_failures(s: RawHomStructure) -> list[tuple[tuple[int, int],
 
 def _bilinear(table, x: Vec, y: Vec, dim: int) -> Vec:
     """Bilinear extension of basis values table[i][j] (vectors of length dim)."""
-    total = Vec.zero(dim)
-    for i, a in x.support():
-        for j, b in y.support():
-            total = total + table[i][j].scale(a * b)
-    return total
+    ys = [(j, b) for j, b in enumerate(y.num) if b]
+    return _lincomb(((a * b, table[i][j]) for i, a in enumerate(x.num) if a for j, b in ys),
+                    dim, x.den * y.den)
 
 
 class Representation:
@@ -326,30 +324,21 @@ def semidirect_weight(action: HomLieAction, lam) -> HomLieAlgebra:
     lam = rat(lam)
     g, h = action.acting, action.acted
     gd, hd = g.dim, h.dim
-    dim = gd + hd
-    alpha_rows = []
-    for i in range(gd):
-        alpha_rows.append(tuple(g.alpha.rows[i]) + (Fraction(0),) * hd)
-    for i in range(hd):
-        alpha_rows.append((Fraction(0),) * gd + tuple(h.alpha.rows[i]))
-    space = TwistedSpace(Mat(tuple(alpha_rows)))
-
-    def embed_g(v: Vec) -> Vec:
-        return Vec(v.entries + (Fraction(0),) * hd)
-
-    def embed_h(v: Vec) -> Vec:
-        return Vec((Fraction(0),) * gd + v.entries)
+    g_rows, h_rows = g.alpha.rows, h.alpha.rows
+    space = TwistedSpace(Mat([row + (0,) * hd for row in g_rows]
+                             + [(0,) * gd + row for row in h_rows]))
+    g_zero, h_zero = Vec.zero(gd), Vec.zero(hd)
 
     def split(i: int) -> tuple[Vec, Vec]:
         if i < gd:
-            return g.space.basis_vec(i), Vec.zero(hd)
-        return Vec.zero(gd), h.space.basis_vec(i - gd)
+            return g.space.basis_vec(i), h_zero
+        return g_zero, h.space.basis_vec(i - gd)
 
     def value(key):
         (x1, h1), (x2, h2) = split(key[0]), split(key[1])
         gpart = g.bracket(x1, x2)
         hpart = action.act(x1, h2) - action.act(x2, h1) + h.bracket(h1, h2).scale(lam)
-        return embed_g(gpart) + embed_h(hpart)
+        return Vec.concat(gpart, hpart)
 
     mu = SkewCochain.from_function(space, space, 2, value)
     return HomLieAlgebra(space, mu)

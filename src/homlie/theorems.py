@@ -201,9 +201,9 @@ def _fn_explicit(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCoch
     dP, dQ = delta_hom(adj, P), delta_hom(adj, Q)
     pw = space.twist_power
     tw_m, tw_n = space.twisted_basis(m), space.twisted_basis(n)
-    sh_cup = list(shuffles(m, n))
-    sh_p = list(shuffles(m + 1, n - 1))
-    sh_q = list(shuffles(n + 1, m - 1))
+    sh_cup = shuffles(m, n)
+    sh_p = shuffles(m + 1, n - 1)
+    sh_q = shuffles(n + 1, m - 1)
 
     def value(key):
         total = Vec.zero(space.dim)
@@ -238,9 +238,9 @@ def _derived_rel_explicit(action, P: SkewCochain, Q: SkewCochain) -> SkewCochain
     m, n = P.arity, Q.arity
     gpw = g.space.twist_power
     tw = module.twisted_basis
-    sh_cup = list(shuffles(m, n))
-    sh_p = list(shuffles(m, 1, n - 1))
-    sh_q = list(shuffles(n, 1, m - 1))
+    sh_cup = shuffles(m, n)
+    sh_p = shuffles(m, 1, n - 1)
+    sh_q = shuffles(n, 1, m - 1)
 
     def value(key):
         total = Vec.zero(g.dim)

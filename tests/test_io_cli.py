@@ -281,3 +281,58 @@ def test_cli_rejects_json_booleans_as_integers(tmp_path, capsys, case):
                         "--p", str(bad), "--q", str(good["cochain"])]}[kind]
     assert main(argv) == 2
     assert where in capsys.readouterr().err
+
+
+# case: (option named in the message, argv given the algebra, action and operator files)
+_ZERO_DENOMINATOR_CASES = {
+    "q": ("--q", lambda f: ["fixture", "jackson-sl2", "--q", "1/0"]),
+    "a": ("--a", lambda f: ["fixture", "threedim", "--a", "1/0"]),
+    "b": ("--b", lambda f: ["fixture", "threedim", "--b=-2/0"]),
+    "c": ("--c", lambda f: ["fixture", "threedim", "--c", "0/0"]),
+    "d": ("--d", lambda f: ["fixture", "threedim", "--d", "3/0"]),
+    "weight-rotabaxter": ("--weight", lambda f: ["check", "rotabaxter", "--algebra", f["alg"],
+                                                 "--op", f["op"], "--weight", "1/0"]),
+    "weight-relative-rb": ("--weight", lambda f: ["check", "relative-rb", "--algebra", f["alg"],
+                                                  "--action", f["act"], "--op", f["op"],
+                                                  "--weight", "1/0"]),
+    "lambda": ("--lambda", lambda f: ["cohomology", "--algebra", f["alg"],
+                                      "--coefficients", "trivial", "--degree", "1",
+                                      "--lambda", "1/0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_DENOMINATOR_CASES))
+def test_cli_rational_option_with_zero_denominator_is_usage_error(tmp_path, capsys, case):
+    from homlie.structures import bracket_action_on_abelian
+    B = fixture_b()
+    files = {"alg": tmp_path / "b.json", "act": tmp_path / "act.json", "op": tmp_path / "op.json"}
+    files["alg"].write_text(hio.dumps(hio.structure_to_json(B)))
+    files["act"].write_text(hio.dumps(hio.action_to_json(bracket_action_on_abelian(B))))
+    files["op"].write_text('[["0","0","0"],["0","0","0"],["0","0","0"]]')
+    option, argv = _ZERO_DENOMINATOR_CASES[case]
+    assert main(argv({k: str(v) for k, v in files.items()})) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option}: bad rational" in captured.err
+
+
+def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monkeypatch):
+    from homlie import cli, deformations
+    calls = []
+    original = deformations.obstruction
+
+    def counting(d):
+        calls.append(d.order)
+        return original(d)
+
+    monkeypatch.setattr(cli, "obstruction", counting)
+    monkeypatch.setattr(deformations, "obstruction", counting)
+    alg = tmp_path / "b.json"
+    alg.write_text(hio.dumps(hio.structure_to_json(fixture_b())))
+    ident = tmp_path / "id.json"
+    ident.write_text('[["1","0","0"],["0","1","0"],["0","0","1"]]')
+    assert main(["deform", "extend", "--algebra", str(alg), "--target", str(alg),
+                 "--morphism", str(ident), "--to-order", "3"]) == 0
+    assert capsys.readouterr().out == ("order 0 -> 1: extended\norder 1 -> 2: extended\n"
+                                       "order 2 -> 3: extended\nreached order 3 of 3\n")
+    assert calls == [0, 1, 2]

@@ -79,3 +79,67 @@ def test_solve_none_iff_augmented_rank_grows():
         else:
             assert m @ x == b
             assert mat_rank(augmented) == mat_rank(m)
+
+
+# -- oracle: sympy DomainMatrix over QQ ----------------------------------------
+
+
+def _qq(m: Mat):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    QQ = sympy.QQ
+    return DomainMatrix([[QQ(e.numerator, e.denominator) for e in row] for row in m.rows],
+                        (m.nrows, m.ncols), QQ)
+
+
+def _oracle_cases():
+    """Seeded random matrices: mixed denominators, zero rows, empty and one-column shapes."""
+    rng = random.Random(1968)
+    cases = [Mat(()), Mat.zero(3, 1), Mat.make([[0], ["1/2"], [0]]), Mat.make([[0, 0, 0]])]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.choice((1, 1, 2, 3, 4, 5, 6))
+        grid = [[Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+                 if rng.random() < 0.6 else Fraction(0) for _ in range(cols)]
+                for _ in range(rows)]
+        for r in range(rows):
+            if rng.random() < 0.25:
+                grid[r] = [Fraction(0)] * cols  # zero row
+        if rows > 1 and rng.random() < 0.3:
+            # a dependent row: a rational combination of two others
+            a, b = rng.sample(range(rows), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            grid[rng.randrange(rows)] = [x + c * y for x, y in zip(grid[a], grid[b])]
+        cases.append(Mat.make(grid))
+    return rng, cases
+
+
+def test_rank_kernel_and_solve_match_sympy_domain_matrix():
+    rng, cases = _oracle_cases()
+    inconsistent = 0
+    for m in cases:
+        dm = _qq(m)
+        rank = dm.rank()
+        assert mat_rank(m) == rank
+        basis = kernel_basis(m)
+        assert len(basis) == m.ncols - rank
+        if basis:
+            k = Mat.from_columns(basis)
+            assert (dm * _qq(k)).is_zero_matrix
+            assert _qq(k).rank() == len(basis)
+        # right-hand sides: one in the column space, one random (often inconsistent)
+        inside = m @ Vec.make([rng.randint(-3, 3) for _ in range(m.ncols)])
+        outside = Vec.make([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.nrows)])
+        for b in (inside, outside):
+            x = solve_linear(m, b)
+            if m.nrows == 0:
+                assert x == Vec.zero(m.ncols)
+                continue
+            augmented = _qq(Mat.from_columns([m.col(j) for j in range(m.ncols)] + [b]))
+            if x is None:
+                inconsistent += 1
+                assert b is not inside
+                assert augmented.rank() > rank
+            else:
+                assert augmented.rank() == rank
+                assert dm * _qq(Mat.from_columns([x])) == _qq(Mat.from_columns([b]))
+    assert inconsistent > 0

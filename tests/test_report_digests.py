@@ -1,0 +1,28 @@
+"""Seeded ``verify-theorems --json`` reports pinned by their SHA-256.
+
+Criterion 12 compares two runs of the same code; these digests were recorded
+from the Fraction-entry implementation of ``Vec``/``Mat`` (before the
+integer-numerator core), so any drift of a seeded report between versions of
+the program fails here.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+PINNED = {
+    ("yau-heisenberg", "3", "7"): "74b5d0da78e78faa3f1e805692f130c719372c0ae447ef842af647daa7c9c95a",
+    ("threedim-multiplicative", "2", "7"): "1426bfb36e36e3c75a1aeef9b8e596dbe9e04e112bf359f8bcd26d96452e3c1c",
+    ("yau-dim4", "2", "7"): "b4849abf8aad107b16aaaa0e55f02999b6a3b5b53defaabd169ee622472b1a3d",
+}
+
+
+@pytest.mark.parametrize("fixture,trials,seed", sorted(PINNED))
+def test_seeded_report_digest_is_pinned(fixture, trials, seed):
+    proc = subprocess.run([sys.executable, "-m", "homlie.cli", "verify-theorems", "--json",
+                           "--fixture", fixture, "--trials", trials, "--seed", seed],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED[(fixture, trials, seed)]
