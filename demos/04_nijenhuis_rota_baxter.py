@@ -12,7 +12,7 @@ from homlie.structures import bracket_action_on_abelian, check_representation
 
 B = fixture_b()
 
-# Bounded brute-force search over twist-commuting integer matrices.  Each hit
+# Bounded grid search over the twist commutant (integer entries).  Each hit
 # is confirmed twice: the pointwise identity and the Maurer-Cartan equation
 # of the matching graded bracket must agree.
 nij = search_nijenhuis(B)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import io as hio
@@ -383,6 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse takes "-1/2" for an option flag (only plain negative numbers
+    # pass as values), so "--b -1/2" is joined into "--b=-1/2" first.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for k in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"-\d+/\d+", argv[k]) and re.fullmatch(r"--[\w-]+", argv[k - 1]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

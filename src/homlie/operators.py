@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
-from .linalg import Mat, Vec, mat_rank, rat
-from .cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
+from .linalg import Mat, Vec, _common, _mat_reduced, _rref, mat_rank, rat
+from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, flatten_cochain,
                        operator_cochain)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, RawHomStructure,
                          Representation, adjoint_representation, check_morphism,
@@ -277,12 +278,9 @@ def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None 
     if s.arity != 1:
         raise ValueError("Maurer-Cartan residual is defined for arity-1 elements")
     if dgla_kind == "morphism":
-        if target is None:
-            raise ValueError("morphism residual needs the codomain algebra")
-        source = alg
-        if source is None:
-            raise ValueError("morphism residual needs the domain algebra")
-        return d_trivial(source, s) + cup_bracket(s, s, target).scale(HALF)
+        if alg is None or target is None:
+            raise ValueError("morphism residual needs the domain and codomain algebras")
+        return d_trivial(alg, s) + cup_bracket(s, s, target).scale(HALF)
     if dgla_kind == "morphism_twisted":
         if phi is None:
             raise ValueError("twisted morphism residual needs the base morphism")
@@ -292,71 +290,65 @@ def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None 
             raise ValueError("derived residual needs the algebra")
         return d_lambda(alg, s, lam) + derived_bracket(alg, s, s).scale(HALF)
     if dgla_kind == "relative_derived":
-        if action is None:
-            raise ValueError("relative derived residual needs the action")
-        acted = action.acted if isinstance(action, HomLieAction) else None
-        if acted is None:
+        if not isinstance(action, HomLieAction):
             raise ValueError("relative derived residual needs a full action")
-        return (d_lambda_tilde(acted, s, lam)
+        return (d_lambda_tilde(action.acted, s, lam)
                 + derived_bracket_rel(action, s, s).scale(HALF))
     raise ValueError(f"unknown differential graded Lie algebra kind: {dgla_kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# Bounded brute-force searches
-
-
-def _twist_aligned_positions(basis: list[SkewCochain]) -> list[tuple[int, int]] | None:
-    """Entry positions spanning the intertwiner space, if it is entry-aligned."""
-    positions = []
-    for b in basis:
-        m = cochain_matrix(b)
-        nz = [(i, j) for i, row in enumerate(m.num) for j, x in enumerate(row) if x]
-        if len(nz) != 1 or m.num[nz[0][0]][nz[0][1]] != m.den:
-            return None
-        positions.append(nz[0])
-    return positions
+# Grid search over the twist commutant
 
 
 def _search_matrices(source, target, entries) -> list[Mat]:
-    """All matrices with entries in the given set intertwining the twists."""
-    entries = tuple(rat(e) for e in entries)
-    rows, cols = target.dim, source.dim
-    basis = compatibility_basis(source, target, 1)
-    positions = _twist_aligned_positions(basis)
+    """All matrices with entries in the grid ``entries`` intertwining the twists.
+
+    In the reduced row echelon form of the arity-1 compatibility basis,
+    flattened column by column, the pivot coordinates fix the rest: the grid
+    runs over the pivots, and a candidate stays if its other coordinates land
+    in it.  Two intertwiners first differ at a pivot, so the matrices come in
+    the grid order (position in ``entries``) of the column-major table.
+    """
+    nums, den = _common(entries)  # the grid as integers over one denominator
+    grid = set(nums)
+    reduced, pivots = _rref([list(flatten_cochain(b).entries)
+                             for b in compatibility_basis(source, target, 1)])
+    rows = target.dim
+    # coordinate k of a candidate, times den, is combo . column_k / scale_k
+    coords = [_common(row[k] for row in reduced) for k in range(rows * source.dim)]
     found = []
-    if positions is not None and (Fraction(0) in entries or len(positions) == rows * cols):
-        for combo in product(entries, repeat=len(positions)):
-            grid = [[Fraction(0)] * cols for _ in range(rows)]
-            for (i, j), v in zip(positions, combo):
-                grid[i][j] = v
-            found.append(Mat.make(grid))
-        return found
-    for combo in product(entries, repeat=rows * cols):
-        m = Mat.make([combo[r * cols:(r + 1) * cols] for r in range(rows)])
-        if target.alpha @ m == m @ source.alpha:
-            found.append(m)
+    for combo in product(nums, repeat=len(pivots)):
+        flat = []
+        for column, scale in coords:
+            q, rem = divmod(sum(map(mul, combo, column)), scale)
+            if rem or q not in grid:
+                break
+            flat.append(q)
+        else:
+            found.append(_mat_reduced(tuple(tuple(flat[i::rows]) for i in range(rows)), den))
     return found
 
 
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:
-    """Twist-commuting matrices over an entry grid satisfying the Nijenhuis identity."""
+    """Nijenhuis operators with entries in ``entries``, in column-major grid order."""
     return [m for m in _search_matrices(alg.space, alg.space, entries)
             if is_nijenhuis(alg, m)]
 
 
 def search_rota_baxter(alg: HomLieAlgebra, lam, entries=(-1, 0, 1)) -> list[Mat]:
+    """Weight-lam Rota-Baxter operators with entries in ``entries``, column-major grid order."""
     lam = rat(lam)
     return [m for m in _search_matrices(alg.space, alg.space, entries)
             if is_rota_baxter(alg, m, lam)]
 
 
 def search_relative_rb(action: HomLieAction, lam, entries=(-1, 0, 1)) -> list[Mat]:
+    """Relative weight-lam Rota-Baxter operators, entries in ``entries``, column-major grid order.
+
+    The grid runs over maps from the acted to the acting space.  The pointwise
+    identity rejects first, at a tenth of the cost of the three-way check.
+    """
     lam = rat(lam)
-    out = []
-    for m in _search_matrices(action.acted.space, action.acting.space, entries):
-        # The pointwise identity is a fast reject (a tenth of the cost of the
-        # three-way check on 3-dim fixtures); only survivors are cross-checked.
-        if relative_rb_pointwise(action, m, lam) and is_relative_rb(action, m, lam):
-            out.append(m)
-    return out
+    return [m for m in _search_matrices(action.acted.space, action.acting.space, entries)
+            if relative_rb_pointwise(action, m, lam) and is_relative_rb(action, m, lam)]

@@ -350,6 +350,8 @@ def semidirect_weight(action: HomLieAction, lam) -> HomLieAlgebra:
 
 def fixture_abelian(dim: int, alpha: Mat | None = None) -> HomLieAlgebra:
     """Zero bracket with an arbitrary twist (identity by default)."""
+    if dim < 1:
+        raise ValueError(f"abelian fixture needs dim >= 1, got {dim}")
     space = TwistedSpace(alpha if alpha is not None else Mat.identity(dim))
     return HomLieAlgebra(space, SkewCochain.zero(space, space, 2))
 

@@ -56,7 +56,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, Vec, kernel_basis, rat, rat_str
+from .linalg import Vec, kernel_basis, rat, rat_str
 from .cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
                        contract, evaluate, shuffles)
 from .structures import (HomLieAlgebra, RawHomStructure, adjoint_representation,
@@ -292,15 +292,10 @@ def _sample_cocycle(data, arity: int, rng: random.Random, space, codomain) -> Sk
 
 
 def _relative_context(alg: HomLieAlgebra):
-    """Action of the algebra on its abelianized copy, plus verified operators."""
+    """Action on the abelianized copy, plus verified operators (always the zero one)."""
     action = bracket_action_on_abelian(alg)
-    verified = []
-    for lam in (Fraction(0), Fraction(1)):
-        for R in search_relative_rb(action, lam):
-            verified.append((lam, R))
-    if not verified:
-        verified.append((Fraction(0), Mat.zero(alg.dim, alg.dim)))
-    return action, verified
+    return action, [(lam, R) for lam in (Fraction(0), Fraction(1))
+                    for R in search_relative_rb(action, lam)]
 
 
 def _context(identity: str, alg: HomLieAlgebra, max_arity: int):
@@ -608,6 +603,9 @@ def verify(identity: str, algebra: HomLieAlgebra, trials: int = 50, seed: int = 
     """Run one identity for the given number of independent random trials."""
     if identity not in _CHECKERS:
         raise ValueError(f"unknown identity tag: {identity!r}")
+    for name, value in (("trials", trials), ("max_arity", max_arity)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     checker = _CHECKERS[identity]
     ctx = _context(identity, algebra, max_arity)
     failures = []

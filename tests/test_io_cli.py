@@ -301,19 +301,73 @@ _ZERO_DENOMINATOR_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_ZERO_DENOMINATOR_CASES))
-def test_cli_rational_option_with_zero_denominator_is_usage_error(tmp_path, capsys, case):
+def _operator_files(tmp_path):
+    """Algebra, action and zero-operator files for fixture B, by name."""
     from homlie.structures import bracket_action_on_abelian
     B = fixture_b()
     files = {"alg": tmp_path / "b.json", "act": tmp_path / "act.json", "op": tmp_path / "op.json"}
     files["alg"].write_text(hio.dumps(hio.structure_to_json(B)))
     files["act"].write_text(hio.dumps(hio.action_to_json(bracket_action_on_abelian(B))))
     files["op"].write_text('[["0","0","0"],["0","0","0"],["0","0","0"]]')
+    return {k: str(v) for k, v in files.items()}
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_DENOMINATOR_CASES))
+def test_cli_rational_option_with_zero_denominator_is_usage_error(tmp_path, capsys, case):
     option, argv = _ZERO_DENOMINATOR_CASES[case]
-    assert main(argv({k: str(v) for k, v in files.items()})) == 2
+    assert main(argv(_operator_files(tmp_path))) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {option}: bad rational" in captured.err
+
+
+# case: (argv given the files, ending in the option; its negative fraction value)
+_NEGATIVE_FRACTION_CASES = {
+    "q": (lambda f: ["fixture", "jackson-sl2", "--q"], "-1/2"),
+    "b": (lambda f: ["fixture", "threedim", "--a", "1", "--b"], "-1/2"),
+    "weight-rotabaxter": (lambda f: ["check", "rotabaxter", "--algebra", f["alg"],
+                                     "--op", f["op"], "--weight"], "-3/2"),
+    "weight-relative-rb": (lambda f: ["check", "relative-rb", "--algebra", f["alg"],
+                                      "--action", f["act"], "--op", f["op"], "--weight"], "-1/3"),
+    "lambda": (lambda f: ["cohomology", "--algebra", f["alg"], "--coefficients", "trivial",
+                          "--degree", "1", "--lambda"], "-2/3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEGATIVE_FRACTION_CASES))
+def test_cli_negative_fraction_option_value_may_follow_as_separate_argument(
+        tmp_path, capsys, case):
+    head, value = _NEGATIVE_FRACTION_CASES[case]
+    argv = head(_operator_files(tmp_path))
+    option = argv[-1]
+    assert main(argv + [value]) == 0
+    separate = capsys.readouterr()
+    assert main(argv[:-1] + [f"{option}={value}"]) == 0
+    assert separate == capsys.readouterr()
+    assert main(argv + ["-1/0"]) == 2
+    assert f"error: {option}: bad rational '-1/0'" in capsys.readouterr().err
+
+
+# case: (argv, text of the error message)
+_OUT_OF_RANGE_CASES = {
+    "dim-0": (["fixture", "abelian", "--dim", "0"], "dim >= 1, got 0"),
+    "dim-negative": (["fixture", "abelian", "--dim", "-1"], "dim >= 1, got -1"),
+    "trials-0": (["verify-theorems", "--fixture", "abelian-dim2", "--trials", "0"],
+                 "trials must be >= 1, got 0"),
+    "trials-negative": (["verify-theorems", "--fixture", "abelian-dim2", "--trials", "-1"],
+                        "trials must be >= 1, got -1"),
+    "max-arity-0": (["verify-theorems", "--fixture", "abelian-dim2", "--max-arity", "0"],
+                    "max_arity must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE_CASES))
+def test_cli_out_of_range_integer_option_is_usage_error(capsys, case):
+    argv, message = _OUT_OF_RANGE_CASES[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monkeypatch):

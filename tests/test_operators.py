@@ -6,7 +6,7 @@ from homlie.linalg import Mat
 from homlie.cochains import cochain_matrix, operator_cochain
 from homlie.structures import (adjoint_action, adjoint_representation,
                                bracket_action_on_abelian, check_hom_jacobi,
-                               check_morphism, check_representation, fixture_b,
+                               check_morphism, check_representation, fixture_abelian, fixture_b,
                                HomMorphism, RawHomStructure)
 from homlie.differentials import delta_hom
 from homlie.brackets import theta
@@ -15,7 +15,7 @@ from homlie.operators import (ConsistencyError, deformed_bracket_n, induced_stru
                               nijenhuis_defect, nijenhuis_report, rb_deformed_bracket,
                               relative_rb_graph, relative_rb_mc, relative_rb_pointwise,
                               search_nijenhuis, search_relative_rb, search_rota_baxter)
-from homlie.theorems import sample_cochain, _stream
+from homlie.theorems import default_fixtures, sample_cochain, _stream
 
 B = fixture_b()
 
@@ -105,10 +105,65 @@ def test_rb_search_finds_operators():
     assert found and any(not m.is_zero() for m in found)
 
 
-def test_search_falls_back_to_full_grid_for_non_aligned_commutants():
+def _grid_oracle(source, target, entries):
+    """Every grid matrix with target.alpha @ m == m @ source.alpha, in column-major grid order.
+
+    Depth-first over the full grid of the column-major flattened table, so
+    the matrices come out in product order of the grid.  Each entry of the
+    commutator is tested as soon as every coordinate it reads is set; that
+    prunes dead branches without changing the order.
+    """
+    entries = [Fraction(e) for e in entries]
+    rows, cols = target.dim, source.dim
+    at, a_s = target.alpha.rows, source.alpha.rows
+    # entry (i, j) of the commutator as (coefficient, coordinate) terms
+    checks = {}
+    for i in range(rows):
+        for j in range(cols):
+            terms = ([(at[i][k], j * rows + k) for k in range(rows) if at[i][k]]
+                     + [(-a_s[k][j], k * rows + i) for k in range(cols) if a_s[k][j]])
+            last = max((c for _, c in terms), default=0)
+            checks.setdefault(last, []).append(terms)
+    found, flat = [], [None] * (rows * cols)
+
+    def walk(c):
+        if c == len(flat):
+            found.append(Mat.make([flat[i::rows] for i in range(rows)]))
+            return
+        for e in entries:
+            flat[c] = e
+            if all(sum(x * flat[k] for x, k in t) == 0 for t in checks.get(c, ())):
+                walk(c + 1)
+
+    walk(0)
+    return found
+
+
+_FIXTURES = dict(default_fixtures())
+# the commutant of this twist is spanned by I and the twist, so the last entry
+# of the flattened table is p + q/2 in the two pivot values p and q
+_SEARCH_ALGEBRAS = {**_FIXTURES,
+                    "abelian-upper-twist": fixture_abelian(2, Mat.make([[1, 2], [0, 2]]))}
+_GRIDS = [(0, 1), (-1, 0, 1), (1, 2), ("1/2", 0, 3), (0,)]
+
+
+@pytest.mark.parametrize("kind", ["endomorphism", "relative"])
+@pytest.mark.parametrize("name", sorted(_SEARCH_ALGEBRAS))
+def test_search_matches_full_grid_oracle(name, kind):
     from homlie.operators import _search_matrices
-    from homlie.structures import fixture_yau_shear
-    shear = fixture_yau_shear()
+    alg = _SEARCH_ALGEBRAS[name]
+    if kind == "endomorphism":
+        source = target = alg.space
+    else:
+        act = bracket_action_on_abelian(alg)
+        source, target = act.acted.space, act.acting.space
+    for entries in _GRIDS:
+        assert _search_matrices(source, target, entries) == _grid_oracle(source, target, entries)
+
+
+def test_search_on_the_non_aligned_yau_shear_commutant():
+    from homlie.operators import _search_matrices
+    shear = _FIXTURES["yau-shear"]
     mats = _search_matrices(shear.space, shear.space, (-1, 0, 1))
     assert len(mats) == 243  # 5-dim commutant of the unipotent twist
     assert all(shear.alpha @ m == m @ shear.alpha for m in mats)
