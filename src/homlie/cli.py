@@ -16,15 +16,9 @@ import sys
 from . import io as hio
 from .io import ParseError
 from .linalg import Mat, rat_str
-from .structures import (HomMorphism, action_witness, fixture_abelian, fixture_3dim,
-                         fixture_jackson_sl2, hom_jacobi_witness, morphism_witness,
-                         multiplicativity_failures, representation_witness)
-from .cohomology import ComplexSpec, cohomology
-from .deformations import MorphismDeformation, _extend_with, deformation_witness, obstruction
-from .operators import (ConsistencyError, is_nijenhuis, is_relative_rb, is_rota_baxter,
-                        nijenhuis_defect, relative_rb_defect, rota_baxter_defect)
-from .theorems import IDENTITIES, default_fixtures, run_all
-from .brackets import cup_bracket, derived_bracket, fn_bracket, nr_bracket
+
+# Each command imports the modules it runs, so that a process compiles and
+# loads only those.
 
 
 def _read_json(path: str):
@@ -58,6 +52,7 @@ def _emit(payload: dict, human: str, as_json: bool):
 
 
 def _cmd_fixture(args) -> int:
+    from .structures import fixture_3dim, fixture_abelian, fixture_jackson_sl2
     if args.name == "jackson-sl2":
         s = fixture_jackson_sl2(_rational_option(args.q, "--q"))
     elif args.name == "threedim":
@@ -72,6 +67,7 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_check_structure(args) -> int:
+    from .structures import hom_jacobi_witness, multiplicativity_failures
     s = hio.structure_from_json(_read_json(args.path))
     jac = hom_jacobi_witness(s)
     mult = multiplicativity_failures(s)
@@ -113,6 +109,7 @@ def _operator_verdict(kind: str, label: str, verdict: bool, defect, as_json: boo
 
 
 def _cmd_check_nijenhuis(args) -> int:
+    from .operators import is_nijenhuis, nijenhuis_defect
     alg = hio.algebra_from_json(_read_json(args.algebra))
     op = hio.matrix_from_json(_read_json(args.op), "operator")
     verdict = is_nijenhuis(alg, op)
@@ -121,6 +118,7 @@ def _cmd_check_nijenhuis(args) -> int:
 
 
 def _cmd_check_rotabaxter(args) -> int:
+    from .operators import is_rota_baxter, rota_baxter_defect
     alg = hio.algebra_from_json(_read_json(args.algebra))
     op = hio.matrix_from_json(_read_json(args.op), "operator")
     lam = _rational_option(args.weight, "--weight")
@@ -131,6 +129,8 @@ def _cmd_check_rotabaxter(args) -> int:
 
 
 def _cmd_check_relative_rb(args) -> int:
+    from .operators import is_relative_rb, relative_rb_defect
+    from .structures import action_witness
     alg = hio.algebra_from_json(_read_json(args.algebra))
     action = hio.action_from_json(alg, _read_json(args.action))
     w = action_witness(action)
@@ -146,6 +146,7 @@ def _cmd_check_relative_rb(args) -> int:
 
 
 def _cmd_check_morphism(args) -> int:
+    from .structures import HomMorphism, morphism_witness
     source = hio.algebra_from_json(_read_json(args.algebra))
     target = hio.algebra_from_json(_read_json(args.target))
     phi = HomMorphism(source, target, hio.matrix_from_json(_read_json(args.map), "map"))
@@ -164,19 +165,22 @@ def _cmd_check_morphism(args) -> int:
 # -- bracket ----------------------------------------------------------------
 
 
-_BRACKETS = {
-    "nr": lambda alg, p, q: nr_bracket(p, q),
-    "cup": lambda alg, p, q: cup_bracket(p, q, alg),
-    "fn": fn_bracket,
-    "derived": derived_bracket,
-}
+_BRACKET_KINDS = ("cup", "derived", "fn", "nr")
 
 
 def _cmd_bracket(args) -> int:
+    from .brackets import cup_bracket, derived_bracket, fn_bracket, nr_bracket
     alg = hio.algebra_from_json(_read_json(args.algebra))
     p = hio.cochain_from_json(alg.space, alg.space, _read_json(args.p))
     q = hio.cochain_from_json(alg.space, alg.space, _read_json(args.q))
-    result = _BRACKETS[args.kind](alg, p, q)
+    if args.kind == "nr":
+        result = nr_bracket(p, q)
+    elif args.kind == "cup":
+        result = cup_bracket(p, q, alg)
+    elif args.kind == "fn":
+        result = fn_bracket(alg, p, q)
+    else:
+        result = derived_bracket(alg, p, q)
     sys.stdout.write(hio.dumps(hio.cochain_to_json(result)))
     return 0
 
@@ -184,7 +188,9 @@ def _cmd_bracket(args) -> int:
 # -- cohomology ---------------------------------------------------------------
 
 
-def _complex_from_args(args) -> ComplexSpec:
+def _complex_from_args(args):
+    from .cohomology import ComplexSpec
+    from .structures import HomMorphism, representation_witness
     alg = hio.algebra_from_json(_read_json(args.algebra))
     spec = args.coefficients
     if spec == "adjoint":
@@ -210,6 +216,7 @@ def _complex_from_args(args) -> ComplexSpec:
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import cohomology
     spec = _complex_from_args(args)
     report = cohomology(spec, args.degree)
     human = (f"degree {report.degree}: cochains {report.dim_cochains},"
@@ -223,6 +230,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_deform_extend(args) -> int:
+    from .deformations import MorphismDeformation, _extend_with, deformation_witness, obstruction
     source = hio.algebra_from_json(_read_json(args.algebra))
     target = hio.algebra_from_json(_read_json(args.target))
     phi = hio.matrix_from_json(_read_json(args.morphism), "morphism")
@@ -264,6 +272,7 @@ def _cmd_deform_extend(args) -> int:
 
 
 def _cmd_verify_theorems(args) -> int:
+    from .theorems import default_fixtures, run_all
     if args.algebra is not None:
         algebras = [(args.algebra, hio.algebra_from_json(_read_json(args.algebra)))]
     elif args.fixture is not None:
@@ -292,6 +301,23 @@ def _cmd_verify_theorems(args) -> int:
 
 
 # -- parser -------------------------------------------------------------------
+
+
+class _IdentityChoices:
+    """The ``--identity`` choices, ``theorems.IDENTITIES`` read on first use.
+
+    argparse iterates ``choices`` only for help and error text and tests
+    membership when it parses a value, so building the parser does not
+    import ``theorems``.
+    """
+
+    def __iter__(self):
+        from .theorems import IDENTITIES
+        return iter(IDENTITIES)
+
+    def __contains__(self, name) -> bool:
+        from .theorems import IDENTITIES
+        return name in IDENTITIES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_morphism)
 
     p = sub.add_parser("bracket", help="compute a graded bracket of two cochains")
-    p.add_argument("--kind", choices=sorted(_BRACKETS), required=True)
+    p.add_argument("--kind", choices=_BRACKET_KINDS, required=True)
     p.add_argument("--algebra", required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
@@ -376,11 +402,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", dest="max_arity", type=int, default=3)
     p.add_argument("--fixture", default=None)
     p.add_argument("--algebra", default=None)
-    p.add_argument("--identity", action="append", choices=IDENTITIES, default=None)
+    # add_argument iterates its choices (to check the metavar), so they are
+    # set on the returned action instead.
+    p.add_argument("--identity", action="append", default=None).choices = _IdentityChoices()
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_theorems)
 
     return parser
+
+
+def _consistency_errors() -> tuple:
+    """``operators.ConsistencyError`` once that module is loaded; only it raises one."""
+    operators = sys.modules.get(f"{__package__}.operators")
+    return () if operators is None else (operators.ConsistencyError,)
 
 
 def main(argv=None) -> int:
@@ -396,7 +430,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
+    except _consistency_errors() as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

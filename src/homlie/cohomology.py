@@ -23,8 +23,10 @@ from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, Representatio
                          adjoint_representation)
 from .differentials import (Degree0Cochain, d_lambda, d_lambda_tilde, d_trivial,
                             delta_hom, delta_hom_deg0)
-from .brackets import derived_bracket_rel
-from .operators import is_relative_rb, morphism_differential, relative_rb_pointwise
+
+# ``operators`` and ``brackets`` are imported only by the morphism and
+# relative Rota-Baxter complexes, so module-coefficient cohomology never
+# loads them.
 
 
 def d_phi(phi: HomMorphism, f: SkewCochain) -> SkewCochain:
@@ -33,11 +35,13 @@ def d_phi(phi: HomMorphism, f: SkewCochain) -> SkewCochain:
     Coincides with the module-coefficient coboundary for the representation
     x . y = [phi(x), y] on the target.
     """
+    from .operators import morphism_differential
     return morphism_differential(phi)(f)
 
 
 def _operator_differential(action: HomLieAction, R: Mat, lam):
     """The map f -> d~_lam(f) + [R, f] (relative derived bracket); R is not checked."""
+    from .brackets import derived_bracket_rel
     rc = operator_cochain(action.acted.space, action.acting.space, R)
     return lambda f: d_lambda_tilde(action.acted, f, lam) + derived_bracket_rel(action, rc, f)
 
@@ -48,6 +52,7 @@ def d_rb(action: HomLieAction, R: Mat, lam, f: SkewCochain) -> SkewCochain:
     D(f) = d~_lam(f) + [R, f] in the relative derived bracket; requires R to
     satisfy the relative Rota-Baxter identity.
     """
+    from .operators import relative_rb_pointwise
     if not relative_rb_pointwise(action, R, lam):
         raise ValueError("operator fails the relative Rota-Baxter identity")
     return _operator_differential(action, R, lam)(f)
@@ -107,6 +112,7 @@ class ComplexSpec:
 
     @staticmethod
     def morphism(phi: HomMorphism) -> "ComplexSpec":
+        from .operators import morphism_differential
         return ComplexSpec("morphism", phi.source.space, phi.target.space,
                            morphism_differential(phi), 1, "morphism-twisted")
 
@@ -124,6 +130,7 @@ class ComplexSpec:
 
     @staticmethod
     def relative_rb(action: HomLieAction, R: Mat, lam) -> "ComplexSpec":
+        from .operators import is_relative_rb
         lam = rat(lam)
         if not is_relative_rb(action, R, lam):
             raise ValueError("operator fails the relative Rota-Baxter identity")

@@ -298,16 +298,24 @@ def _relative_context(alg: HomLieAlgebra):
                     for R in search_relative_rb(action, lam)]
 
 
-def _context(identity: str, alg: HomLieAlgebra, max_arity: int):
+def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
+    """The identity's fixed data for ``alg``; ``shared`` holds what identities reuse.
+
+    The relative context (two relative operator searches, each candidate
+    checked three ways) is built once per ``shared`` dict, that is once per
+    algebra in ``run_all``.
+    """
     if identity == "cup_trivial_cohomology":
         return _cocycle_data(alg, max_arity)
+    if identity not in ("relative_consistency", "d_r_matches_induced"):
+        return None
+    if "relative" not in shared:
+        shared["relative"] = _relative_context(alg)
     if identity == "relative_consistency":
-        return _relative_context(alg)
-    if identity == "d_r_matches_induced":
-        action, verified = _relative_context(alg)
-        induced = [(lam, R) + induced_structures(action, R, lam) for lam, R in verified]
-        return action, induced
-    return None
+        return shared["relative"]
+    action, verified = shared["relative"]
+    induced = [(lam, R) + induced_structures(action, R, lam) for lam, R in verified]
+    return action, induced
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +609,18 @@ _CHECKERS = {tag: globals()[f"_check_{tag}"] for tag in IDENTITIES}
 def verify(identity: str, algebra: HomLieAlgebra, trials: int = 50, seed: int = 0,
            max_arity: int = 3) -> VerificationReport:
     """Run one identity for the given number of independent random trials."""
+    return _verify(identity, algebra, trials, seed, max_arity, {})
+
+
+def _verify(identity: str, algebra: HomLieAlgebra, trials: int, seed: int, max_arity: int,
+            shared: dict) -> VerificationReport:
     if identity not in _CHECKERS:
         raise ValueError(f"unknown identity tag: {identity!r}")
     for name, value in (("trials", trials), ("max_arity", max_arity)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     checker = _CHECKERS[identity]
-    ctx = _context(identity, algebra, max_arity)
+    ctx = _context(identity, algebra, max_arity, shared)
     failures = []
     for trial in range(trials):
         rng = _stream(seed, identity, trial)
@@ -638,7 +651,7 @@ def run_all(algebras: list[tuple[str, HomLieAlgebra]] | None = None, trials: int
     tags = identities if identities is not None else IDENTITIES
     results = []
     for name, alg in algebras:
-        reports = tuple(verify(tag, alg, trials=trials, seed=seed, max_arity=max_arity)
-                        for tag in tags)
+        shared: dict = {}
+        reports = tuple(_verify(tag, alg, trials, seed, max_arity, shared) for tag in tags)
         results.append((name, reports))
     return SuiteReport(seed, trials, max_arity, tuple(results))

@@ -371,7 +371,7 @@ def test_cli_out_of_range_integer_option_is_usage_error(capsys, case):
 
 
 def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monkeypatch):
-    from homlie import cli, deformations
+    from homlie import deformations
     calls = []
     original = deformations.obstruction
 
@@ -379,7 +379,8 @@ def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monk
         calls.append(d.order)
         return original(d)
 
-    monkeypatch.setattr(cli, "obstruction", counting)
+    # The command imports ``obstruction`` from ``deformations`` when it runs,
+    # so patching that module counts every call.
     monkeypatch.setattr(deformations, "obstruction", counting)
     alg = tmp_path / "b.json"
     alg.write_text(hio.dumps(hio.structure_to_json(fixture_b())))

@@ -70,6 +70,27 @@ def test_run_all_json_is_byte_stable():
     assert s1 == s2
 
 
+def test_run_all_builds_the_relative_context_once_per_algebra(monkeypatch):
+    from homlie import theorems
+    built = []
+    original = theorems._relative_context
+
+    def counting(alg):
+        built.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(theorems, "_relative_context", counting)
+    abelian = fixture_abelian(2)
+    tags = ("relative_consistency", "mc_homlie", "d_r_matches_induced")
+    suite = run_all([("b", B), ("abelian", abelian)], trials=2, seed=3, identities=tags)
+    assert suite.all_passed
+    assert [a is alg for a, alg in zip(built, (B, abelian))] == [True, True]
+    assert len(built) == 2
+    # verify alone still builds its own context.
+    verify("d_r_matches_induced", B, trials=1)
+    assert len(built) == 3
+
+
 def _unsigned_cup(P, Q, codomain_alg):
     """Mutated cup bracket: shuffle signs dropped (deliberate sign error)."""
     m, n = P.arity, Q.arity
