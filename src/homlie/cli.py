@@ -37,6 +37,15 @@ def _rational_option(text: str, option: str):
         raise ParseError(f"{option}: {exc}") from exc
 
 
+def _matrix_option(path: str, option: str, rows: int, cols: int, dims: str = "") -> Mat:
+    """A matrix file of shape rows x cols; a bad file is a usage error naming the option."""
+    m = hio.matrix_from_json(_read_json(path), option)
+    if (m.nrows, m.ncols) != (rows, cols):
+        raise ParseError(f"{option}: expected a {rows}x{cols} matrix{dims},"
+                         f" got {m.nrows}x{m.ncols}")
+    return m
+
+
 def _vec_str(v) -> str:
     return "[" + ", ".join(rat_str(e) for e in v.entries) + "]"
 
@@ -111,7 +120,7 @@ def _operator_verdict(kind: str, label: str, verdict: bool, defect, as_json: boo
 def _cmd_check_nijenhuis(args) -> int:
     from .operators import is_nijenhuis, nijenhuis_defect
     alg = hio.algebra_from_json(_read_json(args.algebra))
-    op = hio.matrix_from_json(_read_json(args.op), "operator")
+    op = _matrix_option(args.op, "--op", alg.dim, alg.dim)
     verdict = is_nijenhuis(alg, op)
     defect = None if verdict else nijenhuis_defect(alg, op)
     return _operator_verdict("nijenhuis", "Nijenhuis operator", verdict, defect, args.json)
@@ -120,7 +129,7 @@ def _cmd_check_nijenhuis(args) -> int:
 def _cmd_check_rotabaxter(args) -> int:
     from .operators import is_rota_baxter, rota_baxter_defect
     alg = hio.algebra_from_json(_read_json(args.algebra))
-    op = hio.matrix_from_json(_read_json(args.op), "operator")
+    op = _matrix_option(args.op, "--op", alg.dim, alg.dim)
     lam = _rational_option(args.weight, "--weight")
     verdict = is_rota_baxter(alg, op, lam)
     defect = None if verdict else rota_baxter_defect(alg, op, lam)
@@ -136,7 +145,8 @@ def _cmd_check_relative_rb(args) -> int:
     w = action_witness(action)
     if w is not None:
         raise ParseError(f"action file violates the action axioms: {w[0]} at {w[1]}")
-    op = hio.matrix_from_json(_read_json(args.op), "operator")
+    op = _matrix_option(args.op, "--op", alg.dim, action.acted.dim,
+                        f" (acting dim {alg.dim} x acted dim {action.acted.dim})")
     lam = _rational_option(args.weight, "--weight")
     verdict = is_relative_rb(action, op, lam)
     defect = None if verdict else relative_rb_defect(action, op, lam)
@@ -149,7 +159,9 @@ def _cmd_check_morphism(args) -> int:
     from .structures import HomMorphism, morphism_witness
     source = hio.algebra_from_json(_read_json(args.algebra))
     target = hio.algebra_from_json(_read_json(args.target))
-    phi = HomMorphism(source, target, hio.matrix_from_json(_read_json(args.map), "map"))
+    mat = _matrix_option(args.map, "--map", target.dim, source.dim,
+                         f" (target dim {target.dim} x source dim {source.dim})")
+    phi = HomMorphism(source, target, mat)
     w = morphism_witness(phi)
     payload = {"morphism": w is None}
     human = "morphism: yes"

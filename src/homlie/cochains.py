@@ -209,6 +209,8 @@ class SkewCochain:
                         {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c) -> "SkewCochain":
+        if type(c) is int and c in (1, -1):  # the signs (-1)^k, with no Fraction round trip
+            return self if c == 1 else -self
         c = rat(c)
         if c == 0:
             return SkewCochain.zero(self.domain, self.codomain, self.arity)

@@ -59,7 +59,7 @@ def deformation_witness(d: MorphismDeformation):
         if tgt.alpha @ m != m @ src.alpha:
             return ("twist equivariance", n, None, None, None)
         for i, j in combinations(range(src.dim), 2):
-            lhs = m @ src.bracket(basis[i], basis[j])
+            lhs = m @ src.table[i][j]
             rhs = Vec.zero(tgt.dim)
             for a in range(n + 1):
                 rhs = rhs + tgt.bracket(d.terms[a] @ basis[i], d.terms[n - a] @ basis[j])

@@ -68,12 +68,12 @@ def _bracket_terms(alg: HomLieAlgebra, f: SkewCochain, key: tuple[int, ...]):
     sum_{i<j} (-1)^{i+j} f([x_i, x_j], alpha(x_1), ..., twisted args with
     positions i and j omitted), shared by ``delta_hom`` and ``d_trivial``.
     """
-    basis, twisted = alg.space.basis, alg.space.twisted_basis(1)
+    table, twisted = alg.table, alg.space.twisted_basis(1)
     size = len(key)
     for p1 in range(size):
         for p2 in range(p1 + 1, size):
             sign = -1 if (p1 + p2 + 2) % 2 else 1  # positions are 0-based
-            head = alg.bracket(basis[key[p1]], basis[key[p2]])
+            head = table[key[p1]][key[p2]]
             rest = [twisted[key[p]] for p in range(size) if p != p1 and p != p2]
             yield sign, evaluate(f, [head] + rest)
 

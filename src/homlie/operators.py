@@ -44,7 +44,7 @@ def _deformed_bracket(alg: HomLieAlgebra, T: Mat, tail) -> SkewCochain:
 
     def value(key):
         x, y = basis[key[0]], basis[key[1]]
-        return alg.bracket(T @ x, y) + alg.bracket(x, T @ y) + tail(alg.bracket(x, y))
+        return alg.bracket(T @ x, y) + alg.bracket(x, T @ y) + tail(alg.table[key[0]][key[1]])
 
     return SkewCochain.from_function(alg.space, alg.space, 2, value)
 
@@ -171,7 +171,8 @@ def _induced_bracket(action: HomLieAction, R: Mat, lam):
 
     def value(key):
         hi, hj = basis[key[0]], basis[key[1]]
-        return action.act(R @ hi, hj) - action.act(R @ hj, hi) + h.bracket(hi, hj).scale(lam)
+        return (action.act(R @ hi, hj) - action.act(R @ hj, hi)
+                + h.table[key[0]][key[1]].scale(lam))
 
     return value
 

@@ -10,16 +10,24 @@ and, throughout this package, multiplicativity alpha[x, y] = [alpha x, alpha y]
 structures).  ``RawHomStructure`` carries the same data with no invariants so
 that candidate and known non-multiplicative structures can be loaded and
 diagnosed.
+
+Basis brackets come from a cached structure table: each structure reads the
+skew table [e_i, e_j] off its bracket cochain once, on first use.  Its
+``bracket``, its adjoint representation, the coboundaries' bracket terms and
+every other bracket of two basis vectors are served from that table.
+``cochains.evaluate`` on the bracket cochain stays the independent route, and
+the tests use it as the oracle for the table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import Mat, Vec, _lincomb, rat
 from .cochains import (SkewCochain, TwistedSpace, compatibility_failures,
-                       compatibility_witness, evaluate, operator_cochain)
+                       compatibility_witness, operator_cochain)
 
 
 class RawHomStructure:
@@ -40,8 +48,18 @@ class RawHomStructure:
     def alpha(self) -> Mat:
         return self.space.alpha
 
+    @cached_property
+    def table(self) -> tuple[tuple[Vec, ...], ...]:
+        """Basis brackets: table[i][j] = [e_i, e_j], skew with a zero diagonal."""
+        coeffs, dim = self.mu.coeffs, self.dim
+        zero = Vec.zero(dim)
+        rows = [[zero] * dim for _ in range(dim)]
+        for (i, j), value in coeffs.items():
+            rows[i][j], rows[j][i] = value, -value
+        return tuple(map(tuple, rows))
+
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        return evaluate(self.mu, [x, y])
+        return _bilinear(self.table, x, y, self.dim)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -83,13 +101,11 @@ def hom_jacobi_witness(s: RawHomStructure) -> tuple[tuple[int, int, int], Vec] |
     the independent oracle for the Maurer-Cartan characterization of the
     bracket inside the graded bracket machinery.
     """
-    space = s.space
-    basis, twisted = space.basis, space.twisted_basis(1)
-    for i, j, k in combinations(range(space.dim), 3):
-        x, y, z = basis[i], basis[j], basis[k]
-        total = (s.bracket(twisted[i], s.bracket(y, z))
-                 + s.bracket(twisted[j], s.bracket(z, x))
-                 + s.bracket(twisted[k], s.bracket(x, y)))
+    table, twisted = s.table, s.space.twisted_basis(1)
+    for i, j, k in combinations(range(s.dim), 3):
+        total = (s.bracket(twisted[i], table[j][k])
+                 + s.bracket(twisted[j], table[k][i])
+                 + s.bracket(twisted[k], table[i][j]))
         if not total.is_zero():
             return (i, j, k), total
     return None
@@ -131,9 +147,11 @@ class Representation:
             for v in row:
                 if v.dim != module.dim:
                     raise ValueError("action values must live in the module")
+        if not (isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)):
+            table = tuple(tuple(row) for row in table)
         self.algebra = algebra
         self.module = module
-        self.table = tuple(tuple(row) for row in table)
+        self.table = table
 
     def act(self, x: Vec, v: Vec) -> Vec:
         """Bilinear extension of the basis action table."""
@@ -150,8 +168,7 @@ def representation_witness(rep: Representation):
     [x, y] . beta(v) = alpha(x) . (y . v) - alpha(y) . (x . v) on basis triples.
     """
     alg, mod = rep.algebra, rep.module
-    gbasis, gtwisted = alg.space.basis, alg.space.twisted_basis(1)
-    vtwisted = mod.twisted_basis(1)
+    gtwisted, vtwisted = alg.space.twisted_basis(1), mod.twisted_basis(1)
     for i in range(alg.dim):
         for j in range(mod.dim):
             lhs = mod.alpha @ rep.table[i][j]
@@ -161,7 +178,7 @@ def representation_witness(rep: Representation):
     for i in range(alg.dim):
         for j in range(alg.dim):
             for k in range(mod.dim):
-                lhs = rep.act(alg.bracket(gbasis[i], gbasis[j]), vtwisted[k])
+                lhs = rep.act(alg.table[i][j], vtwisted[k])
                 rhs = (rep.act(gtwisted[i], rep.table[j][k])
                        - rep.act(gtwisted[j], rep.table[i][k]))
                 if lhs != rhs:
@@ -202,10 +219,10 @@ def action_witness(a: HomLieAction):
         return w
     acting, acted = a.acting, a.acted
     gtwisted = acting.space.twisted_basis(1)
-    hbasis, htwisted = acted.space.basis, acted.space.twisted_basis(1)
+    htwisted = acted.space.twisted_basis(1)
     for i in range(acting.dim):
         for j, k in combinations(range(acted.dim), 2):
-            lhs = a.act(gtwisted[i], acted.bracket(hbasis[j], hbasis[k]))
+            lhs = a.act(gtwisted[i], acted.table[j][k])
             rhs = (acted.bracket(a.table[i][j], htwisted[k])
                    + acted.bracket(htwisted[j], a.table[i][k]))
             if lhs != rhs:
@@ -218,14 +235,15 @@ def check_action(a: HomLieAction) -> bool:
 
 
 def adjoint_representation(alg: HomLieAlgebra) -> Representation:
-    """The algebra acting on itself by its own bracket."""
-    basis = alg.space.basis
-    table = tuple(tuple(alg.bracket(x, y) for y in basis) for x in basis)
-    return Representation(alg, alg.space, table)
+    """The algebra acting on itself by its own bracket; one instance per algebra."""
+    rep = alg.__dict__.get("_adjoint")
+    if rep is None:
+        rep = alg._adjoint = Representation(alg, alg.space, alg.table)
+    return rep
 
 
 def adjoint_action(alg: HomLieAlgebra) -> HomLieAction:
-    return HomLieAction(alg, alg, adjoint_representation(alg).table)
+    return HomLieAction(alg, alg, alg.table)
 
 
 def trivial_representation(alg: HomLieAlgebra, module: TwistedSpace) -> Representation:
@@ -257,7 +275,7 @@ def morphism_witness(phi: HomMorphism):
         return ("twist intertwining", None, tgt.alpha @ m, m @ src.alpha)
     basis = src.space.basis
     for i, j in combinations(range(src.dim), 2):
-        lhs = m @ src.bracket(basis[i], basis[j])
+        lhs = m @ src.table[i][j]
         rhs = tgt.bracket(m @ basis[i], m @ basis[j])
         if lhs != rhs:
             return ("bracket preservation", (i, j), lhs, rhs)
@@ -461,4 +479,4 @@ def bracket_action_on_abelian(alg: HomLieAlgebra) -> HomLieAction:
     the adjoint one but the acted algebra carries the zero bracket, so the
     derivation law is vacuous.
     """
-    return HomLieAction(alg, abelianized(alg), adjoint_representation(alg).table)
+    return HomLieAction(alg, abelianized(alg), alg.table)

@@ -199,3 +199,13 @@ def test_cochain_shape_errors():
         SkewCochain(B.space, B.space, 2, {(1, 0): Vec.zero(3)})
     with pytest.raises(ValueError):
         SkewCochain.zero(B.space, B.space, 0)
+
+
+def test_scale_by_an_int_sign_skips_the_rational_path():
+    B = fixture_b()
+    P = sample_cochain(B.space, B.space, 2, _stream(5, "scale-sign"))
+    assert not P.is_zero()
+    assert P.scale(1) is P
+    for c in (-1, Fraction(-1), "-1"):
+        assert P.scale(c) == -P
+    assert P.scale(Fraction(1)) == P and P.scale(-1).scale(-1) == P

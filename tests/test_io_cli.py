@@ -391,3 +391,40 @@ def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monk
     assert capsys.readouterr().out == ("order 0 -> 1: extended\norder 1 -> 2: extended\n"
                                        "order 2 -> 3: extended\nreached order 3 of 3\n")
     assert calls == [0, 1, 2]
+
+
+# case: (argv given the files and the matrix file, the wrong and the right matrix, message)
+_WRONG_SHAPE_CASES = {
+    "nijenhuis": (lambda f, m: ["check", "nijenhuis", "--algebra", f["alg"], "--op", m],
+                  "m22", "op", "--op: expected a 3x3 matrix, got 2x2"),
+    "rotabaxter": (lambda f, m: ["check", "rotabaxter", "--algebra", f["alg"], "--op", m],
+                   "m22", "op", "--op: expected a 3x3 matrix, got 2x2"),
+    "relative-rb": (lambda f, m: ["check", "relative-rb", "--algebra", f["alg"],
+                                  "--action", f["act2"], "--op", m],
+                    "m23", "m32", "--op: expected a 3x2 matrix (acting dim 3 x acted dim 2), got 2x3"),
+    "morphism": (lambda f, m: ["check", "morphism", "--algebra", f["alg"],
+                               "--target", f["ab2"], "--map", m],
+                 "m32", "m23", "--map: expected a 2x3 matrix (target dim 2 x source dim 3), got 3x2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_SHAPE_CASES))
+def test_cli_operator_file_of_wrong_shape_is_usage_error(tmp_path, capsys, case):
+    from homlie.structures import fixture_abelian
+    files = _operator_files(tmp_path)
+    docs = {"ab2": hio.structure_to_json(fixture_abelian(2)),
+            # the zero action of fixture B on a 2-dim abelian algebra
+            "act2": {"module_dim": 2, "beta": [["1", "0"], ["0", "1"]]},
+            "m22": [["1", "0"], ["0", "1"]],
+            "m23": [["0", "0", "0"], ["0", "0", "0"]],
+            "m32": [["0", "0"], ["0", "0"], ["0", "0"]]}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        files[name] = str(path)
+    argv, wrong, right, message = _WRONG_SHAPE_CASES[case]
+    assert main(argv(files, files[wrong])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert main(argv(files, files[right])) == 0

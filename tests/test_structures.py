@@ -203,3 +203,14 @@ def test_morphism_checks():
     # twist intertwining failure on the two Yau twists
     sl2, heis = fixture_yau_sl2(), fixture_yau_heisenberg()
     assert not check_morphism(HomMorphism(sl2, heis, Mat.identity(3)))
+
+
+def test_adjoint_representation_is_one_instance_serving_the_structure_table():
+    for alg in (fixture_b(), fixture_yau_sl2(), fixture_yau_dim4()):
+        adj = adjoint_representation(alg)
+        assert adjoint_representation(alg) is adj
+        assert adj.table is alg.table
+        basis = alg.space.basis
+        for x in basis:
+            for y in basis:
+                assert adj.act(x, y) == alg.bracket(x, y)
