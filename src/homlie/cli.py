@@ -37,13 +37,19 @@ def _rational_option(text: str, option: str):
         raise ParseError(f"{option}: {exc}") from exc
 
 
-def _matrix_option(path: str, option: str, rows: int, cols: int, dims: str = "") -> Mat:
-    """A matrix file of shape rows x cols; a bad file is a usage error naming the option."""
-    m = hio.matrix_from_json(_read_json(path), option)
+def _shaped_matrix(obj, where: str, rows: int, cols: int, dims: str = "") -> Mat:
+    """A JSON matrix of shape rows x cols; a bad one is a usage error naming ``where``."""
+    m = hio.matrix_from_json(obj, where)
     if (m.nrows, m.ncols) != (rows, cols):
-        raise ParseError(f"{option}: expected a {rows}x{cols} matrix{dims},"
+        raise ParseError(f"{where}: expected a {rows}x{cols} matrix{dims},"
                          f" got {m.nrows}x{m.ncols}")
     return m
+
+
+def _morphism_matrix(obj, where: str, source, target) -> Mat:
+    """A JSON matrix of a linear map from the source to the target algebra."""
+    return _shaped_matrix(obj, where, target.dim, source.dim,
+                          f" (target dim {target.dim} x source dim {source.dim})")
 
 
 def _vec_str(v) -> str:
@@ -120,7 +126,7 @@ def _operator_verdict(kind: str, label: str, verdict: bool, defect, as_json: boo
 def _cmd_check_nijenhuis(args) -> int:
     from .operators import is_nijenhuis, nijenhuis_defect
     alg = hio.algebra_from_json(_read_json(args.algebra))
-    op = _matrix_option(args.op, "--op", alg.dim, alg.dim)
+    op = _shaped_matrix(_read_json(args.op), "--op", alg.dim, alg.dim)
     verdict = is_nijenhuis(alg, op)
     defect = None if verdict else nijenhuis_defect(alg, op)
     return _operator_verdict("nijenhuis", "Nijenhuis operator", verdict, defect, args.json)
@@ -129,7 +135,7 @@ def _cmd_check_nijenhuis(args) -> int:
 def _cmd_check_rotabaxter(args) -> int:
     from .operators import is_rota_baxter, rota_baxter_defect
     alg = hio.algebra_from_json(_read_json(args.algebra))
-    op = _matrix_option(args.op, "--op", alg.dim, alg.dim)
+    op = _shaped_matrix(_read_json(args.op), "--op", alg.dim, alg.dim)
     lam = _rational_option(args.weight, "--weight")
     verdict = is_rota_baxter(alg, op, lam)
     defect = None if verdict else rota_baxter_defect(alg, op, lam)
@@ -145,7 +151,7 @@ def _cmd_check_relative_rb(args) -> int:
     w = action_witness(action)
     if w is not None:
         raise ParseError(f"action file violates the action axioms: {w[0]} at {w[1]}")
-    op = _matrix_option(args.op, "--op", alg.dim, action.acted.dim,
+    op = _shaped_matrix(_read_json(args.op), "--op", alg.dim, action.acted.dim,
                         f" (acting dim {alg.dim} x acted dim {action.acted.dim})")
     lam = _rational_option(args.weight, "--weight")
     verdict = is_relative_rb(action, op, lam)
@@ -159,8 +165,7 @@ def _cmd_check_morphism(args) -> int:
     from .structures import HomMorphism, morphism_witness
     source = hio.algebra_from_json(_read_json(args.algebra))
     target = hio.algebra_from_json(_read_json(args.target))
-    mat = _matrix_option(args.map, "--map", target.dim, source.dim,
-                         f" (target dim {target.dim} x source dim {source.dim})")
+    mat = _morphism_matrix(_read_json(args.map), "--map", source, target)
     phi = HomMorphism(source, target, mat)
     w = morphism_witness(phi)
     payload = {"morphism": w is None}
@@ -221,7 +226,7 @@ def _complex_from_args(args):
         if not isinstance(obj, dict) or "target" not in obj or "map" not in obj:
             raise ParseError("morphism file must carry 'target' and 'map'")
         target = hio.algebra_from_json(obj["target"])
-        phi = HomMorphism(alg, target, hio.matrix_from_json(obj["map"], "map"))
+        phi = HomMorphism(alg, target, _morphism_matrix(obj["map"], f"{spec}: map", alg, target))
         return ComplexSpec.morphism(phi)
     raise ParseError(f"unknown coefficient spec {spec!r}"
                      " (use adjoint | trivial | rep:FILE | morphism:FILE)")
@@ -245,13 +250,13 @@ def _cmd_deform_extend(args) -> int:
     from .deformations import MorphismDeformation, _extend_with, deformation_witness, obstruction
     source = hio.algebra_from_json(_read_json(args.algebra))
     target = hio.algebra_from_json(_read_json(args.target))
-    phi = hio.matrix_from_json(_read_json(args.morphism), "morphism")
-    terms: list[Mat] = [phi]
+    terms = [_morphism_matrix(_read_json(args.morphism), "--morphism", source, target)]
     if args.terms is not None:
         raw = _read_json(args.terms)
         if not isinstance(raw, list):
-            raise ParseError("terms file must hold a list of matrices")
-        terms.extend(hio.matrix_from_json(t, f"terms[{k}]") for k, t in enumerate(raw))
+            raise ParseError("--terms: the file must hold a list of matrices")
+        terms.extend(_morphism_matrix(t, f"--terms[{k}]", source, target)
+                     for k, t in enumerate(raw))
     deformation = MorphismDeformation(source, target, tuple(terms))
     w = deformation_witness(deformation)
     if w is not None:

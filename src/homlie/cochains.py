@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import Mat, Vec, _lincomb, _vec_reduced, kernel_basis, rat
 
@@ -238,6 +238,20 @@ def _cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
     f = object.__new__(SkewCochain)
     f.domain, f.codomain, f.arity, f.coeffs = domain, codomain, arity, table
     return f
+
+
+def linear_combination(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
+                       terms: Iterable[tuple[int, SkewCochain]], den: int = 1) -> SkewCochain:
+    """The sum of c * f over (integer c, cochain f) pairs, divided by the positive integer den.
+
+    Each value is summed on integer numerators by ``_lincomb``.
+    """
+    by_key: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
+    for c, f in terms:
+        for key, value in f.coeffs.items():
+            by_key.setdefault(key, []).append((c, value))
+    return SkewCochain.from_function(domain, codomain, arity,
+                                     lambda key: _lincomb(by_key.get(key, ()), codomain.dim, den))
 
 
 def evaluate(f: SkewCochain, args: Sequence[Vec]) -> Vec:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Mat, Vec, mat_rank, rat, solve_linear
+from .linalg import Mat, Vec, _lincomb, mat_rank, rat, solve_linear
 from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, fixed_vectors,
-                       flatten_cochain, operator_cochain)
+                       flatten_cochain, linear_combination, operator_cochain)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, Representation,
                          adjoint_representation)
 from .differentials import (Degree0Cochain, d_lambda, d_lambda_tilde, d_trivial,
@@ -203,27 +203,15 @@ def is_coboundary(spec: ComplexSpec, c: SkewCochain):
         raise ValueError("no coboundaries below the lowest degree of the complex")
     if not spec.differential(c).is_zero():
         raise ValueError("input cochain is not a cocycle")
-    basis = spec.basis(degree - 1)
-    if not basis:
-        if not c.is_zero():
-            return None
-        if degree - 1 == 0:
-            return Degree0Cochain(spec.codomain, Vec.zero(spec.codomain.dim))
-        return SkewCochain.zero(spec.domain, spec.codomain, degree - 1)
     solution = solve_linear(spec.matrix(degree - 1), flatten_cochain(c))
-    if solution is None:
-        return None
-    return _combine(basis, solution)
+    return None if solution is None else _combine(spec, degree - 1, solution)
 
 
-def _combine(basis: list, coeffs: Vec):
-    first = basis[0]
-    if isinstance(first, Degree0Cochain):
-        total = Vec.zero(first.module.dim)
-        for b, c in zip(basis, coeffs.entries):
-            total = total + b.value.scale(c)
-        return Degree0Cochain(first.module, total)
-    total = SkewCochain.zero(first.domain, first.codomain, first.arity)
-    for b, c in zip(basis, coeffs.entries):
-        total = total + b.scale(c)
-    return total
+def _combine(spec: ComplexSpec, degree: int, coeffs: Vec):
+    """The cochain of the given degree with coordinates ``coeffs`` in ``spec.basis(degree)``."""
+    basis = spec.basis(degree)
+    if degree == 0:
+        return Degree0Cochain(spec.codomain, _lincomb(zip(coeffs.num, [b.value for b in basis]),
+                                                      spec.codomain.dim, coeffs.den))
+    return linear_combination(spec.domain, spec.codomain, degree, zip(coeffs.num, basis),
+                              coeffs.den)

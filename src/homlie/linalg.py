@@ -8,9 +8,10 @@ only when the denominator is not 1.  ``fractions.Fraction`` appears only at
 the boundary: the public constructors accept ints, Fractions and strings, and
 ``entries``, ``rows`` and indexing return Fractions.
 
-Matrices are small and dense (desk scale: dim <= 6), so rank, kernel and
-solve use plain fraction Gaussian elimination with first-nonzero pivoting on
-the ``rows`` view.
+Rank, kernel and solve run one fraction-free Gauss-Jordan elimination
+(``_rref``) on the integer numerator rows, with first-nonzero pivoting: every
+division in it is exact, and the result is the reduced row echelon form
+times one positive integer.
 """
 
 from __future__ import annotations
@@ -87,22 +88,23 @@ def _vec_reduced(num: tuple[int, ...], den: int) -> "Vec":
     return _vec(num, den)
 
 
-def _mat(num: tuple[tuple[int, ...], ...], den: int) -> "Mat":
-    """A Mat from numerator rows and denominator already in canonical form."""
+def _mat(num: tuple[tuple[int, ...], ...], den: int, ncols: int) -> "Mat":
+    """A Mat from numerator rows, denominator and width already in canonical form."""
     m = _new(Mat)
     m.num = num
     m.den = den
+    m.ncols = ncols
     return m
 
 
-def _mat_reduced(num: tuple[tuple[int, ...], ...], den: int) -> "Mat":
+def _mat_reduced(num: tuple[tuple[int, ...], ...], den: int, ncols: int) -> "Mat":
     """A Mat from numerator rows over a positive denominator, brought to canonical form."""
     if den != 1:
         g = gcd(den, *chain.from_iterable(num))
         if g != 1:
             num = tuple([tuple([x // g for x in r]) for r in num])
             den //= g
-    return _mat(num, den)
+    return _mat(num, den, ncols)
 
 
 def _lincomb(terms: Iterable[tuple[int, "Vec"]], dim: int, den: int = 1) -> "Vec":
@@ -194,8 +196,6 @@ class Vec:
 
     def scale(self, c) -> "Vec":
         p, q = _scalar(c)
-        if p == 0:
-            return _vec((0,) * len(self.num), 1)
         return _vec_reduced(tuple([p * x for x in self.num]), self.den * q)
 
     def is_zero(self) -> bool:
@@ -216,17 +216,18 @@ class Vec:
 class Mat:
     """Rational row-major matrix: integer numerator rows ``num`` over ``den``.
 
+    The width ``ncols`` is stored, so a matrix with no rows keeps its shape.
     Immutable by convention; build one with ``Mat(rows)`` or ``Mat.make``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "ncols")
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = [tuple(r) for r in rows]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix rows")
         flat, self.den = _common(chain.from_iterable(rows))
-        width = len(rows[0]) if rows else 0
+        width = self.ncols = len(rows[0]) if rows else 0
         self.num = tuple(flat[i * width:(i + 1) * width] for i in range(len(rows)))
 
     @staticmethod
@@ -235,26 +236,23 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return _mat(tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)), 1)
+        return _mat(tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)), 1, n)
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Mat":
-        return _mat(((0,) * ncols,) * nrows, 1)
+        return _mat(((0,) * ncols,) * nrows, 1, ncols)
 
     @staticmethod
     def diagonal(diag: Iterable) -> "Mat":
         d = list(diag)
-        n = len(d)
-        return Mat([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return Mat([[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)])
 
     @staticmethod
     def from_columns(cols: Sequence[Vec]) -> "Mat":
-        if not cols:
-            return _mat((), 1)
         # Over the lcm of canonical denominators the result is canonical.
         den = lcm(*(c.den for c in cols))
         scaled = [c.num if c.den == den else [x * (den // c.den) for x in c.num] for c in cols]
-        return _mat(tuple(zip(*scaled)), den)
+        return _mat(tuple(zip(*scaled)), den, len(cols))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -264,10 +262,6 @@ class Mat:
     @property
     def nrows(self) -> int:
         return len(self.num)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.num[0]) if self.num else 0
 
     def col(self, j: int) -> Vec:
         return _vec_reduced(tuple([r[j] for r in self.num]), self.den)
@@ -280,7 +274,7 @@ class Mat:
         g = gcd(da, db)
         ma, mb = db // g, sign * (da // g)
         return _mat_reduced(tuple(tuple([x * ma + y * mb for x, y in zip(r, s)])
-                                  for r, s in zip(self.num, other.num)), da * ma)
+                                  for r, s in zip(self.num, other.num)), da * ma, self.ncols)
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._plus(other, 1)
@@ -289,13 +283,12 @@ class Mat:
         return self._plus(other, -1)
 
     def __neg__(self) -> "Mat":
-        return _mat(tuple(tuple([-x for x in r]) for r in self.num), self.den)
+        return _mat(tuple(tuple([-x for x in r]) for r in self.num), self.den, self.ncols)
 
     def scale(self, c) -> "Mat":
         p, q = _scalar(c)
-        if p == 0:
-            return Mat.zero(self.nrows, self.ncols)
-        return _mat_reduced(tuple(tuple([p * x for x in r]) for r in self.num), self.den * q)
+        return _mat_reduced(tuple(tuple([p * x for x in r]) for r in self.num), self.den * q,
+                            self.ncols)
 
     def __matmul__(self, other):
         if isinstance(other, Vec):
@@ -313,13 +306,13 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError("matrix dimension mismatch")
-            cols = list(zip(*other.num))
+            cols = other.transpose().num
             return _mat_reduced(tuple([tuple([sum([a * b for a, b in zip(r, c)]) for c in cols])
-                                       for r in self.num]), self.den * other.den)
+                                       for r in self.num]), self.den * other.den, other.ncols)
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        return _mat(tuple(zip(*self.num)), self.den)
+        return _mat(tuple(zip(*self.num)) if self.num else ((),) * self.ncols, self.den, self.nrows)
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.num)
@@ -327,7 +320,7 @@ class Mat:
     def __eq__(self, other) -> bool:
         if type(other) is not Mat:
             return NotImplemented
-        return self.den == other.den and self.num == other.num
+        return self.den == other.den and self.num == other.num and self.ncols == other.ncols
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -336,62 +329,66 @@ class Mat:
         return "[" + "; ".join(" ".join(rat_str(a) for a in r) for r in self.rows) + "]"
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns (rows, pivot columns, d) with d > 0: the first len(pivots) rows are
+    d times the reduced row echelon form and the rest are zero.  With pivot p
+    in column c and prev the pivot before it (1 at the start), every other
+    row becomes (p * row - row[c] * pivot row) / prev; its entries stay minors
+    of the input, so the division is exact (Bareiss, Math. Comp. 22, 1968).
+    A row with a zero in column c would only be scaled by p / prev, so row i
+    is kept as its value times level[i] / prev and scaled when next used.
+    """
+    level = [1] * len(rows)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        level[r], level[pivot_row] = level[pivot_row], level[r]
+        top = rows[r]
+        if level[r] != prev:
+            top = [a * prev // level[r] for a in top]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(p * a - f * b) // level[i] for a, b in zip(row, top)]
+                level[i] = p
+        rows[r], level[r] = top, p
         pivots.append(c)
-        r += 1
-    return rows, pivots
+        prev = p
+    d = abs(prev)
+    for i in range(len(pivots)):
+        if level[i] != d:
+            rows[i] = [a * d // level[i] for a in rows[i]]
+    return rows, pivots, d
 
 
 def mat_rank(m: Mat) -> int:
     """Rank over the rationals."""
-    rows = [list(r) for r in m.rows]
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(_rref([list(r) for r in m.num])[1])
 
 
 def kernel_basis(m: Mat) -> list[Vec]:
     """Basis of the right null space {v : m @ v = 0}.
 
-    One basis vector per free column of the reduced echelon form; each
-    satisfies m @ v = 0 exactly.
+    One basis vector per free column of the reduced echelon form, with a 1 in
+    that column; each satisfies m @ v = 0 exactly.
     """
-    ncols = m.ncols
-    if ncols == 0:
-        return []
-    rows = [list(r) for r in m.rows]
-    if not rows:
-        return [Vec.basis(ncols, j) for j in range(ncols)]
-    rref_rows, pivots = _rref(rows)
-    pivot_set = set(pivots)
+    rows, pivots, d = _rref([list(r) for r in m.num])
+    ncols, pivot_set = m.ncols, set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rref_rows[r][free]
-        basis.append(Vec(v))
+    for free in (j for j in range(ncols) if j not in pivot_set):
+        v = [0] * ncols
+        v[free] = d
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free]
+        basis.append(_vec_reduced(tuple(v), d))
     return basis
 
 
@@ -400,14 +397,13 @@ def solve_linear(m: Mat, b: Vec) -> Vec | None:
     if b.dim != m.nrows:
         raise ValueError("right-hand side length does not match row count")
     ncols = m.ncols
-    rows = [list(r) + [x] for r, x in zip(m.rows, b.entries)]
-    if not rows:
-        return Vec.zero(ncols)
-    rref_rows, pivots = _rref(rows)
+    # m @ x = b with m = M / m.den and b = B / b.den is M @ x = B * m.den / b.den.
+    bd, md = b.den, m.den
+    rows, pivots, d = _rref([[x * bd for x in r] + [y * md] for r, y in zip(m.num, b.num)])
     # A pivot in the augmented column means the system is inconsistent.
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rref_rows[r][ncols]
-    return Vec(x)
+    x = [0] * ncols
+    for row, p in zip(rows, pivots):
+        x[p] = row[ncols]
+    return _vec_reduced(tuple(x), d)

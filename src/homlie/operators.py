@@ -313,21 +313,22 @@ def _search_matrices(source, target, entries) -> list[Mat]:
     """
     nums, den = _common(entries)  # the grid as integers over one denominator
     grid = set(nums)
-    reduced, pivots = _rref([list(flatten_cochain(b).entries)
-                             for b in compatibility_basis(source, target, 1)])
+    reduced, pivots, d = _rref([list(flatten_cochain(b).num)
+                                for b in compatibility_basis(source, target, 1)])
     rows = target.dim
-    # coordinate k of a candidate, times den, is combo . column_k / scale_k
-    coords = [_common(row[k] for row in reduced) for k in range(rows * source.dim)]
+    # coordinate k of a candidate, times den, is combo . column_k / d
+    columns = [[row[k] for row in reduced] for k in range(rows * source.dim)]
     found = []
     for combo in product(nums, repeat=len(pivots)):
         flat = []
-        for column, scale in coords:
-            q, rem = divmod(sum(map(mul, combo, column)), scale)
+        for column in columns:
+            q, rem = divmod(sum(map(mul, combo, column)), d)
             if rem or q not in grid:
                 break
             flat.append(q)
         else:
-            found.append(_mat_reduced(tuple(tuple(flat[i::rows]) for i in range(rows)), den))
+            found.append(_mat_reduced(tuple(tuple(flat[i::rows]) for i in range(rows)), den,
+                                      source.dim))
     return found
 
 

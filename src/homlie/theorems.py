@@ -56,9 +56,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vec, kernel_basis, rat, rat_str
+from .linalg import Vec, _lincomb, kernel_basis, rat, rat_str
 from .cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
-                       contract, evaluate, shuffles)
+                       contract, evaluate, linear_combination, shuffles)
 from .structures import (HomLieAlgebra, RawHomStructure, adjoint_representation,
                          bracket_action_on_abelian, fixture_abelian, fixture_b,
                          fixture_yau_dim4, fixture_yau_heisenberg, fixture_yau_shear,
@@ -148,12 +148,9 @@ def sample_cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
 
     Membership in the compatible cochain space holds by construction.
     """
-    total = SkewCochain.zero(domain, codomain, arity)
-    for b in compatibility_basis(domain, codomain, arity):
-        c = rng.randint(-3, 3)
-        if c:
-            total = total + b.scale(c)
-    return total
+    return linear_combination(domain, codomain, arity,
+                              [(rng.randint(-3, 3), b)
+                               for b in compatibility_basis(domain, codomain, arity)])
 
 
 def _sample_endo(alg: HomLieAlgebra, rng: random.Random, max_arity: int) -> SkewCochain:
@@ -281,14 +278,8 @@ def _cocycle_data(alg: HomLieAlgebra, max_arity: int):
 
 def _sample_cocycle(data, arity: int, rng: random.Random, space, codomain) -> SkewCochain:
     basis, kern = data[arity]
-    total = SkewCochain.zero(space, codomain, arity)
-    for k in kern:
-        c = rng.randint(-3, 3)
-        if c:
-            for b, coeff in zip(basis, k.entries):
-                if coeff:
-                    total = total + b.scale(coeff * c)
-    return total
+    coeffs = _lincomb([(rng.randint(-3, 3), k) for k in kern], len(basis))
+    return linear_combination(space, codomain, arity, zip(coeffs.num, basis), coeffs.den)
 
 
 def _relative_context(alg: HomLieAlgebra):

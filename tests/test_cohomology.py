@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlie.linalg import Mat, Vec
+from homlie.linalg import Mat, Vec, kernel_basis
 from homlie.cochains import SkewCochain, compatibility_basis
 from homlie.structures import (HomMorphism, Representation,
                                bracket_action_on_abelian, fixture_abelian, fixture_b,
@@ -54,6 +54,15 @@ def test_abelian_adjoint_cohomology_is_the_whole_cochain_space():
         report = cohomology(spec, n)
         assert report.dim_h == report.dim_cochains
         assert report.dim_cochains == len(compatibility_basis(ab.space, ab.space, n))
+
+
+def test_top_degree_kernel_is_every_cochain():
+    # the coboundary out of the top degree lands in a zero space: a matrix
+    # with no rows, whose kernel is all of the cochains
+    spec = ComplexSpec.adjoint(fixture_abelian(2))
+    m = spec.matrix(2)
+    assert (m.nrows, m.ncols) == (0, 2)
+    assert len(kernel_basis(m)) == spec.dim_cochains(2) == 2
 
 
 def test_cohomology_report_inequalities_and_regression():

@@ -393,7 +393,9 @@ def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monk
     assert calls == [0, 1, 2]
 
 
-# case: (argv given the files and the matrix file, the wrong and the right matrix, message)
+# case: (argv given the files and the matrix file, the wrong and the right matrix file,
+# message, where {m} stands for the matrix file)
+_MORPHISM_SHAPE = "expected a 2x3 matrix (target dim 2 x source dim 3), got 3x2"
 _WRONG_SHAPE_CASES = {
     "nijenhuis": (lambda f, m: ["check", "nijenhuis", "--algebra", f["alg"], "--op", m],
                   "m22", "op", "--op: expected a 3x3 matrix, got 2x2"),
@@ -404,7 +406,16 @@ _WRONG_SHAPE_CASES = {
                     "m23", "m32", "--op: expected a 3x2 matrix (acting dim 3 x acted dim 2), got 2x3"),
     "morphism": (lambda f, m: ["check", "morphism", "--algebra", f["alg"],
                                "--target", f["ab2"], "--map", m],
-                 "m32", "m23", "--map: expected a 2x3 matrix (target dim 2 x source dim 3), got 3x2"),
+                 "m32", "m23", f"--map: {_MORPHISM_SHAPE}"),
+    "deform-morphism": (lambda f, m: ["deform", "extend", "--algebra", f["alg"],
+                                      "--target", f["ab2"], "--morphism", m, "--to-order", "1"],
+                        "m32", "m23", f"--morphism: {_MORPHISM_SHAPE}"),
+    "deform-terms": (lambda f, m: ["deform", "extend", "--algebra", f["alg"], "--target", f["ab2"],
+                                   "--morphism", f["m23"], "--terms", m, "--to-order", "1"],
+                     "terms32", "terms23", f"--terms[0]: {_MORPHISM_SHAPE}"),
+    "cohomology-morphism": (lambda f, m: ["cohomology", "--algebra", f["alg"],
+                                          "--coefficients", f"morphism:{m}", "--degree", "1"],
+                            "phi32", "phi23", "morphism:{m}: map: " + _MORPHISM_SHAPE),
 }
 
 
@@ -418,6 +429,9 @@ def test_cli_operator_file_of_wrong_shape_is_usage_error(tmp_path, capsys, case)
             "m22": [["1", "0"], ["0", "1"]],
             "m23": [["0", "0", "0"], ["0", "0", "0"]],
             "m32": [["0", "0"], ["0", "0"], ["0", "0"]]}
+    for shape in ("23", "32"):
+        docs[f"terms{shape}"] = [docs[f"m{shape}"]]
+        docs[f"phi{shape}"] = {"target": docs["ab2"], "map": docs[f"m{shape}"]}
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -426,5 +440,5 @@ def test_cli_operator_file_of_wrong_shape_is_usage_error(tmp_path, capsys, case)
     assert main(argv(files, files[wrong])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message.format(m=files[wrong])}\n"
     assert main(argv(files, files[right])) == 0

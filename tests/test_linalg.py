@@ -40,6 +40,18 @@ def test_solve_examples():
         solve_linear(Mat.identity(2), Vec.make([1, 2, 3]))
 
 
+def test_matrix_without_rows_keeps_its_width():
+    for m in (Mat.zero(0, 3), Mat.from_columns([Vec.zero(0)] * 3)):
+        assert (m.nrows, m.ncols) == (0, 3)
+        assert (m.transpose().nrows, m.transpose().ncols) == (3, 0)
+        assert m != Mat.zero(0, 0)
+        assert mat_rank(m) == 0
+        assert kernel_basis(m) == [Vec.basis(3, j) for j in range(3)]
+        assert solve_linear(m, Vec.zero(0)) == Vec.zero(3)
+    assert Mat.zero(3, 0) @ Mat.zero(0, 2) == Mat.zero(3, 2)
+    assert Mat.zero(0, 3) @ Mat.zero(3, 2) == Mat.zero(0, 2)
+
+
 def test_matrix_vector_algebra_exactness():
     third = Fraction(1, 3)
     m = Mat.make([[third, 1], [1, third]])
@@ -143,3 +155,67 @@ def test_rank_kernel_and_solve_match_sympy_domain_matrix():
                 assert augmented.rank() == rank
                 assert dm * _qq(Mat.from_columns([x])) == _qq(Mat.from_columns([b]))
     assert inconsistent > 0
+
+
+def _sparse_cases():
+    """Seeded sparse matrices of 200-500 columns with dependent rows, and 0 x k shapes."""
+    rng = random.Random(1968)
+    cases = [Mat.zero(0, k) for k in (1, 4, 250)]
+    for nrows, ncols in ((150, 200), (260, 330), (120, 500)):
+        rows = [{c: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+                 for c in rng.sample(range(ncols), rng.randint(0, 5))} for _ in range(nrows)]
+        for _ in range(nrows // 4):
+            # a dependent row: a rational combination of two others
+            a, b = rng.sample(range(nrows), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            row = dict(rows[a])
+            for j, y in rows[b].items():
+                row[j] = row.get(j, 0) + c * y
+            rows[rng.randrange(nrows)] = row
+        cases.append(Mat.make([[row.get(j, 0) for j in range(ncols)] for row in rows]))
+    return rng, cases
+
+
+def _sparse_qq(m: Mat):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    QQ = sympy.QQ
+    return DomainMatrix({i: {j: QQ(x, m.den) for j, x in enumerate(row) if x}
+                         for i, row in enumerate(m.num) if any(row)}, (m.nrows, m.ncols), QQ)
+
+
+def _rref_kernel(dm, ncols: int) -> list[Vec]:
+    """The kernel basis read off sympy's RREF: a 1 in each free column."""
+    reduced, pivots = dm.rref()
+    rows = reduced.to_dod()
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            e = rows[r].get(free)
+            if e is not None:
+                v[p] = -Fraction(int(e.numerator), int(e.denominator))
+        basis.append(Vec.make(v))
+    return basis
+
+
+def test_sparse_rank_kernel_and_solve_at_scale_match_sympy():
+    rng, cases = _sparse_cases()
+    for m in cases:
+        dm = _sparse_qq(m)
+        rank = dm.rank()
+        assert mat_rank(m) == rank
+        # the reduced row echelon form is unique, so the bases agree exactly
+        assert kernel_basis(m) == _rref_kernel(dm, m.ncols)
+        inside = m @ Vec.make([rng.randint(-3, 3) for _ in range(m.ncols)])
+        outside = Vec.make([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(m.nrows)])
+        for b in (inside, outside):
+            x = solve_linear(m, b)
+            augmented = _sparse_qq(Mat.from_columns([m.col(j) for j in range(m.ncols)] + [b]))
+            if x is None:
+                assert b is not inside
+                assert augmented.rank() > rank
+            else:
+                assert m @ x == b

@@ -28,6 +28,18 @@ def test_sample_cochain_deterministic_and_compatible():
     assert is_compatible(a)
 
 
+def test_top_arity_cocycles_are_sampled():
+    from homlie.cohomology import ComplexSpec
+    from homlie.theorems import _cocycle_data, _sample_cocycle
+    ab = fixture_abelian(2)
+    data = _cocycle_data(ab, 2)
+    spec = ComplexSpec.adjoint(ab)
+    samples = [_sample_cocycle(data, 2, _stream(seed, "top"), ab.space, ab.space)
+               for seed in range(5)]
+    assert any(not f.is_zero() for f in samples)
+    assert all(spec.differential(f).is_zero() for f in samples)
+
+
 @pytest.mark.parametrize("tag", IDENTITIES)
 def test_each_identity_passes_on_the_threedim_fixture(tag):
     report = verify(tag, B, trials=3, seed=11)
