@@ -17,14 +17,25 @@ The pair brackets (semidirect and bicrossed) combine these on direct sums.
 Keeping each bracket's own degree bookkeeping localized here is deliberate:
 mixing the shifted and unshifted conventions is the main sign hazard in this
 calculus.
+
+The brackets are sums of insertions (``cochains.contract``), coboundaries
+(``differentials``), theta maps and cup pairings.  Insertion, the
+coboundaries and the cup pairing run on compiled plans.  The cup plan of
+(dim, m, n) lists, per increasing (m+n)-tuple key, the (left key, right
+key, shuffle sign) splits of that key; it depends on nothing but the three
+integers and is kept in an ``lru_cache`` like the shuffle table.
+``cup_bracket`` twists each input value once and sums the bracket-table
+vectors of the paired values on integer numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
-from .cochains import SkewCochain, contract, shuffles
-from .linalg import _lincomb
+from .cochains import (SkewCochain, TwistedSpace, _cochain, _numerators, _store, contract,
+                       shuffles)
 from .structures import HomLieAction, HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
 
@@ -53,22 +64,48 @@ def cup_bracket(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra) -> 
     if P.codomain != Q.codomain or P.codomain != codomain_alg.space:
         raise ValueError("cup bracket needs both cochains valued in the codomain algebra")
     m, n = P.arity, Q.arity
-    beta_n = codomain_alg.space.twist_power(n - 1)
-    beta_m = codomain_alg.space.twist_power(m - 1)
+    if m + n > P.domain.dim:  # alternating maps of arity above the dimension vanish
+        return SkewCochain.zero(P.domain, P.codomain, m + n)
+    space = codomain_alg.space
+    lefts, left_den = _twisted_supports(space, n - 1, P)
+    rights, right_den = _twisted_supports(space, m - 1, Q)
+    brackets = codomain_alg.table
+    table = {}
+    for key, splits in _cup_plan(P.domain.dim, m, n):
+        terms = []
+        for left_key, right_key, sign in splits:
+            left, right = lefts.get(left_key), rights.get(right_key)
+            if left is not None and right is not None:
+                for i, x in left:
+                    row, c = brackets[i], sign * x
+                    terms.extend([(c * y, row[j]) for j, y in right])
+        _store(table, key, terms, codomain_alg.dim, left_den * right_den)
+    return _cochain(P.domain, P.codomain, m + n, table)
+
+
+def _twisted_supports(space: TwistedSpace, power: int, f: SkewCochain):
+    """The values beta^power f(e_key) as nonzero (coordinate, numerator) lists.
+
+    The numerators are over one common denominator, returned with them.
+    """
+    twist = space.twist_power(power)
+    values, den = _numerators(f.coeffs if power == 0
+                              else {key: twist @ v for key, v in f.coeffs.items()})
+    return {key: [(i, x) for i, x in enumerate(num) if x] for key, num in values.items()}, den
+
+
+@lru_cache(maxsize=None)
+def _cup_plan(dim: int, m: int, n: int) -> tuple:
+    """Per increasing (m+n)-tuple of range(dim), lexicographically, its (m, n) splits.
+
+    A split is (left key, right key, sign): the shuffle's first block and
+    second block of the key with the shuffle's signature.
+    """
     table = shuffles(m, n)
-    lefts, rights, dim = P.coeffs, Q.coeffs, codomain_alg.dim
-
-    def terms(key):
-        for image, sign in table:
-            left = lefts.get(tuple([key[p] for p in image[:m]]))
-            if left is None:
-                continue
-            right = rights.get(tuple([key[p] for p in image[m:]]))
-            if right is not None:
-                yield sign, codomain_alg.bracket(beta_n @ left, beta_m @ right)
-
-    return SkewCochain.from_function(P.domain, P.codomain, m + n,
-                                     lambda key: _lincomb(terms(key), dim))
+    return tuple((key, tuple([(tuple([key[p] for p in image[:m]]),
+                               tuple([key[p] for p in image[m:]]), sign)
+                              for image, sign in table]))
+                 for key in combinations(range(dim), m + n))
 
 
 def theta(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
@@ -114,18 +151,19 @@ def theta_tilde(rep: Representation | HomLieAction, P: SkewCochain) -> SkewCocha
     if P.domain != module or P.codomain != rep.algebra.space:
         raise ValueError("expected a cochain from the module into the acting algebra")
     n = P.arity
+    if n + 1 > module.dim:
+        return SkewCochain.zero(module, module, n + 1)
     twisted = module.twisted_basis(n - 1)
     heads = P.coeffs
-
-    def terms(key):
+    table = {}
+    for key in combinations(range(module.dim), n + 1):
+        terms = []
         for pos in range(n + 1):
             head = heads.get(key[:pos] + key[pos + 1:])
-            if head is not None:
-                sign = _sign(n + pos + 1)  # (-1)^{n+i} with i = pos + 1
-                yield sign, rep.act(head, twisted[key[pos]])
-
-    return SkewCochain.from_function(module, module, n + 1,
-                                     lambda key: _lincomb(terms(key), module.dim))
+            if head is not None:  # sign (-1)^{n+i} with i = pos + 1
+                terms.append((_sign(n + pos + 1), rep.act(head, twisted[key[pos]])))
+        _store(table, key, terms, module.dim, 1)
+    return _cochain(module, module, n + 1, table)
 
 
 def derived_bracket_rel(action: Representation | HomLieAction, P: SkewCochain,

@@ -22,7 +22,11 @@ from .linalg import Mat, rat_str
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -248,6 +252,8 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_deform_extend(args) -> int:
     from .deformations import MorphismDeformation, _extend_with, deformation_witness, obstruction
+    if args.to_order < 0:
+        raise ParseError(f"--to-order must be >= 0, got {args.to_order}")
     source = hio.algebra_from_json(_read_json(args.algebra))
     target = hio.algebra_from_json(_read_json(args.target))
     terms = [_morphism_matrix(_read_json(args.morphism), "--morphism", source, target)]

@@ -11,12 +11,25 @@ are the twist-compatible ones,
 parameterized by ``compatibility_basis``.  The module also provides shuffle
 enumeration with signs and the first-slot insertion operator underlying all
 graded brackets.
+
+Insertion runs on a compiled plan.  Per output key, the plan lists the
+entries (inner key, coordinate, outer key, integer coefficient) with the
+shuffle signs, the twist-power entries of the trailing arguments and the
+sort signs already multiplied out, over one plan denominator; ``contract``
+is then one sum on integer numerators through ``_lincomb``.  Each plan is
+compiled once per pair of arities and kept on the ``TwistedSpace`` it was
+compiled for.  Plans work in raw coefficient coordinates, never in
+compatibility-basis coordinates: a nested bracket yields an arbitrary
+cochain, whose basis coordinates would need a linear solve.  ``evaluate``
+and ``shuffles`` stay the independent route that the explicit shuffle sums
+of ``theorems`` and the tests check the plans against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .linalg import Mat, Vec, _lincomb, _vec_reduced, kernel_basis, rat
@@ -25,8 +38,9 @@ from .linalg import Mat, Vec, _lincomb, _vec_reduced, kernel_basis, rat
 class TwistedSpace:
     """A dimension together with its twist endomorphism.
 
-    Caches the twist powers, the standard basis and the images of the basis
-    under each twist power, so callers never rebuild them.
+    Caches the twist powers, the standard basis, the images of the basis
+    under each twist power and the compiled insertion plans, so callers never
+    rebuild them.
     """
 
     def __init__(self, alpha: Mat):
@@ -37,6 +51,7 @@ class TwistedSpace:
         self._powers: dict[int, Mat] = {0: Mat.identity(self.dim), 1: alpha}
         self.basis: tuple[Vec, ...] = tuple(Vec.basis(self.dim, i) for i in range(self.dim))
         self._twisted: dict[int, tuple[Vec, ...]] = {0: self.basis}
+        self._insertion_plans: dict[tuple[int, int], tuple] = {}
 
     @staticmethod
     def untwisted(dim: int) -> "TwistedSpace":
@@ -45,9 +60,10 @@ class TwistedSpace:
     def twist_power(self, k: int) -> Mat:
         if k < 0:
             raise ValueError("negative twist power")
-        if k not in self._powers:
-            self._powers[k] = self.alpha @ self.twist_power(k - 1)
-        return self._powers[k]
+        powers = self._powers  # always the powers 0, 1, ..., len - 1
+        for j in range(len(powers), k + 1):
+            powers[j] = self.alpha @ powers[j - 1]
+        return powers[k]
 
     def twisted_basis(self, k: int) -> tuple[Vec, ...]:
         """The basis vectors hit by the k-th twist power, alpha^k(e_i)."""
@@ -380,25 +396,91 @@ def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
     (i_P Q)(x_1, ..., x_{m+n-1}) sums over (m, n-1)-shuffles with sign:
     outer applied to P(first block) followed by the remaining arguments hit
     by the m-1 power of the shared domain twist.  Requires inner to be an
-    endomorphism-type cochain on outer's domain.
+    endomorphism-type cochain on outer's domain.  Runs on the insertion plan
+    of (m, n) kept on the domain.
     """
     w = inner.domain
     if inner.codomain != w or outer.domain != w:
         raise ValueError("contraction requires inner in C(W, W) and outer in C(W, V)")
     m, n = inner.arity, outer.arity
-    twisted_basis = w.twisted_basis(m - 1)
-    table = shuffles(m, n - 1)
-    heads, dim = inner.coeffs, outer.codomain.dim
+    arity = m + n - 1
+    if arity > w.dim:  # alternating maps of arity above the dimension vanish
+        return SkewCochain.zero(w, outer.codomain, arity)
+    plan, den = _insertion_plan(w, m, n)
+    heads, head_den = _numerators(inner.coeffs)
+    outs = outer.coeffs
+    table = {}
+    for key, entries in plan:
+        terms = []
+        for inner_key, a, outer_key, c in entries:
+            head = heads.get(inner_key)
+            value = outs.get(outer_key)
+            if head is not None and value is not None and head[a]:
+                terms.append((c * head[a], value))
+        _store(table, key, terms, outer.codomain.dim, den * head_den)
+    return _cochain(w, outer.codomain, arity, table)
 
-    def terms(key):
-        for image, sign in table:
-            head = heads.get(tuple([key[p] for p in image[:m]]))
-            if head is not None:
-                rest = [twisted_basis[key[p]] for p in image[m:]]
-                yield sign, evaluate(outer, [head] + rest)
 
-    return SkewCochain.from_function(w, outer.codomain, m + n - 1,
-                                     lambda key: _lincomb(terms(key), dim))
+def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[tuple, int]:
+    """The compiled insertion of an m-cochain into an n-cochain on w, kept on w.
+
+    Returns (plan, den).  The plan lists, per increasing (m+n-1)-tuple key in
+    lexicographic order, the entries (inner key, coordinate a, outer key, c)
+    with (i_P Q)(e_key) = sum c * P(e_inner)[a] * Q(e_outer) / den, where den
+    is the denominator of alpha^(m-1) to the power n-1.
+    """
+    plan = w._insertion_plans.get((m, n))
+    if plan is None:
+        power = w.twist_power(m - 1)
+        columns = [[(b, x) for b, x in enumerate(col) if x] for col in zip(*power.num)]
+        coords = [(a, 1) for a in range(w.dim)]
+        table = shuffles(m, n - 1)
+        keys = []
+        for key in combinations(range(w.dim), m + n - 1):
+            entries: dict[tuple, int] = {}
+            for image, sign in table:
+                inner = tuple([key[p] for p in image[:m]])
+                for a, outer, c in _sorted_products(coords, [columns[key[p]] for p in image[m:]]):
+                    entries[inner, a, outer] = entries.get((inner, a, outer), 0) + sign * c
+            keys.append((key, tuple([e + (c,) for e, c in entries.items() if c])))
+        plan = w._insertion_plans[m, n] = (tuple(keys), power.den ** (n - 1))
+    return plan
+
+
+def _sorted_products(first: Sequence[tuple[int, int]], rest: Sequence[Sequence[tuple[int, int]]]):
+    """The expansion of an argument list over increasing basis tuples.
+
+    ``first`` and each member of ``rest`` list one argument's nonzero
+    (index, integer weight) pairs.  Yields (first index, increasing tuple,
+    sort sign times the product of the weights) for every choice of one
+    index per argument without a repeat.
+    """
+    for combo in product(*rest):
+        c = 1
+        for _, y in combo:
+            c *= y
+        indices = [b for b, _ in combo]
+        for a, x in first:
+            sign, key = sort_with_sign([a] + indices)
+            if sign:
+                yield a, key, sign * x * c
+
+
+def _numerators(values: dict[tuple[int, ...], Vec]
+                ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """A coefficient table's values as integer numerators over their least common denominator."""
+    den = lcm(*[v.den for v in values.values()])
+    return {k: v.num if v.den == den else tuple([x * (den // v.den) for x in v.num])
+            for k, v in values.items()}, den
+
+
+def _store(table: dict[tuple[int, ...], Vec], key: tuple[int, ...],
+           terms: list[tuple[int, Vec]], dim: int, den: int):
+    """Put the sum of c * v over terms, divided by den, into table[key] unless it is zero."""
+    if terms:
+        value = _lincomb(terms, dim, den)
+        if not value.is_zero():
+            table[key] = value
 
 
 def operator_cochain(domain: TwistedSpace, codomain: TwistedSpace, m: Mat) -> SkewCochain:

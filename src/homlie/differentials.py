@@ -4,14 +4,25 @@ All differentials here are given by their defining index formulas; the
 bracket-theoretic descriptions (e.g. the adjoint differential as a graded
 bracket with the structure cochain) are exercised as cross-checks in the
 randomized identity suite rather than used as implementations.
+
+The formulas run on two compiled pieces, each kept on the object its data
+comes from.  The bracket plan of an arity, kept on the structure, lists per
+output key the entries (cochain key, integer coefficient) of the bracket sum,
+with the signs (-1)^{i+j}, the structure constants, the twist entries and the
+sort signs multiplied out over one plan denominator.  The action columns of a
+twist power, kept on the ``Representation``, are the vectors
+alpha^k(e_x) . e_v.  ``delta_hom`` and ``d_trivial`` are then one sum on
+integer numerators through ``_lincomb`` per output key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .linalg import Vec, _lincomb, rat
-from .cochains import SkewCochain, TwistedSpace, contract, evaluate
+from .linalg import Vec, rat
+from .cochains import (SkewCochain, TwistedSpace, _cochain, _numerators, _sorted_products,
+                       _store, contract)
 from .structures import HomLieAlgebra, Representation
 
 
@@ -47,44 +58,79 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
     if f.domain != alg.space or f.codomain != rep.module:
         raise ValueError("cochain does not live on the representation's complex")
     n = f.arity
-    space = alg.space
-    acting = space.twisted_basis(n - 1)
-    values, dim = f.coeffs, rep.module.dim
-
-    def terms(key):
+    if n + 1 > alg.dim:  # alternating maps of arity above the dimension vanish
+        return SkewCochain.zero(alg.space, rep.module, n + 1)
+    plan, den = _bracket_plan(alg, n)
+    acting = _action_columns(rep, n - 1)
+    coeffs = f.coeffs
+    values, value_den = _numerators(coeffs)
+    table = {}
+    for key, entries in plan:
+        # Both sums over den * value_den: the bracket entries divide by den and
+        # the action terms, read on the numerators of f, by value_den.
+        terms = [(c * value_den, coeffs[k]) for k, c in entries if k in coeffs]
         for pos in range(n + 1):
             value = values.get(key[:pos] + key[pos + 1:])
             if value is not None:
-                yield (-1 if pos % 2 else 1), rep.act(acting[key[pos]], value)
-        yield from _bracket_terms(alg, f, key)
+                sign, columns = (-den if pos % 2 else den), acting[key[pos]]
+                terms.extend([(sign * y, columns[v]) for v, y in enumerate(value) if y])
+        _store(table, key, terms, rep.module.dim, den * value_den)
+    return _cochain(alg.space, rep.module, n + 1, table)
 
-    return SkewCochain.from_function(space, rep.module, n + 1,
-                                     lambda key: _lincomb(terms(key), dim))
+
+def _action_columns(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...]:
+    """columns[x][v] = alpha^k(e_x) . e_v, computed once per power and kept on rep."""
+    cache = rep.__dict__.setdefault("_action_columns", {})
+    if k not in cache:
+        module_basis = rep.module.basis
+        cache[k] = tuple(tuple(rep.act(x, v) for v in module_basis)
+                         for x in rep.algebra.space.twisted_basis(k))
+    return cache[k]
 
 
-def _bracket_terms(alg: HomLieAlgebra, f: SkewCochain, key: tuple[int, ...]):
-    """The (sign, value) terms of the bracket sum of the coboundary of f on key.
+def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
+    """The compiled bracket sum of the coboundary of an n-cochain, kept on alg.
 
+    Returns (plan, den).  The plan lists, per increasing (n+1)-tuple key in
+    lexicographic order, the entries (key', c) with
     sum_{i<j} (-1)^{i+j} f([x_i, x_j], alpha(x_1), ..., twisted args with
-    positions i and j omitted), shared by ``delta_hom`` and ``d_trivial``.
+    positions i and j omitted) = sum c * f(e_key') / den on e_key.
     """
-    table, twisted = alg.table, alg.space.twisted_basis(1)
-    size = len(key)
-    for p1 in range(size):
-        for p2 in range(p1 + 1, size):
-            sign = -1 if (p1 + p2 + 2) % 2 else 1  # positions are 0-based
-            head = table[key[p1]][key[p2]]
-            rest = [twisted[key[p]] for p in range(size) if p != p1 and p != p2]
-            yield sign, evaluate(f, [head] + rest)
+    plans = alg.__dict__.setdefault("_bracket_plans", {})
+    if n not in plans:
+        alpha = alg.alpha
+        columns = [[(b, x) for b, x in enumerate(col) if x] for col in zip(*alpha.num)]
+        brackets, bracket_den = _numerators(alg.mu.coeffs)
+        keys = []
+        for key in combinations(range(alg.dim), n + 1):
+            entries: dict[tuple[int, ...], int] = {}
+            for p1, p2 in combinations(range(n + 1), 2):
+                head = brackets.get((key[p1], key[p2]))
+                if head is None:
+                    continue
+                sign = -1 if (p1 + p2) % 2 else 1  # (-1)^{i+j} with i = p1 + 1, j = p2 + 1
+                rest = [columns[key[p]] for p in range(n + 1) if p != p1 and p != p2]
+                for _, k, c in _sorted_products([(a, x) for a, x in enumerate(head) if x], rest):
+                    entries[k] = entries.get(k, 0) + sign * c
+            keys.append((key, tuple([(k, c) for k, c in entries.items() if c])))
+        plans[n] = (tuple(keys), bracket_den * alpha.den ** (n - 1))
+    return plans[n]
 
 
 def d_trivial(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
     """Trivial-coefficient coboundary, the bracket sum of ``delta_hom`` alone."""
     if f.domain != alg.space:
         raise ValueError("cochain domain does not match the algebra")
-    dim = f.codomain.dim
-    return SkewCochain.from_function(alg.space, f.codomain, f.arity + 1,
-                                     lambda key: _lincomb(_bracket_terms(alg, f, key), dim))
+    n = f.arity
+    if n + 1 > alg.dim:
+        return SkewCochain.zero(alg.space, f.codomain, n + 1)
+    plan, den = _bracket_plan(alg, n)
+    coeffs = f.coeffs
+    table = {}
+    for key, entries in plan:
+        _store(table, key, [(c, coeffs[k]) for k, c in entries if k in coeffs],
+               f.codomain.dim, den)
+    return _cochain(alg.space, f.codomain, n + 1, table)
 
 
 def delta_tr(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:

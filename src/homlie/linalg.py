@@ -46,7 +46,7 @@ def _common(values: Iterable) -> tuple[tuple[int, ...], int]:
     it: for each prime p of the lcm, some entry's reduced denominator holds
     the lcm's full power of p, so its scaled numerator is prime to p.
     """
-    qs = [rat(e) for e in values]
+    qs = [e if type(e) is int else rat(e) for e in values]  # an int has numerator and denominator
     den = lcm(*(q.denominator for q in qs))
     if den == 1:
         return tuple(q.numerator for q in qs), 1

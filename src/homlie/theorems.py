@@ -43,8 +43,10 @@ agreement can be checked:
   graph closure (``operators``; identity 23 for the relative case);
 * coboundaries by formula vs by insertion: ``d_trivial`` vs ``delta_tr``,
   and ``d_lambda`` vs ``d_lambda_tilde``;
-* the explicit shuffle sums ``_fn_explicit`` and ``_derived_rel_explicit``
-  against the defining bracket formulas (identities 14 and 19);
+* compiled plans vs ``evaluate``: the explicit shuffle sums ``_fn_explicit``
+  and ``_derived_rel_explicit`` run on ``evaluate`` and ``shuffles``, against
+  the defining bracket formulas, which run on the compiled insertion, cup and
+  coboundary plans (identities 14 and 19);
 * ``theta`` vs ``theta_tilde`` of the adjoint representation;
 * ``hom_jacobi_witness`` vs the insertion-bracket square (identity 1).
 """
@@ -194,6 +196,8 @@ def _fn_explicit(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCoch
     """Corrected cup bracket via its three explicit shuffle sums."""
     m, n = P.arity, Q.arity
     space = alg.space
+    if m + n > space.dim:  # alternating maps of arity above the dimension vanish
+        return SkewCochain.zero(space, space, m + n)
     adj = adjoint_representation(alg)
     dP, dQ = delta_hom(adj, P), delta_hom(adj, Q)
     pw = space.twist_power
@@ -233,6 +237,8 @@ def _derived_rel_explicit(action, P: SkewCochain, Q: SkewCochain) -> SkewCochain
     g = rep.algebra
     module = rep.module
     m, n = P.arity, Q.arity
+    if m + n > module.dim:
+        return SkewCochain.zero(module, g.space, m + n)
     gpw = g.space.twist_power
     tw = module.twisted_basis
     sh_cup = shuffles(m, n)

@@ -197,6 +197,18 @@ def test_cli_verify_theorems_deterministic_json():
     assert payload["all_passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fixture", "yau-sl2", "--trials", "1", "--max-arity", "20",
+     "--identity", "cup_trivial_cohomology"],
+    ["--trials", "2", "--max-arity", "2000"],
+], ids=["one-identity-max-arity-20", "suite-max-arity-2000"])
+def test_cli_verify_theorems_above_the_dimension(capsys, argv):
+    # Cochains of arity above the dimension are zero: no shuffle table is
+    # built for them, and twist powers are computed without recursion.
+    assert main(["verify-theorems"] + argv) == 0
+    assert capsys.readouterr().out.endswith("all identities passed\n")
+
+
 def test_cli_consistency_failure_exits_three(tmp_path, monkeypatch):
     from homlie import operators
     alg = tmp_path / "b.json"
@@ -358,6 +370,12 @@ _OUT_OF_RANGE_CASES = {
                         "trials must be >= 1, got -1"),
     "max-arity-0": (["verify-theorems", "--fixture", "abelian-dim2", "--max-arity", "0"],
                     "max_arity must be >= 1, got 0"),
+    "to-order-minus-1": (["deform", "extend", "--algebra", "a.json", "--target", "a.json",
+                          "--morphism", "m.json", "--to-order", "-1"],
+                         "--to-order must be >= 0, got -1"),
+    "to-order-minus-2": (["deform", "extend", "--algebra", "a.json", "--target", "a.json",
+                          "--morphism", "m.json", "--to-order", "-2"],
+                         "--to-order must be >= 0, got -2"),
 }
 
 

@@ -1,0 +1,219 @@
+"""The compiled insertion, cup and coboundary plans against per-key references.
+
+The references below are the per-key bodies that ``contract``,
+``cup_bracket``, ``delta_hom`` and ``d_trivial`` ran before the plans: every
+value is rebuilt from ``evaluate`` and ``shuffles`` on each call.  The plans
+must give equal coefficient tables on raw (not necessarily compatible)
+cochains with rational values, on every default fixture and on twists,
+representations and codomains that the fixtures do not cover.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from homlie.brackets import _cup_plan, cup_bracket
+from homlie.cochains import (SkewCochain, TwistedSpace, _shuffle_table, contract, evaluate,
+                             shuffles)
+from homlie.differentials import d_trivial, delta_hom
+from homlie.linalg import Mat, Vec, _lincomb
+from homlie.structures import (HomLieAlgebra, Representation, adjoint_representation,
+                               representation_witness, yau_twist, _heisenberg_lie_mu)
+from homlie.theorems import default_fixtures
+
+
+def ref_contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
+    w = inner.domain
+    m, n = inner.arity, outer.arity
+    twisted_basis = w.twisted_basis(m - 1)
+    table = shuffles(m, n - 1)
+    heads, dim = inner.coeffs, outer.codomain.dim
+
+    def terms(key):
+        for image, sign in table:
+            head = heads.get(tuple([key[p] for p in image[:m]]))
+            if head is not None:
+                rest = [twisted_basis[key[p]] for p in image[m:]]
+                yield sign, evaluate(outer, [head] + rest)
+
+    return SkewCochain.from_function(w, outer.codomain, m + n - 1,
+                                     lambda key: _lincomb(terms(key), dim))
+
+
+def ref_cup_bracket(P: SkewCochain, Q: SkewCochain, codomain_alg) -> SkewCochain:
+    m, n = P.arity, Q.arity
+    beta_n = codomain_alg.space.twist_power(n - 1)
+    beta_m = codomain_alg.space.twist_power(m - 1)
+    table = shuffles(m, n)
+    lefts, rights, dim = P.coeffs, Q.coeffs, codomain_alg.dim
+
+    def terms(key):
+        for image, sign in table:
+            left = lefts.get(tuple([key[p] for p in image[:m]]))
+            if left is None:
+                continue
+            right = rights.get(tuple([key[p] for p in image[m:]]))
+            if right is not None:
+                yield sign, codomain_alg.bracket(beta_n @ left, beta_m @ right)
+
+    return SkewCochain.from_function(P.domain, P.codomain, m + n,
+                                     lambda key: _lincomb(terms(key), dim))
+
+
+def _ref_bracket_terms(alg, f: SkewCochain, key):
+    table, twisted = alg.table, alg.space.twisted_basis(1)
+    size = len(key)
+    for p1 in range(size):
+        for p2 in range(p1 + 1, size):
+            sign = -1 if (p1 + p2 + 2) % 2 else 1
+            head = table[key[p1]][key[p2]]
+            rest = [twisted[key[p]] for p in range(size) if p != p1 and p != p2]
+            yield sign, evaluate(f, [head] + rest)
+
+
+def ref_delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
+    alg = rep.algebra
+    n = f.arity
+    acting = alg.space.twisted_basis(n - 1)
+    values, dim = f.coeffs, rep.module.dim
+
+    def terms(key):
+        for pos in range(n + 1):
+            value = values.get(key[:pos] + key[pos + 1:])
+            if value is not None:
+                yield (-1 if pos % 2 else 1), rep.act(acting[key[pos]], value)
+        yield from _ref_bracket_terms(alg, f, key)
+
+    return SkewCochain.from_function(alg.space, rep.module, n + 1,
+                                     lambda key: _lincomb(terms(key), dim))
+
+
+def ref_d_trivial(alg, f: SkewCochain) -> SkewCochain:
+    return SkewCochain.from_function(
+        alg.space, f.codomain, f.arity + 1,
+        lambda key: _lincomb(_ref_bracket_terms(alg, f, key), f.codomain.dim))
+
+
+_VALUES = [Fraction(0)] * 3 + [Fraction(k) for k in (1, -1, 2, -3)] + [Fraction(1, 2),
+                                                                        Fraction(-2, 3)]
+
+
+def raw_cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
+                rng: random.Random) -> SkewCochain:
+    """A cochain with random rational values, compatible with the twists or not."""
+    return SkewCochain.from_function(
+        domain, codomain, arity,
+        lambda key: Vec([rng.choice(_VALUES) for _ in range(codomain.dim)]))
+
+
+def _rational_shear() -> HomLieAlgebra:
+    """Heisenberg twisted by a non-diagonal automorphism with non-integer entries."""
+    alpha = Mat([["1/2", "1/3", 0], [0, 3, 0], ["1/5", 0, "3/2"]])
+    return yau_twist(_heisenberg_lie_mu(), alpha)
+
+
+def _rational_dim4() -> HomLieAlgebra:
+    """The almost-abelian 4-dim algebra twisted by a diagonal with non-integer entries.
+
+    Unlike the Heisenberg twists, its coboundary bracket sums on 2-cochains
+    do not cancel, so the twist denominators reach the bracket plan.
+    """
+    plain = TwistedSpace.untwisted(4)
+    mu = SkewCochain(plain, plain, 2, {(0, k): Vec.basis(4, k).scale(k) for k in (1, 2, 3)})
+    return yau_twist(mu, Mat.diagonal([1, "1/2", "2/3", "1/3"]))
+
+
+def _adjoint_plus_line(alg: HomLieAlgebra) -> Representation:
+    """g acting on g + k by x . (y, t) = ([x, y], 0), twist alpha + 2: not the adjoint module."""
+    d = alg.dim
+    module = TwistedSpace(Mat([list(r) + [0] for r in alg.alpha.rows] + [[0] * d + [2]]))
+    table = tuple(tuple(Vec(list(v.entries) + [0]) for v in row) + (Vec.zero(d + 1),)
+                  for row in alg.table)
+    return Representation(alg, module, table)
+
+
+ALGEBRAS = default_fixtures() + [("rational-shear", _rational_shear()),
+                                  ("rational-dim4", _rational_dim4())]
+ARITIES = (1, 2, 3)
+
+
+@pytest.mark.parametrize("name,alg", ALGEBRAS, ids=[n for n, _ in ALGEBRAS])
+def test_contract_plan_matches_reference(name, alg):
+    rng = random.Random(f"contract|{name}")
+    space = alg.space
+    cod = TwistedSpace(Mat([[1, 1], [0, "-1/2"]]))
+    for m in ARITIES:
+        for n in ARITIES:
+            P = raw_cochain(space, space, m, rng)
+            Q = raw_cochain(space, space, n, rng)
+            assert contract(P, Q) == ref_contract(P, Q), (m, n)
+            # outer valued in a foreign codomain
+            R = raw_cochain(space, cod, n, rng)
+            assert contract(P, R) == ref_contract(P, R), (m, n)
+
+
+@pytest.mark.parametrize("name,alg", ALGEBRAS, ids=[n for n, _ in ALGEBRAS])
+def test_cup_plan_matches_reference(name, alg):
+    rng = random.Random(f"cup|{name}")
+    space = alg.space
+    for m in ARITIES:
+        for n in ARITIES:
+            P = raw_cochain(space, space, m, rng)
+            Q = raw_cochain(space, space, n, rng)
+            assert cup_bracket(P, Q, alg) == ref_cup_bracket(P, Q, alg), (m, n)
+
+
+@pytest.mark.parametrize("name,alg", ALGEBRAS, ids=[n for n, _ in ALGEBRAS])
+def test_coboundary_plans_match_reference(name, alg):
+    rng = random.Random(f"coboundary|{name}")
+    space = alg.space
+    rep = _adjoint_plus_line(alg)
+    assert representation_witness(rep) is None
+    foreign = TwistedSpace(Mat([[1, "1/3"], [0, 2]]))  # the d_lambda_tilde shape
+    for n in ARITIES:
+        f = raw_cochain(space, space, n, rng)
+        assert delta_hom(adjoint_representation(alg), f) == ref_delta_hom(
+            adjoint_representation(alg), f), n
+        g = raw_cochain(space, rep.module, n, rng)
+        assert delta_hom(rep, g) == ref_delta_hom(rep, g), n
+        assert d_trivial(alg, f) == ref_d_trivial(alg, f), n
+        h = raw_cochain(space, foreign, n, rng)
+        assert d_trivial(alg, h) == ref_d_trivial(alg, h), n
+
+
+def test_plans_are_kept_on_their_objects():
+    alg = _rational_shear()
+    rng = random.Random(5)
+    P = raw_cochain(alg.space, alg.space, 2, rng)
+    first = contract(P, P)
+    plan = alg.space._insertion_plans[2, 2]
+    assert contract(P, P) == first
+    assert alg.space._insertion_plans[2, 2] is plan
+    delta_hom(adjoint_representation(alg), P)
+    assert set(alg.__dict__["_bracket_plans"]) == {2}
+    assert set(adjoint_representation(alg).__dict__["_action_columns"]) == {1}
+
+
+def test_arity_above_dimension_builds_no_table():
+    alg = dict(default_fixtures())["yau-sl2"]
+    rng = random.Random(2)
+    P = raw_cochain(alg.space, alg.space, 2, rng)
+    tall = SkewCochain.zero(alg.space, alg.space, 9)
+    shuffle_entries = _shuffle_table.cache_info().currsize
+    cup_entries = _cup_plan.cache_info().currsize
+    for result, arity in ((contract(P, tall), 10), (contract(tall, P), 10),
+                          (cup_bracket(P, tall, alg), 11), (cup_bracket(P, P, alg), 4),
+                          (d_trivial(alg, tall), 10),
+                          (delta_hom(adjoint_representation(alg), tall), 10)):
+        assert result.is_zero() and result.arity == arity
+    assert _shuffle_table.cache_info().currsize == shuffle_entries
+    assert _cup_plan.cache_info().currsize == cup_entries
+    assert (9, 2) not in alg.space._insertion_plans and (2, 9) not in alg.space._insertion_plans
+
+
+def test_high_twist_power_needs_no_recursion():
+    space = TwistedSpace(Mat.diagonal([2, 1, "1/3"]))
+    power = space.twist_power(5000)
+    assert power == Mat.diagonal([2 ** 5000, 1, Fraction(1, 3 ** 5000)])
+    assert space.twist_power(4999) @ space.alpha == power
