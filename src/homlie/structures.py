@@ -337,29 +337,33 @@ def semidirect_weight(action: HomLieAction, lam) -> HomLieAlgebra:
     """Weighted semidirect product on acting + acted with twist alpha (+) beta.
 
     [(x, h), (y, k)] = ([x, y], x . k - y . h + lam [h, k]); the result is
-    verified to be a multiplicative Hom-Lie algebra.
+    verified to be a multiplicative Hom-Lie algebra.  It is built and verified
+    once per weight and kept on the action, keyed by the weight as a
+    Fraction, so "1", 1 and Fraction(1) give the same object.
     """
     lam = rat(lam)
-    g, h = action.acting, action.acted
-    gd, hd = g.dim, h.dim
-    g_rows, h_rows = g.alpha.rows, h.alpha.rows
-    space = TwistedSpace(Mat([row + (0,) * hd for row in g_rows]
-                             + [(0,) * gd + row for row in h_rows]))
-    g_zero, h_zero = Vec.zero(gd), Vec.zero(hd)
+    cache = action.__dict__.setdefault("_semidirect", {})
+    if lam not in cache:
+        g, h = action.acting, action.acted
+        gd, hd = g.dim, h.dim
+        g_rows, h_rows = g.alpha.rows, h.alpha.rows
+        space = TwistedSpace(Mat([row + (0,) * hd for row in g_rows]
+                                 + [(0,) * gd + row for row in h_rows]))
+        g_zero, h_zero = Vec.zero(gd), Vec.zero(hd)
 
-    def split(i: int) -> tuple[Vec, Vec]:
-        if i < gd:
-            return g.space.basis_vec(i), h_zero
-        return g_zero, h.space.basis_vec(i - gd)
+        def split(i: int) -> tuple[Vec, Vec]:
+            if i < gd:
+                return g.space.basis_vec(i), h_zero
+            return g_zero, h.space.basis_vec(i - gd)
 
-    def value(key):
-        (x1, h1), (x2, h2) = split(key[0]), split(key[1])
-        gpart = g.bracket(x1, x2)
-        hpart = action.act(x1, h2) - action.act(x2, h1) + h.bracket(h1, h2).scale(lam)
-        return Vec.concat(gpart, hpart)
+        def value(key):
+            (x1, h1), (x2, h2) = split(key[0]), split(key[1])
+            gpart = g.bracket(x1, x2)
+            hpart = action.act(x1, h2) - action.act(x2, h1) + h.bracket(h1, h2).scale(lam)
+            return Vec.concat(gpart, hpart)
 
-    mu = SkewCochain.from_function(space, space, 2, value)
-    return HomLieAlgebra(space, mu)
+        cache[lam] = HomLieAlgebra(space, SkewCochain.from_function(space, space, 2, value))
+    return cache[lam]
 
 
 # ---------------------------------------------------------------------------

@@ -277,13 +277,19 @@ def _derived_rel_explicit(action, P: SkewCochain, Q: SkewCochain) -> SkewCochain
 
 
 def _cocycle_data(alg: HomLieAlgebra, max_arity: int):
-    """Per arity: compatible basis plus kernel coefficients of the adjoint coboundary."""
+    """Per arity: compatible basis plus kernel coefficients of the adjoint coboundary.
+
+    Only arities up to the dimension are built: above it there are no
+    cochains, so both the basis and the kernel are empty.
+    """
     spec = ComplexSpec.adjoint(alg)
-    return {m: (spec.basis(m), kernel_basis(spec.matrix(m))) for m in range(1, max_arity + 1)}
+    return {m: (spec.basis(m), kernel_basis(spec.matrix(m)))
+            for m in range(1, min(max_arity, alg.dim) + 1)}
 
 
 def _sample_cocycle(data, arity: int, rng: random.Random, space, codomain) -> SkewCochain:
-    basis, kern = data[arity]
+    """A random integer combination of the kernel; an arity missing from data has none."""
+    basis, kern = data.get(arity, ((), ()))
     coeffs = _lincomb([(rng.randint(-3, 3), k) for k in kern], len(basis))
     return linear_combination(space, codomain, arity, zip(coeffs.num, basis), coeffs.den)
 

@@ -1,19 +1,21 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from homlie.linalg import Mat
+from homlie.linalg import Mat, Vec, mat_rank
 from homlie.cochains import cochain_matrix, operator_cochain
 from homlie.structures import (adjoint_action, adjoint_representation,
                                bracket_action_on_abelian, check_hom_jacobi,
                                check_morphism, check_representation, fixture_abelian, fixture_b,
-                               HomMorphism, RawHomStructure)
+                               HomMorphism, RawHomStructure, semidirect_weight)
 from homlie.differentials import delta_hom
 from homlie.brackets import theta
 from homlie.operators import (ConsistencyError, deformed_bracket_n, induced_structures,
                               is_nijenhuis, is_relative_rb, is_rota_baxter, mc_residual,
                               nijenhuis_defect, nijenhuis_report, rb_deformed_bracket,
-                              relative_rb_graph, relative_rb_mc, relative_rb_pointwise,
+                              relative_rb_defect, relative_rb_graph, relative_rb_mc,
+                              relative_rb_pointwise, rota_baxter_defect,
                               search_nijenhuis, search_relative_rb, search_rota_baxter)
 from homlie.theorems import default_fixtures, sample_cochain, _stream
 
@@ -56,10 +58,17 @@ def test_nijenhuis_defect_witness():
 def test_non_twist_commuting_operator_rejected():
     bad = Mat.make([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert B.alpha @ bad != bad @ B.alpha
-    with pytest.raises(ValueError):
-        is_nijenhuis(B, bad)
-    with pytest.raises(ValueError):
-        is_rota_baxter(B, bad, 1)
+    endo = (is_nijenhuis, nijenhuis_defect, lambda alg, m: is_rota_baxter(alg, m, 1),
+            lambda alg, m: rota_baxter_defect(alg, m, 1))
+    for criterion in endo:
+        with pytest.raises(ValueError):
+            criterion(B, bad)
+    relative = (relative_rb_defect, relative_rb_pointwise, relative_rb_graph, relative_rb_mc,
+                is_relative_rb, induced_structures)
+    for act in (adjoint_action(B), bracket_action_on_abelian(B)):
+        for criterion in relative:
+            with pytest.raises(ValueError, match="intertwine"):
+                criterion(act, bad, 1)
 
 
 def test_nijenhuis_search_and_report():
@@ -210,6 +219,38 @@ def test_relative_rb_three_criteria_and_specialization():
         assert is_relative_rb(adj_act, rm, lam) == is_rota_baxter(B, rm, lam)
     assert is_relative_rb(act, Mat.zero(3, 3), 0)
     assert is_relative_rb(act, Mat.zero(3, 3), 5)
+
+
+def _graph_closed_by_pairs(action, R, lam):
+    """Graph closure decided one bracket at a time: the reference for relative_rb_graph.
+
+    The span of the graph columns (R h, h) must keep its rank when the
+    bracket of any one pair of them is added.
+    """
+    big = semidirect_weight(action, lam)
+    h = action.acted
+    graph_cols = [Vec.concat(R @ e, e) for e in h.space.basis]
+    base_rank = mat_rank(Mat.from_columns(graph_cols))
+    for i, j in combinations(range(h.dim), 2):
+        w = big.bracket(graph_cols[i], graph_cols[j])
+        if mat_rank(Mat.from_columns(graph_cols + [w])) != base_rank:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", [name for name, alg in default_fixtures() if alg.dim == 3])
+def test_graph_closure_matches_the_per_pair_reference(name):
+    from homlie.operators import _search_matrices
+    alg = _FIXTURES[name]
+    seen = {True: 0, False: 0}
+    for act in (bracket_action_on_abelian(alg), adjoint_action(alg)):
+        intertwiners = _search_matrices(act.acted.space, act.acting.space, (-1, 0, 1))
+        for lam in ("0", "1", "-1", "1/2", "2"):
+            for R in intertwiners:
+                verdict = relative_rb_graph(act, R, lam)
+                assert verdict == _graph_closed_by_pairs(act, R, lam), (name, lam, R)
+                seen[verdict] += 1
+    assert seen[True] and seen[False]
 
 
 def test_induced_structures_postconditions():

@@ -179,6 +179,42 @@ def test_semidirect_weight_structure():
             assert big2.bracket(h, k) == big.bracket(h, k).scale(2)
 
 
+def test_semidirect_weight_kept_per_weight():
+    act = adjoint_action(fixture_b())
+    one = semidirect_weight(act, "1")
+    assert semidirect_weight(act, 1) is one and semidirect_weight(act, Fraction(1)) is one
+    two = semidirect_weight(act, 2)
+    assert two is not one
+    acted = [Vec.concat(Vec.zero(3), Vec.basis(3, i)) for i in range(3)]
+    scaled = [(two.bracket(h, k), one.bracket(h, k).scale(2)) for h in acted for k in acted]
+    assert all(got == want for got, want in scaled)
+    assert any(not got.is_zero() for got, _ in scaled)
+    # another action on the same algebras builds its own product
+    assert semidirect_weight(adjoint_action(fixture_b()), 1) is not one
+
+
+def test_search_and_induced_structures_verify_one_product_per_weight(monkeypatch):
+    from homlie import structures
+    from homlie.operators import induced_structures, search_relative_rb
+    act = bracket_action_on_abelian(fixture_b())
+    checked = []
+    real = structures.hom_jacobi_witness
+
+    def counting(s):
+        if s.dim == 6:
+            checked.append(s)
+        return real(s)
+
+    monkeypatch.setattr(structures, "hom_jacobi_witness", counting)
+    for lam in (0, 1):
+        before = len(checked)
+        found = search_relative_rb(act, lam)
+        assert found
+        for R in found:
+            induced_structures(act, R, lam)
+        assert len(checked) - before == 1
+
+
 def test_semidirect_weight_zero_with_abelian_module():
     B = fixture_b()
     act = bracket_action_on_abelian(B)
