@@ -18,14 +18,27 @@ Keeping each bracket's own degree bookkeeping localized here is deliberate:
 mixing the shifted and unshifted conventions is the main sign hazard in this
 calculus.
 
-The brackets are sums of insertions (``cochains.contract``), coboundaries
-(``differentials``), theta maps and cup pairings.  Insertion, the
-coboundaries and the cup pairing run on compiled plans.  The cup plan of
-(dim, m, n) lists, per increasing (m+n)-tuple key, the (left key, right
-key, shuffle sign) splits of that key; it depends on nothing but the three
-integers and is kept in an ``lru_cache`` like the shuffle table.
-``cup_bracket`` twists each input value once and sums the bracket-table
-vectors of the paired values on integer numerators.
+The brackets are sums of insertions (``cochains.contract``) and cup
+pairings, the insertions taking coboundary images (``differentials``) or
+theta images as their inner cochain.  Insertion, the coboundaries and the cup
+pairing run on compiled plans.  The cup plan of (dim, m, n) lists, per
+increasing (m+n)-tuple key, the (left key, right key, shuffle sign) splits of
+that key; it depends on nothing but the three integers and is kept in an
+``lru_cache`` like the shuffle table.  ``cup_bracket`` twists each input
+value once and sums the bracket-table vectors of the paired values on integer
+numerators.
+
+Each bracket is one assembly of parts (``cochains._assemble``).  A part is one
+summand of the bracket formula, an insertion (``_contract_part``) or a cup
+pairing (``_cup_part``) with its sign applied: one denominator and, per output
+key, the integer (c, Vec) terms of the plan sum.  The assembler puts all
+parts over the lcm of their denominators and sums each output key once, so
+no summand is built as a cochain of its own: ``nr_bracket`` has 2 parts,
+``fn_bracket``, ``derived_bracket_rel`` and the semidirect lower component 3,
+and the bicrossed components 8 (upper) and 5 (lower).  The coboundary images
+come from ``delta_hom``, which keeps them on their cochain, so a cochain met
+again in another bracket is not differentiated again.  ``theta_tilde`` reads
+the acted basis table e_a . beta^k(e_i), kept on the representation per power.
 """
 
 from __future__ import annotations
@@ -34,8 +47,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .cochains import (SkewCochain, TwistedSpace, _cochain, _numerators, _store, contract,
-                       shuffles)
+from .cochains import (SkewCochain, TwistedSpace, _assemble, _cochain, _contract_part,
+                       _numerators, _store, contract, shuffles)
+from .linalg import Vec
 from .structures import HomLieAction, HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
 
@@ -46,10 +60,15 @@ def _sign(exponent: int) -> int:
 
 def nr_bracket(P: SkewCochain, Q: SkewCochain) -> SkewCochain:
     """Insertion bracket i_P Q - (-1)^{(m-1)(n-1)} i_Q P on C(g, g)."""
+    return _assemble(P.domain, P.codomain, P.arity + Q.arity - 1, _nr_parts(P, Q))
+
+
+def _nr_parts(P: SkewCochain, Q: SkewCochain, sign: int = 1) -> list:
+    """sign * [P, Q]_nr as its two insertion parts for ``_assemble``."""
     if P.domain != Q.domain or P.codomain != Q.codomain or P.domain != P.codomain:
         raise ValueError("both cochains must live in C(g, g) on the same space")
     m, n = P.arity, Q.arity
-    return contract(P, Q) - contract(Q, P).scale(_sign((m - 1) * (n - 1)))
+    return [_contract_part(P, Q, sign), _contract_part(Q, P, -sign * _sign((m - 1) * (n - 1)))]
 
 
 def cup_bracket(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra) -> SkewCochain:
@@ -59,28 +78,35 @@ def cup_bracket(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra) -> 
     codomain bracket of beta^{n-1} P(first block) and beta^{m-1} Q(second
     block), beta being the codomain twist.
     """
+    return _assemble(P.domain, P.codomain, P.arity + Q.arity, [_cup_part(P, Q, codomain_alg)])
+
+
+def _cup_part(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra,
+              sign: int = 1) -> tuple[int, dict]:
+    """sign * [P, Q]_cup as a part for ``_assemble``, checking the shapes as ``cup_bracket`` does."""
     if P.domain != Q.domain:
         raise ValueError("cup bracket needs a common domain")
     if P.codomain != Q.codomain or P.codomain != codomain_alg.space:
         raise ValueError("cup bracket needs both cochains valued in the codomain algebra")
     m, n = P.arity, Q.arity
     if m + n > P.domain.dim:  # alternating maps of arity above the dimension vanish
-        return SkewCochain.zero(P.domain, P.codomain, m + n)
+        return 1, {}
     space = codomain_alg.space
     lefts, left_den = _twisted_supports(space, n - 1, P)
     rights, right_den = _twisted_supports(space, m - 1, Q)
     brackets = codomain_alg.table
-    table = {}
+    part = {}
     for key, splits in _cup_plan(P.domain.dim, m, n):
         terms = []
-        for left_key, right_key, sign in splits:
+        for left_key, right_key, split_sign in splits:
             left, right = lefts.get(left_key), rights.get(right_key)
             if left is not None and right is not None:
                 for i, x in left:
-                    row, c = brackets[i], sign * x
+                    row, c = brackets[i], sign * split_sign * x
                     terms.extend([(c * y, row[j]) for j, y in right])
-        _store(table, key, terms, codomain_alg.dim, left_den * right_den)
-    return _cochain(P.domain, P.codomain, m + n, table)
+        if terms:
+            part[key] = terms
+    return left_den * right_den, part
 
 
 def _twisted_supports(space: TwistedSpace, power: int, f: SkewCochain):
@@ -121,11 +147,16 @@ def fn_bracket(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCochai
     [P, Q] = [P, Q]_cup + (-1)^m i_{delta P} Q - (-1)^{(m+1) n} i_{delta Q} P
     with delta the adjoint-coefficient coboundary.
     """
+    return _assemble(P.domain, P.codomain, P.arity + Q.arity, _fn_parts(alg, P, Q))
+
+
+def _fn_parts(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain, sign: int = 1) -> list:
+    """sign * [P, Q]_fn as its cup part and two insertion parts for ``_assemble``."""
     adj = adjoint_representation(alg)
     m, n = P.arity, Q.arity
-    return (cup_bracket(P, Q, alg)
-            + contract(delta_hom(adj, P), Q).scale(_sign(m))
-            - contract(delta_hom(adj, Q), P).scale(_sign((m + 1) * n)))
+    return [_cup_part(P, Q, alg, sign),
+            _contract_part(delta_hom(adj, P), Q, sign * _sign(m)),
+            _contract_part(delta_hom(adj, Q), P, -sign * _sign((m + 1) * n))]
 
 
 def derived_bracket(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCochain:
@@ -143,7 +174,7 @@ def theta_tilde(rep: Representation | HomLieAction, P: SkewCochain) -> SkewCocha
 
     For P with arguments in the module and values in the algebra,
     (theta~ P)(h_1, ..., h_{n+1}) = sum_i (-1)^{n+i} P(..., h_i omitted, ...)
-    acted on beta^{n-1}(h_i).
+    acted on beta^{n-1}(h_i).  Reads the acted basis table of ``_module_action``.
     """
     if isinstance(rep, HomLieAction):
         rep = rep.rep
@@ -153,17 +184,28 @@ def theta_tilde(rep: Representation | HomLieAction, P: SkewCochain) -> SkewCocha
     n = P.arity
     if n + 1 > module.dim:
         return SkewCochain.zero(module, module, n + 1)
-    twisted = module.twisted_basis(n - 1)
-    heads = P.coeffs
+    acted = _module_action(rep, n - 1)
+    heads, den = _numerators(P.coeffs)
     table = {}
     for key in combinations(range(module.dim), n + 1):
         terms = []
         for pos in range(n + 1):
             head = heads.get(key[:pos] + key[pos + 1:])
             if head is not None:  # sign (-1)^{n+i} with i = pos + 1
-                terms.append((_sign(n + pos + 1), rep.act(head, twisted[key[pos]])))
-        _store(table, key, terms, module.dim, 1)
+                sign, row = _sign(n + pos + 1), acted[key[pos]]
+                terms.extend([(sign * x, row[a]) for a, x in enumerate(head) if x])
+        _store(table, key, terms, module.dim, den)
     return _cochain(module, module, n + 1, table)
+
+
+def _module_action(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...]:
+    """rows[i][a] = e_a . beta^k(e_i), computed once per power and kept on rep."""
+    cache = rep.__dict__.setdefault("_module_action", {})
+    if k not in cache:
+        algebra_basis = rep.algebra.space.basis
+        cache[k] = tuple(tuple(rep.act(x, v) for x in algebra_basis)
+                         for v in rep.module.twisted_basis(k))
+    return cache[k]
 
 
 def derived_bracket_rel(action: Representation | HomLieAction, P: SkewCochain,
@@ -175,11 +217,11 @@ def derived_bracket_rel(action: Representation | HomLieAction, P: SkewCochain,
     never the acted bracket.
     """
     rep = action.rep if isinstance(action, HomLieAction) else action
-    g = rep.algebra
     m, n = P.arity, Q.arity
-    return (cup_bracket(P, Q, g)
-            + contract(theta_tilde(rep, P), Q)
-            - contract(theta_tilde(rep, Q), P).scale(_sign(m * n)))
+    return _assemble(P.domain, P.codomain, m + n,
+                     [_cup_part(P, Q, rep.algebra),
+                      _contract_part(theta_tilde(rep, P), Q),
+                      _contract_part(theta_tilde(rep, Q), P, -_sign(m * n))])
 
 
 @dataclass(frozen=True)
@@ -217,9 +259,10 @@ def semidirect_graded_bracket(cod_alg: HomLieAlgebra, a: GradedPair, b: GradedPa
     """
     m, n = a.degree, b.degree
     upper = nr_bracket(a.upper, b.upper)
-    lower = (cup_bracket(a.lower, b.lower, cod_alg)
-             + contract(a.upper, b.lower)
-             - contract(b.upper, a.lower).scale(_sign(m * n)))
+    lower = _assemble(a.lower.domain, a.lower.codomain, m + n,
+                      [_cup_part(a.lower, b.lower, cod_alg),
+                       _contract_part(a.upper, b.lower),
+                       _contract_part(b.upper, a.lower, -_sign(m * n))])
     return GradedPair(upper, lower)
 
 
@@ -228,13 +271,14 @@ def bicrossed_bracket(alg: HomLieAlgebra, a: GradedPair, b: GradedPair) -> Grade
 
     [[(P, E), (Q, F)]] = ([P, Q]_nr + [E, Q]_fn - (-1)^{mn} [F, P]_fn,
                           [E, F]_fn + i_P F - (-1)^{mn} i_Q E).
+    Each component is one assembly: 8 parts in the upper, 5 in the lower.
     """
     m, n = a.degree, b.degree
-    upper = (nr_bracket(a.upper, b.upper)
-             + fn_bracket(alg, a.lower, b.upper)
-             - fn_bracket(alg, b.lower, a.upper).scale(_sign(m * n)))
-    lower = (fn_bracket(alg, a.lower, b.lower)
-             + contract(a.upper, b.lower)
-             - contract(b.upper, a.lower).scale(_sign(m * n)))
+    sign = _sign(m * n)
+    upper = _assemble(a.upper.domain, a.upper.codomain, m + n + 1,
+                      _nr_parts(a.upper, b.upper) + _fn_parts(alg, a.lower, b.upper)
+                      + _fn_parts(alg, b.lower, a.upper, -sign))
+    lower = _assemble(a.lower.domain, a.lower.codomain, m + n,
+                      _fn_parts(alg, a.lower, b.lower)
+                      + [_contract_part(a.upper, b.lower), _contract_part(b.upper, a.lower, -sign)])
     return GradedPair(upper, lower)
-

@@ -23,6 +23,13 @@ compatibility-basis coordinates: a nested bracket yields an arbitrary
 cochain, whose basis coordinates would need a linear solve.  ``evaluate``
 and ``shuffles`` stay the independent route that the explicit shuffle sums
 of ``theorems`` and the tests check the plans against.
+
+A sum of several such operations is assembled once.  ``_contract_part``
+gives a signed insertion as a part: its denominator and, per output key, the
+integer (c, Vec) terms.  ``_assemble`` puts any number of parts over the lcm
+of their denominators and stores each output key with one ``_lincomb``;
+``contract`` and ``linear_combination`` are one-part assemblies, and the
+brackets assemble several parts with no intermediate cochain.
 """
 
 from __future__ import annotations
@@ -260,14 +267,14 @@ def linear_combination(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                        terms: Iterable[tuple[int, SkewCochain]], den: int = 1) -> SkewCochain:
     """The sum of c * f over (integer c, cochain f) pairs, divided by the positive integer den.
 
-    Each value is summed on integer numerators by ``_lincomb``.
+    Each value is summed on integer numerators by ``_lincomb``; only the keys
+    some f is nonzero on are visited.
     """
     by_key: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
     for c, f in terms:
         for key, value in f.coeffs.items():
             by_key.setdefault(key, []).append((c, value))
-    return SkewCochain.from_function(domain, codomain, arity,
-                                     lambda key: _lincomb(by_key.get(key, ()), codomain.dim, den))
+    return _assemble(domain, codomain, arity, [(den, by_key)])
 
 
 def evaluate(f: SkewCochain, args: Sequence[Vec]) -> Vec:
@@ -399,26 +406,32 @@ def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
     endomorphism-type cochain on outer's domain.  Runs on the insertion plan
     of (m, n) kept on the domain.
     """
+    return _assemble(inner.domain, outer.codomain, inner.arity + outer.arity - 1,
+                     [_contract_part(inner, outer)])
+
+
+def _contract_part(inner: SkewCochain, outer: SkewCochain, sign: int = 1) -> tuple[int, dict]:
+    """sign * i_P Q as a part for ``_assemble``, checking the shapes as ``contract`` does."""
     w = inner.domain
     if inner.codomain != w or outer.domain != w:
         raise ValueError("contraction requires inner in C(W, W) and outer in C(W, V)")
     m, n = inner.arity, outer.arity
-    arity = m + n - 1
-    if arity > w.dim:  # alternating maps of arity above the dimension vanish
-        return SkewCochain.zero(w, outer.codomain, arity)
+    if m + n - 1 > w.dim:  # alternating maps of arity above the dimension vanish
+        return 1, {}
     plan, den = _insertion_plan(w, m, n)
     heads, head_den = _numerators(inner.coeffs)
     outs = outer.coeffs
-    table = {}
+    part = {}
     for key, entries in plan:
         terms = []
         for inner_key, a, outer_key, c in entries:
             head = heads.get(inner_key)
             value = outs.get(outer_key)
             if head is not None and value is not None and head[a]:
-                terms.append((c * head[a], value))
-        _store(table, key, terms, outer.codomain.dim, den * head_den)
-    return _cochain(w, outer.codomain, arity, table)
+                terms.append((sign * c * head[a], value))
+        if terms:
+            part[key] = terms
+    return den * head_den, part
 
 
 def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[tuple, int]:
@@ -481,6 +494,34 @@ def _store(table: dict[tuple[int, ...], Vec], key: tuple[int, ...],
         value = _lincomb(terms, dim, den)
         if not value.is_zero():
             table[key] = value
+
+
+def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
+              parts: Sequence[tuple[int, dict[tuple[int, ...], list[tuple[int, Vec]]]]]
+              ) -> SkewCochain:
+    """The cochain that sums its parts, each stored with one ``_store`` per key.
+
+    A part is (den, {key: [(c, v), ...]}) and stands for the value
+    sum c * v / den on e_key; every part must have the cochain's shape.  The
+    terms of all parts go over the lcm of their denominators, so each output
+    key is summed once, with no intermediate cochain.
+    """
+    common = lcm(*[den for den, _ in parts])
+    merged: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
+    for den, part in parts:  # the parts are consumed: their term lists are extended
+        up = common // den
+        for key, terms in part.items():
+            if up != 1:
+                terms = [(c * up, v) for c, v in terms]
+            got = merged.get(key)
+            if got is None:
+                merged[key] = terms
+            else:
+                got.extend(terms)
+    table: dict[tuple[int, ...], Vec] = {}
+    for key, terms in merged.items():
+        _store(table, key, terms, codomain.dim, common)
+    return _cochain(domain, codomain, arity, table)
 
 
 def operator_cochain(domain: TwistedSpace, codomain: TwistedSpace, m: Mat) -> SkewCochain:

@@ -13,12 +13,23 @@ sort signs multiplied out over one plan denominator.  The action columns of a
 twist power, kept on the ``Representation``, are the vectors
 alpha^k(e_x) . e_v.  ``delta_hom`` and ``d_trivial`` are then one sum on
 integer numerators through ``_lincomb`` per output key.
+
+``delta_hom`` computes a cochain's coboundary once per representation and
+keeps it on the cochain (``f.__dict__["_delta"]``, keyed by the
+``Representation`` object): the brackets, the identities and the coboundary
+matrices meet the same cochains again, the cached compatibility-basis ones
+above all.  The key is the representation, not its spaces, because algebras
+with one twist share those basis cochains.  Cochains are immutable, so the
+kept image stays valid for the cochain's lifetime.  The key is weak: the
+basis cochains live as long as the process, and must not keep alive every
+algebra whose coboundary was taken on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 from .linalg import Vec, rat
 from .cochains import (SkewCochain, TwistedSpace, _cochain, _numerators, _sorted_products,
@@ -53,7 +64,21 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
         = sum_i (-1)^{i+1} alpha^{n-1}(x_i) . f(..., x_i omitted, ...)
         + sum_{i<j} (-1)^{i+j} f([x_i, x_j], alpha(x_1), ..., twisted args
           with positions i and j omitted).
+
+    Computed once per (rep, f): the result is kept on f, weakly keyed by the
+    representation object.  Not by its spaces: algebras with one twist share
+    the cached compatibility-basis cochains.
     """
+    memo = f.__dict__.get("_delta")
+    if memo is None:
+        memo = f.__dict__["_delta"] = WeakKeyDictionary()
+    image = memo.get(rep)
+    if image is None:
+        image = memo[rep] = _delta_hom(rep, f)
+    return image
+
+
+def _delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
     alg = rep.algebra
     if f.domain != alg.space or f.codomain != rep.module:
         raise ValueError("cochain does not live on the representation's complex")

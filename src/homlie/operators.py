@@ -221,13 +221,17 @@ def relative_rb_mc(action: HomLieAction, R: Mat, lam) -> bool:
 
 def is_relative_rb(action: HomLieAction, R: Mat, lam) -> bool:
     """All three relative Rota-Baxter criteria; they must agree."""
-    a = relative_rb_pointwise(action, R, lam)
-    b = relative_rb_graph(action, R, lam)
-    c = relative_rb_mc(action, R, lam)
-    if a != b or a != c:
-        raise ConsistencyError(
-            f"relative Rota-Baxter criteria disagree: pointwise={a}, graph={b}, Maurer-Cartan={c}")
-    return a
+    return _cross_checked(action, R, lam, relative_rb_pointwise(action, R, lam))
+
+
+def _cross_checked(action: HomLieAction, R: Mat, lam, pointwise: bool) -> bool:
+    """The pointwise verdict, once the graph and Maurer-Cartan criteria agree with it."""
+    graph = relative_rb_graph(action, R, lam)
+    mc = relative_rb_mc(action, R, lam)
+    if pointwise != graph or pointwise != mc:
+        raise ConsistencyError(f"relative Rota-Baxter criteria disagree: pointwise={pointwise}, "
+                               f"graph={graph}, Maurer-Cartan={mc}")
+    return pointwise
 
 
 def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra, Representation]:
@@ -354,10 +358,10 @@ def search_relative_rb(action: HomLieAction, lam, entries=(-1, 0, 1)) -> list[Ma
     """Relative weight-lam Rota-Baxter operators, entries in ``entries``, column-major grid order.
 
     The grid runs over maps from the acted to the acting space.  The pointwise
-    identity rejects first: on an operator that passes, it costs a fifth to a
-    third of the three-way check (default fixtures, {0, 1} grid, weights 0
-    and 1), and on one that fails it stops at the first failing pair.
+    identity runs once per candidate and rejects first, stopping at the first
+    failing pair; a candidate that passes then gets the graph and
+    Maurer-Cartan criteria, which must agree with it.
     """
     lam = rat(lam)
     return [m for m in _search_matrices(action.acted.space, action.acting.space, entries)
-            if relative_rb_pointwise(action, m, lam) and is_relative_rb(action, m, lam)]
+            if relative_rb_pointwise(action, m, lam) and _cross_checked(action, m, lam, True)]

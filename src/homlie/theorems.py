@@ -45,9 +45,10 @@ agreement can be checked:
   and ``d_lambda`` vs ``d_lambda_tilde``;
 * compiled plans vs ``evaluate``: the explicit shuffle sums ``_fn_explicit``
   and ``_derived_rel_explicit`` run on ``evaluate`` and ``shuffles``, against
-  the defining bracket formulas, which run on the compiled insertion, cup and
-  coboundary plans (identities 14 and 19);
-* ``theta`` vs ``theta_tilde`` of the adjoint representation;
+  the defining bracket formulas, each one assembly of parts on the compiled
+  insertion, cup and coboundary plans (identities 14 and 19);
+* ``theta`` (an insertion of the structure cochain) vs ``theta_tilde`` of
+  the adjoint representation (the representation's acted basis table);
 * ``hom_jacobi_witness`` vs the insertion-bracket square (identity 1).
 """
 

@@ -314,3 +314,20 @@ def test_mc_residual_kinds():
         mc_residual(phi, "no-such-kind")
     with pytest.raises(ValueError):
         mc_residual(B.mu, "derived", alg=B, lam=0)
+
+
+def test_search_checks_each_candidate_pointwise_once(monkeypatch):
+    from homlie import operators
+    act = bracket_action_on_abelian(B)
+    candidates = operators._search_matrices(act.acted.space, act.acting.space, (0, 1))
+    calls = []
+    defect = operators.relative_rb_defect
+    monkeypatch.setattr(operators, "relative_rb_defect",
+                        lambda action, R, lam: calls.append(R) or defect(action, R, lam))
+    found = search_relative_rb(act, 1, (0, 1))
+    assert found and len(found) < len(candidates)
+    assert calls == candidates
+    # a candidate that passes pointwise is still cross-checked
+    monkeypatch.setattr(operators, "relative_rb_mc", lambda action, R, lam: False)
+    with pytest.raises(ConsistencyError, match="pointwise=True, graph=True, Maurer-Cartan=False"):
+        search_relative_rb(act, 1, (0, 1))

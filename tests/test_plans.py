@@ -1,24 +1,33 @@
-"""The compiled insertion, cup and coboundary plans against per-key references.
+"""The compiled plans and the one-assembly brackets against per-key references.
 
 The references below are the per-key bodies that ``contract``,
-``cup_bracket``, ``delta_hom`` and ``d_trivial`` ran before the plans: every
-value is rebuilt from ``evaluate`` and ``shuffles`` on each call.  The plans
-must give equal coefficient tables on raw (not necessarily compatible)
-cochains with rational values, on every default fixture and on twists,
-representations and codomains that the fixtures do not cover.
+``cup_bracket``, ``delta_hom``, ``d_trivial`` and ``theta_tilde`` ran before
+the plans: every value is rebuilt from ``evaluate``, ``shuffles`` and
+``Representation.act`` on each call.  The bracket references compose them
+term by term with cochain addition, as the brackets did before each became
+one assembly of parts.  The plans and brackets must give equal coefficient
+tables on raw (not necessarily compatible) cochains with rational values, on
+every default fixture and on twists, representations and codomains that the
+fixtures do not cover.
 """
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
-from homlie.brackets import _cup_plan, cup_bracket
+from homlie import cochains
+from homlie.brackets import (GradedPair, _cup_plan, bicrossed_bracket, cup_bracket,
+                             derived_bracket_rel, fn_bracket, nr_bracket,
+                             semidirect_graded_bracket, theta_tilde)
 from homlie.cochains import (SkewCochain, TwistedSpace, _shuffle_table, contract, evaluate,
-                             shuffles)
+                             linear_combination, shuffles)
+from homlie.cohomology import ComplexSpec, cohomology
 from homlie.differentials import d_trivial, delta_hom
 from homlie.linalg import Mat, Vec, _lincomb
 from homlie.structures import (HomLieAlgebra, Representation, adjoint_representation,
+                               bracket_action_on_abelian, fixture_abelian,
                                representation_witness, yau_twist, _heisenberg_lie_mu)
 from homlie.theorems import default_fixtures
 
@@ -93,6 +102,69 @@ def ref_d_trivial(alg, f: SkewCochain) -> SkewCochain:
     return SkewCochain.from_function(
         alg.space, f.codomain, f.arity + 1,
         lambda key: _lincomb(_ref_bracket_terms(alg, f, key), f.codomain.dim))
+
+
+def _sign(exponent: int) -> int:
+    return -1 if exponent % 2 else 1
+
+
+def ref_theta_tilde(rep: Representation, P: SkewCochain) -> SkewCochain:
+    module, n = rep.module, P.arity
+    twisted = module.twisted_basis(n - 1)
+
+    def terms(key):
+        for pos in range(n + 1):
+            head = P.coeffs.get(key[:pos] + key[pos + 1:])
+            if head is not None:
+                yield _sign(n + pos + 1), rep.act(head, twisted[key[pos]])
+
+    return SkewCochain.from_function(module, module, n + 1,
+                                     lambda key: _lincomb(terms(key), module.dim))
+
+
+def ref_nr_bracket(P, Q):
+    m, n = P.arity, Q.arity
+    return ref_contract(P, Q) - ref_contract(Q, P).scale(_sign((m - 1) * (n - 1)))
+
+
+def ref_fn_bracket(alg, P, Q):
+    adj = adjoint_representation(alg)
+    m, n = P.arity, Q.arity
+    return (ref_cup_bracket(P, Q, alg)
+            + ref_contract(ref_delta_hom(adj, P), Q).scale(_sign(m))
+            - ref_contract(ref_delta_hom(adj, Q), P).scale(_sign((m + 1) * n)))
+
+
+def ref_derived_bracket_rel(rep, P, Q):
+    m, n = P.arity, Q.arity
+    return (ref_cup_bracket(P, Q, rep.algebra)
+            + ref_contract(ref_theta_tilde(rep, P), Q)
+            - ref_contract(ref_theta_tilde(rep, Q), P).scale(_sign(m * n)))
+
+
+def ref_semidirect(cod_alg, a, b):
+    m, n = a.degree, b.degree
+    return GradedPair(ref_nr_bracket(a.upper, b.upper),
+                      ref_cup_bracket(a.lower, b.lower, cod_alg)
+                      + ref_contract(a.upper, b.lower)
+                      - ref_contract(b.upper, a.lower).scale(_sign(m * n)))
+
+
+def ref_bicrossed(alg, a, b):
+    m, n = a.degree, b.degree
+    return GradedPair(ref_nr_bracket(a.upper, b.upper)
+                      + ref_fn_bracket(alg, a.lower, b.upper)
+                      - ref_fn_bracket(alg, b.lower, a.upper).scale(_sign(m * n)),
+                      ref_fn_bracket(alg, a.lower, b.lower)
+                      + ref_contract(a.upper, b.lower)
+                      - ref_contract(b.upper, a.lower).scale(_sign(m * n)))
+
+
+def ref_linear_combination(domain, codomain, arity, terms, den=1):
+    terms = list(terms)
+    return SkewCochain.from_function(
+        domain, codomain, arity,
+        lambda key: _lincomb([(c, f.value_on(key)) for c, f in terms], codomain.dim, den))
 
 
 _VALUES = [Fraction(0)] * 3 + [Fraction(k) for k in (1, -1, 2, -3)] + [Fraction(1, 2),
@@ -217,3 +289,87 @@ def test_high_twist_power_needs_no_recursion():
     power = space.twist_power(5000)
     assert power == Mat.diagonal([2 ** 5000, 1, Fraction(1, 3 ** 5000)])
     assert space.twist_power(4999) @ space.alpha == power
+
+
+@pytest.mark.parametrize("name,alg", ALGEBRAS, ids=[n for n, _ in ALGEBRAS])
+def test_fused_brackets_match_reference(name, alg):
+    rng = random.Random(f"fused|{name}")
+    space = alg.space
+    for m in ARITIES:
+        for n in ARITIES:
+            P = raw_cochain(space, space, m, rng)
+            Q = raw_cochain(space, space, n, rng)
+            assert nr_bracket(P, Q) == ref_nr_bracket(P, Q), (m, n)
+            assert fn_bracket(alg, P, Q) == ref_fn_bracket(alg, P, Q), (m, n)
+
+
+@pytest.mark.parametrize("name,alg", ALGEBRAS, ids=[n for n, _ in ALGEBRAS])
+def test_theta_tilde_and_derived_bracket_match_reference(name, alg):
+    rng = random.Random(f"derived|{name}")
+    action = bracket_action_on_abelian(alg)
+    # the module of the last representation is not the algebra's space
+    for rep in (adjoint_representation(alg), action.rep, _adjoint_plus_line(alg)):
+        for m in ARITIES:
+            P = raw_cochain(rep.module, alg.space, m, rng)
+            assert theta_tilde(rep, P) == ref_theta_tilde(rep, P), m
+            for n in ARITIES:
+                Q = raw_cochain(rep.module, alg.space, n, rng)
+                assert derived_bracket_rel(rep, P, Q) == ref_derived_bracket_rel(rep, P, Q), (m, n)
+    P, Q = (raw_cochain(action.acted.space, alg.space, k, rng) for k in (1, 2))
+    assert derived_bracket_rel(action, P, Q) == ref_derived_bracket_rel(action.rep, P, Q)
+
+
+@pytest.mark.parametrize("name,alg", ALGEBRAS, ids=[n for n, _ in ALGEBRAS])
+def test_pair_brackets_match_reference(name, alg):
+    rng = random.Random(f"pair|{name}")
+    space, cod_alg = alg.space, _rational_shear()  # the semidirect lower part in C(g, h)
+
+    def pair(m, codomain):
+        return GradedPair(raw_cochain(space, space, m + 1, rng),
+                          raw_cochain(space, codomain, m, rng))
+
+    for m in (1, 2):
+        for n in (1, 2):
+            a, b = pair(m, space), pair(n, space)
+            assert bicrossed_bracket(alg, a, b) == ref_bicrossed(alg, a, b), (m, n)
+            a, b = pair(m, cod_alg.space), pair(n, cod_alg.space)
+            assert semidirect_graded_bracket(cod_alg, a, b) == ref_semidirect(cod_alg, a, b), (m, n)
+
+
+def test_linear_combination_matches_reference():
+    rng = random.Random("lincomb")
+    alg = _rational_dim4()
+    cod = TwistedSpace(Mat([[1, 1], [0, "-1/2"]]))
+    for arity in (1, 2, 3):
+        fs = [raw_cochain(alg.space, cod, arity, rng) for _ in range(4)]
+        # a term with a zero coefficient and two that cancel on every key
+        terms = [(rng.randint(-3, 3), f) for f in fs] + [(0, fs[0]), (2, fs[1]), (-2, fs[1])]
+        for den in (1, 6):
+            assert (linear_combination(alg.space, cod, arity, terms, den)
+                    == ref_linear_combination(alg.space, cod, arity, terms, den)), (arity, den)
+    assert linear_combination(alg.space, cod, 2, [(1, fs[0]), (-1, fs[0])], 3).is_zero()
+
+
+@pytest.mark.parametrize("first", ["heisenberg", "abelian"])
+def test_coboundary_memo_is_kept_per_representation(monkeypatch, first):
+    """Algebras with one twist share their basis cochains, and each keeps its own coboundary."""
+    monkeypatch.setattr(cochains, "_COMPAT_CACHE", {})
+    algebras = {"heisenberg": (yau_twist(_heisenberg_lie_mu(), Mat.identity(3)), (4, 5, 2)),
+                "abelian": (fixture_abelian(3), (9, 9, 3))}
+    order = [first] + [k for k in algebras if k != first]
+    for name in order:
+        alg, dims = algebras[name]
+        assert tuple(cohomology(ComplexSpec.adjoint(alg), n).dim_h for n in (1, 2, 3)) == dims
+    spaces = [algebras[k][0].space for k in order]
+    basis = cochains.compatibility_basis(spaces[0], spaces[0], 2)
+    assert basis is cochains.compatibility_basis(spaces[1], spaces[1], 2)
+    reps = [adjoint_representation(algebras[k][0]) for k in order]
+    for b in basis:
+        assert set(b.__dict__["_delta"]) == set(reps)
+        assert delta_hom(reps[0], b) is b.__dict__["_delta"][reps[0]]
+        for rep in reps:
+            assert delta_hom(rep, b) == ref_delta_hom(rep, b)
+    # the kept images do not keep the algebras alive
+    del algebras, alg, reps, rep
+    gc.collect()
+    assert all(not b.__dict__["_delta"] for b in basis)
