@@ -43,7 +43,6 @@ the acted basis table e_a . beta^k(e_i), kept on the representation per power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -224,16 +223,24 @@ def derived_bracket_rel(action: Representation | HomLieAction, P: SkewCochain,
                       _contract_part(theta_tilde(rep, Q), P, -_sign(m * n))])
 
 
-@dataclass(frozen=True)
 class GradedPair:
     """Degree-m element (P, E) of a direct sum: arity m+1 upper, arity m lower."""
 
-    upper: SkewCochain
-    lower: SkewCochain
+    __slots__ = ("upper", "lower")
 
-    def __post_init__(self):
-        if self.upper.arity != self.lower.arity + 1:
+    def __init__(self, upper: SkewCochain, lower: SkewCochain):
+        if upper.arity != lower.arity + 1:
             raise ValueError("pair arities must differ by exactly one")
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedPair):
+            return NotImplemented
+        return self.upper == other.upper and self.lower == other.lower
 
     @property
     def degree(self) -> int:

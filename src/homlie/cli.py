@@ -29,16 +29,8 @@ def _read_json(path: str):
             text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an integer of more digits than int() takes
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _rational_option(text: str, option: str):
-    """A rational command-line option value; bad input is a usage error naming the option."""
-    try:
-        return hio.rational_from_json(text)
-    except ParseError as exc:
-        raise ParseError(f"{option}: {exc}") from exc
 
 
 def _shaped_matrix(obj, where: str, rows: int, cols: int, dims: str = "") -> Mat:
@@ -73,9 +65,9 @@ def _emit(payload: dict, human: str, as_json: bool):
 def _cmd_fixture(args) -> int:
     from .structures import fixture_3dim, fixture_abelian, fixture_jackson_sl2
     if args.name == "jackson-sl2":
-        s = fixture_jackson_sl2(_rational_option(args.q, "--q"))
+        s = fixture_jackson_sl2(hio.rational_from_json(args.q, "--q"))
     elif args.name == "threedim":
-        s = fixture_3dim(*(_rational_option(getattr(args, k), f"--{k}") for k in "abcd"))
+        s = fixture_3dim(*(hio.rational_from_json(getattr(args, k), f"--{k}") for k in "abcd"))
     else:
         s = fixture_abelian(args.dim)
     sys.stdout.write(hio.dumps(hio.structure_to_json(s)))
@@ -140,7 +132,7 @@ def _cmd_check_rotabaxter(args) -> int:
     from .operators import is_rota_baxter, rota_baxter_defect
     alg = hio.algebra_from_json(_read_json(args.algebra))
     op = _shaped_matrix(_read_json(args.op), "--op", alg.dim, alg.dim)
-    lam = _rational_option(args.weight, "--weight")
+    lam = hio.rational_from_json(args.weight, "--weight")
     verdict = is_rota_baxter(alg, op, lam)
     defect = None if verdict else rota_baxter_defect(alg, op, lam)
     return _operator_verdict("rota-baxter", f"Rota-Baxter operator of weight {rat_str(lam)}",
@@ -157,7 +149,7 @@ def _cmd_check_relative_rb(args) -> int:
         raise ParseError(f"action file violates the action axioms: {w[0]} at {w[1]}")
     op = _shaped_matrix(_read_json(args.op), "--op", alg.dim, action.acted.dim,
                         f" (acting dim {alg.dim} x acted dim {action.acted.dim})")
-    lam = _rational_option(args.weight, "--weight")
+    lam = hio.rational_from_json(args.weight, "--weight")
     verdict = is_relative_rb(action, op, lam)
     defect = None if verdict else relative_rb_defect(action, op, lam)
     return _operator_verdict("relative-rota-baxter",
@@ -217,7 +209,7 @@ def _complex_from_args(args):
     if spec == "adjoint":
         return ComplexSpec.adjoint(alg)
     if spec == "trivial":
-        lam = _rational_option(args.lam, "--lambda") if args.lam is not None else 1
+        lam = hio.rational_from_json(args.lam, "--lambda") if args.lam is not None else 1
         return ComplexSpec.scaled_trivial(alg, lam)
     if spec.startswith("rep:"):
         rep = hio.representation_from_json(alg, _read_json(spec[4:]))
@@ -229,6 +221,7 @@ def _complex_from_args(args):
         obj = _read_json(spec[9:])
         if not isinstance(obj, dict) or "target" not in obj or "map" not in obj:
             raise ParseError("morphism file must carry 'target' and 'map'")
+        hio._known_keys(obj, ("target", "map"), spec)
         target = hio.algebra_from_json(obj["target"])
         phi = HomMorphism(alg, target, _morphism_matrix(obj["map"], f"{spec}: map", alg, target))
         return ComplexSpec.morphism(phi)

@@ -13,8 +13,8 @@ weighted, relative) start at degree 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .linalg import Mat, Vec, _lincomb, mat_rank, rat, solve_linear
 from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, fixed_vectors,
@@ -58,8 +58,7 @@ def d_rb(action: HomLieAction, R: Mat, lam, f: SkewCochain) -> SkewCochain:
     return _operator_differential(action, R, lam)(f)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     degree: int
     dim_cochains: int
     dim_cocycles: int

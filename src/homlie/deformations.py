@@ -9,9 +9,9 @@ cocycle is a coboundary, and any preimage serves as the next term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .linalg import Mat, Vec
 from .cochains import SkewCochain, cochain_matrix, operator_cochain
@@ -20,20 +20,29 @@ from .cohomology import ComplexSpec, is_coboundary
 from .brackets import cup_bracket
 
 
-@dataclass(frozen=True)
 class MorphismDeformation:
     """Terms phi_0, ..., phi_N of a truncated deformation of phi_0."""
 
-    source: HomLieAlgebra
-    target: HomLieAlgebra
-    terms: tuple[Mat, ...]
+    __slots__ = ("source", "target", "terms")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, source: HomLieAlgebra, target: HomLieAlgebra, terms: tuple[Mat, ...]):
+        if not terms:
             raise ValueError("a deformation needs at least its order-0 term")
-        for m in self.terms:
-            if m.nrows != self.target.dim or m.ncols != self.source.dim:
+        for m in terms:
+            if m.nrows != target.dim or m.ncols != source.dim:
                 raise ValueError("term shape must be (target dim) x (source dim)")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MorphismDeformation):
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.terms == other.terms)
 
     @property
     def order(self) -> int:
@@ -72,8 +81,7 @@ def check_order_deformation(d: MorphismDeformation) -> bool:
     return deformation_witness(d) is None
 
 
-@dataclass(frozen=True)
-class ObstructionClass:
+class ObstructionClass(NamedTuple):
     """The extension obstruction of a valid deformation.
 
     cocycle is -1/2 of the sum of cup brackets [phi_i, phi_j] over i+j = N+1

@@ -27,8 +27,8 @@ algebra whose coboundary was taken on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .linalg import Vec, rat
@@ -37,8 +37,7 @@ from .cochains import (SkewCochain, TwistedSpace, _cochain, _numerators, _sorted
 from .structures import HomLieAlgebra, Representation
 
 
-@dataclass(frozen=True)
-class Degree0Cochain:
+class Degree0Cochain(NamedTuple):
     """A twist-fixed module vector, the degree-0 term of a module complex."""
 
     module: TwistedSpace

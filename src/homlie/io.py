@@ -3,12 +3,14 @@
 Rationals travel as canonical strings ("3", "-1/2"); non-canonical inputs
 like "2/4" are accepted and normalized.  Basis indices are 1-based in files
 and 0-based in memory.  Parsing is strict: out-of-range indices, duplicate
-entries and wrong-length value vectors are rejected with a location.
+entries, wrong-length value vectors, unknown object keys and rationals in any
+other form than an integer, "p" or "p/q" are rejected with a location.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .linalg import Mat, Vec, rat, rat_str
@@ -31,13 +33,28 @@ def _int_in(x, lo: int | None = None, hi: int | None = None) -> bool:
     return (lo is None or x >= lo) and (hi is None or x <= hi)
 
 
-def rational_from_json(x) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ParseError(f"expected a rational as integer or 'p/q' string, got {x!r}")
+# Fraction() alone would also take decimals, exponents and digit separators;
+# "1e9999999" builds a ten-million-digit integer.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    """Reject a key the format does not define, which would otherwise default silently."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ParseError(f"{where}: unknown key {unknown[0]!r}"
+                         f" (known keys: {', '.join(map(repr, keys))})")
+
+
+def rational_from_json(x, where: str = "rational") -> Fraction:
+    """An integer, or a string "p" or "p/q" of decimal integers; ``where`` names it in errors."""
+    if isinstance(x, bool) or not (isinstance(x, int)
+                                   or isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ParseError(f"{where}: bad rational {x!r}: expected an integer, 'p' or 'p/q'")
     try:
         return rat(x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {x!r}: {exc}") from exc
+        raise ParseError(f"{where}: bad rational {x!r}: {exc}") from exc
 
 
 def vec_to_json(v: Vec) -> list[str]:
@@ -47,7 +64,7 @@ def vec_to_json(v: Vec) -> list[str]:
 def vec_from_json(obj, dim: int, where: str) -> Vec:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected a value vector of length {dim}")
-    return Vec(tuple(rational_from_json(e) for e in obj))
+    return Vec(tuple(rational_from_json(e, f"{where}[{k}]") for k, e in enumerate(obj)))
 
 
 def matrix_to_json(m: Mat) -> list[list[str]]:
@@ -55,14 +72,16 @@ def matrix_to_json(m: Mat) -> list[list[str]]:
 
 
 def matrix_from_json(obj, where: str = "matrix") -> Mat:
-    if isinstance(obj, dict) and "map" in obj:
-        obj = obj["map"]
+    if isinstance(obj, dict):
+        _known_keys(obj, ("map", "target"), where)
+        obj = obj.get("map")
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ParseError(f"{where}: expected a 2-d array of rationals")
     width = len(obj[0])
     if any(len(r) != width for r in obj):
         raise ParseError(f"{where}: ragged rows")
-    return Mat.make([[rational_from_json(e) for e in row] for row in obj])
+    return Mat.make([[rational_from_json(e, f"{where}[{r}][{c}]") for c, e in enumerate(row)]
+                     for r, row in enumerate(obj)])
 
 
 def _bracket_cochain(entries, space: TwistedSpace, where: str) -> SkewCochain:
@@ -76,6 +95,7 @@ def _bracket_cochain(entries, space: TwistedSpace, where: str) -> SkewCochain:
         loc = f"{where}[{pos}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{loc}: expected an object")
+        _known_keys(entry, ("i", "j", "value"), loc)
         try:
             i, j = entry["i"], entry["j"]
         except KeyError as exc:
@@ -106,6 +126,7 @@ def structure_to_json(s: RawHomStructure) -> dict:
 def structure_from_json(obj) -> RawHomStructure:
     if not isinstance(obj, dict):
         raise ParseError("algebra: expected a JSON object")
+    _known_keys(obj, ("dim", "alpha", "brackets"), "algebra")
     dim = obj.get("dim")
     if not _int_in(dim, 1):
         raise ParseError("algebra: 'dim' must be a positive integer")
@@ -143,6 +164,7 @@ def _action_table(obj, gdim: int, module: TwistedSpace, where: str):
         loc = f"{where}.action[{pos}]"
         if not isinstance(entry, dict) or "g" not in entry or "v" not in entry:
             raise ParseError(f"{loc}: expected keys 'g', 'v', 'value'")
+        _known_keys(entry, ("g", "v", "value"), loc)
         g, v = entry["g"], entry["v"]
         if not _int_in(g, 1, gdim):
             raise ParseError(f"{loc}: 'g' out of range 1..{gdim}")
@@ -159,6 +181,7 @@ def representation_from_json(algebra: HomLieAlgebra, obj) -> Representation:
     """Module data {"module_dim", "beta", "action": [{"g", "v", "value"}]}."""
     if not isinstance(obj, dict):
         raise ParseError("representation: expected a JSON object")
+    _known_keys(obj, ("module_dim", "beta", "action"), "representation")
     module = _module_from_json(obj, "representation")
     table = _action_table(obj, algebra.dim, module, "representation")
     return Representation(algebra, module, table)
@@ -181,6 +204,7 @@ def action_from_json(acting: HomLieAlgebra, obj) -> HomLieAction:
     """
     if not isinstance(obj, dict):
         raise ParseError("action: expected a JSON object")
+    _known_keys(obj, ("module_dim", "beta", "action", "module_brackets"), "action")
     module = _module_from_json(obj, "action")
     mu = _bracket_cochain(obj.get("module_brackets"), module, "action.module_brackets")
     acted = as_hom_lie(RawHomStructure(module, mu))
@@ -205,6 +229,7 @@ def cochain_from_json(domain: TwistedSpace, codomain: TwistedSpace, obj) -> Skew
     """Parse {"arity": n, "coeffs": [{"tuple": [...], "value": [...]}]}."""
     if not isinstance(obj, dict):
         raise ParseError("cochain: expected a JSON object")
+    _known_keys(obj, ("arity", "coeffs"), "cochain")
     arity = obj.get("arity")
     if not _int_in(arity, 1):
         raise ParseError("cochain: 'arity' must be a positive integer")
@@ -216,6 +241,7 @@ def cochain_from_json(domain: TwistedSpace, codomain: TwistedSpace, obj) -> Skew
         loc = f"cochain.coeffs[{pos}]"
         if not isinstance(entry, dict) or "tuple" not in entry:
             raise ParseError(f"{loc}: expected keys 'tuple', 'value'")
+        _known_keys(entry, ("tuple", "value"), loc)
         key = entry["tuple"]
         if (not isinstance(key, list) or len(key) != arity
                 or not all(_int_in(i) for i in key)):

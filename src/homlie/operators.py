@@ -9,10 +9,10 @@ reported as ``ConsistencyError`` rather than a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
+from typing import NamedTuple
 
 from .linalg import Mat, Vec, _common, _mat_reduced, _rref, mat_rank, rat
 from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, flatten_cochain,
@@ -95,8 +95,7 @@ def is_nijenhuis(alg: HomLieAlgebra, N: Mat) -> bool:
     return direct
 
 
-@dataclass(frozen=True)
-class OperatorReport:
+class OperatorReport(NamedTuple):
     """Outcome of the full post-verification battery for one operator."""
 
     ok: bool

@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import Vec, _lincomb, kernel_basis, rat, rat_str
 from .cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
@@ -90,8 +90,7 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     trial: int
     detail: str
     witness: tuple[int, ...] | None
@@ -105,8 +104,7 @@ class Failure:
                 "rhs": list(self.rhs) if isinstance(self.rhs, tuple) else self.rhs}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     trials: int
     failures: tuple[Failure, ...]
@@ -121,8 +119,7 @@ class VerificationReport:
                 "failures": [f.to_json() for f in self.failures]}
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     seed: int
     trials: int
     max_arity: int

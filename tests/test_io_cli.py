@@ -460,3 +460,113 @@ def test_cli_operator_file_of_wrong_shape_is_usage_error(tmp_path, capsys, case)
     assert captured.out == ""
     assert captured.err == f"error: {message.format(m=files[wrong])}\n"
     assert main(argv(files, files[right])) == 0
+
+
+# -- documented forms only: rationals and object keys -------------------------
+
+
+@pytest.mark.parametrize("text", ["1.5", "1_000", "1e3", "1e9999999", "+1", " 1", "1/2 ",
+                                  "0x10", "١", "1/-2", "--1", "", "/2", "1/", "inf"])
+def test_rational_outside_the_documented_forms_is_rejected(text):
+    with pytest.raises(ParseError, match=r"^--x: bad rational .*expected an integer, 'p' or 'p/q'"):
+        hio.rational_from_json(text, "--x")
+
+
+def test_rational_documented_forms_are_accepted():
+    for value, expected in ((7, 7), (-7, -7), ("7", 7), ("-7", -7), ("-6/4", Fraction(-3, 2)),
+                            ("007/2", Fraction(7, 2)), ("0/5", 0)):
+        assert hio.rational_from_json(value) == expected
+
+
+def test_cli_rational_outside_the_format_is_usage_error_naming_where(tmp_path, capsys):
+    files = _operator_files(tmp_path)
+    assert main(["cohomology", "--algebra", files["alg"], "--coefficients", "trivial",
+                 "--degree", "1", "--lambda", "1e9999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --lambda: bad rational '1e9999999':"
+                            " expected an integer, 'p' or 'p/q'\n")
+    op = tmp_path / "decimal.json"
+    op.write_text('[["0","0","0"],["0","1.5","0"],["0","0","0"]]')
+    assert main(["check", "nijenhuis", "--algebra", files["alg"], "--op", str(op)]) == 2
+    assert capsys.readouterr().err.startswith("error: --op[1][1]: bad rational '1.5'")
+    blob = hio.structure_to_json(fixture_b())
+    blob["brackets"][0]["value"][2] = "1e2"
+    alg = tmp_path / "exponent.json"
+    alg.write_text(json.dumps(blob))
+    assert main(["check", "structure", str(alg)]) == 2
+    assert capsys.readouterr().err.startswith("error: algebra.brackets (1,2)[2]: bad rational")
+
+
+def test_cli_json_integer_beyond_the_digit_limit_names_the_file(tmp_path, capsys):
+    files = _operator_files(tmp_path)
+    op = tmp_path / "huge.json"
+    op.write_text("[[" + "1" * 5000 + "]]")
+    assert main(["check", "nijenhuis", "--algebra", files["alg"], "--op", str(op)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {op}: invalid JSON: ")
+
+
+# case: (document, key path to an object, the key renamed or None, the unknown key,
+# argv given the files with the document as "bad", location in the message)
+_UNKNOWN_KEY_CASES = {
+    "algebra": ("alg", [], "brackets", "bracket",
+                lambda f: ["check", "structure", f["bad"]], "algebra"),
+    "algebra-entry": ("alg", ["brackets", 0], None, "k",
+                      lambda f: ["check", "structure", f["bad"]], "algebra.brackets[0]"),
+    "representation": ("rep", [], "action", "actions", lambda f: [
+        "cohomology", "--algebra", f["alg"], "--coefficients", f"rep:{f['bad']}",
+        "--degree", "1"], "representation"),
+    "representation-entry": ("rep", ["action", 0], None, "w", lambda f: [
+        "cohomology", "--algebra", f["alg"], "--coefficients", f"rep:{f['bad']}",
+        "--degree", "1"], "representation.action[0]"),
+    "action": ("act", [], "module_brackets", "module_bracket", lambda f: [
+        "check", "relative-rb", "--algebra", f["alg"], "--action", f["bad"], "--op", f["op"]],
+        "action"),
+    "cochain": ("cochain", [], "coeffs", "coeff", lambda f: [
+        "bracket", "--kind", "cup", "--algebra", f["alg"], "--p", f["bad"], "--q", f["bad"]],
+        "cochain"),
+    "cochain-entry": ("cochain", ["coeffs", 0], None, "comment", lambda f: [
+        "bracket", "--kind", "cup", "--algebra", f["alg"], "--p", f["bad"], "--q", f["bad"]],
+        "cochain.coeffs[0]"),
+    "operator-wrapper": ("wrapped", [], "map", "mapp", lambda f: [
+        "check", "nijenhuis", "--algebra", f["alg"], "--op", f["bad"]], "--op"),
+    "morphism-wrapper": ("wrapped", [], None, "source", lambda f: [
+        "check", "morphism", "--algebra", f["alg"], "--target", f["alg"], "--map", f["bad"]],
+        "--map"),
+    "morphism-file": ("wrapped", [], None, "source", lambda f: [
+        "cohomology", "--algebra", f["alg"], "--coefficients", f"morphism:{f['bad']}",
+        "--degree", "1"], "morphism:{bad}"),
+}
+
+
+def _unknown_key_docs():
+    from homlie.structures import adjoint_representation, bracket_action_on_abelian
+    B = fixture_b()
+    blob = hio.structure_to_json(B)
+    return {"alg": blob, "rep": hio.representation_to_json(adjoint_representation(B)),
+            "act": hio.action_to_json(bracket_action_on_abelian(B)),
+            "cochain": {"arity": 1, "coeffs": [{"tuple": [1], "value": ["1", "0", "0"]}]},
+            # the {"target", "map"} wrapper of a matrix
+            "wrapped": {"target": blob,
+                        "map": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}
+
+
+@pytest.mark.parametrize("case", sorted(_UNKNOWN_KEY_CASES))
+def test_cli_unknown_json_key_is_usage_error_naming_object_and_key(tmp_path, capsys, case):
+    doc_name, path, renamed, key, argv, where = _UNKNOWN_KEY_CASES[case]
+    doc = _unknown_key_docs()[doc_name]
+    files = _operator_files(tmp_path)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = node.pop(renamed) if renamed else "1"
+    bad.write_text(json.dumps(doc))
+    # the document as written is accepted
+    assert main(argv(dict(files, bad=str(good)))) in (0, 1)
+    capsys.readouterr()
+    assert main(argv(dict(files, bad=str(bad)))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {where.format(bad=bad)}: unknown key {key!r}")

@@ -1,7 +1,8 @@
 """Lazy loading: the modules each command loads, the public API, the CLI text.
 
 ``import homlie`` loads no submodule and every CLI command imports only the
-modules it runs.  Module sets are read in fresh interpreters; no timing is
+modules it runs, none of them ``dataclasses`` and the introspection modules it
+pulls in.  Module sets are read in fresh interpreters; no timing is
 asserted.  The public names and the ``verify-theorems`` help and error text
 were recorded from the eagerly loaded package.
 """
@@ -62,15 +63,25 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
+def _modules_after(code: str) -> set[str]:
+    """Every module loaded after ``code`` ran (read before ``json`` is imported to print it)."""
+    out = _fresh(code + "\nimport sys\nloaded = sorted(sys.modules)\n"
+                        "import json\nprint(json.dumps(loaded))")
+    return set(json.loads(out.splitlines()[-1]))
+
+
 def _loaded_after(code: str) -> set[str]:
     """The ``homlie`` modules (without the prefix) loaded after ``code`` ran."""
-    out = _fresh(code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-                        " if m.split('.')[0] == 'homlie')))")
-    return {m.removeprefix("homlie.") for m in json.loads(out.splitlines()[-1])}
+    return {m.removeprefix("homlie.") for m in _modules_after(code)
+            if m.split(".")[0] == "homlie"}
+
+
+def _cli_code(argv: list[str]) -> str:
+    return f"import homlie.cli\nassert homlie.cli.main({argv!r}) == 0"
 
 
 def _cli_loads(argv: list[str]) -> set[str]:
-    return _loaded_after(f"import homlie.cli\nassert homlie.cli.main({argv!r}) == 0")
+    return _loaded_after(_cli_code(argv))
 
 
 @pytest.fixture
@@ -108,6 +119,48 @@ def test_bracket_command_loads_no_operator_code(algebra_file, tmp_path):
                          "--p", str(mu), "--q", str(mu)])
     assert "brackets" in loaded
     assert not loaded & {"operators", "cohomology", "theorems", "deformations"}
+
+
+# ``dataclasses`` imports these (``inspect`` brings ``ast``, ``dis`` and
+# ``tokenize``); no command needs them, and each process would load them.
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+# case: argv given the algebra, cochain, operator and morphism files; None
+# stands for ``import homlie.theorems``, which every benchmark worker runs.
+_INTROSPECTION_CASES = {
+    "import-theorems": None,
+    "bracket-cup": lambda f: ["bracket", "--kind", "cup", "--algebra", f["alg"],
+                              "--p", f["mu"], "--q", f["mu"]],
+    "cohomology-adjoint": lambda f: ["cohomology", "--algebra", f["alg"],
+                                     "--coefficients", "adjoint", "--degree", "2"],
+    "cohomology-morphism": lambda f: ["cohomology", "--algebra", f["alg"],
+                                      "--coefficients", f"morphism:{f['phi']}", "--degree", "2"],
+    "check-nijenhuis": lambda f: ["check", "nijenhuis", "--algebra", f["alg"], "--op", f["id"]],
+    "deform-extend": lambda f: ["deform", "extend", "--algebra", f["alg"], "--target", f["alg"],
+                                "--morphism", f["id"], "--to-order", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def introspection_at_start():
+    """The introspection modules a bare interpreter of this environment already has."""
+    return _modules_after("") & INTROSPECTION
+
+
+@pytest.mark.parametrize("case", sorted(_INTROSPECTION_CASES))
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, introspection_at_start, case):
+    blob = hio.structure_to_json(fixture_b())
+    identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    docs = {"alg": blob, "mu": hio.cochain_to_json(fixture_b().mu), "id": identity,
+            "phi": {"target": blob, "map": identity}}
+    files = {}
+    for name, doc in docs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(hio.dumps(doc))
+    argv = _INTROSPECTION_CASES[case]
+    code = "import homlie.theorems" if argv is None else _cli_code(argv(
+        {k: str(v) for k, v in files.items()}))
+    assert _modules_after(code) & INTROSPECTION <= introspection_at_start
 
 
 # -- public API ---------------------------------------------------------------
