@@ -21,7 +21,8 @@ _EXPORTS = {
                    "check_representation", "commutator_hom_lie", "fixture_abelian",
                    "fixture_3dim", "fixture_b", "fixture_jackson_sl2", "fixture_yau_dim4",
                    "fixture_yau_heisenberg", "fixture_yau_shear", "fixture_yau_sl2",
-                   "hom_jacobi_witness", "morphism_witness", "multiplicativity_failures",
+                   "hom_jacobi_witness", "morphism_representation", "morphism_witness",
+                   "multiplicativity_failures",
                    "multiplicativity_witness", "semidirect_weight", "trivial_representation",
                    "yau_twist"),
     "differentials": ("Degree0Cochain", "d_lambda", "d_lambda_tilde", "d_trivial",
@@ -29,8 +30,8 @@ _EXPORTS = {
     "brackets": ("GradedPair", "bicrossed_bracket", "cup_bracket", "derived_bracket",
                  "derived_bracket_rel", "fn_bracket", "nr_bracket",
                  "semidirect_graded_bracket", "theta", "theta_tilde"),
-    "cohomology": ("CohomologyReport", "ComplexSpec", "cohomology", "d_phi", "d_rb",
-                   "is_coboundary", "square_zero_witness"),
+    "cohomology": ("CohomologyReport", "ComplexSpec", "cohomology", "is_coboundary",
+                   "square_zero_witness"),
     "operators": ("ConsistencyError", "deformed_bracket_n", "induced_structures",
                   "is_nijenhuis", "is_relative_rb", "is_rota_baxter", "mc_residual",
                   "nijenhuis_report", "rb_deformed_bracket", "search_nijenhuis",

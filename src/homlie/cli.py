@@ -22,14 +22,12 @@ from .linalg import Mat, rat_str
 
 
 def _read_json(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
-        return json.loads(text)
-    except ValueError as exc:  # a syntax error, or an integer of more digits than int() takes
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except ValueError as exc:  # not UTF-8, a syntax error, or an integer of too many digits
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -1,61 +1,35 @@
 """Cochain complexes and exact cohomology dimensions.
 
-A ``ComplexSpec`` names one of the square-zero coboundary maps together with
-the data it needs, and knows the cochain basis in each degree.  Cohomology
-dimensions come from exact rank/kernel computations of the differential in
-raw coefficient coordinates; since rank is basis-independent, no change of
-basis is ever needed.
+Every complex here is the module complex of one representation.  A
+``ComplexSpec`` holds the representation, the degree its complex starts at
+and a weight; its differential is the weight times ``delta_hom`` (on a
+degree-0 cochain ``delta_hom_deg0``).  Module coefficients (``hom_rep``,
+``adjoint``) start at degree 0, with the twist-fixed module vectors; all
+other complexes start at degree 1.  The trivial ones and their weighted and
+relative versions take lambda times the coboundary of the zero action.  The
+morphism complex d + [phi, .]_cup is the module complex of x . y = [phi(x), y]
+(``structures.morphism_representation``), and the relative Rota-Baxter one,
+d~_lambda + [R, .]_derived, that of the induced representation
+(``operators.induced_structures``; identity 24).  Those bracket forms are
+kept only as oracles.
 
-Degree conventions: module-coefficient complexes start at degree 0 with the
-twist-fixed module vectors; all bracket-based complexes (trivial, morphism,
-weighted, relative) start at degree 1.
+Cohomology dimensions come from exact rank computations in raw coefficient
+coordinates; rank is basis-independent, so no change of basis is needed.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
 from .linalg import Mat, Vec, _lincomb, mat_rank, rat, solve_linear
 from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, fixed_vectors,
-                       flatten_cochain, linear_combination, operator_cochain)
+                       flatten_cochain, linear_combination)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, Representation,
-                         adjoint_representation)
-from .differentials import (Degree0Cochain, d_lambda, d_lambda_tilde, d_trivial,
-                            delta_hom, delta_hom_deg0)
-
-# ``operators`` and ``brackets`` are imported only by the morphism and
-# relative Rota-Baxter complexes, so module-coefficient cohomology never
-# loads them.
-
-
-def d_phi(phi: HomMorphism, f: SkewCochain) -> SkewCochain:
-    """Morphism-twisted coboundary D(f) + [phi, f]_cup; phi is verified first.
-
-    Coincides with the module-coefficient coboundary for the representation
-    x . y = [phi(x), y] on the target.
-    """
-    from .operators import morphism_differential
-    return morphism_differential(phi)(f)
-
-
-def _operator_differential(action: HomLieAction, R: Mat, lam):
-    """The map f -> d~_lam(f) + [R, f] (relative derived bracket); R is not checked."""
-    from .brackets import derived_bracket_rel
-    rc = operator_cochain(action.acted.space, action.acting.space, R)
-    return lambda f: d_lambda_tilde(action.acted, f, lam) + derived_bracket_rel(action, rc, f)
-
-
-def d_rb(action: HomLieAction, R: Mat, lam, f: SkewCochain) -> SkewCochain:
-    """Coboundary attached to a relative Rota-Baxter operator.
-
-    D(f) = d~_lam(f) + [R, f] in the relative derived bracket; requires R to
-    satisfy the relative Rota-Baxter identity.
-    """
-    from .operators import relative_rb_pointwise
-    if not relative_rb_pointwise(action, R, lam):
-        raise ValueError("operator fails the relative Rota-Baxter identity")
-    return _operator_differential(action, R, lam)(f)
+                         adjoint_representation, morphism_representation,
+                         trivial_representation)
+from .differentials import Degree0Cochain, delta_hom, delta_hom_deg0
 
 
 class CohomologyReport(NamedTuple):
@@ -78,26 +52,18 @@ class CohomologyReport(NamedTuple):
         }
 
 
-class ComplexSpec:
-    """A named square-zero coboundary with its cochain spaces."""
+class ComplexSpec(NamedTuple):
+    """The module complex of ``rep`` from ``lowest_degree`` on, coboundary times ``weight``."""
 
-    def __init__(self, kind: str, domain: TwistedSpace, codomain: TwistedSpace,
-                 apply_fn, lowest_degree: int, label: str):
-        self.kind = kind
-        self.domain = domain
-        self.codomain = codomain
-        self._apply = apply_fn
-        self.lowest_degree = lowest_degree
-        self.label = label
+    rep: Representation
+    lowest_degree: int
+    weight: Fraction = Fraction(1)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def hom_rep(rep: Representation) -> "ComplexSpec":
-        return ComplexSpec("hom_rep", rep.algebra.space, rep.module,
-                           lambda f: delta_hom_deg0(rep, f) if isinstance(f, Degree0Cochain)
-                           else delta_hom(rep, f),
-                           0, "module coefficients")
+        return ComplexSpec(rep, 0)
 
     @staticmethod
     def adjoint(alg: HomLieAlgebra) -> "ComplexSpec":
@@ -105,38 +71,35 @@ class ComplexSpec:
 
     @staticmethod
     def trivial(alg: HomLieAlgebra, codomain: TwistedSpace | None = None) -> "ComplexSpec":
-        cod = codomain if codomain is not None else alg.space
-        return ComplexSpec("trivial", alg.space, cod,
-                           lambda f: d_trivial(alg, f), 1, "trivial coefficients")
+        return ComplexSpec.relative(alg, alg.space if codomain is None else codomain, 1)
 
     @staticmethod
     def morphism(phi: HomMorphism) -> "ComplexSpec":
-        from .operators import morphism_differential
-        return ComplexSpec("morphism", phi.source.space, phi.target.space,
-                           morphism_differential(phi), 1, "morphism-twisted")
+        return ComplexSpec(morphism_representation(phi), 1)
 
     @staticmethod
     def scaled_trivial(alg: HomLieAlgebra, lam) -> "ComplexSpec":
-        lam = rat(lam)
-        return ComplexSpec("scaled_trivial", alg.space, alg.space,
-                           lambda f: d_lambda(alg, f, lam), 1, f"weight {lam}")
+        return ComplexSpec.relative(alg, alg.space, lam)
 
     @staticmethod
     def relative(acted: HomLieAlgebra, codomain: TwistedSpace, lam) -> "ComplexSpec":
-        lam = rat(lam)
-        return ComplexSpec("relative", acted.space, codomain,
-                           lambda f: d_lambda_tilde(acted, f, lam), 1, f"relative weight {lam}")
+        return ComplexSpec(trivial_representation(acted, codomain), 1, rat(lam))
 
     @staticmethod
     def relative_rb(action: HomLieAction, R: Mat, lam) -> "ComplexSpec":
-        from .operators import is_relative_rb
-        lam = rat(lam)
-        if not is_relative_rb(action, R, lam):
-            raise ValueError("operator fails the relative Rota-Baxter identity")
-        return ComplexSpec("relative_rb", action.acted.space, action.acting.space,
-                           _operator_differential(action, R, lam), 1, f"operator weight {lam}")
+        """Raises ValueError unless R satisfies the relative Rota-Baxter identity."""
+        from .operators import induced_structures  # loaded by this complex alone
+        return ComplexSpec(induced_structures(action, R, lam)[1], 1)
 
     # -- complex data --------------------------------------------------
+
+    @property
+    def domain(self) -> TwistedSpace:
+        return self.rep.algebra.space
+
+    @property
+    def codomain(self) -> TwistedSpace:
+        return self.rep.module
 
     def basis(self, degree: int) -> list:
         if degree < self.lowest_degree:
@@ -149,7 +112,9 @@ class ComplexSpec:
         return len(self.basis(degree))
 
     def differential(self, f):
-        return self._apply(f)
+        image = (delta_hom_deg0(self.rep, f) if isinstance(f, Degree0Cochain)
+                 else delta_hom(self.rep, f))
+        return image if self.weight == 1 else image.scale(self.weight)
 
     def matrix(self, degree: int) -> Mat:
         """Matrix of the coboundary from degree to degree + 1 in raw coordinates."""
@@ -181,8 +146,6 @@ def square_zero_witness(spec: ComplexSpec, max_degree: int, from_degree: int | N
 
 def cohomology(spec: ComplexSpec, degree: int) -> CohomologyReport:
     """Exact cocycle/coboundary/cohomology dimensions at one degree."""
-    if degree < spec.lowest_degree:
-        raise ValueError(f"complex starts at degree {spec.lowest_degree}")
     n_cochains = spec.dim_cochains(degree)
     cocycles = n_cochains - mat_rank(spec.matrix(degree))
     coboundaries = 0 if degree == spec.lowest_degree else mat_rank(spec.matrix(degree - 1))

@@ -47,13 +47,12 @@ class Degree0Cochain(NamedTuple):
         return self.value.is_zero()
 
 
-def delta_hom_deg0(rep: Representation, v: Degree0Cochain | Vec) -> SkewCochain:
+def delta_hom_deg0(rep: Representation, v: Degree0Cochain) -> SkewCochain:
     """Degree-0 coboundary: (delta v)(x) = x . v."""
-    value = v.value if isinstance(v, Degree0Cochain) else v
     domain = rep.algebra.space
     return SkewCochain.from_function(
         domain, rep.module, 1,
-        lambda key: rep.act(domain.basis_vec(key[0]), value))
+        lambda key: rep.act(domain.basis_vec(key[0]), v.value))
 
 
 def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
@@ -175,6 +174,4 @@ def d_lambda_tilde(acted: HomLieAlgebra, f: SkewCochain, lam) -> SkewCochain:
     f maps wedges of the acted algebra into an arbitrary twisted space; the
     formula only uses the acted bracket and twist.
     """
-    if f.domain != acted.space:
-        raise ValueError("cochain domain does not match the acted algebra")
     return d_trivial(acted, f).scale(rat(lam))

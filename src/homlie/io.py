@@ -38,6 +38,12 @@ def _int_in(x, lo: int | None = None, hi: int | None = None) -> bool:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _shown(x, limit: int = 32) -> str:
+    """repr(x) for an error message, cut after ``limit`` characters when longer."""
+    text = repr(x)
+    return text if len(text) <= limit else f"{text[:limit]}... (cut from {len(text)} characters)"
+
+
 def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
     """Reject a key the format does not define, which would otherwise default silently."""
     unknown = sorted(set(obj) - set(keys))
@@ -50,11 +56,13 @@ def rational_from_json(x, where: str = "rational") -> Fraction:
     """An integer, or a string "p" or "p/q" of decimal integers; ``where`` names it in errors."""
     if isinstance(x, bool) or not (isinstance(x, int)
                                    or isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        raise ParseError(f"{where}: bad rational {x!r}: expected an integer, 'p' or 'p/q'")
+        raise ParseError(f"{where}: bad rational {_shown(x)}: expected an integer, 'p' or 'p/q'")
     try:
         return rat(x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where}: bad rational {x!r}: {exc}") from exc
+        # A digit-limit error ends in advice to call sys.set_int_max_str_digits(); cut it.
+        reason = str(exc).partition(";")[0]
+        raise ParseError(f"{where}: bad rational {_shown(x)}: {reason}") from exc
 
 
 def vec_to_json(v: Vec) -> list[str]:

@@ -19,7 +19,8 @@ from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, flatten_c
                        operator_cochain)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, RawHomStructure,
                          Representation, adjoint_representation, check_morphism,
-                         hom_jacobi_witness, representation_witness, semidirect_weight)
+                         hom_jacobi_witness, morphism_representation, representation_witness,
+                         semidirect_weight)
 from .differentials import d_lambda, d_lambda_tilde, d_trivial, delta_hom
 from .brackets import cup_bracket, derived_bracket, derived_bracket_rel, fn_bracket
 
@@ -261,28 +262,16 @@ def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra
     return induced, rep
 
 
-def morphism_differential(phi: HomMorphism):
-    """The morphism-twisted coboundary D_phi(f) = d(f) + [phi, f]_cup, as a map.
-
-    phi is verified here, once; the returned map runs no check per cochain.
-    D_phi coincides with the module-coefficient coboundary for the
-    representation x . y = [phi(x), y] on the target.
-    """
-    if not check_morphism(phi):
-        raise ValueError("twisting map is not a morphism")
-    pc = phi.as_cochain()
-    return lambda f: d_trivial(phi.source, f) + cup_bracket(pc, f, phi.target)
-
-
 def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None = None,
                 phi: HomMorphism | None = None, alg: HomLieAlgebra | None = None,
                 action: HomLieAction | Representation | None = None, lam=0) -> SkewCochain:
     """d(s) + (1/2)[s, s] in the chosen differential graded Lie algebra.
 
     Kinds: "morphism" (cup bracket, trivial-coefficient differential into
-    ``target``), "morphism_twisted" (same bracket, differential twisted by a
-    verified morphism ``phi``), "derived" (weight-``lam`` differential on
-    ``alg``), "relative_derived" (the module version over ``action``).
+    ``target``), "morphism_twisted" (same bracket, the coboundary of the
+    module x . y = [phi(x), y] for a verified morphism ``phi``), "derived"
+    (weight-``lam`` differential on ``alg``), "relative_derived" (the module
+    version over ``action``).
     """
     if s.arity != 1:
         raise ValueError("Maurer-Cartan residual is defined for arity-1 elements")
@@ -293,7 +282,8 @@ def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None 
     if dgla_kind == "morphism_twisted":
         if phi is None:
             raise ValueError("twisted morphism residual needs the base morphism")
-        return morphism_differential(phi)(s) + cup_bracket(s, s, phi.target).scale(HALF)
+        return (delta_hom(morphism_representation(phi), s)
+                + cup_bracket(s, s, phi.target).scale(HALF))
     if dgla_kind == "derived":
         if alg is None:
             raise ValueError("derived residual needs the algebra")

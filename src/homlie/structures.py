@@ -26,8 +26,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .linalg import Mat, Vec, _lincomb, rat
-from .cochains import (SkewCochain, TwistedSpace, compatibility_failures,
-                       compatibility_witness, operator_cochain)
+from .cochains import SkewCochain, TwistedSpace, compatibility_failures, compatibility_witness
 
 
 class RawHomStructure:
@@ -261,9 +260,6 @@ class HomMorphism:
         self.target = target
         self.mat = mat
 
-    def as_cochain(self) -> SkewCochain:
-        return operator_cochain(self.source.space, self.target.space, self.mat)
-
     def __repr__(self) -> str:
         return f"HomMorphism({self.source.dim} -> {self.target.dim})"
 
@@ -284,6 +280,16 @@ def morphism_witness(phi: HomMorphism):
 
 def check_morphism(phi: HomMorphism) -> bool:
     return morphism_witness(phi) is None
+
+
+def morphism_representation(phi: HomMorphism) -> Representation:
+    """x . y = [phi(x), y], after checking phi; its coboundary is D_phi = d + [phi, .]_cup."""
+    if not check_morphism(phi):
+        raise ValueError("twisting map is not a morphism")
+    tgt = phi.target
+    return Representation(phi.source, tgt.space, tuple(
+        tuple(tgt.bracket(phi.mat.col(i), e) for e in tgt.space.basis)
+        for i in range(phi.source.dim)))
 
 
 def yau_twist(lie_mu: SkewCochain, a: Mat) -> HomLieAlgebra:

@@ -43,6 +43,9 @@ agreement can be checked:
   graph closure (``operators``; identity 23 for the relative case);
 * coboundaries by formula vs by insertion: ``d_trivial`` vs ``delta_tr``,
   and ``d_lambda`` vs ``d_lambda_tilde``;
+* ``ComplexSpec`` module complexes vs bracket routes: the morphism cup route
+  ``d_trivial + cup_bracket(phi, .)`` and the relative derived route
+  ``d_lambda_tilde + derived_bracket_rel(R, .)`` (identity 24);
 * compiled plans vs ``evaluate``: the explicit shuffle sums ``_fn_explicit``
   and ``_derived_rel_explicit`` run on ``evaluate`` and ``shuffles``, against
   the defining bracket formulas, each one assembly of parts on the compiled
@@ -61,15 +64,15 @@ from typing import NamedTuple
 
 from .linalg import Vec, _lincomb, kernel_basis, rat, rat_str
 from .cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
-                       contract, evaluate, linear_combination, shuffles)
+                       contract, evaluate, linear_combination, operator_cochain, shuffles)
 from .structures import (HomLieAlgebra, RawHomStructure, adjoint_representation,
                          bracket_action_on_abelian, fixture_abelian, fixture_b,
                          fixture_yau_dim4, fixture_yau_heisenberg, fixture_yau_shear,
                          fixture_yau_sl2, hom_jacobi_witness)
-from .differentials import d_lambda, delta_hom
+from .differentials import d_lambda, d_lambda_tilde, delta_hom
 from . import brackets as br
 from .brackets import GradedPair
-from .cohomology import ComplexSpec, d_rb
+from .cohomology import ComplexSpec
 from .operators import (induced_structures, relative_rb_graph, relative_rb_mc,
                         relative_rb_pointwise, search_relative_rb)
 
@@ -315,7 +318,8 @@ def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
     if identity == "relative_consistency":
         return shared["relative"]
     action, verified = shared["relative"]
-    induced = [(lam, R) + induced_structures(action, R, lam) for lam, R in verified]
+    induced = [(lam, operator_cochain(action.acted.space, action.acting.space, R),
+                induced_structures(action, R, lam)[1]) for lam, R in verified]
     return action, induced
 
 
@@ -596,11 +600,12 @@ def _check_relative_consistency(alg, rng, max_arity, ctx):
 
 def _check_d_r_matches_induced(alg, rng, max_arity, ctx):
     action, induced = ctx
-    lam, R, _, rep = induced[rng.randrange(len(induced))]
+    lam, rc, rep = induced[rng.randrange(len(induced))]
     arity = rng.randint(1, max_arity)
     f = sample_cochain(action.acted.space, action.acting.space, arity, rng)
     return _mismatch("operator coboundary vs induced-module coboundary",
-                     d_rb(action, R, lam, f), delta_hom(rep, f))
+                     d_lambda_tilde(action.acted, f, lam) + br.derived_bracket_rel(action, rc, f),
+                     delta_hom(rep, f))
 
 
 # Checker functions are named after their identity tags.

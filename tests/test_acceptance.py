@@ -310,8 +310,8 @@ def test_c11_all_differentials_square_to_zero():
             if name == "threedim-multiplicative":
                 ops = search_relative_rb(action, 1)
                 specs.append(ComplexSpec.relative_rb(action, ops[-1], 1))
-            for spec in specs:
-                assert square_zero_witness(spec, 4) is None, (name, spec.kind)
+            for k, spec in enumerate(specs):
+                assert square_zero_witness(spec, 4) is None, (name, k)
 
 
 def test_c12_deterministic_reports():

@@ -48,6 +48,6 @@ def test_every_differential_of_an_abelian_algebra_is_zero():
     ab = fixture_abelian(3)
     specs = [ComplexSpec.adjoint(ab), ComplexSpec.trivial(ab), ComplexSpec.scaled_trivial(ab, 2),
              ComplexSpec.morphism(HomMorphism(ab, ab, Mat.identity(3)))]
-    for spec in specs:
+    for k, spec in enumerate(specs):
         for n in range(spec.lowest_degree, ab.dim + 1):
-            assert spec.matrix(n).is_zero(), (spec.kind, n)
+            assert spec.matrix(n).is_zero(), (k, n)

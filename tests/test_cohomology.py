@@ -3,15 +3,14 @@ from fractions import Fraction
 import pytest
 
 from homlie.linalg import Mat, Vec, kernel_basis
-from homlie.cochains import SkewCochain, compatibility_basis
-from homlie.structures import (HomMorphism, Representation,
-                               bracket_action_on_abelian, fixture_abelian, fixture_b,
-                               fixture_yau_sl2)
-from homlie.differentials import Degree0Cochain, delta_hom
-from homlie.cohomology import (ComplexSpec, cohomology, d_phi, d_rb, is_coboundary,
-                               square_zero_witness)
+from homlie.cochains import SkewCochain, compatibility_basis, operator_cochain
+from homlie.structures import (HomMorphism, bracket_action_on_abelian, fixture_abelian,
+                               fixture_b, fixture_yau_sl2)
+from homlie.differentials import Degree0Cochain, d_lambda, d_lambda_tilde, d_trivial
+from homlie.brackets import cup_bracket, derived_bracket_rel
+from homlie.cohomology import ComplexSpec, cohomology, is_coboundary, square_zero_witness
 from homlie.operators import search_relative_rb, induced_structures
-from homlie.theorems import sample_cochain, _stream
+from homlie.theorems import default_fixtures, sample_cochain, _stream
 
 B = fixture_b()
 
@@ -130,22 +129,50 @@ def test_hom_rep_degree1_preimage_is_degree0():
     assert spec.differential(p) == c
 
 
-def test_morphism_differential_equals_module_coefficient_one():
-    # D_phi agrees with the coboundary of the representation x . y = [phi x, y]
-    src, tgt = B, B
-    phi = HomMorphism(src, tgt, Mat.identity(3))
-    pm = phi.mat
-    basis = [src.space.basis_vec(i) for i in range(3)]
-    table = tuple(tuple(tgt.bracket(pm @ basis[i], tgt.space.basis_vec(j))
-                        for j in range(3)) for i in range(3))
-    rep = Representation(src, tgt.space, table)
-    rng = _stream(24, "dphi")
-    for arity in (1, 2):
-        f = sample_cochain(src.space, tgt.space, arity, rng)
-        assert d_phi(phi, f) == delta_hom(rep, f)
-    bad = HomMorphism(src, tgt, Mat.diagonal([2, 1, 1]))
-    with pytest.raises(ValueError):
-        d_phi(bad, sample_cochain(src.space, tgt.space, 1, rng))
+def _bracket_route_cases(alg):
+    """(name, complex, oracles): each rewritten constructor with its old routes."""
+    cases = []
+    for name, m in (("identity", Mat.identity(alg.dim)), ("twist", alg.alpha),
+                    ("zero", Mat.zero(alg.dim, alg.dim))):
+        pc = operator_cochain(alg.space, alg.space, m)
+        cases.append((f"morphism {name}", ComplexSpec.morphism(HomMorphism(alg, alg, m)),
+                      [lambda f, pc=pc: d_trivial(alg, f) + cup_bracket(pc, f, alg)]))
+    cases.append(("trivial", ComplexSpec.trivial(alg),
+                  [lambda f: d_lambda(alg, f, 1), lambda f: d_lambda_tilde(alg, f, 1)]))
+    act = bracket_action_on_abelian(alg)
+    for lam in (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)):
+        weighted = [lambda f, lam=lam: d_lambda(alg, f, lam),
+                    lambda f, lam=lam: d_lambda_tilde(alg, f, lam)]
+        cases.append((f"scaled_trivial {lam}", ComplexSpec.scaled_trivial(alg, lam), weighted))
+        cases.append((f"relative {lam}", ComplexSpec.relative(alg, alg.space, lam), weighted))
+        cases.append((f"relative on the abelianized copy {lam}",
+                      ComplexSpec.relative(act.acted, alg.space, lam),
+                      [lambda f, lam=lam: d_lambda_tilde(act.acted, f, lam)]))
+    for lam in (Fraction(0), Fraction(1)):
+        for k, R in enumerate(search_relative_rb(act, lam)):
+            rc = operator_cochain(act.acted.space, act.acting.space, R)
+            cases.append((f"relative_rb {lam} #{k}", ComplexSpec.relative_rb(act, R, lam),
+                          [lambda f, lam=lam, rc=rc: (d_lambda_tilde(act.acted, f, lam)
+                                                      + derived_bracket_rel(act, rc, f))]))
+    return cases
+
+
+@pytest.mark.parametrize("fixture", [name for name, _ in default_fixtures()])
+def test_every_module_complex_matches_its_bracket_route(fixture):
+    # Every complex is delta_hom of one representation; its old bracket route
+    # must give the same coboundary on every compatible basis cochain.
+    alg = dict(default_fixtures())[fixture]
+    for name, spec, oracles in _bracket_route_cases(alg):
+        for degree in range(1, alg.dim + 1):
+            for b in spec.basis(degree):
+                image = spec.differential(b)
+                for oracle in oracles:
+                    assert image == oracle(b), (fixture, name, degree)
+
+
+def test_morphism_complex_rejects_non_morphisms():
+    with pytest.raises(ValueError, match="twisting map is not a morphism"):
+        ComplexSpec.morphism(HomMorphism(B, B, Mat.diagonal([2, 1, 1])))
 
 
 def test_operator_complex_matches_induced_module_complex():
@@ -176,10 +203,8 @@ def test_complexes_on_a_non_diagonal_twist():
         assert op_spec.matrix(degree) == mod_spec.matrix(degree)
 
 
-def test_d_rb_rejects_non_operators():
+def test_relative_rb_complex_rejects_non_operators():
     act = bracket_action_on_abelian(B)
-    rng = _stream(25, "drb")
-    f = sample_cochain(act.acted.space, B.space, 1, rng)
     bad = Mat.make([[1, 0, 0], [0, 1, 0], [0, 1, 1]])  # twist-commuting, not an operator
-    with pytest.raises(ValueError):
-        d_rb(act, bad, 1, f)
+    with pytest.raises(ValueError, match="operator fails the relative Rota-Baxter identity"):
+        ComplexSpec.relative_rb(act, bad, 1)

@@ -506,6 +506,31 @@ def test_cli_json_integer_beyond_the_digit_limit_names_the_file(tmp_path, capsys
     assert capsys.readouterr().err.startswith(f"error: {op}: invalid JSON: ")
 
 
+def test_cli_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    assert main(["check", "structure", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: invalid JSON: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param("1" * 5000 + "x", id="bad-form"),
+    pytest.param("1" * 5000, id="digit-limit",  # more digits than int() takes
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this interpreter has no digit limit")),
+])
+def test_cli_oversized_bad_rational_is_one_short_line_naming_where(tmp_path, capsys, entry):
+    files = _operator_files(tmp_path)
+    op = tmp_path / "long.json"
+    op.write_text(json.dumps([["0", "0", "0"], ["0", entry, "0"], ["0", "0", "0"]]))
+    assert main(["check", "nijenhuis", "--algebra", files["alg"], "--op", str(op)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --op[1][1]: bad rational '11111")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 # case: (document, key path to an object, the key renamed or None, the unknown key,
 # argv given the files with the document as "bad", location in the message)
 _UNKNOWN_KEY_CASES = {

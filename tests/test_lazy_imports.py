@@ -35,7 +35,7 @@ PUBLIC_NAMES = {
     'check_morphism', 'check_multiplicative', 'check_order_deformation',
     'check_representation', 'cochain_matrix', 'cochains', 'cohomology',
     'commutator_hom_lie', 'compatibility_basis', 'compatibility_witness', 'contract',
-    'cup_bracket', 'd_lambda', 'd_lambda_tilde', 'd_phi', 'd_rb', 'd_trivial',
+    'cup_bracket', 'd_lambda', 'd_lambda_tilde', 'd_trivial',
     'deformations', 'deformed_bracket_n', 'delta_hom', 'delta_hom_deg0', 'delta_tr',
     'derived_bracket', 'derived_bracket_rel', 'differentials', 'evaluate', 'extend',
     'fixed_vectors', 'fixture_3dim', 'fixture_abelian', 'fixture_b',
@@ -43,8 +43,9 @@ PUBLIC_NAMES = {
     'fixture_yau_shear', 'fixture_yau_sl2', 'fn_bracket', 'hom_jacobi_witness',
     'induced_structures', 'is_coboundary', 'is_compatible', 'is_nijenhuis',
     'is_relative_rb', 'is_rota_baxter', 'kernel_basis', 'linalg', 'mat_rank',
-    'mc_residual', 'morphism_witness', 'multiplicativity_failures',
-    'multiplicativity_witness', 'nijenhuis_report', 'nr_bracket', 'obstruction',
+    'mc_residual', 'morphism_representation', 'morphism_witness',
+    'multiplicativity_failures', 'multiplicativity_witness', 'nijenhuis_report', 'nr_bracket',
+    'obstruction',
     'operator_cochain', 'operators', 'rat', 'rat_str', 'rb_deformed_bracket', 'run_all',
     'sample_cochain', 'search_nijenhuis', 'search_relative_rb', 'search_rota_baxter',
     'semidirect_graded_bracket', 'semidirect_weight', 'shuffles', 'solve_linear',
@@ -104,12 +105,27 @@ def test_cli_and_check_structure_load_only_parsing_and_structures(algebra_file):
     assert _cli_loads(["check", "structure", algebra_file]) == parsing
 
 
-@pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
-def test_module_coefficient_cohomology_loads_no_operator_code(algebra_file, coefficients):
+@pytest.mark.parametrize("coefficients", ["adjoint", "trivial", "morphism"])
+def test_module_coefficient_cohomology_loads_no_operator_code(algebra_file, tmp_path,
+                                                              coefficients):
+    if coefficients == "morphism":  # the identity of the algebra, a module complex too
+        phi = tmp_path / "phi.json"
+        phi.write_text(hio.dumps({"target": hio.structure_to_json(fixture_b()),
+                                  "map": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+        coefficients = f"morphism:{phi}"
     loaded = _cli_loads(["cohomology", "--algebra", algebra_file,
                          "--coefficients", coefficients, "--degree", "2"])
     assert "cohomology" in loaded
     assert not loaded & {"operators", "brackets", "theorems", "deformations"}
+
+
+def test_deform_extend_loads_no_operator_code(algebra_file, tmp_path):
+    identity = tmp_path / "id.json"
+    identity.write_text(hio.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    loaded = _cli_loads(["deform", "extend", "--algebra", algebra_file, "--target", algebra_file,
+                         "--morphism", str(identity), "--to-order", "1"])
+    assert "deformations" in loaded
+    assert not loaded & {"operators", "theorems"}
 
 
 def test_bracket_command_loads_no_operator_code(algebra_file, tmp_path):
