@@ -49,7 +49,7 @@ from itertools import combinations
 from .cochains import (SkewCochain, TwistedSpace, _assemble, _cochain, _contract_part,
                        _numerators, _store, contract, shuffles)
 from .linalg import Vec
-from .structures import HomLieAction, HomLieAlgebra, Representation, adjoint_representation
+from .structures import HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
 
 
@@ -168,15 +168,13 @@ def derived_bracket(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewC
     return derived_bracket_rel(adjoint_representation(alg), P, Q)
 
 
-def theta_tilde(rep: Representation | HomLieAction, P: SkewCochain) -> SkewCochain:
+def theta_tilde(rep: Representation, P: SkewCochain) -> SkewCochain:
     """Action analogue of theta for cochains valued in the acting algebra.
 
     For P with arguments in the module and values in the algebra,
     (theta~ P)(h_1, ..., h_{n+1}) = sum_i (-1)^{n+i} P(..., h_i omitted, ...)
     acted on beta^{n-1}(h_i).  Reads the acted basis table of ``_module_action``.
     """
-    if isinstance(rep, HomLieAction):
-        rep = rep.rep
     module = rep.module
     if P.domain != module or P.codomain != rep.algebra.space:
         raise ValueError("expected a cochain from the module into the acting algebra")
@@ -207,15 +205,13 @@ def _module_action(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...]:
     return cache[k]
 
 
-def derived_bracket_rel(action: Representation | HomLieAction, P: SkewCochain,
-                        Q: SkewCochain) -> SkewCochain:
+def derived_bracket_rel(rep: Representation, P: SkewCochain, Q: SkewCochain) -> SkewCochain:
     """Derived bracket on module-to-algebra cochains.
 
     [P, Q] = [P, Q]_cup (in the acting algebra) + i~_{theta~ P} Q
     - (-1)^{mn} i~_{theta~ Q} P.  Only the representation structure is used,
     never the acted bracket.
     """
-    rep = action.rep if isinstance(action, HomLieAction) else action
     m, n = P.arity, Q.arity
     return _assemble(P.domain, P.codomain, m + n,
                      [_cup_part(P, Q, rep.algebra),

@@ -204,6 +204,8 @@ def _complex_from_args(args):
     from .structures import HomMorphism, representation_witness
     alg = hio.algebra_from_json(_read_json(args.algebra))
     spec = args.coefficients
+    if args.lam is not None and spec != "trivial":
+        raise ParseError("--lambda applies only to --coefficients trivial")
     if spec == "adjoint":
         return ComplexSpec.adjoint(alg)
     if spec == "trivial":

@@ -11,8 +11,10 @@ output key the entries (cochain key, integer coefficient) of the bracket sum,
 with the signs (-1)^{i+j}, the structure constants, the twist entries and the
 sort signs multiplied out over one plan denominator.  The action columns of a
 twist power, kept on the ``Representation``, are the vectors
-alpha^k(e_x) . e_v.  ``delta_hom`` and ``d_trivial`` are then one sum on
-integer numerators through ``_lincomb`` per output key.
+alpha^k(e_x) . e_v.  ``delta_hom`` and ``d_trivial`` share one loop, one sum
+on integer numerators through ``_lincomb`` per output key.  ``d_trivial`` runs
+it with no action, and a representation whose table is all zero has no
+action columns, so it adds no action terms either.
 
 ``delta_hom`` computes a cochain's coboundary once per representation and
 keeps it on the cochain (``f.__dict__["_delta"]``, keyed by the
@@ -72,42 +74,44 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
         memo = f.__dict__["_delta"] = WeakKeyDictionary()
     image = memo.get(rep)
     if image is None:
-        image = memo[rep] = _delta_hom(rep, f)
+        if f.domain != rep.algebra.space or f.codomain != rep.module:
+            raise ValueError("cochain does not live on the representation's complex")
+        image = memo[rep] = _coboundary(rep.algebra, f, rep)
     return image
 
 
-def _delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
-    alg = rep.algebra
-    if f.domain != alg.space or f.codomain != rep.module:
-        raise ValueError("cochain does not live on the representation's complex")
+def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None) -> SkewCochain:
+    """The bracket sum of the coboundary of f, plus rep's action sum unless rep is None or zero."""
     n = f.arity
     if n + 1 > alg.dim:  # alternating maps of arity above the dimension vanish
-        return SkewCochain.zero(alg.space, rep.module, n + 1)
+        return SkewCochain.zero(alg.space, f.codomain, n + 1)
     plan, den = _bracket_plan(alg, n)
-    acting = _action_columns(rep, n - 1)
+    acting = None if rep is None else _action_columns(rep, n - 1)
     coeffs = f.coeffs
-    values, value_den = _numerators(coeffs)
+    values, value_den = ({}, 1) if acting is None else _numerators(coeffs)
     table = {}
     for key, entries in plan:
         # Both sums over den * value_den: the bracket entries divide by den and
         # the action terms, read on the numerators of f, by value_den.
         terms = [(c * value_den, coeffs[k]) for k, c in entries if k in coeffs]
-        for pos in range(n + 1):
-            value = values.get(key[:pos] + key[pos + 1:])
-            if value is not None:
-                sign, columns = (-den if pos % 2 else den), acting[key[pos]]
-                terms.extend([(sign * y, columns[v]) for v, y in enumerate(value) if y])
-        _store(table, key, terms, rep.module.dim, den * value_den)
-    return _cochain(alg.space, rep.module, n + 1, table)
+        if values:
+            for pos in range(n + 1):
+                value = values.get(key[:pos] + key[pos + 1:])
+                if value is not None:
+                    sign, columns = (-den if pos % 2 else den), acting[key[pos]]
+                    terms.extend([(sign * y, columns[v]) for v, y in enumerate(value) if y])
+        _store(table, key, terms, f.codomain.dim, den * value_den)
+    return _cochain(alg.space, f.codomain, n + 1, table)
 
 
-def _action_columns(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...]:
-    """columns[x][v] = alpha^k(e_x) . e_v, computed once per power and kept on rep."""
+def _action_columns(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...] | None:
+    """columns[x][v] = alpha^k(e_x) . e_v, kept on rep per power; None for the zero action."""
     cache = rep.__dict__.setdefault("_action_columns", {})
     if k not in cache:
         module_basis = rep.module.basis
-        cache[k] = tuple(tuple(rep.act(x, v) for v in module_basis)
-                         for x in rep.algebra.space.twisted_basis(k))
+        zero = all(v.is_zero() for row in rep.table for v in row)
+        cache[k] = None if zero else tuple(tuple(rep.act(x, v) for v in module_basis)
+                                           for x in rep.algebra.space.twisted_basis(k))
     return cache[k]
 
 
@@ -141,19 +145,10 @@ def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
 
 
 def d_trivial(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
-    """Trivial-coefficient coboundary, the bracket sum of ``delta_hom`` alone."""
+    """Trivial-coefficient coboundary: the loop of ``delta_hom`` with no action."""
     if f.domain != alg.space:
         raise ValueError("cochain domain does not match the algebra")
-    n = f.arity
-    if n + 1 > alg.dim:
-        return SkewCochain.zero(alg.space, f.codomain, n + 1)
-    plan, den = _bracket_plan(alg, n)
-    coeffs = f.coeffs
-    table = {}
-    for key, entries in plan:
-        _store(table, key, [(c, coeffs[k]) for k, c in entries if k in coeffs],
-               f.codomain.dim, den)
-    return _cochain(alg.space, f.codomain, n + 1, table)
+    return _coboundary(alg, f, None)
 
 
 def delta_tr(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:

@@ -48,7 +48,7 @@ def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
     """Reject a key the format does not define, which would otherwise default silently."""
     unknown = sorted(set(obj) - set(keys))
     if unknown:
-        raise ParseError(f"{where}: unknown key {unknown[0]!r}"
+        raise ParseError(f"{where}: unknown key {_shown(unknown[0])}"
                          f" (known keys: {', '.join(map(repr, keys))})")
 
 
@@ -221,7 +221,7 @@ def action_from_json(acting: HomLieAlgebra, obj) -> HomLieAction:
 
 
 def action_to_json(a: HomLieAction) -> dict:
-    out = representation_to_json(a.rep)
+    out = representation_to_json(a)
     out["module_brackets"] = structure_to_json(a.acted)["brackets"]
     return out
 

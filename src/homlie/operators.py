@@ -5,6 +5,10 @@ identity on basis pairs, and the Maurer-Cartan / graph-closure restatement in
 the graded bracket machinery.  The dual routes must agree; a disagreement is
 an internal consistency failure (it would mean a sign error in a bracket),
 reported as ``ConsistencyError`` rather than a verdict.
+
+A weight-lambda Rota-Baxter operator is a relative one of the adjoint action
+(``structures.adjoint_action``): its pointwise identity, its deformed bracket
+and its Maurer-Cartan equation are those of the relative operator.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ from .linalg import Mat, Vec, _common, _mat_reduced, _rref, mat_rank, rat
 from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, flatten_cochain,
                        operator_cochain)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, RawHomStructure,
-                         Representation, adjoint_representation, check_morphism,
-                         hom_jacobi_witness, morphism_representation, representation_witness,
-                         semidirect_weight)
-from .differentials import d_lambda, d_lambda_tilde, d_trivial, delta_hom
-from .brackets import cup_bracket, derived_bracket, derived_bracket_rel, fn_bracket
+                         Representation, adjoint_action, check_morphism, hom_jacobi_witness,
+                         representation_witness, semidirect_weight)
+from .differentials import d_lambda_tilde, d_trivial, delta_hom
+from .brackets import cup_bracket, derived_bracket_rel, fn_bracket
 
 
 class ConsistencyError(RuntimeError):
@@ -30,6 +33,8 @@ class ConsistencyError(RuntimeError):
 
 
 HALF = Fraction(1, 2)
+# The weights t at which ``nijenhuis_report`` checks the pencil mu + t * [ , ]^N.
+PENCIL_WEIGHTS = (Fraction(1), Fraction(-1), HALF, Fraction(3))
 
 
 def _check_commutes(alg: HomLieAlgebra, m: Mat) -> None:
@@ -45,19 +50,6 @@ def _endo_cochain(alg: HomLieAlgebra, m: Mat) -> SkewCochain:
 def _images(T: Mat) -> list[Vec]:
     """T e_j for every basis vector e_j of the source, that is the columns of T."""
     return [T.col(j) for j in range(T.ncols)]
-
-
-def _deformed_bracket(alg: HomLieAlgebra, T: Mat, tail) -> SkewCochain:
-    """The 2-cochain [Tx, y] + [x, Ty] + tail([x, y]) for a twist-commuting T."""
-    _check_commutes(alg, T)
-    basis, images = alg.space.basis, _images(T)
-
-    def value(key):
-        i, j = key
-        return (alg.bracket(images[i], basis[j]) + alg.bracket(basis[i], images[j])
-                + tail(alg.table[i][j]))
-
-    return SkewCochain.from_function(alg.space, alg.space, 2, value)
 
 
 def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed):
@@ -77,7 +69,15 @@ def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed):
 
 def deformed_bracket_n(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
     """The bracket [x, y]^N = [Nx, y] + [x, Ny] - N[x, y] as a 2-cochain."""
-    return _deformed_bracket(alg, N, lambda b: -(N @ b))
+    _check_commutes(alg, N)
+    basis, images = alg.space.basis, _images(N)
+
+    def value(key):
+        i, j = key
+        return (alg.bracket(images[i], basis[j]) + alg.bracket(basis[i], images[j])
+                - N @ alg.table[i][j])
+
+    return SkewCochain.from_function(alg.space, alg.space, 2, value)
 
 
 def nijenhuis_defect(alg: HomLieAlgebra, N: Mat):
@@ -106,14 +106,13 @@ class OperatorReport(NamedTuple):
         return [f"{name}: {msg}" for name, passed, msg in self.checks if not passed]
 
 
-def nijenhuis_report(alg: HomLieAlgebra, N: Mat,
-                     ts=("1", "-1", "1/2", "3")) -> OperatorReport:
+def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
     """Verify everything a Nijenhuis operator induces.
 
     The deformed bracket gives a Hom-Lie algebra, N is a morphism from the
     deformed structure to the original one, the pencil mu + t * deformed
-    satisfies the twisted Jacobi identity for the sample weights t, and the
-    squared bracket obstruction vanishes.
+    satisfies the twisted Jacobi identity for each t in ``PENCIL_WEIGHTS``,
+    and the squared bracket obstruction vanishes.
     """
     checks = []
     nij = is_nijenhuis(alg, N)
@@ -128,27 +127,28 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat,
     if deformed_alg is not None:
         morph = check_morphism(HomMorphism(deformed_alg, alg, N))
         checks.append(("morphism from deformed", morph, "" if morph else "N fails to intertwine the brackets"))
-    for t in ts:
-        t = rat(t)
+    for t in PENCIL_WEIGHTS:
         pencil = alg.mu + deformed.scale(t)
         witness = hom_jacobi_witness(RawHomStructure(alg.space, pencil))
         ok = witness is None
         checks.append((f"pencil t={t}", ok, "" if ok else f"Jacobi fails at {witness[0]}"))
     nc = _endo_cochain(alg, N)
-    sq = delta_hom(adjoint_representation(alg), fn_bracket(alg, nc, nc)).is_zero()
+    sq = delta_hom(adjoint_action(alg), fn_bracket(alg, nc, nc)).is_zero()
     checks.append(("coboundary of bracket square", sq, "" if sq else "nonzero"))
     return OperatorReport(all(p for _, p, _ in checks), tuple(checks))
 
 
 def rb_deformed_bracket(alg: HomLieAlgebra, R: Mat, lam) -> SkewCochain:
     """The bracket [x, y]^R = [Rx, y] + [x, Ry] + lam [x, y] as a 2-cochain."""
-    lam = rat(lam)
-    return _deformed_bracket(alg, R, lambda b: b.scale(lam))
+    _check_commutes(alg, R)
+    return SkewCochain.from_function(alg.space, alg.space, 2,
+                                     _induced_bracket(adjoint_action(alg), R, rat(lam)))
 
 
 def rota_baxter_defect(alg: HomLieAlgebra, R: Mat, lam):
     """First basis pair violating the weighted Rota-Baxter identity."""
-    return _pair_defect(alg.bracket, R, alg.space, rb_deformed_bracket(alg, R, lam).value_on)
+    _check_commutes(alg, R)
+    return relative_rb_defect(adjoint_action(alg), R, lam)
 
 
 def is_rota_baxter(alg: HomLieAlgebra, R: Mat, lam) -> bool:
@@ -157,10 +157,8 @@ def is_rota_baxter(alg: HomLieAlgebra, R: Mat, lam) -> bool:
     Cross-checked against the Maurer-Cartan equation of the weighted derived
     differential graded Lie algebra: d_lam R + (1/2)[R, R]_derived = 0.
     """
-    lam = rat(lam)
-    rc = _endo_cochain(alg, R)
     direct = rota_baxter_defect(alg, R, lam) is None
-    via_mc = mc_residual(rc, "derived", alg=alg, lam=lam).is_zero()
+    via_mc = relative_rb_mc(adjoint_action(alg), R, lam)
     if direct != via_mc:
         raise ConsistencyError(
             f"Rota-Baxter criteria disagree: pointwise={direct}, Maurer-Cartan={via_mc}")
@@ -263,15 +261,14 @@ def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra
 
 
 def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None = None,
-                phi: HomMorphism | None = None, alg: HomLieAlgebra | None = None,
-                action: HomLieAction | Representation | None = None, lam=0) -> SkewCochain:
+                alg: HomLieAlgebra | None = None, action: HomLieAction | None = None,
+                lam=0) -> SkewCochain:
     """d(s) + (1/2)[s, s] in the chosen differential graded Lie algebra.
 
-    Kinds: "morphism" (cup bracket, trivial-coefficient differential into
-    ``target``), "morphism_twisted" (same bracket, the coboundary of the
-    module x . y = [phi(x), y] for a verified morphism ``phi``), "derived"
-    (weight-``lam`` differential on ``alg``), "relative_derived" (the module
-    version over ``action``).
+    Kinds: "morphism" (cup bracket, trivial-coefficient differential on
+    ``alg`` into ``target``) and "relative_derived" (derived bracket and
+    weight-``lam`` differential over ``action``; the adjoint action gives
+    the Rota-Baxter case).
     """
     if s.arity != 1:
         raise ValueError("Maurer-Cartan residual is defined for arity-1 elements")
@@ -279,15 +276,6 @@ def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None 
         if alg is None or target is None:
             raise ValueError("morphism residual needs the domain and codomain algebras")
         return d_trivial(alg, s) + cup_bracket(s, s, target).scale(HALF)
-    if dgla_kind == "morphism_twisted":
-        if phi is None:
-            raise ValueError("twisted morphism residual needs the base morphism")
-        return (delta_hom(morphism_representation(phi), s)
-                + cup_bracket(s, s, phi.target).scale(HALF))
-    if dgla_kind == "derived":
-        if alg is None:
-            raise ValueError("derived residual needs the algebra")
-        return d_lambda(alg, s, lam) + derived_bracket(alg, s, s).scale(HALF)
     if dgla_kind == "relative_derived":
         if not isinstance(action, HomLieAction):
             raise ValueError("relative derived residual needs a full action")

@@ -17,6 +17,10 @@ skew table [e_i, e_j] off its bracket cochain once, on first use.  Its
 every other bracket of two basis vectors are served from that table.
 ``cochains.evaluate`` on the bracket cochain stays the independent route, and
 the tests use it as the oracle for the table.
+
+An action is a ``Representation`` that also keeps the acted algebra, so it
+goes wherever a representation does.  Each algebra has one adjoint object,
+``adjoint_action(alg)``, which ``adjoint_representation`` also returns.
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ from .cochains import SkewCochain, TwistedSpace, compatibility_failures, compati
 class RawHomStructure:
     """Twisted space plus skew 2-cochain; no structural invariants enforced."""
 
-    def __init__(self, space: TwistedSpace, mu: SkewCochain, basis_names: tuple[str, ...] | None = None):
+    def __init__(self, space: TwistedSpace, mu: SkewCochain):
         if mu.arity != 2 or mu.domain != space or mu.codomain != space:
             raise ValueError("structure bracket must be a 2-cochain on the space itself")
         self.space = space
         self.mu = mu
-        self.basis_names = basis_names or tuple(f"x{i+1}" for i in range(space.dim))
 
     @property
     def dim(self) -> int:
@@ -67,8 +70,8 @@ class RawHomStructure:
 class HomLieAlgebra(RawHomStructure):
     """Multiplicative Hom-Lie algebra; both invariants verified at construction."""
 
-    def __init__(self, space: TwistedSpace, mu: SkewCochain, basis_names: tuple[str, ...] | None = None):
-        super().__init__(space, mu, basis_names)
+    def __init__(self, space: TwistedSpace, mu: SkewCochain):
+        super().__init__(space, mu)
         witness = multiplicativity_witness(self)
         if witness is not None:
             key, lhs, rhs = witness
@@ -89,7 +92,7 @@ def as_hom_lie(raw: RawHomStructure) -> HomLieAlgebra:
     """Promote a raw structure, re-running both invariant checks."""
     if isinstance(raw, HomLieAlgebra):
         return raw
-    return HomLieAlgebra(raw.space, raw.mu, raw.basis_names)
+    return HomLieAlgebra(raw.space, raw.mu)
 
 
 def hom_jacobi_witness(s: RawHomStructure) -> tuple[tuple[int, int, int], Vec] | None:
@@ -157,7 +160,7 @@ class Representation:
         return _bilinear(self.table, x, v, self.module.dim)
 
     def __repr__(self) -> str:
-        return f"Representation(algebra dim={self.algebra.dim}, module dim={self.module.dim})"
+        return f"{type(self).__name__}(algebra dim={self.algebra.dim}, module dim={self.module.dim})"
 
 
 def representation_witness(rep: Representation):
@@ -189,31 +192,24 @@ def check_representation(rep: Representation) -> bool:
     return representation_witness(rep) is None
 
 
-class HomLieAction:
+class HomLieAction(Representation):
     """An action of one Hom-Lie algebra on another.
 
-    The action map makes the acted algebra's space a representation and is
-    additionally a twisted derivation of the acted bracket:
+    A representation on the acted algebra's space whose map is additionally a
+    twisted derivation of the acted bracket:
     alpha(x) . [h, k] = [x . h, beta(k)] + [beta(h), x . k].
     """
 
     def __init__(self, acting: HomLieAlgebra, acted: HomLieAlgebra,
                  table: tuple[tuple[Vec, ...], ...]):
+        super().__init__(acting, acted.space, table)
         self.acting = acting
         self.acted = acted
-        self.rep = Representation(acting, acted.space, table)
-        self.table = self.rep.table
-
-    def act(self, x: Vec, h: Vec) -> Vec:
-        return self.rep.act(x, h)
-
-    def __repr__(self) -> str:
-        return f"HomLieAction(acting dim={self.acting.dim}, acted dim={self.acted.dim})"
 
 
 def action_witness(a: HomLieAction):
     """First failing action axiom (representation axioms plus derivation law)."""
-    w = representation_witness(a.rep)
+    w = representation_witness(a)
     if w is not None:
         return w
     acting, acted = a.acting, a.acted
@@ -233,16 +229,17 @@ def check_action(a: HomLieAction) -> bool:
     return action_witness(a) is None
 
 
-def adjoint_representation(alg: HomLieAlgebra) -> Representation:
-    """The algebra acting on itself by its own bracket; one instance per algebra."""
-    rep = alg.__dict__.get("_adjoint")
-    if rep is None:
-        rep = alg._adjoint = Representation(alg, alg.space, alg.table)
-    return rep
-
-
 def adjoint_action(alg: HomLieAlgebra) -> HomLieAction:
-    return HomLieAction(alg, alg, alg.table)
+    """The algebra acting on itself by its own bracket; one instance per algebra."""
+    action = alg.__dict__.get("_adjoint")
+    if action is None:
+        action = alg._adjoint = HomLieAction(alg, alg, alg.table)
+    return action
+
+
+def adjoint_representation(alg: HomLieAlgebra) -> Representation:
+    """The adjoint representation: the same object as ``adjoint_action(alg)``."""
+    return adjoint_action(alg)
 
 
 def trivial_representation(alg: HomLieAlgebra, module: TwistedSpace) -> Representation:
@@ -399,7 +396,7 @@ def fixture_jackson_sl2(q) -> RawHomStructure:
         (1, 2): Vec.make([0, 0, -2 * q]),          # [h, f]
     }
     mu = SkewCochain(space, space, 2, table)
-    return RawHomStructure(space, mu, basis_names=("e", "h", "f"))
+    return RawHomStructure(space, mu)
 
 
 def fixture_3dim(a, b, c, d) -> RawHomStructure:

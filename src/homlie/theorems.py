@@ -65,9 +65,9 @@ from typing import NamedTuple
 from .linalg import Vec, _lincomb, kernel_basis, rat, rat_str
 from .cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
                        contract, evaluate, linear_combination, operator_cochain, shuffles)
-from .structures import (HomLieAlgebra, RawHomStructure, adjoint_representation,
-                         bracket_action_on_abelian, fixture_abelian, fixture_b,
-                         fixture_yau_dim4, fixture_yau_heisenberg, fixture_yau_shear,
+from .structures import (HomLieAlgebra, RawHomStructure, Representation,
+                         adjoint_representation, bracket_action_on_abelian, fixture_abelian,
+                         fixture_b, fixture_yau_dim4, fixture_yau_heisenberg, fixture_yau_shear,
                          fixture_yau_sl2, hom_jacobi_witness)
 from .differentials import d_lambda, d_lambda_tilde, delta_hom
 from . import brackets as br
@@ -232,9 +232,8 @@ def _fn_explicit(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCoch
     return SkewCochain.from_function(space, space, m + n, value)
 
 
-def _derived_rel_explicit(action, P: SkewCochain, Q: SkewCochain) -> SkewCochain:
-    """Relative derived bracket via its explicit shuffle sums (action form)."""
-    rep = action.rep if hasattr(action, "rep") else action
+def _derived_rel_explicit(rep: Representation, P: SkewCochain, Q: SkewCochain) -> SkewCochain:
+    """Relative derived bracket via its explicit shuffle sums, for any representation."""
     g = rep.algebra
     module = rep.module
     m, n = P.arity, Q.arity

@@ -131,3 +131,17 @@ def test_delta_rejects_foreign_cochains():
     f = SkewCochain.zero(other, other, 1)
     with pytest.raises(ValueError):
         delta_hom(ADJ, f)
+
+
+def test_zero_action_adds_no_action_terms(monkeypatch):
+    from homlie.cohomology import ComplexSpec
+    from homlie.structures import Representation, fixture_yau_dim4
+    alg = fixture_yau_dim4()
+    expected = [ComplexSpec.scaled_trivial(alg, 2).matrix(n) for n in range(1, 5)]
+
+    def refuse(self, x, v):
+        raise AssertionError("the zero action was evaluated")
+
+    monkeypatch.setattr(Representation, "act", refuse)
+    # a fresh zero representation, so nothing is served from an earlier one's caches
+    assert [ComplexSpec.scaled_trivial(alg, 2).matrix(n) for n in range(1, 5)] == expected

@@ -595,3 +595,26 @@ def test_cli_unknown_json_key_is_usage_error_naming_object_and_key(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {where.format(bad=bad)}: unknown key {key!r}")
+
+
+def test_cli_long_unknown_key_is_one_short_line(tmp_path, capsys):
+    doc = hio.structure_to_json(fixture_b())
+    doc["x" * 5000] = "1"
+    path = tmp_path / "long-key.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "structure", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: algebra: unknown key 'xxx")
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize("lam", ["5", "1e5"])
+def test_cli_cohomology_lambda_needs_trivial_coefficients(tmp_path, capsys, lam):
+    alg = tmp_path / "b.json"
+    alg.write_text(hio.dumps(hio.structure_to_json(fixture_b())))
+    assert main(["cohomology", "--algebra", str(alg), "--coefficients", "adjoint",
+                 "--degree", "1", "--lambda", lam]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --lambda ")

@@ -308,7 +308,7 @@ def test_theta_tilde_and_derived_bracket_match_reference(name, alg):
     rng = random.Random(f"derived|{name}")
     action = bracket_action_on_abelian(alg)
     # the module of the last representation is not the algebra's space
-    for rep in (adjoint_representation(alg), action.rep, _adjoint_plus_line(alg)):
+    for rep in (adjoint_representation(alg), action, _adjoint_plus_line(alg)):
         for m in ARITIES:
             P = raw_cochain(rep.module, alg.space, m, rng)
             assert theta_tilde(rep, P) == ref_theta_tilde(rep, P), m
@@ -316,7 +316,7 @@ def test_theta_tilde_and_derived_bracket_match_reference(name, alg):
                 Q = raw_cochain(rep.module, alg.space, n, rng)
                 assert derived_bracket_rel(rep, P, Q) == ref_derived_bracket_rel(rep, P, Q), (m, n)
     P, Q = (raw_cochain(action.acted.space, alg.space, k, rng) for k in (1, 2))
-    assert derived_bracket_rel(action, P, Q) == ref_derived_bracket_rel(action.rep, P, Q)
+    assert derived_bracket_rel(action, P, Q) == ref_derived_bracket_rel(action, P, Q)
 
 
 @pytest.mark.parametrize("name,alg", ALGEBRAS, ids=[n for n, _ in ALGEBRAS])

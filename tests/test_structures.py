@@ -88,6 +88,25 @@ def test_adjoint_representation_and_action():
         assert check_action(adjoint_action(alg))
 
 
+def test_an_action_is_a_representation_and_the_adjoint_object_is_one():
+    from homlie.brackets import derived_bracket_rel, theta_tilde
+    from homlie.differentials import delta_hom
+    from homlie.structures import Representation
+    from homlie.theorems import sample_cochain, _stream
+    B = fixture_b()
+    assert adjoint_representation(B) is adjoint_action(B)
+    assert adjoint_action(B) is adjoint_action(B)
+    act = bracket_action_on_abelian(B)
+    assert isinstance(act, Representation)
+    rep = Representation(B, act.module, act.table)  # the same data, a plain representation
+    rng = _stream(5, "action-as-rep")
+    f = sample_cochain(B.space, act.module, 1, rng)
+    assert delta_hom(act, f) == delta_hom(rep, f) and not delta_hom(act, f).is_zero()
+    P, Q = (sample_cochain(act.module, B.space, k, rng) for k in (1, 2))
+    assert theta_tilde(act, P) == theta_tilde(rep, P) and not theta_tilde(act, P).is_zero()
+    assert derived_bracket_rel(act, P, Q) == derived_bracket_rel(rep, P, Q)
+
+
 def test_trivial_representation():
     B = fixture_b()
     assert check_representation(trivial_representation(B, B.space))
