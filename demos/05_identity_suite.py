@@ -3,12 +3,9 @@
 Run with:  python3 demos/05_identity_suite.py
 """
 
-import time
-
 from homlie import run_all
 from homlie.theorems import default_fixtures
 
-started = time.time()
 suite = run_all(default_fixtures()[:3], trials=10, seed=2024)
 for name, reports in suite.results:
     failed = [r for r in reports if not r.passed]
@@ -16,5 +13,5 @@ for name, reports in suite.results:
     for r in failed:
         first = r.failures[0]
         print(f"  {r.identity}: {first.detail} at {first.witness}")
-print(f"all passed: {suite.all_passed}  ({time.time() - started:.1f}s,"
-      f" {suite.trials} trials per identity, exact arithmetic throughout)")
+print(f"all passed: {suite.all_passed}  ({suite.trials} trials per identity,"
+      " exact arithmetic throughout)")

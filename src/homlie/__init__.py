@@ -12,8 +12,8 @@ import types
 _EXPORTS = {
     "linalg": ("Mat", "Vec", "kernel_basis", "mat_rank", "rat", "rat_str", "solve_linear"),
     "cochains": ("SkewCochain", "TwistedSpace", "cochain_matrix", "compatibility_basis",
-                 "compatibility_witness", "contract", "evaluate", "fixed_vectors",
-                 "is_compatible", "operator_cochain", "shuffles"),
+                 "compatibility_witness", "contract", "evaluate", "is_compatible",
+                 "operator_cochain", "shuffles"),
     "structures": ("HomLieAction", "HomLieAlgebra", "HomMorphism", "RawHomStructure",
                    "Representation", "adjoint_action", "adjoint_representation",
                    "as_hom_lie", "bracket_action_on_abelian", "check_action",
@@ -25,8 +25,7 @@ _EXPORTS = {
                    "multiplicativity_failures",
                    "multiplicativity_witness", "semidirect_weight", "trivial_representation",
                    "yau_twist"),
-    "differentials": ("Degree0Cochain", "d_lambda", "d_lambda_tilde", "d_trivial",
-                      "delta_hom", "delta_hom_deg0", "delta_tr"),
+    "differentials": ("d_lambda", "d_lambda_tilde", "d_trivial", "delta_hom", "delta_tr"),
     "brackets": ("GradedPair", "bicrossed_bracket", "cup_bracket", "derived_bracket",
                  "derived_bracket_rel", "fn_bracket", "nr_bracket",
                  "semidirect_graded_bracket", "theta", "theta_tilde"),

@@ -83,11 +83,11 @@ def cup_bracket(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra) -> 
 def _cup_part(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra,
               sign: int = 1) -> tuple[int, dict]:
     """sign * [P, Q]_cup as a part for ``_assemble``, checking the shapes as ``cup_bracket`` does."""
-    if P.domain != Q.domain:
-        raise ValueError("cup bracket needs a common domain")
+    m, n = P.arity, Q.arity
+    if P.domain != Q.domain or min(m, n) < 1:
+        raise ValueError("cup bracket needs a common domain and arities >= 1")
     if P.codomain != Q.codomain or P.codomain != codomain_alg.space:
         raise ValueError("cup bracket needs both cochains valued in the codomain algebra")
-    m, n = P.arity, Q.arity
     if m + n > P.domain.dim:  # alternating maps of arity above the dimension vanish
         return 1, {}
     space = codomain_alg.space
@@ -176,8 +176,8 @@ def theta_tilde(rep: Representation, P: SkewCochain) -> SkewCochain:
     acted on beta^{n-1}(h_i).  Reads the acted basis table of ``_module_action``.
     """
     module = rep.module
-    if P.domain != module or P.codomain != rep.algebra.space:
-        raise ValueError("expected a cochain from the module into the acting algebra")
+    if P.domain != module or P.codomain != rep.algebra.space or P.arity < 1:
+        raise ValueError("expected a cochain of arity >= 1 from the module to the algebra")
     n = P.arity
     if n + 1 > module.dim:
         return SkewCochain.zero(module, module, n + 1)

@@ -289,6 +289,8 @@ def _cmd_deform_extend(args) -> int:
 
 def _cmd_verify_theorems(args) -> int:
     from .theorems import default_fixtures, run_all
+    if args.algebra is not None and args.fixture is not None:
+        raise ParseError("--algebra and --fixture cannot be combined; give one of them")
     if args.algebra is not None:
         algebras = [(args.algebra, hio.algebra_from_json(_read_json(args.algebra)))]
     elif args.fixture is not None:

@@ -3,14 +3,15 @@
 A twisted space is a finite-dimensional rational vector space with a chosen
 endomorphism (the twist).  An n-cochain from (W, alpha) to (V, beta) is an
 alternating n-linear map stored densely on the wedge basis: one value vector
-per strictly increasing index tuple.  The cochain spaces used everywhere else
-are the twist-compatible ones,
+per strictly increasing index tuple.  Arity 0 is allowed: its one key ``()``
+holds a vector of V.  The cochain spaces used everywhere else are the
+twist-compatible ones,
 
     C^n(W, V) = { f : beta o f = f o alpha^(wedge n) },
 
-parameterized by ``compatibility_basis``.  The module also provides shuffle
-enumeration with signs and the first-slot insertion operator underlying all
-graded brackets.
+parameterized by ``compatibility_basis``; C^0(W, V) is the beta-fixed
+subspace of V.  The module also provides shuffle enumeration with signs and
+the first-slot insertion operator underlying all graded brackets.
 
 Insertion runs on a compiled plan.  Per output key, the plan lists the
 entries (inner key, coordinate, outer key, integer coefficient) with the
@@ -153,7 +154,8 @@ class SkewCochain:
     """Alternating multilinear map on wedge basis coefficients.
 
     coeffs maps strictly increasing 0-based index tuples to value vectors in
-    the codomain; missing tuples are zero.  Instances are immutable by
+    the codomain; missing tuples are zero.  An arity-0 cochain is a codomain
+    vector, kept under the empty tuple.  Instances are immutable by
     convention and compared by exact coefficient tables.
     """
 
@@ -161,8 +163,8 @@ class SkewCochain:
 
     def __init__(self, domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                  coeffs: dict[tuple[int, ...], Vec]):
-        if arity < 1:
-            raise ValueError("cochain arity must be >= 1")
+        if arity < 0:
+            raise ValueError("cochain arity must be >= 0")
         self.domain = domain
         self.codomain = codomain
         self.arity = arity
@@ -187,8 +189,8 @@ class SkewCochain:
     def from_function(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                       fn: Callable[[tuple[int, ...]], Vec]) -> "SkewCochain":
         """Build a cochain from its values on increasing basis tuples."""
-        if arity < 1:
-            raise ValueError("cochain arity must be >= 1")
+        if arity < 0:
+            raise ValueError("cochain arity must be >= 0")
         dim = codomain.dim
         table = {}
         for key in combinations(range(domain.dim), arity):
@@ -346,10 +348,11 @@ def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int
 
     Computed as the kernel of the linear map f -> beta o f - f o alpha^(wedge n)
     on raw coefficient tables.  Deterministic ordering: lexicographic tuples,
-    codomain coordinates within each tuple.
+    codomain coordinates within each tuple.  At arity 0 the map is beta - I,
+    so the basis is that of the twist-fixed vectors, ``kernel_basis(beta - I)``.
     """
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
+    if arity < 0:
+        raise ValueError("arity must be >= 0")
     cache_key = (domain.alpha, codomain.alpha, arity)
     if cache_key in _COMPAT_CACHE:
         return _COMPAT_CACHE[cache_key]
@@ -392,11 +395,6 @@ def unflatten_cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
     return SkewCochain(domain, codomain, arity, table)
 
 
-def fixed_vectors(space: TwistedSpace) -> list[Vec]:
-    """Basis of the twist-fixed subspace {v : alpha v = v} (degree-0 cochains)."""
-    return kernel_basis(space.alpha - Mat.identity(space.dim))
-
-
 def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
     """First-slot insertion i_P Q of inner = P into outer = Q.
 
@@ -413,9 +411,9 @@ def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
 def _contract_part(inner: SkewCochain, outer: SkewCochain, sign: int = 1) -> tuple[int, dict]:
     """sign * i_P Q as a part for ``_assemble``, checking the shapes as ``contract`` does."""
     w = inner.domain
-    if inner.codomain != w or outer.domain != w:
-        raise ValueError("contraction requires inner in C(W, W) and outer in C(W, V)")
     m, n = inner.arity, outer.arity
+    if inner.codomain != w or outer.domain != w or min(m, n) < 1:
+        raise ValueError("contraction requires inner in C^m(W, W), outer in C^n(W, V), m, n >= 1")
     if m + n - 1 > w.dim:  # alternating maps of arity above the dimension vanish
         return 1, {}
     plan, den = _insertion_plan(w, m, n)

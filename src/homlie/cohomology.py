@@ -2,10 +2,11 @@
 
 Every complex here is the module complex of one representation.  A
 ``ComplexSpec`` holds the representation, the degree its complex starts at
-and a weight; its differential is the weight times ``delta_hom`` (on a
-degree-0 cochain ``delta_hom_deg0``).  Module coefficients (``hom_rep``,
-``adjoint``) start at degree 0, with the twist-fixed module vectors; all
-other complexes start at degree 1.  The trivial ones and their weighted and
+and a weight; its differential is the weight times ``delta_hom``, and the
+cochains of every degree n, 0 included, are ``compatibility_basis(domain,
+codomain, n)``.  Module coefficients (``hom_rep``, ``adjoint``) start at
+degree 0, whose cochains are the arity-0 ones, the twist-fixed module
+vectors; all other complexes start at degree 1.  The trivial ones and their weighted and
 relative versions take lambda times the coboundary of the zero action.  The
 morphism complex d + [phi, .]_cup is the module complex of x . y = [phi(x), y]
 (``structures.morphism_representation``), and the relative Rota-Baxter one,
@@ -23,13 +24,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .linalg import Mat, Vec, _lincomb, mat_rank, rat, solve_linear
-from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, fixed_vectors,
-                       flatten_cochain, linear_combination)
+from .linalg import Mat, mat_rank, rat, solve_linear
+from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, flatten_cochain,
+                       linear_combination)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, Representation,
                          adjoint_representation, morphism_representation,
                          trivial_representation)
-from .differentials import Degree0Cochain, delta_hom, delta_hom_deg0
+from .differentials import delta_hom
 
 
 class CohomologyReport(NamedTuple):
@@ -53,7 +54,10 @@ class CohomologyReport(NamedTuple):
 
 
 class ComplexSpec(NamedTuple):
-    """The module complex of ``rep`` from ``lowest_degree`` on, coboundary times ``weight``."""
+    """The module complex of ``rep`` from ``lowest_degree`` on, coboundary times ``weight``.
+
+    Every degree n, 0 included, holds ``compatibility_basis(domain, codomain, n)``.
+    """
 
     rep: Representation
     lowest_degree: int
@@ -68,10 +72,6 @@ class ComplexSpec(NamedTuple):
     @staticmethod
     def adjoint(alg: HomLieAlgebra) -> "ComplexSpec":
         return ComplexSpec.hom_rep(adjoint_representation(alg))
-
-    @staticmethod
-    def trivial(alg: HomLieAlgebra, codomain: TwistedSpace | None = None) -> "ComplexSpec":
-        return ComplexSpec.relative(alg, alg.space if codomain is None else codomain, 1)
 
     @staticmethod
     def morphism(phi: HomMorphism) -> "ComplexSpec":
@@ -101,19 +101,16 @@ class ComplexSpec(NamedTuple):
     def codomain(self) -> TwistedSpace:
         return self.rep.module
 
-    def basis(self, degree: int) -> list:
+    def basis(self, degree: int) -> list[SkewCochain]:
         if degree < self.lowest_degree:
             raise ValueError(f"complex starts at degree {self.lowest_degree}")
-        if degree == 0:
-            return [Degree0Cochain(self.codomain, v) for v in fixed_vectors(self.codomain)]
         return compatibility_basis(self.domain, self.codomain, degree)
 
     def dim_cochains(self, degree: int) -> int:
         return len(self.basis(degree))
 
-    def differential(self, f):
-        image = (delta_hom_deg0(self.rep, f) if isinstance(f, Degree0Cochain)
-                 else delta_hom(self.rep, f))
+    def differential(self, f: SkewCochain) -> SkewCochain:
+        image = delta_hom(self.rep, f)
         return image if self.weight == 1 else image.scale(self.weight)
 
     def matrix(self, degree: int) -> Mat:
@@ -166,14 +163,7 @@ def is_coboundary(spec: ComplexSpec, c: SkewCochain):
     if not spec.differential(c).is_zero():
         raise ValueError("input cochain is not a cocycle")
     solution = solve_linear(spec.matrix(degree - 1), flatten_cochain(c))
-    return None if solution is None else _combine(spec, degree - 1, solution)
-
-
-def _combine(spec: ComplexSpec, degree: int, coeffs: Vec):
-    """The cochain of the given degree with coordinates ``coeffs`` in ``spec.basis(degree)``."""
-    basis = spec.basis(degree)
-    if degree == 0:
-        return Degree0Cochain(spec.codomain, _lincomb(zip(coeffs.num, [b.value for b in basis]),
-                                                      spec.codomain.dim, coeffs.den))
-    return linear_combination(spec.domain, spec.codomain, degree, zip(coeffs.num, basis),
-                              coeffs.den)
+    if solution is None:
+        return None
+    return linear_combination(spec.domain, spec.codomain, degree - 1,
+                              zip(solution.num, spec.basis(degree - 1)), solution.den)

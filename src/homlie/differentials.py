@@ -3,7 +3,9 @@
 All differentials here are given by their defining index formulas; the
 bracket-theoretic descriptions (e.g. the adjoint differential as a graded
 bracket with the structure cochain) are exercised as cross-checks in the
-randomized identity suite rather than used as implementations.
+randomized identity suite rather than used as implementations.  One formula
+serves every degree n >= 0; at n = 0 its bracket sum is empty and its action
+sum is (delta v)(x) = x . v.
 
 The formulas run on two compiled pieces, each kept on the object its data
 comes from.  The bracket plan of an arity, kept on the structure, lists per
@@ -30,35 +32,16 @@ algebra whose coboundary was taken on them.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .linalg import Vec, rat
-from .cochains import (SkewCochain, TwistedSpace, _cochain, _numerators, _sorted_products,
-                       _store, contract)
+from .cochains import (SkewCochain, _cochain, _numerators, _sorted_products, _store,
+                       contract)
 from .structures import HomLieAlgebra, Representation
 
 
-class Degree0Cochain(NamedTuple):
-    """A twist-fixed module vector, the degree-0 term of a module complex."""
-
-    module: TwistedSpace
-    value: Vec
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-
-def delta_hom_deg0(rep: Representation, v: Degree0Cochain) -> SkewCochain:
-    """Degree-0 coboundary: (delta v)(x) = x . v."""
-    domain = rep.algebra.space
-    return SkewCochain.from_function(
-        domain, rep.module, 1,
-        lambda key: rep.act(domain.basis_vec(key[0]), v.value))
-
-
 def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
-    """Module-coefficient coboundary of an n-cochain.
+    """Module-coefficient coboundary of an n-cochain, n >= 0.
 
     (delta f)(x_1, ..., x_{n+1})
         = sum_i (-1)^{i+1} alpha^{n-1}(x_i) . f(..., x_i omitted, ...)
@@ -86,7 +69,9 @@ def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None) 
     if n + 1 > alg.dim:  # alternating maps of arity above the dimension vanish
         return SkewCochain.zero(alg.space, f.codomain, n + 1)
     plan, den = _bracket_plan(alg, n)
-    acting = None if rep is None else _action_columns(rep, n - 1)
+    # Degree 0 reads alpha^0, so (delta v)(x) = x . v.  On the yau-sl2 adjoint
+    # complex that makes d1 o d0 != 0, a defect ROADMAP.md keeps open.
+    acting = None if rep is None else _action_columns(rep, max(n - 1, 0))
     coeffs = f.coeffs
     values, value_den = ({}, 1) if acting is None else _numerators(coeffs)
     table = {}
@@ -140,7 +125,7 @@ def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
                 for _, k, c in _sorted_products([(a, x) for a, x in enumerate(head) if x], rest):
                     entries[k] = entries.get(k, 0) + sign * c
             keys.append((key, tuple([(k, c) for k, c in entries.items() if c])))
-        plans[n] = (tuple(keys), bracket_den * alpha.den ** (n - 1))
+        plans[n] = (tuple(keys), bracket_den * alpha.den ** max(n - 1, 0))  # n = 0: no entries
     return plans[n]
 
 

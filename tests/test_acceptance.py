@@ -301,7 +301,7 @@ def test_c11_all_differentials_square_to_zero():
             action = bracket_action_on_abelian(alg)
             specs = [
                 ComplexSpec.adjoint(alg),
-                ComplexSpec.trivial(alg),
+                ComplexSpec.relative(alg, alg.space, 1),
                 ComplexSpec.morphism(HomMorphism(alg, alg, Mat.identity(alg.dim))),
                 ComplexSpec.scaled_trivial(alg, 2),
                 ComplexSpec.relative(action.acted, alg.space, 1),

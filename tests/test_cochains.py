@@ -7,9 +7,8 @@ import pytest
 
 from homlie.linalg import Mat, Vec
 from homlie.cochains import (SkewCochain, TwistedSpace, cochain_matrix,
-                             compatibility_basis, contract, evaluate,
-                             fixed_vectors, is_compatible, operator_cochain, perm_sign,
-                             shuffles, sort_with_sign)
+                             compatibility_basis, contract, evaluate, is_compatible,
+                             operator_cochain, perm_sign, shuffles, sort_with_sign)
 from homlie.structures import fixture_3dim, fixture_b, fixture_jackson_sl2
 from homlie.theorems import sample_cochain, _stream
 
@@ -127,8 +126,8 @@ def test_compatibility_basis_dimensions():
 
 def test_degree0_fixed_vectors():
     sp = TwistedSpace(Mat.diagonal([1, 2, 2]))
-    fixed = fixed_vectors(sp)
-    assert len(fixed) == 1 and fixed[0] == Vec.basis(3, 0)
+    fixed = compatibility_basis(sp, sp, 0)
+    assert len(fixed) == 1 and fixed[0].value_on(()) == Vec.basis(3, 0)
 
 
 def test_contract_identity_cases():
@@ -198,7 +197,7 @@ def test_cochain_shape_errors():
     with pytest.raises(ValueError):
         SkewCochain(B.space, B.space, 2, {(1, 0): Vec.zero(3)})
     with pytest.raises(ValueError):
-        SkewCochain.zero(B.space, B.space, 0)
+        SkewCochain.zero(B.space, B.space, -1)
 
 
 def test_scale_by_an_int_sign_skips_the_rational_path():

@@ -6,7 +6,7 @@ from homlie.linalg import Mat, Vec, kernel_basis
 from homlie.cochains import SkewCochain, compatibility_basis, operator_cochain
 from homlie.structures import (HomMorphism, bracket_action_on_abelian, fixture_abelian,
                                fixture_b, fixture_yau_sl2)
-from homlie.differentials import Degree0Cochain, d_lambda, d_lambda_tilde, d_trivial
+from homlie.differentials import d_lambda, d_lambda_tilde, d_trivial
 from homlie.brackets import cup_bracket, derived_bracket_rel
 from homlie.cohomology import ComplexSpec, cohomology, is_coboundary, square_zero_witness
 from homlie.operators import search_relative_rb, induced_structures
@@ -19,7 +19,7 @@ def _all_specs(alg):
     act = bracket_action_on_abelian(alg)
     specs = [
         ("hom_rep adjoint", ComplexSpec.adjoint(alg)),
-        ("trivial", ComplexSpec.trivial(alg)),
+        ("trivial", ComplexSpec.relative(alg, alg.space, 1)),
         ("morphism id", ComplexSpec.morphism(HomMorphism(alg, alg, Mat.identity(alg.dim)))),
         ("weight 2", ComplexSpec.scaled_trivial(alg, 2)),
         ("relative weight 1", ComplexSpec.relative(act.acted, alg.space, 1)),
@@ -120,12 +120,12 @@ def test_is_coboundary_errors_and_none():
 
 def test_hom_rep_degree1_preimage_is_degree0():
     spec = ComplexSpec.adjoint(B)
-    v = Degree0Cochain(B.space, Vec.basis(3, 0))
+    v = SkewCochain(B.space, B.space, 0, {(): Vec.basis(3, 0)})
     c = spec.differential(v)
     if c.is_zero():
         pytest.skip("fixture has no nonzero degree-0 coboundary")
     p = is_coboundary(spec, c)
-    assert isinstance(p, Degree0Cochain)
+    assert isinstance(p, SkewCochain) and p.arity == 0
     assert spec.differential(p) == c
 
 
@@ -137,7 +137,7 @@ def _bracket_route_cases(alg):
         pc = operator_cochain(alg.space, alg.space, m)
         cases.append((f"morphism {name}", ComplexSpec.morphism(HomMorphism(alg, alg, m)),
                       [lambda f, pc=pc: d_trivial(alg, f) + cup_bracket(pc, f, alg)]))
-    cases.append(("trivial", ComplexSpec.trivial(alg),
+    cases.append(("trivial", ComplexSpec.relative(alg, alg.space, 1),
                   [lambda f: d_lambda(alg, f, 1), lambda f: d_lambda_tilde(alg, f, 1)]))
     act = bracket_action_on_abelian(alg)
     for lam in (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)):
@@ -190,7 +190,7 @@ def test_complexes_on_a_non_diagonal_twist():
     from homlie.structures import fixture_yau_shear
     shear = fixture_yau_shear()
     act = bracket_action_on_abelian(shear)
-    specs = [ComplexSpec.adjoint(shear), ComplexSpec.trivial(shear),
+    specs = [ComplexSpec.adjoint(shear), ComplexSpec.relative(shear, shear.space, 1),
              ComplexSpec.scaled_trivial(shear, 2),
              ComplexSpec.relative(act.acted, shear.space, 1)]
     for spec in specs:

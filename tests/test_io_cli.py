@@ -209,6 +209,17 @@ def test_cli_verify_theorems_above_the_dimension(capsys, argv):
     assert capsys.readouterr().out.endswith("all identities passed\n")
 
 
+@pytest.mark.parametrize("fixture", ["threedim-multiplicative", "no-such-fixture"])
+def test_cli_verify_theorems_rejects_algebra_with_fixture(tmp_path, capsys, fixture):
+    alg = tmp_path / "b.json"
+    alg.write_text(hio.dumps(hio.structure_to_json(fixture_b())))
+    assert main(["verify-theorems", "--algebra", str(alg), "--fixture", fixture,
+                 "--trials", "1", "--identity", "mc_homlie"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--algebra" in captured.err and "--fixture" in captured.err
+
+
 def test_cli_consistency_failure_exits_three(tmp_path, monkeypatch):
     from homlie import operators
     alg = tmp_path / "b.json"

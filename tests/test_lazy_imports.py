@@ -26,7 +26,7 @@ SUBMODULES = ("brackets", "cochains", "cohomology", "deformations", "differentia
               "linalg", "operators", "structures", "theorems")
 
 PUBLIC_NAMES = {
-    'CohomologyReport', 'ComplexSpec', 'ConsistencyError', 'Degree0Cochain',
+    'CohomologyReport', 'ComplexSpec', 'ConsistencyError',
     'GradedPair', 'HomLieAction', 'HomLieAlgebra', 'HomMorphism', 'IDENTITIES', 'Mat',
     'MorphismDeformation', 'ObstructionClass', 'RawHomStructure', 'Representation',
     'SkewCochain', 'SuiteReport', 'TwistedSpace', 'Vec', 'VerificationReport',
@@ -36,9 +36,9 @@ PUBLIC_NAMES = {
     'check_representation', 'cochain_matrix', 'cochains', 'cohomology',
     'commutator_hom_lie', 'compatibility_basis', 'compatibility_witness', 'contract',
     'cup_bracket', 'd_lambda', 'd_lambda_tilde', 'd_trivial',
-    'deformations', 'deformed_bracket_n', 'delta_hom', 'delta_hom_deg0', 'delta_tr',
+    'deformations', 'deformed_bracket_n', 'delta_hom', 'delta_tr',
     'derived_bracket', 'derived_bracket_rel', 'differentials', 'evaluate', 'extend',
-    'fixed_vectors', 'fixture_3dim', 'fixture_abelian', 'fixture_b',
+    'fixture_3dim', 'fixture_abelian', 'fixture_b',
     'fixture_jackson_sl2', 'fixture_yau_dim4', 'fixture_yau_heisenberg',
     'fixture_yau_shear', 'fixture_yau_sl2', 'fn_bracket', 'hom_jacobi_witness',
     'induced_structures', 'is_coboundary', 'is_compatible', 'is_nijenhuis',

@@ -11,8 +11,7 @@ from homlie.brackets import GradedPair
 from homlie.cochains import SkewCochain
 from homlie.cohomology import CohomologyReport, ComplexSpec, cohomology
 from homlie.deformations import MorphismDeformation, obstruction
-from homlie.differentials import Degree0Cochain
-from homlie.linalg import Mat, Vec
+from homlie.linalg import Mat
 from homlie.operators import nijenhuis_report
 from homlie.structures import fixture_b
 from homlie.theorems import (Failure, SuiteReport, VerificationReport, _stream,
@@ -39,7 +38,6 @@ def _instances():
     """One value of each type, with the names of its fields."""
     identity = Mat.identity(3)
     return {
-        "Degree0Cochain": (Degree0Cochain(SP, Vec.basis(3, 0)), ("module", "value")),
         "CohomologyReport": (cohomology(ComplexSpec.adjoint(B), 2),
                              ("degree", "dim_cochains", "dim_cocycles", "dim_coboundaries")),
         "GradedPair": (GradedPair(_cochain(2, "P"), _cochain(1, "E")), ("upper", "lower")),
