@@ -37,8 +37,9 @@ no summand is built as a cochain of its own: ``nr_bracket`` has 2 parts,
 ``fn_bracket``, ``derived_bracket_rel`` and the semidirect lower component 3,
 and the bicrossed components 8 (upper) and 5 (lower).  The coboundary images
 come from ``delta_hom``, which keeps them on their cochain, so a cochain met
-again in another bracket is not differentiated again.  ``theta_tilde`` reads
-the acted basis table e_a . beta^k(e_i), kept on the representation per power.
+again in another bracket is not differentiated again.  ``theta_tilde`` is one
+action part (``cochains._action_part``, as in the coboundary) on the acted
+basis table e_a . beta^k(e_i), kept on the representation per power.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .cochains import (SkewCochain, TwistedSpace, _assemble, _cochain, _contract_part,
-                       _numerators, _store, contract, shuffles)
+from .cochains import (SkewCochain, TwistedSpace, _action_part, _assemble, _contract_part,
+                       _numerators, contract, shuffles)
 from .linalg import Vec
 from .structures import HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
@@ -181,18 +182,9 @@ def theta_tilde(rep: Representation, P: SkewCochain) -> SkewCochain:
     n = P.arity
     if n + 1 > module.dim:
         return SkewCochain.zero(module, module, n + 1)
-    acted = _module_action(rep, n - 1)
-    heads, den = _numerators(P.coeffs)
-    table = {}
-    for key in combinations(range(module.dim), n + 1):
-        terms = []
-        for pos in range(n + 1):
-            head = heads.get(key[:pos] + key[pos + 1:])
-            if head is not None:  # sign (-1)^{n+i} with i = pos + 1
-                sign, row = _sign(n + pos + 1), acted[key[pos]]
-                terms.extend([(sign * x, row[a]) for a, x in enumerate(head) if x])
-        _store(table, key, terms, module.dim, den)
-    return _cochain(module, module, n + 1, table)
+    # (-1)^{n+i} with i = pos + 1 is (-1)^{n+1} times the part's (-1)^pos
+    return _assemble(module, module, n + 1,
+                     [_action_part(P, _module_action(rep, n - 1), _sign(n + 1))])
 
 
 def _module_action(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...]:

@@ -25,16 +25,19 @@ cochain, whose basis coordinates would need a linear solve.  ``evaluate``
 and ``shuffles`` stay the independent route that the explicit shuffle sums
 of ``theorems`` and the tests check the plans against.
 
-A sum of several such operations is assembled once.  ``_contract_part``
-gives a signed insertion as a part: its denominator and, per output key, the
-integer (c, Vec) terms.  ``_assemble`` puts any number of parts over the lcm
-of their denominators and stores each output key with one ``_lincomb``;
-``contract`` and ``linear_combination`` are one-part assemblies, and the
-brackets assemble several parts with no intermediate cochain.
+``_assemble`` is the one place that sums cochain values.  A part is one
+signed summand: a denominator and, per output key, integer (c, Vec) terms.
+``_contract_part`` gives an insertion; ``_action_part`` gives the sum over
+positions of (-1)^pos table[key[pos]] paired with f(key without pos), the
+action terms of the coboundary and theta~.  ``_assemble`` puts the parts over
+the lcm of their denominators and sums each output key once with
+``_lincomb``.  ``contract`` and ``linear_combination`` (so cochain + and -)
+are one-part assemblies; the brackets and the coboundary assemble several.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
@@ -211,23 +214,13 @@ class SkewCochain:
         return (self.arity == other.arity and self.domain == other.domain
                 and self.codomain == other.codomain and self.coeffs == other.coeffs)
 
-    def _combine(self, other: "SkewCochain", op) -> "SkewCochain":
-        """Entrywise op of two same-shape tables, missing values counting as zero."""
-        self._require_same_shape(other)
-        zero = Vec.zero(self.codomain.dim)
-        a, b = self.coeffs, other.coeffs
-        table = {}
-        for k in a.keys() | b.keys():
-            value = op(a.get(k, zero), b.get(k, zero))
-            if not value.is_zero():
-                table[k] = value
-        return _cochain(self.domain, self.codomain, self.arity, table)
-
     def __add__(self, other: "SkewCochain") -> "SkewCochain":
-        return self._combine(other, Vec.__add__)
+        self._require_same_shape(other)
+        return linear_combination(self.domain, self.codomain, self.arity, [(1, self), (1, other)])
 
     def __sub__(self, other: "SkewCochain") -> "SkewCochain":
-        return self._combine(other, Vec.__sub__)
+        self._require_same_shape(other)
+        return linear_combination(self.domain, self.codomain, self.arity, [(1, self), (-1, other)])
 
     def __neg__(self) -> "SkewCochain":
         return _cochain(self.domain, self.codomain, self.arity,
@@ -269,8 +262,7 @@ def linear_combination(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                        terms: Iterable[tuple[int, SkewCochain]], den: int = 1) -> SkewCochain:
     """The sum of c * f over (integer c, cochain f) pairs, divided by the positive integer den.
 
-    Each value is summed on integer numerators by ``_lincomb``; only the keys
-    some f is nonzero on are visited.
+    One ``_assemble`` part, visiting only the keys some f is nonzero on.
     """
     by_key: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
     for c, f in terms:
@@ -432,6 +424,26 @@ def _contract_part(inner: SkewCochain, outer: SkewCochain, sign: int = 1) -> tup
     return den * head_den, part
 
 
+def _action_part(f: SkewCochain, table: Sequence[Sequence[Vec]], sign: int = 1
+                 ) -> tuple[int, dict]:
+    """sign * sum_pos (-1)^pos table[key[pos]] . f(key without pos) as a part for ``_assemble``.
+
+    table[x][v] is what domain index x makes of coordinate v of f's values.
+    Each key of f meets every index x it lacks, at the position x sorts into.
+    """
+    values, den = _numerators(f.coeffs)
+    part: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
+    for key, num in values.items():
+        support = [(v, y) for v, y in enumerate(num) if y]
+        for x in range(f.domain.dim):
+            if x not in key:
+                pos, row = bisect(key, x), table[x]
+                c = -sign if pos % 2 else sign
+                part.setdefault(key[:pos] + (x,) + key[pos:], []).extend(
+                    [(c * y, row[v]) for v, y in support])
+    return den, part
+
+
 def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[tuple, int]:
     """The compiled insertion of an m-cochain into an n-cochain on w, kept on w.
 
@@ -485,19 +497,10 @@ def _numerators(values: dict[tuple[int, ...], Vec]
             for k, v in values.items()}, den
 
 
-def _store(table: dict[tuple[int, ...], Vec], key: tuple[int, ...],
-           terms: list[tuple[int, Vec]], dim: int, den: int):
-    """Put the sum of c * v over terms, divided by den, into table[key] unless it is zero."""
-    if terms:
-        value = _lincomb(terms, dim, den)
-        if not value.is_zero():
-            table[key] = value
-
-
 def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
               parts: Sequence[tuple[int, dict[tuple[int, ...], list[tuple[int, Vec]]]]]
               ) -> SkewCochain:
-    """The cochain that sums its parts, each stored with one ``_store`` per key.
+    """The cochain that sums its parts, with one ``_lincomb`` per output key.
 
     A part is (den, {key: [(c, v), ...]}) and stands for the value
     sum c * v / den on e_key; every part must have the cochain's shape.  The
@@ -518,7 +521,9 @@ def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                 got.extend(terms)
     table: dict[tuple[int, ...], Vec] = {}
     for key, terms in merged.items():
-        _store(table, key, terms, codomain.dim, common)
+        value = _lincomb(terms, codomain.dim, common)
+        if not value.is_zero():
+            table[key] = value
     return _cochain(domain, codomain, arity, table)
 
 

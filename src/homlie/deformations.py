@@ -9,12 +9,11 @@ cocycle is a coboundary, and any preimage serves as the next term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
 from .linalg import Mat, Vec
-from .cochains import SkewCochain, cochain_matrix, operator_cochain
+from .cochains import SkewCochain, cochain_matrix, linear_combination, operator_cochain
 from .structures import HomLieAlgebra, HomMorphism
 from .cohomology import ComplexSpec, is_coboundary
 from .brackets import cup_bracket
@@ -102,10 +101,10 @@ def obstruction(d: MorphismDeformation) -> ObstructionClass:
     if w is not None:
         raise ValueError(f"not a valid order-{d.order} deformation: {w[0]} fails at order {w[1]}")
     n_next = d.order + 1
-    cocycle = SkewCochain.zero(d.source.space, d.target.space, 2)
-    for i in range(1, n_next):
-        cocycle = cocycle + cup_bracket(d.term_cochain(i), d.term_cochain(n_next - i), d.target)
-    cocycle = cocycle.scale(Fraction(-1, 2))
+    cocycle = linear_combination(
+        d.source.space, d.target.space, 2,
+        [(-1, cup_bracket(d.term_cochain(i), d.term_cochain(n_next - i), d.target))
+         for i in range(1, n_next)], 2)
     spec = ComplexSpec.morphism(d.base)
     closed = spec.differential(cocycle)
     if not closed.is_zero():

@@ -7,16 +7,15 @@ randomized identity suite rather than used as implementations.  One formula
 serves every degree n >= 0; at n = 0 its bracket sum is empty and its action
 sum is (delta v)(x) = x . v.
 
-The formulas run on two compiled pieces, each kept on the object its data
-comes from.  The bracket plan of an arity, kept on the structure, lists per
-output key the entries (cochain key, integer coefficient) of the bracket sum,
-with the signs (-1)^{i+j}, the structure constants, the twist entries and the
-sort signs multiplied out over one plan denominator.  The action columns of a
-twist power, kept on the ``Representation``, are the vectors
-alpha^k(e_x) . e_v.  ``delta_hom`` and ``d_trivial`` share one loop, one sum
-on integer numerators through ``_lincomb`` per output key.  ``d_trivial`` runs
-it with no action, and a representation whose table is all zero has no
-action columns, so it adds no action terms either.
+The coboundary is two parts summed once by ``cochains._assemble``, each read
+off a table kept on the object its data comes from.  The bracket part reads
+the bracket plan of an arity, kept on the structure: per output key the
+entries (cochain key, integer coefficient) of the bracket sum, with the signs
+(-1)^{i+j}, the structure constants, the twist entries and the sort signs
+multiplied out over one plan denominator.  The action part is
+``cochains._action_part`` on the action columns of a twist power, kept on the
+``Representation``: the vectors alpha^k(e_x) . e_v.  ``d_trivial`` has no
+action part, and neither has a representation whose table is all zero.
 
 ``delta_hom`` computes a cochain's coboundary once per representation and
 keeps it on the cochain (``f.__dict__["_delta"]``, keyed by the
@@ -35,7 +34,7 @@ from itertools import combinations
 from weakref import WeakKeyDictionary
 
 from .linalg import Vec, rat
-from .cochains import (SkewCochain, _cochain, _numerators, _sorted_products, _store,
+from .cochains import (SkewCochain, _action_part, _assemble, _numerators, _sorted_products,
                        contract)
 from .structures import HomLieAlgebra, Representation
 
@@ -64,29 +63,20 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
 
 
 def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None) -> SkewCochain:
-    """The bracket sum of the coboundary of f, plus rep's action sum unless rep is None or zero."""
+    """The bracket part of f's coboundary, plus rep's action part unless rep is None or zero."""
     n = f.arity
     if n + 1 > alg.dim:  # alternating maps of arity above the dimension vanish
         return SkewCochain.zero(alg.space, f.codomain, n + 1)
     plan, den = _bracket_plan(alg, n)
+    coeffs = f.coeffs
+    parts = [(den, {key: terms for key, entries in plan
+                    if (terms := [(c, coeffs[k]) for k, c in entries if k in coeffs])})]
     # Degree 0 reads alpha^0, so (delta v)(x) = x . v.  On the yau-sl2 adjoint
     # complex that makes d1 o d0 != 0, a defect ROADMAP.md keeps open.
     acting = None if rep is None else _action_columns(rep, max(n - 1, 0))
-    coeffs = f.coeffs
-    values, value_den = ({}, 1) if acting is None else _numerators(coeffs)
-    table = {}
-    for key, entries in plan:
-        # Both sums over den * value_den: the bracket entries divide by den and
-        # the action terms, read on the numerators of f, by value_den.
-        terms = [(c * value_den, coeffs[k]) for k, c in entries if k in coeffs]
-        if values:
-            for pos in range(n + 1):
-                value = values.get(key[:pos] + key[pos + 1:])
-                if value is not None:
-                    sign, columns = (-den if pos % 2 else den), acting[key[pos]]
-                    terms.extend([(sign * y, columns[v]) for v, y in enumerate(value) if y])
-        _store(table, key, terms, f.codomain.dim, den * value_den)
-    return _cochain(alg.space, f.codomain, n + 1, table)
+    if acting is not None:
+        parts.append(_action_part(f, acting))
+    return _assemble(alg.space, f.codomain, n + 1, parts)
 
 
 def _action_columns(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...] | None:

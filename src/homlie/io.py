@@ -61,7 +61,8 @@ def rational_from_json(x, where: str = "rational") -> Fraction:
         return rat(x)
     except (ValueError, ZeroDivisionError) as exc:
         # A digit-limit error ends in advice to call sys.set_int_max_str_digits(); cut it.
-        reason = str(exc).partition(";")[0]
+        reason = ("zero denominator" if isinstance(exc, ZeroDivisionError)
+                  else str(exc).partition(";")[0])
         raise ParseError(f"{where}: bad rational {_shown(x)}: {reason}") from exc
 
 

@@ -112,8 +112,12 @@ def _lincomb(terms: Iterable[tuple[int, "Vec"]], dim: int, den: int = 1) -> "Vec
 
     Accumulates integer numerators over the lcm of the denominators seen.
     """
-    total = [0] * dim
-    common = 1
+    terms = iter(terms)
+    for c, v in terms:  # the first term sets the numerators and the denominator
+        total, common = [c * x for x in v.num], v.den
+        break
+    else:
+        return _vec((0,) * dim, 1)
     for c, v in terms:
         vden = v.den
         if vden != common:

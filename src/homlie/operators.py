@@ -85,15 +85,20 @@ def nijenhuis_defect(alg: HomLieAlgebra, N: Mat):
     return _pair_defect(alg.bracket, N, alg.space, deformed_bracket_n(alg, N).value_on)
 
 
+def _agreed(kind: str, *verdicts: tuple[str, bool]) -> bool:
+    """The first of the named verdicts, once all agree; else a ``ConsistencyError`` listing them."""
+    first = verdicts[0][1]
+    if any(v != first for _, v in verdicts):
+        raise ConsistencyError(f"{kind} criteria disagree: "
+                               + ", ".join(f"{name}={v}" for name, v in verdicts))
+    return first
+
+
 def is_nijenhuis(alg: HomLieAlgebra, N: Mat) -> bool:
     """[Nx, Ny] = N([x, y]^N) on basis pairs, cross-checked as [N, N]_fn = 0."""
     nc = _endo_cochain(alg, N)
-    direct = nijenhuis_defect(alg, N) is None
-    via_mc = fn_bracket(alg, nc, nc).is_zero()
-    if direct != via_mc:
-        raise ConsistencyError(
-            f"Nijenhuis criteria disagree: pointwise={direct}, bracket square={via_mc}")
-    return direct
+    return _agreed("Nijenhuis", ("pointwise", nijenhuis_defect(alg, N) is None),
+                   ("bracket square", fn_bracket(alg, nc, nc).is_zero()))
 
 
 class OperatorReport(NamedTuple):
@@ -157,12 +162,8 @@ def is_rota_baxter(alg: HomLieAlgebra, R: Mat, lam) -> bool:
     Cross-checked against the Maurer-Cartan equation of the weighted derived
     differential graded Lie algebra: d_lam R + (1/2)[R, R]_derived = 0.
     """
-    direct = rota_baxter_defect(alg, R, lam) is None
-    via_mc = relative_rb_mc(adjoint_action(alg), R, lam)
-    if direct != via_mc:
-        raise ConsistencyError(
-            f"Rota-Baxter criteria disagree: pointwise={direct}, Maurer-Cartan={via_mc}")
-    return direct
+    return _agreed("Rota-Baxter", ("pointwise", rota_baxter_defect(alg, R, lam) is None),
+                   ("Maurer-Cartan", relative_rb_mc(adjoint_action(alg), R, lam)))
 
 
 def _check_intertwines(action: HomLieAction, R: Mat) -> None:
@@ -224,12 +225,9 @@ def is_relative_rb(action: HomLieAction, R: Mat, lam) -> bool:
 
 def _cross_checked(action: HomLieAction, R: Mat, lam, pointwise: bool) -> bool:
     """The pointwise verdict, once the graph and Maurer-Cartan criteria agree with it."""
-    graph = relative_rb_graph(action, R, lam)
-    mc = relative_rb_mc(action, R, lam)
-    if pointwise != graph or pointwise != mc:
-        raise ConsistencyError(f"relative Rota-Baxter criteria disagree: pointwise={pointwise}, "
-                               f"graph={graph}, Maurer-Cartan={mc}")
-    return pointwise
+    return _agreed("relative Rota-Baxter", ("pointwise", pointwise),
+                   ("graph", relative_rb_graph(action, R, lam)),
+                   ("Maurer-Cartan", relative_rb_mc(action, R, lam)))
 
 
 def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra, Representation]:

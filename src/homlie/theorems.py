@@ -71,7 +71,7 @@ from .structures import (HomLieAlgebra, RawHomStructure, Representation,
                          fixture_yau_sl2, hom_jacobi_witness)
 from .differentials import d_lambda, d_lambda_tilde, delta_hom
 from . import brackets as br
-from .brackets import GradedPair
+from .brackets import GradedPair, _sign
 from .cohomology import ComplexSpec
 from .operators import (induced_structures, relative_rb_graph, relative_rb_mc,
                         relative_rb_pointwise, search_relative_rb)
@@ -87,10 +87,6 @@ IDENTITIES: tuple[str, ...] = (
 )
 
 _LAMBDAS = ("0", "1", "-1", "1/2", "2")
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 class Failure(NamedTuple):
@@ -294,6 +290,11 @@ def _sample_cocycle(data, arity: int, rng: random.Random, space, codomain) -> Sk
     return linear_combination(space, codomain, arity, zip(coeffs.num, basis), coeffs.den)
 
 
+# A relative search runs the {-1, 0, 1} grid over the k-dim twist commutant,
+# 3^k candidates; 3^9 keeps every default fixture (k <= 6) and abelian dim 3.
+MAX_RELATIVE_CANDIDATES = 3 ** 9
+
+
 def _relative_context(alg: HomLieAlgebra):
     """Action on the abelianized copy, plus verified operators (always the zero one)."""
     action = bracket_action_on_abelian(alg)
@@ -306,13 +307,21 @@ def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
 
     The relative context (two relative operator searches, each candidate
     checked three ways) is built once per ``shared`` dict, that is once per
-    algebra in ``run_all``.
+    algebra in ``run_all``, which also puts the algebra's name there; above
+    ``MAX_RELATIVE_CANDIDATES`` per search it raises ``ValueError`` instead.
     """
     if identity == "cup_trivial_cohomology":
         return _cocycle_data(alg, max_arity)
     if identity not in ("relative_consistency", "d_r_matches_induced"):
         return None
     if "relative" not in shared:
+        # the acted copy carries alg's twist: the intertwiners are alg's twist commutant
+        candidates = 3 ** len(compatibility_basis(alg.space, alg.space, 1))
+        if candidates > MAX_RELATIVE_CANDIDATES:
+            raise ValueError(f"{shared.get('name', 'algebra')}: the relative Rota-Baxter searches"
+                             f" would check {candidates} candidates each (at most"
+                             f" {MAX_RELATIVE_CANDIDATES}); leave out relative_consistency and"
+                             " d_r_matches_induced with --identity")
         shared["relative"] = _relative_context(alg)
     if identity == "relative_consistency":
         return shared["relative"]
@@ -656,7 +665,7 @@ def run_all(algebras: list[tuple[str, HomLieAlgebra]] | None = None, trials: int
     tags = identities if identities is not None else IDENTITIES
     results = []
     for name, alg in algebras:
-        shared: dict = {}
+        shared = {"name": name}
         reports = tuple(_verify(tag, alg, trials, seed, max_arity, shared) for tag in tags)
         results.append((name, reports))
     return SuiteReport(seed, trials, max_arity, tuple(results))

@@ -220,6 +220,27 @@ def test_cli_verify_theorems_rejects_algebra_with_fixture(tmp_path, capsys, fixt
     assert "--algebra" in captured.err and "--fixture" in captured.err
 
 
+def test_cli_verify_theorems_rejects_a_relative_search_too_large(tmp_path):
+    # The twist commutant of the 4-dim abelian algebra has dimension 16: a
+    # relative search would run 3^16 candidates.  The run stops before it,
+    # naming the algebra, the count and the way to skip the two identities.
+    from homlie.structures import fixture_abelian
+    from homlie.theorems import MAX_RELATIVE_CANDIDATES
+    alg = tmp_path / "ab4.json"
+    alg.write_text(hio.dumps(hio.structure_to_json(fixture_abelian(4))))
+    argv = [sys.executable, "-m", "homlie.cli", "verify-theorems", "--algebra", str(alg),
+            "--trials", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: {alg}: the relative Rota-Baxter searches would check"
+                           f" {3 ** 16} candidates each (at most {MAX_RELATIVE_CANDIDATES});"
+                           " leave out relative_consistency and d_r_matches_induced"
+                           " with --identity\n")
+    proc = subprocess.run(argv + ["--identity", "mc_homlie"], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0 and proc.stdout.endswith("all identities passed\n")
+
+
 def test_cli_consistency_failure_exits_three(tmp_path, monkeypatch):
     from homlie import operators
     alg = tmp_path / "b.json"
@@ -342,6 +363,20 @@ def test_cli_rational_option_with_zero_denominator_is_usage_error(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {option}: bad rational" in captured.err
+
+
+def test_cli_zero_denominator_is_named(tmp_path, capsys):
+    files = _operator_files(tmp_path)
+    for option, argv in _ZERO_DENOMINATOR_CASES.values():
+        args = argv(files)
+        value = args[-1].partition("=")[2] or args[-1]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (f"error: {option}: bad rational '{value}':"
+                                           " zero denominator\n")
+    op = tmp_path / "zero-den.json"
+    op.write_text('[["0","0","0"],["0","1/0","0"],["0","0","0"]]')
+    assert main(["check", "nijenhuis", "--algebra", files["alg"], "--op", str(op)]) == 2
+    assert capsys.readouterr().err == "error: --op[1][1]: bad rational '1/0': zero denominator\n"
 
 
 # case: (argv given the files, ending in the option; its negative fraction value)

@@ -8,11 +8,14 @@ term by term with cochain addition, as the brackets did before each became
 one assembly of parts.  The plans and brackets must give equal coefficient
 tables on raw (not necessarily compatible) cochains with rational values, on
 every default fixture and on twists, representations and codomains that the
-fixtures do not cover.
+fixtures do not cover.  Cochain ``+`` and ``-``, which the bracket references
+use, are themselves assemblies; ``ref_add`` checks them key by key on
+``Fraction`` entries.
 """
 
 import gc
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -348,6 +351,50 @@ def test_linear_combination_matches_reference():
             assert (linear_combination(alg.space, cod, arity, terms, den)
                     == ref_linear_combination(alg.space, cod, arity, terms, den)), (arity, den)
     assert linear_combination(alg.space, cod, 2, [(1, fs[0]), (-1, fs[0])], 3).is_zero()
+
+
+def ref_add(f: SkewCochain, g: SkewCochain, sign: int) -> SkewCochain:
+    """f + sign * g, one key at a time on Fraction entries."""
+    table = {}
+    for key in combinations(range(f.domain.dim), f.arity):
+        table[key] = Vec([a + sign * b for a, b in zip(f.value_on(key).entries,
+                                                       g.value_on(key).entries)])
+    return SkewCochain(f.domain, f.codomain, f.arity, table)
+
+
+def test_cochain_add_and_sub_match_reference():
+    rng = random.Random("add-sub")
+    alg = _rational_dim4()
+    cod = TwistedSpace(Mat([[1, 1], [0, "-1/2"]]))
+    dens = set()
+    for arity in (0, 1, 2, 3, 4):
+        for _ in range(4):
+            f, g = (raw_cochain(alg.space, cod, arity, rng) for _ in range(2))
+            dens |= {v.den for v in f.coeffs.values()} | {v.den for v in g.coeffs.values()}
+            assert f + g == ref_add(f, g, 1), arity
+            assert f - g == ref_add(f, g, -1), arity
+            # sums that cancel on every key, and on some keys only
+            for empty in (f - f, f + (-f), -f + f, f.scale(2) - f - f):
+                assert empty.is_zero() and empty.coeffs == {}, arity
+            partial = SkewCochain(alg.space, cod, arity, dict(list(f.coeffs.items())[::2]))
+            assert f - partial == ref_add(f, partial, -1), arity
+            assert not set((f - partial).coeffs) & set(partial.coeffs), arity
+    assert {1, 2, 3, 6} <= dens  # the values mix denominators
+
+
+def test_cochain_add_and_sub_reject_a_shape_mismatch():
+    alg = _rational_dim4()
+    cod = TwistedSpace(Mat([[1, 1], [0, "-1/2"]]))
+    f = raw_cochain(alg.space, cod, 2, random.Random("shape"))
+    others = {"domain": SkewCochain.zero(TwistedSpace.untwisted(4), cod, 2),
+              "codomain": SkewCochain.zero(alg.space, TwistedSpace.untwisted(2), 2),
+              "arity": SkewCochain.zero(alg.space, cod, 1)}
+    for name, other in others.items():
+        for op in (SkewCochain.__add__, SkewCochain.__sub__):
+            with pytest.raises(ValueError, match="cochain shape mismatch"):
+                op(f, other)
+            with pytest.raises(ValueError, match="cochain shape mismatch"):
+                op(other, f)
 
 
 @pytest.mark.parametrize("first", ["heisenberg", "abelian"])
