@@ -35,11 +35,15 @@ key, the integer (c, Vec) terms of the plan sum.  The assembler puts all
 parts over the lcm of their denominators and sums each output key once, so
 no summand is built as a cochain of its own: ``nr_bracket`` has 2 parts,
 ``fn_bracket``, ``derived_bracket_rel`` and the semidirect lower component 3,
-and the bicrossed components 8 (upper) and 5 (lower).  The coboundary images
-come from ``delta_hom``, which keeps them on their cochain, so a cochain met
-again in another bracket is not differentiated again.  ``theta_tilde`` is one
-action part (``cochains._action_part``, as in the coboundary) on the acted
-basis table e_a . beta^k(e_i), kept on the representation per power.
+and the bicrossed components 8 (upper) and 5 (lower).  A self-bracket [P, P]
+builds delta P or theta~ P once and sums its two insertions in one part,
+dropped if their signs cancel (``_insertion_parts``): 0 ``nr_bracket`` parts
+and 2 ``fn_bracket`` and ``derived_bracket_rel`` parts in odd arity, 1 each in
+even.  The coboundary images come from ``delta_hom``, which keeps them on
+their cochain, so a cochain met again in another bracket is not
+differentiated again.  ``theta_tilde`` is one action part
+(``cochains._action_part``, as in the coboundary) on the acted basis table
+e_a . beta^k(e_i), kept on the representation per power.
 """
 
 from __future__ import annotations
@@ -64,11 +68,22 @@ def nr_bracket(P: SkewCochain, Q: SkewCochain) -> SkewCochain:
 
 
 def _nr_parts(P: SkewCochain, Q: SkewCochain, sign: int = 1) -> list:
-    """sign * [P, Q]_nr as its two insertion parts for ``_assemble``."""
+    """sign * [P, Q]_nr as its insertion parts for ``_assemble``."""
     if P.domain != Q.domain or P.codomain != Q.codomain or P.domain != P.codomain:
         raise ValueError("both cochains must live in C(g, g) on the same space")
     m, n = P.arity, Q.arity
-    return [_contract_part(P, Q, sign), _contract_part(Q, P, -sign * _sign((m - 1) * (n - 1)))]
+    return _insertion_parts(lambda f: f, P, Q, sign, -sign * _sign((m - 1) * (n - 1)))
+
+
+def _insertion_parts(inner, P: SkewCochain, Q: SkewCochain, p_sign: int, q_sign: int) -> list:
+    """p_sign * i_{inner(P)} Q + q_sign * i_{inner(Q)} P as parts for ``_assemble``.
+
+    For Q is P: one inner(P), one part of coefficient p_sign + q_sign, or none if that is 0.
+    """
+    if P is Q:
+        image = inner(P)
+        return [_contract_part(image, P, p_sign + q_sign)] if p_sign + q_sign else []
+    return [_contract_part(inner(P), Q, p_sign), _contract_part(inner(Q), P, q_sign)]
 
 
 def cup_bracket(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra) -> SkewCochain:
@@ -151,12 +166,11 @@ def fn_bracket(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCochai
 
 
 def _fn_parts(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain, sign: int = 1) -> list:
-    """sign * [P, Q]_fn as its cup part and two insertion parts for ``_assemble``."""
+    """sign * [P, Q]_fn as its cup part and insertion parts for ``_assemble``."""
     adj = adjoint_representation(alg)
     m, n = P.arity, Q.arity
-    return [_cup_part(P, Q, alg, sign),
-            _contract_part(delta_hom(adj, P), Q, sign * _sign(m)),
-            _contract_part(delta_hom(adj, Q), P, -sign * _sign((m + 1) * n))]
+    return [_cup_part(P, Q, alg, sign)] + _insertion_parts(
+        lambda f: delta_hom(adj, f), P, Q, sign * _sign(m), -sign * _sign((m + 1) * n))
 
 
 def derived_bracket(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCochain:
@@ -204,11 +218,13 @@ def derived_bracket_rel(rep: Representation, P: SkewCochain, Q: SkewCochain) -> 
     - (-1)^{mn} i~_{theta~ Q} P.  Only the representation structure is used,
     never the acted bracket.
     """
-    m, n = P.arity, Q.arity
-    return _assemble(P.domain, P.codomain, m + n,
-                     [_cup_part(P, Q, rep.algebra),
-                      _contract_part(theta_tilde(rep, P), Q),
-                      _contract_part(theta_tilde(rep, Q), P, -_sign(m * n))])
+    return _assemble(P.domain, P.codomain, P.arity + Q.arity, _derived_parts(rep, P, Q))
+
+
+def _derived_parts(rep: Representation, P: SkewCochain, Q: SkewCochain) -> list:
+    """[P, Q]_derived as its cup part and insertion parts for ``_assemble``."""
+    return [_cup_part(P, Q, rep.algebra)] + _insertion_parts(
+        lambda f: theta_tilde(rep, f), P, Q, 1, -_sign(P.arity * Q.arity))
 
 
 class GradedPair:

@@ -498,14 +498,14 @@ def _numerators(values: dict[tuple[int, ...], Vec]
 
 
 def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
-              parts: Sequence[tuple[int, dict[tuple[int, ...], list[tuple[int, Vec]]]]]
-              ) -> SkewCochain:
-    """The cochain that sums its parts, with one ``_lincomb`` per output key.
+              parts: Sequence[tuple[int, dict[tuple[int, ...], list[tuple[int, Vec]]]]],
+              divisor: int = 1) -> SkewCochain:
+    """The cochain that sums its parts, divided by the positive integer divisor.
 
     A part is (den, {key: [(c, v), ...]}) and stands for the value
     sum c * v / den on e_key; every part must have the cochain's shape.  The
     terms of all parts go over the lcm of their denominators, so each output
-    key is summed once, with no intermediate cochain.
+    key is summed once, with one ``_lincomb`` and no intermediate cochain.
     """
     common = lcm(*[den for den, _ in parts])
     merged: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
@@ -521,7 +521,7 @@ def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                 got.extend(terms)
     table: dict[tuple[int, ...], Vec] = {}
     for key, terms in merged.items():
-        value = _lincomb(terms, codomain.dim, common)
+        value = _lincomb(terms, codomain.dim, common * divisor)
         if not value.is_zero():
             table[key] = value
     return _cochain(domain, codomain, arity, table)

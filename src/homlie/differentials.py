@@ -16,6 +16,8 @@ multiplied out over one plan denominator.  The action part is
 ``cochains._action_part`` on the action columns of a twist power, kept on the
 ``Representation``: the vectors alpha^k(e_x) . e_v.  ``d_trivial`` has no
 action part, and neither has a representation whose table is all zero.
+``_coboundary`` hands the parts out, scaled by a rational, so that
+``mc_residual`` can sum 2 lam d(s) and [s, s] in one assembly, over 2.
 
 ``delta_hom`` computes a cochain's coboundary once per representation and
 keeps it on the cochain (``f.__dict__["_delta"]``, keyed by the
@@ -58,15 +60,19 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
     if image is None:
         if f.domain != rep.algebra.space or f.codomain != rep.module:
             raise ValueError("cochain does not live on the representation's complex")
-        image = memo[rep] = _coboundary(rep.algebra, f, rep)
+        image = memo[rep] = _assemble(rep.algebra.space, f.codomain, f.arity + 1,
+                                      _coboundary(rep.algebra, f, rep))
     return image
 
 
-def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None) -> SkewCochain:
-    """The bracket part of f's coboundary, plus rep's action part unless rep is None or zero."""
+def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None, scale=1) -> list:
+    """scale (an int or ``Fraction``) times f's coboundary as parts for ``_assemble``.
+
+    The bracket part, plus rep's action part unless rep is None or zero; none for scale 0.
+    """
     n = f.arity
-    if n + 1 > alg.dim:  # alternating maps of arity above the dimension vanish
-        return SkewCochain.zero(alg.space, f.codomain, n + 1)
+    if n + 1 > alg.dim or not scale:  # alternating maps of arity above the dimension vanish
+        return []
     plan, den = _bracket_plan(alg, n)
     coeffs = f.coeffs
     parts = [(den, {key: terms for key, entries in plan
@@ -76,7 +82,11 @@ def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None) 
     acting = None if rep is None else _action_columns(rep, max(n - 1, 0))
     if acting is not None:
         parts.append(_action_part(f, acting))
-    return _assemble(alg.space, f.codomain, n + 1, parts)
+    if scale != 1:
+        p, q = scale.numerator, scale.denominator
+        parts = [(d * q, {key: [(p * c, v) for c, v in terms] for key, terms in part.items()})
+                 for d, part in parts]
+    return parts
 
 
 def _action_columns(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...] | None:
@@ -123,7 +133,7 @@ def d_trivial(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
     """Trivial-coefficient coboundary: the loop of ``delta_hom`` with no action."""
     if f.domain != alg.space:
         raise ValueError("cochain domain does not match the algebra")
-    return _coboundary(alg, f, None)
+    return _assemble(alg.space, f.codomain, f.arity + 1, _coboundary(alg, f, None))
 
 
 def delta_tr(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:

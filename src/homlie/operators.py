@@ -6,6 +6,11 @@ the graded bracket machinery.  The dual routes must agree; a disagreement is
 an internal consistency failure (it would mean a sign error in a bracket),
 reported as ``ConsistencyError`` rather than a verdict.
 
+Each criterion runs once per operator: a public call checks the twists once,
+and the private pointwise, graph and Maurer-Cartan routines take the checked
+operator.  ``theorems`` builds the induced structures of operators a relative
+search has just cross-checked without checking them again.
+
 A weight-lambda Rota-Baxter operator is a relative one of the adjoint action
 (``structures.adjoint_action``): its pointwise identity, its deformed bracket
 and its Maurer-Cartan equation are those of the relative operator.
@@ -19,32 +24,26 @@ from operator import mul
 from typing import NamedTuple
 
 from .linalg import Mat, Vec, _common, _mat_reduced, _rref, mat_rank, rat
-from .cochains import (SkewCochain, TwistedSpace, compatibility_basis, flatten_cochain,
-                       operator_cochain)
+from .cochains import (SkewCochain, TwistedSpace, _assemble, compatibility_basis,
+                       flatten_cochain, operator_cochain)
 from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, RawHomStructure,
                          Representation, adjoint_action, check_morphism, hom_jacobi_witness,
                          representation_witness, semidirect_weight)
-from .differentials import d_lambda_tilde, d_trivial, delta_hom
-from .brackets import cup_bracket, derived_bracket_rel, fn_bracket
+from .differentials import _coboundary, delta_hom
+from .brackets import _cup_part, _derived_parts, fn_bracket
 
 
 class ConsistencyError(RuntimeError):
     """Divergence between dual implementations of the same criterion."""
 
 
-HALF = Fraction(1, 2)
 # The weights t at which ``nijenhuis_report`` checks the pencil mu + t * [ , ]^N.
-PENCIL_WEIGHTS = (Fraction(1), Fraction(-1), HALF, Fraction(3))
+PENCIL_WEIGHTS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3))
 
 
 def _check_commutes(alg: HomLieAlgebra, m: Mat) -> None:
     if alg.alpha @ m != m @ alg.alpha:
         raise ValueError("operator does not commute with the twist")
-
-
-def _endo_cochain(alg: HomLieAlgebra, m: Mat) -> SkewCochain:
-    _check_commutes(alg, m)
-    return operator_cochain(alg.space, alg.space, m)
 
 
 def _images(T: Mat) -> list[Vec]:
@@ -67,9 +66,8 @@ def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed):
     return None
 
 
-def deformed_bracket_n(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
-    """The bracket [x, y]^N = [Nx, y] + [x, Ny] - N[x, y] as a 2-cochain."""
-    _check_commutes(alg, N)
+def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat):
+    """Basis pair -> [Nx, y] + [x, Ny] - N[x, y]."""
     basis, images = alg.space.basis, _images(N)
 
     def value(key):
@@ -77,12 +75,19 @@ def deformed_bracket_n(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
         return (alg.bracket(images[i], basis[j]) + alg.bracket(basis[i], images[j])
                 - N @ alg.table[i][j])
 
-    return SkewCochain.from_function(alg.space, alg.space, 2, value)
+    return value
+
+
+def deformed_bracket_n(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
+    """The bracket [x, y]^N = [Nx, y] + [x, Ny] - N[x, y] as a 2-cochain."""
+    _check_commutes(alg, N)
+    return SkewCochain.from_function(alg.space, alg.space, 2, _nijenhuis_bracket(alg, N))
 
 
 def nijenhuis_defect(alg: HomLieAlgebra, N: Mat):
     """First basis pair violating [Nx, Ny] = N([x, y]^N), with both sides."""
-    return _pair_defect(alg.bracket, N, alg.space, deformed_bracket_n(alg, N).value_on)
+    _check_commutes(alg, N)
+    return _pair_defect(alg.bracket, N, alg.space, _nijenhuis_bracket(alg, N))
 
 
 def _agreed(kind: str, *verdicts: tuple[str, bool]) -> bool:
@@ -96,8 +101,10 @@ def _agreed(kind: str, *verdicts: tuple[str, bool]) -> bool:
 
 def is_nijenhuis(alg: HomLieAlgebra, N: Mat) -> bool:
     """[Nx, Ny] = N([x, y]^N) on basis pairs, cross-checked as [N, N]_fn = 0."""
-    nc = _endo_cochain(alg, N)
-    return _agreed("Nijenhuis", ("pointwise", nijenhuis_defect(alg, N) is None),
+    _check_commutes(alg, N)
+    nc = operator_cochain(alg.space, alg.space, N)
+    pointwise = _pair_defect(alg.bracket, N, alg.space, _nijenhuis_bracket(alg, N)) is None
+    return _agreed("Nijenhuis", ("pointwise", pointwise),
                    ("bracket square", fn_bracket(alg, nc, nc).is_zero()))
 
 
@@ -122,7 +129,7 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
     checks = []
     nij = is_nijenhuis(alg, N)
     checks.append(("nijenhuis identity", nij, "" if nij else "defining identity fails"))
-    deformed = deformed_bracket_n(alg, N)
+    deformed = SkewCochain.from_function(alg.space, alg.space, 2, _nijenhuis_bracket(alg, N))
     deformed_alg = None
     try:
         deformed_alg = HomLieAlgebra(alg.space, deformed)
@@ -137,7 +144,7 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
         witness = hom_jacobi_witness(RawHomStructure(alg.space, pencil))
         ok = witness is None
         checks.append((f"pencil t={t}", ok, "" if ok else f"Jacobi fails at {witness[0]}"))
-    nc = _endo_cochain(alg, N)
+    nc = operator_cochain(alg.space, alg.space, N)
     sq = delta_hom(adjoint_action(alg), fn_bracket(alg, nc, nc)).is_zero()
     checks.append(("coboundary of bracket square", sq, "" if sq else "nonzero"))
     return OperatorReport(all(p for _, p, _ in checks), tuple(checks))
@@ -153,7 +160,7 @@ def rb_deformed_bracket(alg: HomLieAlgebra, R: Mat, lam) -> SkewCochain:
 def rota_baxter_defect(alg: HomLieAlgebra, R: Mat, lam):
     """First basis pair violating the weighted Rota-Baxter identity."""
     _check_commutes(alg, R)
-    return relative_rb_defect(adjoint_action(alg), R, lam)
+    return _relative_defect(adjoint_action(alg), R, lam)
 
 
 def is_rota_baxter(alg: HomLieAlgebra, R: Mat, lam) -> bool:
@@ -162,8 +169,10 @@ def is_rota_baxter(alg: HomLieAlgebra, R: Mat, lam) -> bool:
     Cross-checked against the Maurer-Cartan equation of the weighted derived
     differential graded Lie algebra: d_lam R + (1/2)[R, R]_derived = 0.
     """
-    return _agreed("Rota-Baxter", ("pointwise", rota_baxter_defect(alg, R, lam) is None),
-                   ("Maurer-Cartan", relative_rb_mc(adjoint_action(alg), R, lam)))
+    _check_commutes(alg, R)
+    adj = adjoint_action(alg)
+    return _agreed("Rota-Baxter", ("pointwise", _relative_defect(adj, R, lam) is None),
+                   ("Maurer-Cartan", _relative_mc(adj, R, lam)))
 
 
 def _check_intertwines(action: HomLieAction, R: Mat) -> None:
@@ -187,6 +196,10 @@ def _induced_bracket(action: HomLieAction, R: Mat, lam):
 def relative_rb_defect(action: HomLieAction, R: Mat, lam):
     """First basis pair violating the relative Rota-Baxter identity."""
     _check_intertwines(action, R)
+    return _relative_defect(action, R, lam)
+
+
+def _relative_defect(action: HomLieAction, R: Mat, lam):
     return _pair_defect(action.acting.bracket, R, action.acted.space,
                         _induced_bracket(action, R, rat(lam)))
 
@@ -205,6 +218,10 @@ def relative_rb_graph(action: HomLieAction, R: Mat, lam) -> bool:
     the brackets of all C(dim, 2) pairs of them still have rank dim: one rank.
     """
     _check_intertwines(action, R)
+    return _graph_closed(action, R, lam)
+
+
+def _graph_closed(action: HomLieAction, R: Mat, lam) -> bool:
     big = semidirect_weight(action, lam)
     graph = [Vec.concat(r, e) for r, e in zip(_images(R), action.acted.space.basis)]
     brackets = [big.bracket(graph[i], graph[j]) for i, j in combinations(range(len(graph)), 2)]
@@ -214,6 +231,10 @@ def relative_rb_graph(action: HomLieAction, R: Mat, lam) -> bool:
 def relative_rb_mc(action: HomLieAction, R: Mat, lam) -> bool:
     """Maurer-Cartan equation in the relative derived differential graded Lie algebra."""
     _check_intertwines(action, R)
+    return _relative_mc(action, R, lam)
+
+
+def _relative_mc(action: HomLieAction, R: Mat, lam) -> bool:
     rc = operator_cochain(action.acted.space, action.acting.space, R)
     return mc_residual(rc, "relative_derived", action=action, lam=lam).is_zero()
 
@@ -226,8 +247,8 @@ def is_relative_rb(action: HomLieAction, R: Mat, lam) -> bool:
 def _cross_checked(action: HomLieAction, R: Mat, lam, pointwise: bool) -> bool:
     """The pointwise verdict, once the graph and Maurer-Cartan criteria agree with it."""
     return _agreed("relative Rota-Baxter", ("pointwise", pointwise),
-                   ("graph", relative_rb_graph(action, R, lam)),
-                   ("Maurer-Cartan", relative_rb_mc(action, R, lam)))
+                   ("graph", _graph_closed(action, R, lam)),
+                   ("Maurer-Cartan", _relative_mc(action, R, lam)))
 
 
 def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra, Representation]:
@@ -241,6 +262,11 @@ def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra
     lam = rat(lam)
     if not is_relative_rb(action, R, lam):
         raise ValueError("operator fails the relative Rota-Baxter identity")
+    return _induced_structures(action, R, lam)
+
+
+def _induced_structures(action: HomLieAction, R: Mat, lam: Fraction):
+    """``induced_structures`` of a checked operator, with all three facts still verified."""
     g, h = action.acting, action.acted
     hbasis, gbasis, images = h.space.basis, g.space.basis, _images(R)
     induced = HomLieAlgebra(h.space, SkewCochain.from_function(
@@ -270,16 +296,20 @@ def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None 
     """
     if s.arity != 1:
         raise ValueError("Maurer-Cartan residual is defined for arity-1 elements")
+    # one assembly of (2 d(s) + [s, s]) / 2
     if dgla_kind == "morphism":
         if alg is None or target is None:
             raise ValueError("morphism residual needs the domain and codomain algebras")
-        return d_trivial(alg, s) + cup_bracket(s, s, target).scale(HALF)
-    if dgla_kind == "relative_derived":
+        if s.domain != alg.space:
+            raise ValueError("cochain domain does not match the algebra")
+        parts = _coboundary(alg, s, None, 2) + [_cup_part(s, s, target)]
+    elif dgla_kind == "relative_derived":
         if not isinstance(action, HomLieAction):
             raise ValueError("relative derived residual needs a full action")
-        return (d_lambda_tilde(action.acted, s, lam)
-                + derived_bracket_rel(action, s, s).scale(HALF))
-    raise ValueError(f"unknown differential graded Lie algebra kind: {dgla_kind!r}")
+        parts = _coboundary(action.acted, s, None, 2 * rat(lam)) + _derived_parts(action, s, s)
+    else:
+        raise ValueError(f"unknown differential graded Lie algebra kind: {dgla_kind!r}")
+    return _assemble(s.domain, s.codomain, 2, parts, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +326,7 @@ def _search_matrices(source, target, entries) -> list[Mat]:
     the grid order (position in ``entries``) of the column-major table.
     """
     nums, den = _common(entries)  # the grid as integers over one denominator
+    nums = tuple(dict.fromkeys(nums))  # a repeated value would repeat its matrices
     grid = set(nums)
     reduced, pivots, d = _rref([list(flatten_cochain(b).num)
                                 for b in compatibility_basis(source, target, 1)])

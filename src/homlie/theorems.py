@@ -73,7 +73,7 @@ from .differentials import d_lambda, d_lambda_tilde, delta_hom
 from . import brackets as br
 from .brackets import GradedPair, _sign
 from .cohomology import ComplexSpec
-from .operators import (induced_structures, relative_rb_graph, relative_rb_mc,
+from .operators import (_induced_structures, relative_rb_graph, relative_rb_mc,
                         relative_rb_pointwise, search_relative_rb)
 
 IDENTITIES: tuple[str, ...] = (
@@ -326,8 +326,9 @@ def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
     if identity == "relative_consistency":
         return shared["relative"]
     action, verified = shared["relative"]
+    # the search cross-checked each operator: build its induced structures, checking no criterion
     induced = [(lam, operator_cochain(action.acted.space, action.acting.space, R),
-                induced_structures(action, R, lam)[1]) for lam, R in verified]
+                _induced_structures(action, R, lam)[1]) for lam, R in verified]
     return action, induced
 
 

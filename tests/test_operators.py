@@ -283,7 +283,9 @@ def test_dual_criteria_disagreement_is_a_hard_error(monkeypatch):
     with pytest.raises(ConsistencyError):
         operators.is_nijenhuis(B, Mat.identity(3))
     monkeypatch.undo()
-    monkeypatch.setattr(operators, "derived_bracket_rel", lambda rep, a, b: B.mu.scale(2))
+    # the Maurer-Cartan residual assembles the derived bracket's parts: make [R, R] = 2 mu
+    monkeypatch.setattr(operators, "_derived_parts",
+                        lambda rep, a, b: [(1, {k: [(2, v)] for k, v in B.mu.coeffs.items()})])
     with pytest.raises(ConsistencyError):
         operators.is_rota_baxter(B, Mat.zero(3, 3), 0)
 
@@ -325,6 +327,6 @@ def test_search_checks_each_candidate_pointwise_once(monkeypatch):
     assert found and len(found) < len(candidates)
     assert calls == candidates
     # a candidate that passes pointwise is still cross-checked
-    monkeypatch.setattr(operators, "relative_rb_mc", lambda action, R, lam: False)
+    monkeypatch.setattr(operators, "_relative_mc", lambda action, R, lam: False)
     with pytest.raises(ConsistencyError, match="pointwise=True, graph=True, Maurer-Cartan=False"):
         search_relative_rb(act, 1, (0, 1))
