@@ -13,17 +13,18 @@ parameterized by ``compatibility_basis``; C^0(W, V) is the beta-fixed
 subspace of V.  The module also provides shuffle enumeration with signs and
 the first-slot insertion operator underlying all graded brackets.
 
-Insertion runs on a compiled plan.  Per output key, the plan lists the
-entries (inner key, coordinate, outer key, integer coefficient) with the
-shuffle signs, the twist-power entries of the trailing arguments and the
-sort signs already multiplied out, over one plan denominator; ``contract``
-is then one sum on integer numerators through ``_lincomb``.  Each plan is
-compiled once per pair of arities and kept on the ``TwistedSpace`` it was
-compiled for.  Plans work in raw coefficient coordinates, never in
-compatibility-basis coordinates: a nested bracket yields an arbitrary
-cochain, whose basis coordinates would need a linear solve.  ``evaluate``
-and ``shuffles`` stay the independent route that the explicit shuffle sums
-of ``theorems`` and the tests check the plans against.
+The twist enters every compiled table through one wedge table kept on the
+``TwistedSpace``, ``_wedge(w, k, n)``: Lambda^n(alpha^k) on increasing
+n-tuples.  ``compatibility_basis`` is the kernel of the defect matrix
+beta (x) I - I (x) Lambda^n alpha read off it.  The insertion plan of a pair
+of arities, kept there too, lists per output key the entries (inner key,
+coordinate, outer key, integer coefficient) with the shuffle signs, the
+wedge of the trailing arguments under alpha^(m-1) and the sort signs
+multiplied out, over one denominator.  Plans work in raw coefficient
+coordinates: a nested bracket yields an arbitrary cochain, whose basis
+coordinates would need a linear solve.  ``evaluate`` and ``shuffles`` are
+the oracle the explicit shuffle sums of ``theorems`` and the tests check the
+plans and the wedge table against.
 
 ``_assemble`` is the one place that sums cochain values.  A part is one
 signed summand: a denominator and, per output key, integer (c, Vec) terms.
@@ -43,15 +44,15 @@ from itertools import combinations, product
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .linalg import Mat, Vec, _lincomb, _vec_reduced, kernel_basis, rat
+from .linalg import Mat, Vec, _lincomb, _mat, _vec_reduced, kernel_basis, rat
 
 
 class TwistedSpace:
     """A dimension together with its twist endomorphism.
 
     Caches the twist powers, the standard basis, the images of the basis
-    under each twist power and the compiled insertion plans, so callers never
-    rebuild them.
+    under each twist power, the wedge tables and the compiled insertion
+    plans, so callers never rebuild them.
     """
 
     def __init__(self, alpha: Mat):
@@ -62,6 +63,7 @@ class TwistedSpace:
         self._powers: dict[int, Mat] = {0: Mat.identity(self.dim), 1: alpha}
         self.basis: tuple[Vec, ...] = tuple(Vec.basis(self.dim, i) for i in range(self.dim))
         self._twisted: dict[int, tuple[Vec, ...]] = {0: self.basis}
+        self._wedges: dict[tuple[int, int], tuple] = {}
         self._insertion_plans: dict[tuple[int, int], tuple] = {}
 
     @staticmethod
@@ -272,11 +274,11 @@ def linear_combination(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
 
 
 def evaluate(f: SkewCochain, args: Sequence[Vec]) -> Vec:
-    """Multilinear, alternating evaluation on arbitrary vectors.
+    """Multilinear, alternating evaluation on arbitrary vectors: the oracle route.
 
-    Expands each argument over its nonzero coordinates, so evaluation on
-    near-basis vectors (basis vectors hit by twist powers) stays cheap.  The
-    terms are summed on integer numerators over one common denominator.
+    Expands each argument over its nonzero coordinates; the terms are summed
+    on integer numerators over one common denominator.  No compiled table
+    calls it: the explicit shuffle sums of ``theorems`` and the tests do.
     """
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} arguments, got {len(args)}")
@@ -315,12 +317,12 @@ def compatibility_failures(f: SkewCochain) -> list[tuple[tuple[int, ...], Vec, V
     Tuples come in lexicographic order; the sides are beta(f(e_I)) and
     f(alpha(e_I)).
     """
-    beta = f.codomain.alpha
-    twisted = f.domain.twisted_basis(1)
+    beta, coeffs, dim = f.codomain.alpha, f.coeffs, f.codomain.dim
+    wedge, den = _wedge(f.domain, 1, f.arity)
     failures = []
-    for key in combinations(range(f.domain.dim), f.arity):
+    for key, entries in wedge.items():
         lhs = beta @ f.value_on(key)
-        rhs = evaluate(f, [twisted[i] for i in key])
+        rhs = _lincomb([(c, coeffs[k]) for k, c in entries if k in coeffs], dim, den)
         if lhs != rhs:
             failures.append((key, lhs, rhs))
     return failures
@@ -328,8 +330,7 @@ def compatibility_failures(f: SkewCochain) -> list[tuple[tuple[int, ...], Vec, V
 
 def compatibility_witness(f: SkewCochain) -> tuple[tuple[int, ...], Vec, Vec] | None:
     """First basis tuple where twist-compatibility fails, with both sides."""
-    failures = compatibility_failures(f)
-    return failures[0] if failures else None
+    return next(iter(compatibility_failures(f)), None)
 
 
 _COMPAT_CACHE: dict[tuple, list[SkewCochain]] = {}
@@ -338,37 +339,31 @@ _COMPAT_CACHE: dict[tuple, list[SkewCochain]] = {}
 def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int) -> list[SkewCochain]:
     """Basis of the twist-compatible cochain space C^arity(domain, codomain).
 
-    Computed as the kernel of the linear map f -> beta o f - f o alpha^(wedge n)
-    on raw coefficient tables.  Deterministic ordering: lexicographic tuples,
-    codomain coordinates within each tuple.  At arity 0 the map is beta - I,
-    so the basis is that of the twist-fixed vectors, ``kernel_basis(beta - I)``.
+    The kernel of f -> beta o f - f o alpha^(wedge n) on raw coefficient tables,
+    the matrix beta (x) I - I (x) Lambda^n alpha read off the wedge table.
+    Ordered by lexicographic tuples, then codomain coordinates.  At arity 0 the
+    map is beta - I: the basis is ``kernel_basis(beta - I)``, the fixed vectors.
     """
     if arity < 0:
         raise ValueError("arity must be >= 0")
     cache_key = (domain.alpha, codomain.alpha, arity)
     if cache_key in _COMPAT_CACHE:
         return _COMPAT_CACHE[cache_key]
-    keys = list(combinations(range(domain.dim), arity))
-    ncoords = len(keys) * codomain.dim
-    if ncoords == 0:
-        _COMPAT_CACHE[cache_key] = []
-        return []
-    columns = []
-    for key in keys:
-        for c in range(codomain.dim):
-            unit = SkewCochain(domain, codomain, arity, {key: codomain.basis[c]})
-            image = _compat_defect(unit)
-            columns.append(flatten_cochain(image, keys))
-    matrix = Mat.from_columns(columns)
-    basis = [unflatten_cochain(domain, codomain, arity, keys, v) for v in kernel_basis(matrix)]
+    wedge, den = _wedge(domain, 1, arity)
+    beta, d = codomain.alpha, codomain.dim
+    at, width = {key: j * d for j, key in enumerate(wedge)}, len(wedge) * d
+    rows = []  # (key, r) x (key', c): beta.den * den * (beta (x) I - I (x) Lambda^n alpha)
+    for key, entries in wedge.items():
+        for r in range(d):
+            row = [0] * width
+            row[at[key]:at[key] + d] = [den * x for x in beta.num[r]]
+            for k, c in entries:
+                row[at[k] + r] -= beta.den * c
+            rows.append(tuple(row))
+    basis = [unflatten_cochain(domain, codomain, arity, list(wedge), v)
+             for v in kernel_basis(_mat(tuple(rows), 1, width))]
     _COMPAT_CACHE[cache_key] = basis
     return basis
-
-
-def _compat_defect(f: SkewCochain) -> SkewCochain:
-    """The cochain beta o f - f o alpha^(wedge n)."""
-    return SkewCochain(f.domain, f.codomain, f.arity,
-                       {key: lhs - rhs for key, lhs, rhs in compatibility_failures(f)})
 
 
 def flatten_cochain(f: SkewCochain, keys: list[tuple[int, ...]] | None = None) -> Vec:
@@ -432,16 +427,48 @@ def _action_part(f: SkewCochain, table: Sequence[Sequence[Vec]], sign: int = 1
     Each key of f meets every index x it lacks, at the position x sorts into.
     """
     values, den = _numerators(f.coeffs)
+    coords = [(x, 1) for x in range(f.domain.dim)]
     part: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
     for key, num in values.items():
         support = [(v, y) for v, y in enumerate(num) if y]
-        for x in range(f.domain.dim):
-            if x not in key:
-                pos, row = bisect(key, x), table[x]
-                c = -sign if pos % 2 else sign
-                part.setdefault(key[:pos] + (x,) + key[pos:], []).extend(
-                    [(c * y, row[v]) for v, y in support])
+        for x, out, c in _prepend(coords, ((key, sign),)):
+            row = table[x]
+            part.setdefault(out, []).extend([(c * y, row[v]) for v, y in support])
     return den, part
+
+
+def _prepend(head, tails):
+    """(a, sorted key, sign * x * c) of e_a ^ e_tail per (a, x) in head, (tail, c) in tails.
+
+    The sign is (-1)^pos for the pos entries of tail below a; a in tail is skipped.
+    """
+    for tail, c in tails:
+        for a, x in head:
+            pos = bisect(tail, a)
+            if not pos or tail[pos - 1] != a:
+                yield a, tail[:pos] + (a,) + tail[pos:], -x * c if pos % 2 else x * c
+
+
+def _wedge(w: TwistedSpace, k: int, n: int) -> tuple[dict, int]:
+    """Lambda^n(alpha^k) on increasing n-tuples, compiled once and kept on w: (table, den).
+
+    table maps each key, lexicographically, to the (key', c) with
+    alpha^k(e_key[0]) ^ ... ^ alpha^k(e_key[n-1]) = sum c * e_key' / den.
+    """
+    wedge = w._wedges.get((k, n))
+    if wedge is None:
+        power = w.twist_power(k)
+        table = {(): (((), 1),)} if n == 0 else {}
+        if 0 < n <= w.dim:
+            tails = _wedge(w, k, n - 1)[0]
+            columns = [[(b, x) for b, x in enumerate(col) if x] for col in zip(*power.num)]
+            for key in combinations(range(w.dim), n):
+                entries: dict[tuple[int, ...], int] = {}
+                for _, out, c in _prepend(columns[key[0]], tails[key[1:]]):
+                    entries[out] = entries.get(out, 0) + c
+                table[key] = tuple([(out, c) for out, c in entries.items() if c])
+        wedge = w._wedges[k, n] = (table, power.den ** n)
+    return wedge
 
 
 def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[tuple, int]:
@@ -450,12 +477,11 @@ def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[tuple, int]:
     Returns (plan, den).  The plan lists, per increasing (m+n-1)-tuple key in
     lexicographic order, the entries (inner key, coordinate a, outer key, c)
     with (i_P Q)(e_key) = sum c * P(e_inner)[a] * Q(e_outer) / den, where den
-    is the denominator of alpha^(m-1) to the power n-1.
+    is that of the wedge of the n-1 trailing arguments under alpha^(m-1).
     """
     plan = w._insertion_plans.get((m, n))
     if plan is None:
-        power = w.twist_power(m - 1)
-        columns = [[(b, x) for b, x in enumerate(col) if x] for col in zip(*power.num)]
+        wedge, den = _wedge(w, m - 1, n - 1)
         coords = [(a, 1) for a in range(w.dim)]
         table = shuffles(m, n - 1)
         keys = []
@@ -463,30 +489,11 @@ def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[tuple, int]:
             entries: dict[tuple, int] = {}
             for image, sign in table:
                 inner = tuple([key[p] for p in image[:m]])
-                for a, outer, c in _sorted_products(coords, [columns[key[p]] for p in image[m:]]):
+                for a, outer, c in _prepend(coords, wedge[tuple([key[p] for p in image[m:]])]):
                     entries[inner, a, outer] = entries.get((inner, a, outer), 0) + sign * c
             keys.append((key, tuple([e + (c,) for e, c in entries.items() if c])))
-        plan = w._insertion_plans[m, n] = (tuple(keys), power.den ** (n - 1))
+        plan = w._insertion_plans[m, n] = (tuple(keys), den)
     return plan
-
-
-def _sorted_products(first: Sequence[tuple[int, int]], rest: Sequence[Sequence[tuple[int, int]]]):
-    """The expansion of an argument list over increasing basis tuples.
-
-    ``first`` and each member of ``rest`` list one argument's nonzero
-    (index, integer weight) pairs.  Yields (first index, increasing tuple,
-    sort sign times the product of the weights) for every choice of one
-    index per argument without a repeat.
-    """
-    for combo in product(*rest):
-        c = 1
-        for _, y in combo:
-            c *= y
-        indices = [b for b, _ in combo]
-        for a, x in first:
-            sign, key = sort_with_sign([a] + indices)
-            if sign:
-                yield a, key, sign * x * c
 
 
 def _numerators(values: dict[tuple[int, ...], Vec]

@@ -11,13 +11,13 @@ The coboundary is two parts summed once by ``cochains._assemble``, each read
 off a table kept on the object its data comes from.  The bracket part reads
 the bracket plan of an arity, kept on the structure: per output key the
 entries (cochain key, integer coefficient) of the bracket sum, with the signs
-(-1)^{i+j}, the structure constants, the twist entries and the sort signs
-multiplied out over one plan denominator.  The action part is
-``cochains._action_part`` on the action columns of a twist power, kept on the
-``Representation``: the vectors alpha^k(e_x) . e_v.  ``d_trivial`` has no
-action part, and neither has a representation whose table is all zero.
-``_coboundary`` hands the parts out, scaled by a rational, so that
-``mc_residual`` can sum 2 lam d(s) and [s, s] in one assembly, over 2.
+(-1)^{i+j}, the structure constants, the wedge of alpha (``cochains._wedge``)
+on the other arguments and the sort signs multiplied out over one plan
+denominator.  The action part is ``cochains._action_part`` on the action
+columns of a twist power, kept on the ``Representation``: alpha^k(e_x) . e_v.
+``d_trivial`` has no action part, nor has a representation whose table is
+all zero.  ``_coboundary`` hands the parts out, scaled by a rational, so
+that ``mc_residual`` sums 2 lam d(s) and [s, s] in one assembly, over 2.
 
 ``delta_hom`` computes a cochain's coboundary once per representation and
 keeps it on the cochain (``f.__dict__["_delta"]``, keyed by the
@@ -36,8 +36,7 @@ from itertools import combinations
 from weakref import WeakKeyDictionary
 
 from .linalg import Vec, rat
-from .cochains import (SkewCochain, _action_part, _assemble, _numerators, _sorted_products,
-                       contract)
+from .cochains import SkewCochain, _action_part, _assemble, _numerators, _prepend, _wedge, contract
 from .structures import HomLieAlgebra, Representation
 
 
@@ -110,8 +109,7 @@ def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
     """
     plans = alg.__dict__.setdefault("_bracket_plans", {})
     if n not in plans:
-        alpha = alg.alpha
-        columns = [[(b, x) for b, x in enumerate(col) if x] for col in zip(*alpha.num)]
+        wedge, wedge_den = _wedge(alg.space, 1, max(n - 1, 0))  # n = 0: no pairs, no entries
         brackets, bracket_den = _numerators(alg.mu.coeffs)
         keys = []
         for key in combinations(range(alg.dim), n + 1):
@@ -121,11 +119,11 @@ def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
                 if head is None:
                     continue
                 sign = -1 if (p1 + p2) % 2 else 1  # (-1)^{i+j} with i = p1 + 1, j = p2 + 1
-                rest = [columns[key[p]] for p in range(n + 1) if p != p1 and p != p2]
-                for _, k, c in _sorted_products([(a, x) for a, x in enumerate(head) if x], rest):
+                rest = tuple([key[p] for p in range(n + 1) if p != p1 and p != p2])
+                for _, k, c in _prepend([(a, x) for a, x in enumerate(head) if x], wedge[rest]):
                     entries[k] = entries.get(k, 0) + sign * c
             keys.append((key, tuple([(k, c) for k, c in entries.items() if c])))
-        plans[n] = (tuple(keys), bracket_den * alpha.den ** max(n - 1, 0))  # n = 0: no entries
+        plans[n] = (tuple(keys), bracket_den * wedge_den)
     return plans[n]
 
 

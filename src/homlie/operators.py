@@ -101,11 +101,17 @@ def _agreed(kind: str, *verdicts: tuple[str, bool]) -> bool:
 
 def is_nijenhuis(alg: HomLieAlgebra, N: Mat) -> bool:
     """[Nx, Ny] = N([x, y]^N) on basis pairs, cross-checked as [N, N]_fn = 0."""
+    return _nijenhuis(alg, N)[0]
+
+
+def _nijenhuis(alg: HomLieAlgebra, N: Mat) -> tuple[bool, SkewCochain]:
+    """The Nijenhuis verdict of an operator, after the twist guard, and its square [N, N]_fn."""
     _check_commutes(alg, N)
     nc = operator_cochain(alg.space, alg.space, N)
     pointwise = _pair_defect(alg.bracket, N, alg.space, _nijenhuis_bracket(alg, N)) is None
-    return _agreed("Nijenhuis", ("pointwise", pointwise),
-                   ("bracket square", fn_bracket(alg, nc, nc).is_zero()))
+    square = fn_bracket(alg, nc, nc)
+    verdict = _agreed("Nijenhuis", ("pointwise", pointwise), ("bracket square", square.is_zero()))
+    return verdict, square
 
 
 class OperatorReport(NamedTuple):
@@ -127,7 +133,7 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
     and the squared bracket obstruction vanishes.
     """
     checks = []
-    nij = is_nijenhuis(alg, N)
+    nij, square = _nijenhuis(alg, N)  # the coboundary check below reuses the square
     checks.append(("nijenhuis identity", nij, "" if nij else "defining identity fails"))
     deformed = SkewCochain.from_function(alg.space, alg.space, 2, _nijenhuis_bracket(alg, N))
     deformed_alg = None
@@ -144,8 +150,7 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
         witness = hom_jacobi_witness(RawHomStructure(alg.space, pencil))
         ok = witness is None
         checks.append((f"pencil t={t}", ok, "" if ok else f"Jacobi fails at {witness[0]}"))
-    nc = operator_cochain(alg.space, alg.space, N)
-    sq = delta_hom(adjoint_action(alg), fn_bracket(alg, nc, nc)).is_zero()
+    sq = delta_hom(adjoint_action(alg), square).is_zero()
     checks.append(("coboundary of bracket square", sq, "" if sq else "nonzero"))
     return OperatorReport(all(p for _, p, _ in checks), tuple(checks))
 

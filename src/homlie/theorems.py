@@ -50,6 +50,7 @@ agreement can be checked:
   and ``_derived_rel_explicit`` run on ``evaluate`` and ``shuffles``, against
   the defining bracket formulas, each one assembly of parts on the compiled
   insertion, cup and coboundary plans (identities 14 and 19);
+* compatibility: the wedge table vs ``evaluate`` (``tests/test_wedge.py``);
 * ``theta`` (an insertion of the structure cochain) vs ``theta_tilde`` of
   the adjoint representation (the representation's acted basis table);
 * ``hom_jacobi_witness`` vs the insertion-bracket square (identity 1).
@@ -362,16 +363,14 @@ def _check_cup_graded_lie(alg, rng, max_arity, ctx):
 
 
 def _check_cup_via_theta(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     n = Q.arity
     rhs = (contract(P, br.theta(alg, Q)) - br.theta(alg, contract(P, Q))).scale(_sign(n))
     return _mismatch("cup via theta", br.cup_bracket(P, Q, alg), rhs)
 
 
 def _check_cup_via_delta(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     m = P.arity
     adj = adjoint_representation(alg)
     rhs = (contract(P, delta_hom(adj, Q))
@@ -381,8 +380,7 @@ def _check_cup_via_delta(alg, rng, max_arity, ctx):
 
 
 def _check_delta_cup_derivation(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     m = P.arity
     adj = adjoint_representation(alg)
     lhs = delta_hom(adj, br.cup_bracket(P, Q, alg))
@@ -403,8 +401,7 @@ def _check_cup_trivial_cohomology(alg, rng, max_arity, ctx):
 
 
 def _check_theta_cup_derivation(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     n = Q.arity
     lhs = br.theta(alg, br.cup_bracket(P, Q, alg))
     rhs = (br.cup_bracket(br.theta(alg, P), Q, alg).scale(_sign(n))
@@ -422,10 +419,7 @@ def _check_pre_lie(alg, rng, max_arity, ctx):
 
 
 def _check_rho_is_action(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
-    E = _sample_endo(alg, rng, max_arity)
-    F = _sample_endo(alg, rng, max_arity)
+    P, Q, E, F = (_sample_endo(alg, rng, max_arity) for _ in range(4))
     m, n, k = P.arity - 1, Q.arity - 1, E.arity
     first = _mismatch("insertion is a bracket morphism",
                       contract(br.nr_bracket(P, Q), E),
@@ -453,8 +447,7 @@ def _check_semidirect_jacobi(alg, rng, max_arity, ctx):
 
 
 def _check_graph_delta_closed(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     adj = adjoint_representation(alg)
     lhs = delta_hom(adj, br.fn_bracket(alg, P, Q))
     rhs = br.nr_bracket(delta_hom(adj, P), delta_hom(adj, Q))
@@ -468,8 +461,7 @@ def _check_fn_graded_lie(alg, rng, max_arity, ctx):
 
 
 def _check_fn_two_formulas(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     m = P.arity
     adj = adjoint_representation(alg)
     defining = br.fn_bracket(alg, P, Q)
@@ -482,10 +474,7 @@ def _check_fn_two_formulas(alg, rng, max_arity, ctx):
 
 
 def _check_matched_pair_axioms(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
-    E = _sample_endo(alg, rng, max_arity)
-    F = _sample_endo(alg, rng, max_arity)
+    P, Q, E, F = (_sample_endo(alg, rng, max_arity) for _ in range(4))
     m, n = P.arity - 1, Q.arity - 1
     k, l = E.arity, F.arity
     fn = lambda a, b: br.fn_bracket(alg, a, b)
@@ -535,8 +524,7 @@ def _check_bicrossed_jacobi(alg, rng, max_arity, ctx):
 
 
 def _check_graph_theta_closed(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     lhs = br.theta(alg, br.derived_bracket(alg, P, Q))
     rhs = br.nr_bracket(br.theta(alg, P), br.theta(alg, Q))
     return _mismatch("theta graph closure", lhs, rhs)
@@ -550,16 +538,14 @@ def _check_derived_graded_lie(alg, rng, max_arity, ctx):
 
 
 def _check_derived_two_formulas(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     return _mismatch("defining vs explicit three-sum formula",
                      br.derived_bracket(alg, P, Q),
                      _derived_rel_explicit(adjoint_representation(alg), P, Q))
 
 
 def _check_d_lambda_derivation(alg, rng, max_arity, ctx):
-    P = _sample_endo(alg, rng, max_arity)
-    Q = _sample_endo(alg, rng, max_arity)
+    P, Q = (_sample_endo(alg, rng, max_arity) for _ in range(2))
     lam = rat(rng.choice(_LAMBDAS))
     m = P.arity
     lhs = d_lambda(alg, br.derived_bracket(alg, P, Q), lam)

@@ -15,8 +15,8 @@ import pytest
 
 from homlie import brackets, operators, theorems
 from homlie.brackets import cup_bracket, derived_bracket_rel, fn_bracket, nr_bracket
-from homlie.cochains import SkewCochain, cochain_matrix
-from homlie.differentials import d_lambda_tilde, d_trivial
+from homlie.cochains import SkewCochain, cochain_matrix, operator_cochain
+from homlie.differentials import d_lambda_tilde, d_trivial, delta_hom
 from homlie.linalg import Mat
 from homlie.operators import (ConsistencyError, is_nijenhuis, is_relative_rb, is_rota_baxter,
                               mc_residual, search_nijenhuis, search_relative_rb,
@@ -82,6 +82,22 @@ def test_one_public_call_runs_the_guard_and_each_criterion_once(name, alg, monke
             is_relative_rb(action, R, 1)
             assert ran() == {"_check_intertwines": 1, "_pair_defect": 1, "_graph_closed": 1,
                              "_relative_mc": 1}
+
+
+@pytest.mark.parametrize("name,alg", FIXTURES)
+def test_nijenhuis_report_builds_the_bracket_square_once(name, alg, monkeypatch):
+    calls = _count(monkeypatch, operators, CRITERIA)
+    rng = _stream(4, "report", name)
+    for N in (Mat.identity(alg.dim), cochain_matrix(sample_cochain(alg.space, alg.space, 1, rng))):
+        checks = operators.nijenhuis_report(alg, N).checks
+        assert {k: len(v) for k, v in calls.items() if v} == {
+            "_check_commutes": 1, "_pair_defect": 1, "fn_bracket": 1}
+        nc = operator_cochain(alg.space, alg.space, N)
+        square = delta_hom(adjoint_action(alg), fn_bracket(alg, nc, nc)).is_zero()
+        assert checks[0][:2] == ("nijenhuis identity", is_nijenhuis(alg, N))
+        assert checks[-1][:2] == ("coboundary of bracket square", square)
+        for seen in calls.values():
+            seen.clear()
 
 
 @pytest.mark.parametrize("name,alg", FIXTURES)
