@@ -14,8 +14,8 @@ _EXPORTS = {
     "cochains": ("SkewCochain", "TwistedSpace", "cochain_matrix", "compatibility_basis",
                  "compatibility_witness", "contract", "evaluate", "is_compatible",
                  "operator_cochain", "shuffles"),
-    "structures": ("HomLieAction", "HomLieAlgebra", "HomMorphism", "RawHomStructure",
-                   "Representation", "adjoint_action", "adjoint_representation",
+    "structures": ("ConsistencyError", "HomLieAction", "HomLieAlgebra", "HomMorphism",
+                   "RawHomStructure", "Representation", "adjoint_action", "adjoint_representation",
                    "as_hom_lie", "bracket_action_on_abelian", "check_action",
                    "check_hom_jacobi", "check_morphism", "check_multiplicative",
                    "check_representation", "commutator_hom_lie", "fixture_abelian",
@@ -31,10 +31,9 @@ _EXPORTS = {
                  "semidirect_graded_bracket", "theta", "theta_tilde"),
     "cohomology": ("CohomologyReport", "ComplexSpec", "cohomology", "is_coboundary",
                    "square_zero_witness"),
-    "operators": ("ConsistencyError", "deformed_bracket_n", "induced_structures",
-                  "is_nijenhuis", "is_relative_rb", "is_rota_baxter", "mc_residual",
-                  "nijenhuis_report", "rb_deformed_bracket", "search_nijenhuis",
-                  "search_relative_rb", "search_rota_baxter"),
+    "operators": ("deformed_bracket_n", "induced_structures", "is_nijenhuis", "is_relative_rb",
+                  "is_rota_baxter", "mc_residual", "nijenhuis_report", "rb_deformed_bracket",
+                  "search_nijenhuis", "search_relative_rb", "search_rota_baxter"),
     "deformations": ("MorphismDeformation", "ObstructionClass", "check_order_deformation",
                      "extend", "obstruction"),
     "theorems": ("IDENTITIES", "SuiteReport", "VerificationReport", "run_all",

@@ -176,11 +176,12 @@ def _fn_parts(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain, sign: int = 1)
 def derived_bracket(alg: HomLieAlgebra, P: SkewCochain, Q: SkewCochain) -> SkewCochain:
     """Cup bracket corrected by insertions of theta images.
 
-    [P, Q] = [P, Q]_cup + i_{theta P} Q - (-1)^{mn} i_{theta Q} P, computed as
-    the relative derived bracket of the adjoint representation (theta~ of the
-    adjoint representation is theta).
+    [P, Q] = [P, Q]_cup + i_{theta P} Q - (-1)^{mn} i_{theta Q} P, assembled
+    from the parts of the relative derived bracket of the adjoint
+    representation (theta~ of the adjoint representation is theta).
     """
-    return derived_bracket_rel(adjoint_representation(alg), P, Q)
+    return _assemble(P.domain, P.codomain, P.arity + Q.arity,
+                     _derived_parts(adjoint_representation(alg), P, Q))
 
 
 def theta_tilde(rep: Representation, P: SkewCochain) -> SkewCochain:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input or usage
-error, 3 internal consistency failure (dual criteria disagreeing).  Any path
-argument accepts "-" for stdin.  All numeric output is rendered as canonical
-rational strings, never decimals.
+error, 3 internal consistency failure (dual criteria disagreeing, or a
+deformation failing its own re-validation).  Any path argument accepts "-"
+for stdin.  All numeric output is rendered as canonical rational strings,
+never decimals.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from . import io as hio
 from .io import ParseError
 from .linalg import Mat, rat_str
+from .structures import ConsistencyError
 
 # Each command imports the modules it runs, so that a process compiles and
 # loads only those.
@@ -104,8 +106,9 @@ def _cmd_check_structure(args) -> int:
     return 0 if ok else 1
 
 
-def _operator_verdict(kind: str, label: str, verdict: bool, defect, as_json: bool) -> int:
+def _operator_verdict(kind: str, label: str, defect, as_json: bool) -> int:
     """Print an operator verdict with its failing pair, if any; exit 0 yes / 1 no."""
+    verdict = defect is None
     payload = {"operator": kind, "verdict": verdict}
     human = f"{label}: " + ("yes" if verdict else "no")
     if defect is not None:
@@ -118,27 +121,23 @@ def _operator_verdict(kind: str, label: str, verdict: bool, defect, as_json: boo
 
 
 def _cmd_check_nijenhuis(args) -> int:
-    from .operators import is_nijenhuis, nijenhuis_defect
+    from .operators import _nijenhuis
     alg = hio.algebra_from_json(_read_json(args.algebra))
     op = _shaped_matrix(_read_json(args.op), "--op", alg.dim, alg.dim)
-    verdict = is_nijenhuis(alg, op)
-    defect = None if verdict else nijenhuis_defect(alg, op)
-    return _operator_verdict("nijenhuis", "Nijenhuis operator", verdict, defect, args.json)
+    return _operator_verdict("nijenhuis", "Nijenhuis operator", _nijenhuis(alg, op)[0], args.json)
 
 
 def _cmd_check_rotabaxter(args) -> int:
-    from .operators import is_rota_baxter, rota_baxter_defect
+    from .operators import _rota_baxter
     alg = hio.algebra_from_json(_read_json(args.algebra))
     op = _shaped_matrix(_read_json(args.op), "--op", alg.dim, alg.dim)
     lam = hio.rational_from_json(args.weight, "--weight")
-    verdict = is_rota_baxter(alg, op, lam)
-    defect = None if verdict else rota_baxter_defect(alg, op, lam)
     return _operator_verdict("rota-baxter", f"Rota-Baxter operator of weight {rat_str(lam)}",
-                             verdict, defect, args.json)
+                             _rota_baxter(alg, op, lam), args.json)
 
 
 def _cmd_check_relative_rb(args) -> int:
-    from .operators import is_relative_rb, relative_rb_defect
+    from .operators import _cross_checked, relative_rb_defect
     from .structures import action_witness
     alg = hio.algebra_from_json(_read_json(args.algebra))
     action = hio.action_from_json(alg, _read_json(args.action))
@@ -148,11 +147,10 @@ def _cmd_check_relative_rb(args) -> int:
     op = _shaped_matrix(_read_json(args.op), "--op", alg.dim, action.acted.dim,
                         f" (acting dim {alg.dim} x acted dim {action.acted.dim})")
     lam = hio.rational_from_json(args.weight, "--weight")
-    verdict = is_relative_rb(action, op, lam)
-    defect = None if verdict else relative_rb_defect(action, op, lam)
     return _operator_verdict("relative-rota-baxter",
                              f"relative Rota-Baxter operator of weight {rat_str(lam)}",
-                             verdict, defect, args.json)
+                             _cross_checked(action, op, lam, relative_rb_defect(action, op, lam)),
+                             args.json)
 
 
 def _cmd_check_morphism(args) -> int:
@@ -181,9 +179,15 @@ _BRACKET_KINDS = ("cup", "derived", "fn", "nr")
 
 def _cmd_bracket(args) -> int:
     from .brackets import cup_bracket, derived_bracket, fn_bracket, nr_bracket
+    from .cochains import compatibility_witness
     alg = hio.algebra_from_json(_read_json(args.algebra))
     p = hio.cochain_from_json(alg.space, alg.space, _read_json(args.p))
     q = hio.cochain_from_json(alg.space, alg.space, _read_json(args.q))
+    for where, w in (("--p", compatibility_witness(p)), ("--q", compatibility_witness(q))):
+        if w is not None:  # the brackets act on the twist-compatible cochains only
+            raise ParseError(f"{where}: cochain is not twist-compatible at"
+                             f" {tuple(i + 1 for i in w[0])}: beta f = {_vec_str(w[1])}"
+                             f" vs f alpha = {_vec_str(w[2])}")
     if args.kind == "nr":
         result = nr_bracket(p, q)
     elif args.kind == "cup":
@@ -429,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _consistency_errors() -> tuple:
-    """``operators.ConsistencyError`` once that module is loaded; only it raises one."""
-    operators = sys.modules.get(f"{__package__}.operators")
-    return () if operators is None else (operators.ConsistencyError,)
-
-
 def main(argv=None) -> int:
     # argparse takes "-1/2" for an option flag (only plain negative numbers
     # pass as values), so "--b -1/2" is joined into "--b=-1/2" first.
@@ -448,7 +446,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _consistency_errors() as exc:
+    except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .linalg import Mat, Vec
 from .cochains import SkewCochain, cochain_matrix, linear_combination, operator_cochain
-from .structures import HomLieAlgebra, HomMorphism
+from .structures import ConsistencyError, HomLieAlgebra, HomMorphism
 from .cohomology import ComplexSpec, is_coboundary
 from .brackets import cup_bracket
 
@@ -108,7 +108,7 @@ def obstruction(d: MorphismDeformation) -> ObstructionClass:
     spec = ComplexSpec.morphism(d.base)
     closed = spec.differential(cocycle)
     if not closed.is_zero():
-        raise AssertionError("obstruction is not closed; the twisted coboundary is inconsistent")
+        raise ConsistencyError("obstruction is not closed; the twisted coboundary is inconsistent")
     preimage = is_coboundary(spec, cocycle)
     return ObstructionClass(cocycle, preimage)
 
@@ -117,7 +117,8 @@ def extend(d: MorphismDeformation) -> MorphismDeformation | None:
     """One-order extension of a valid deformation, or None when obstructed.
 
     The new term solves the next-order equation over the compatible arity-1
-    cochains; the extended family is re-validated before being returned.
+    cochains; the extended family is re-validated before being returned, and
+    a failure is a ``ConsistencyError``.
     """
     return _extend_with(d, obstruction(d))
 
@@ -130,5 +131,5 @@ def _extend_with(d: MorphismDeformation, ob: ObstructionClass) -> MorphismDeform
     extended = MorphismDeformation(d.source, d.target, d.terms + (new_term,))
     w = deformation_witness(extended)
     if w is not None:
-        raise AssertionError(f"extension failed to re-validate: {w[0]} at order {w[1]}")
+        raise ConsistencyError(f"extension failed to re-validate: {w[0]} at order {w[1]}")
     return extended

@@ -6,10 +6,14 @@ the graded bracket machinery.  The dual routes must agree; a disagreement is
 an internal consistency failure (it would mean a sign error in a bracket),
 reported as ``ConsistencyError`` rather than a verdict.
 
-Each criterion runs once per operator: a public call checks the twists once,
-and the private pointwise, graph and Maurer-Cartan routines take the checked
-operator.  ``theorems`` builds the induced structures of operators a relative
-search has just cross-checked without checking them again.
+Each criterion runs once per operator.  One private routine per kind
+returns the agreed pointwise witness, the first failing basis pair or None:
+``_nijenhuis`` and ``_rota_baxter`` run the twist guard, the pointwise
+identity and then the kind's cross-checks, and ``_cross_checked`` runs the
+relative cross-checks on the witness of ``relative_rb_defect``.  The
+predicates, ``nijenhuis_report``, ``induced_structures`` and the CLI's
+``check`` commands read it.  ``theorems`` builds the induced structures of
+a relative search's operators without checking them again.
 
 A weight-lambda Rota-Baxter operator is a relative one of the adjoint action
 (``structures.adjoint_action``): its pointwise identity, its deformed bracket
@@ -26,24 +30,20 @@ from typing import NamedTuple
 from .linalg import Mat, Vec, _common, _mat_reduced, _rref, mat_rank, rat
 from .cochains import (SkewCochain, TwistedSpace, _assemble, compatibility_basis,
                        flatten_cochain, operator_cochain)
-from .structures import (HomLieAction, HomLieAlgebra, HomMorphism, RawHomStructure,
-                         Representation, adjoint_action, check_morphism, hom_jacobi_witness,
-                         representation_witness, semidirect_weight)
+from .structures import (ConsistencyError, HomLieAction, HomLieAlgebra, HomMorphism,
+                         RawHomStructure, Representation, adjoint_action, check_morphism,
+                         hom_jacobi_witness, representation_witness, semidirect_weight)
 from .differentials import _coboundary, delta_hom
 from .brackets import _cup_part, _derived_parts, fn_bracket
-
-
-class ConsistencyError(RuntimeError):
-    """Divergence between dual implementations of the same criterion."""
 
 
 # The weights t at which ``nijenhuis_report`` checks the pencil mu + t * [ , ]^N.
 PENCIL_WEIGHTS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3))
 
 
-def _check_commutes(alg: HomLieAlgebra, m: Mat) -> None:
-    if alg.alpha @ m != m @ alg.alpha:
-        raise ValueError("operator does not commute with the twist")
+def _check_intertwines(action: HomLieAction, R: Mat) -> None:
+    if action.acting.alpha @ R != R @ action.acted.alpha:
+        raise ValueError("operator does not intertwine the twists")
 
 
 def _images(T: Mat) -> list[Vec]:
@@ -80,38 +80,36 @@ def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat):
 
 def deformed_bracket_n(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
     """The bracket [x, y]^N = [Nx, y] + [x, Ny] - N[x, y] as a 2-cochain."""
-    _check_commutes(alg, N)
+    _check_intertwines(adjoint_action(alg), N)
     return SkewCochain.from_function(alg.space, alg.space, 2, _nijenhuis_bracket(alg, N))
 
 
 def nijenhuis_defect(alg: HomLieAlgebra, N: Mat):
     """First basis pair violating [Nx, Ny] = N([x, y]^N), with both sides."""
-    _check_commutes(alg, N)
+    _check_intertwines(adjoint_action(alg), N)
     return _pair_defect(alg.bracket, N, alg.space, _nijenhuis_bracket(alg, N))
 
 
-def _agreed(kind: str, *verdicts: tuple[str, bool]) -> bool:
-    """The first of the named verdicts, once all agree; else a ``ConsistencyError`` listing them."""
-    first = verdicts[0][1]
-    if any(v != first for _, v in verdicts):
-        raise ConsistencyError(f"{kind} criteria disagree: "
+def _agreed(kind: str, defect, *verdicts: tuple[str, bool]):
+    """The witness ``defect``, once every named verdict agrees with it; else a ConsistencyError."""
+    pointwise = defect is None
+    if any(v != pointwise for _, v in verdicts):
+        raise ConsistencyError(f"{kind} criteria disagree: pointwise={pointwise}, "
                                + ", ".join(f"{name}={v}" for name, v in verdicts))
-    return first
+    return defect
 
 
 def is_nijenhuis(alg: HomLieAlgebra, N: Mat) -> bool:
     """[Nx, Ny] = N([x, y]^N) on basis pairs, cross-checked as [N, N]_fn = 0."""
-    return _nijenhuis(alg, N)[0]
+    return _nijenhuis(alg, N)[0] is None
 
 
-def _nijenhuis(alg: HomLieAlgebra, N: Mat) -> tuple[bool, SkewCochain]:
-    """The Nijenhuis verdict of an operator, after the twist guard, and its square [N, N]_fn."""
-    _check_commutes(alg, N)
+def _nijenhuis(alg: HomLieAlgebra, N: Mat):
+    """The agreed Nijenhuis witness of an operator, after the twist guard, and [N, N]_fn."""
+    defect = nijenhuis_defect(alg, N)
     nc = operator_cochain(alg.space, alg.space, N)
-    pointwise = _pair_defect(alg.bracket, N, alg.space, _nijenhuis_bracket(alg, N)) is None
     square = fn_bracket(alg, nc, nc)
-    verdict = _agreed("Nijenhuis", ("pointwise", pointwise), ("bracket square", square.is_zero()))
-    return verdict, square
+    return _agreed("Nijenhuis", defect, ("bracket square", square.is_zero())), square
 
 
 class OperatorReport(NamedTuple):
@@ -132,9 +130,8 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
     satisfies the twisted Jacobi identity for each t in ``PENCIL_WEIGHTS``,
     and the squared bracket obstruction vanishes.
     """
-    checks = []
-    nij, square = _nijenhuis(alg, N)  # the coboundary check below reuses the square
-    checks.append(("nijenhuis identity", nij, "" if nij else "defining identity fails"))
+    defect, square = _nijenhuis(alg, N)  # the coboundary check below reuses the square
+    checks = [("nijenhuis identity", defect is None, "defining identity fails" if defect else "")]
     deformed = SkewCochain.from_function(alg.space, alg.space, 2, _nijenhuis_bracket(alg, N))
     deformed_alg = None
     try:
@@ -157,15 +154,14 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
 
 def rb_deformed_bracket(alg: HomLieAlgebra, R: Mat, lam) -> SkewCochain:
     """The bracket [x, y]^R = [Rx, y] + [x, Ry] + lam [x, y] as a 2-cochain."""
-    _check_commutes(alg, R)
-    return SkewCochain.from_function(alg.space, alg.space, 2,
-                                     _induced_bracket(adjoint_action(alg), R, rat(lam)))
+    adj = adjoint_action(alg)
+    _check_intertwines(adj, R)
+    return SkewCochain.from_function(alg.space, alg.space, 2, _induced_bracket(adj, R, rat(lam)))
 
 
 def rota_baxter_defect(alg: HomLieAlgebra, R: Mat, lam):
     """First basis pair violating the weighted Rota-Baxter identity."""
-    _check_commutes(alg, R)
-    return _relative_defect(adjoint_action(alg), R, lam)
+    return relative_rb_defect(adjoint_action(alg), R, lam)
 
 
 def is_rota_baxter(alg: HomLieAlgebra, R: Mat, lam) -> bool:
@@ -174,15 +170,14 @@ def is_rota_baxter(alg: HomLieAlgebra, R: Mat, lam) -> bool:
     Cross-checked against the Maurer-Cartan equation of the weighted derived
     differential graded Lie algebra: d_lam R + (1/2)[R, R]_derived = 0.
     """
-    _check_commutes(alg, R)
+    return _rota_baxter(alg, R, lam) is None
+
+
+def _rota_baxter(alg: HomLieAlgebra, R: Mat, lam):
+    """The agreed Rota-Baxter witness of an operator, after the twist guard."""
     adj = adjoint_action(alg)
-    return _agreed("Rota-Baxter", ("pointwise", _relative_defect(adj, R, lam) is None),
+    return _agreed("Rota-Baxter", relative_rb_defect(adj, R, lam),
                    ("Maurer-Cartan", _relative_mc(adj, R, lam)))
-
-
-def _check_intertwines(action: HomLieAction, R: Mat) -> None:
-    if action.acting.alpha @ R != R @ action.acted.alpha:
-        raise ValueError("operator does not intertwine the twists")
 
 
 def _induced_bracket(action: HomLieAction, R: Mat, lam):
@@ -246,13 +241,12 @@ def _relative_mc(action: HomLieAction, R: Mat, lam) -> bool:
 
 def is_relative_rb(action: HomLieAction, R: Mat, lam) -> bool:
     """All three relative Rota-Baxter criteria; they must agree."""
-    return _cross_checked(action, R, lam, relative_rb_pointwise(action, R, lam))
+    return _cross_checked(action, R, lam, relative_rb_defect(action, R, lam)) is None
 
 
-def _cross_checked(action: HomLieAction, R: Mat, lam, pointwise: bool) -> bool:
-    """The pointwise verdict, once the graph and Maurer-Cartan criteria agree with it."""
-    return _agreed("relative Rota-Baxter", ("pointwise", pointwise),
-                   ("graph", _graph_closed(action, R, lam)),
+def _cross_checked(action: HomLieAction, R: Mat, lam, defect):
+    """The pointwise witness, once the graph and Maurer-Cartan criteria agree with it."""
+    return _agreed("relative Rota-Baxter", defect, ("graph", _graph_closed(action, R, lam)),
                    ("Maurer-Cartan", _relative_mc(action, R, lam)))
 
 
@@ -375,4 +369,5 @@ def search_relative_rb(action: HomLieAction, lam, entries=(-1, 0, 1)) -> list[Ma
     """
     lam = rat(lam)
     return [m for m in _search_matrices(action.acted.space, action.acting.space, entries)
-            if relative_rb_pointwise(action, m, lam) and _cross_checked(action, m, lam, True)]
+            if relative_rb_pointwise(action, m, lam)
+            and _cross_checked(action, m, lam, None) is None]

@@ -33,6 +33,10 @@ from .linalg import Mat, Vec, _lincomb, rat
 from .cochains import SkewCochain, TwistedSpace, compatibility_failures, compatibility_witness
 
 
+class ConsistencyError(RuntimeError):
+    """Divergence between dual implementations of the same criterion, or a failed re-validation."""
+
+
 class RawHomStructure:
     """Twisted space plus skew 2-cochain; no structural invariants enforced."""
 

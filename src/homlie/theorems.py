@@ -74,8 +74,8 @@ from .differentials import d_lambda, d_lambda_tilde, delta_hom
 from . import brackets as br
 from .brackets import GradedPair, _sign
 from .cohomology import ComplexSpec
-from .operators import (_induced_structures, relative_rb_graph, relative_rb_mc,
-                        relative_rb_pointwise, search_relative_rb)
+from .operators import (_graph_closed, _induced_structures, _relative_mc, relative_rb_pointwise,
+                        search_relative_rb)
 
 IDENTITIES: tuple[str, ...] = (
     "mc_homlie", "nr_graded_lie", "cup_graded_lie", "cup_via_theta", "cup_via_delta",
@@ -584,9 +584,9 @@ def _check_relative_consistency(alg, rng, max_arity, ctx):
         lam, R = verified[rng.randrange(len(verified))]
     else:
         R = cochain_matrix(sample_cochain(action.acted.space, action.acting.space, 1, rng))
-    pointwise = relative_rb_pointwise(action, R, lam)
-    graph = relative_rb_graph(action, R, lam)
-    mc = relative_rb_mc(action, R, lam)
+    pointwise = relative_rb_pointwise(action, R, lam)  # the one twist guard of the trial
+    graph = _graph_closed(action, R, lam)
+    mc = _relative_mc(action, R, lam)
     if pointwise != graph or pointwise != mc:
         return ("relative operator criteria disagree", None,
                 f"pointwise={pointwise}, graph={graph}", f"Maurer-Cartan={mc}")

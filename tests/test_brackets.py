@@ -120,6 +120,20 @@ def test_derived_explicit_agrees():
         assert derived_bracket(B, p, q) == _derived_rel_explicit(adj, p, q)
 
 
+def test_derived_bracket_assembles_its_parts_without_the_relative_bracket(monkeypatch):
+    from homlie import brackets
+    real, calls = brackets.derived_bracket_rel, []
+    monkeypatch.setattr(brackets, "derived_bracket_rel",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = _stream(7, "derived-parts")
+    for _, alg in default_fixtures():
+        p = sample_cochain(alg.space, alg.space, rng.randint(1, 2), rng)
+        q = sample_cochain(alg.space, alg.space, rng.randint(1, 2), rng)
+        got = brackets.derived_bracket(alg, p, q)
+        assert not calls
+        assert got == real(adjoint_representation(alg), p, q)
+
+
 def test_theta_tilde_cases():
     act = bracket_action_on_abelian(B)
     rng = _stream(8, "tt")

@@ -251,6 +251,89 @@ def test_cli_consistency_failure_exits_three(tmp_path, monkeypatch):
     assert main(["check", "nijenhuis", "--algebra", str(alg), "--op", str(ident)]) == 3
 
 
+# what: (argv after the algebra, the JSON "operator", the failing pair, the report label);
+# the operator E23 intertwines the twists of fixture_b and fails all three kinds
+_FAILING_OPERATOR_CHECKS = {
+    "nijenhuis": (["--op", "{op}"], "nijenhuis", (1, 3), "Nijenhuis operator"),
+    "rotabaxter": (["--op", "{op}", "--weight", "1"], "rota-baxter", (1, 2),
+                   "Rota-Baxter operator of weight 1"),
+    "relative-rb": (["--action", "{act}", "--op", "{op}"], "relative-rota-baxter", (1, 3),
+                    "relative Rota-Baxter operator of weight 0"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_FAILING_OPERATOR_CHECKS))
+def test_cli_check_runs_the_guard_and_the_pointwise_check_once(tmp_path, capsys, monkeypatch,
+                                                               what):
+    from homlie import operators
+    from homlie.structures import bracket_action_on_abelian
+    files = {"alg": tmp_path / "b.json", "op": tmp_path / "op.json", "act": tmp_path / "act.json"}
+    files["alg"].write_text(hio.dumps(hio.structure_to_json(fixture_b())))
+    files["op"].write_text('[["0","0","0"],["0","0","1"],["0","0","0"]]')
+    files["act"].write_text(hio.dumps(hio.action_to_json(bracket_action_on_abelian(fixture_b()))))
+    calls = {"_check_intertwines": 0, "_pair_defect": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(operators, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(operators, name, counting)
+    rest, kind, pair, label = _FAILING_OPERATOR_CHECKS[what]
+    argv = ["check", what, "--algebra", str(files["alg"])] + [
+        a.format(op=files["op"], act=files["act"]) for a in rest]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == f"{label}: no (fails at pair {pair}: [0, 0, 0] vs [0, 1, 0])\n"
+    assert calls == {"_check_intertwines": 1, "_pair_defect": 1}
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "operator": kind, "verdict": False,
+        "witness": {"pair": list(pair), "lhs": ["0", "0", "0"], "rhs": ["0", "1", "0"]}}
+    assert calls == {"_check_intertwines": 2, "_pair_defect": 2}
+
+
+def test_cli_deform_extend_failed_revalidation_exits_three(tmp_path, capsys, monkeypatch):
+    from homlie import deformations
+    from homlie.cochains import operator_cochain
+    from homlie.linalg import Mat
+    real = deformations.is_coboundary
+
+    def wrong(spec, cocycle):  # plus the identity, which is no derivation of fixture_b
+        preimage = real(spec, cocycle)
+        return preimage + operator_cochain(preimage.domain, preimage.codomain, Mat.identity(3))
+
+    monkeypatch.setattr(deformations, "is_coboundary", wrong)
+    alg = tmp_path / "b.json"
+    alg.write_text(hio.dumps(hio.structure_to_json(fixture_b())))
+    ident = tmp_path / "id.json"
+    ident.write_text('[["1","0","0"],["0","1","0"],["0","0","1"]]')
+    assert main(["deform", "extend", "--algebra", str(alg), "--target", str(alg),
+                 "--morphism", str(ident), "--to-order", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal consistency failure: extension failed to re-validate:"
+                            " order equation at order 1\n")
+
+
+@pytest.mark.parametrize("bad", ["--p", "--q"])
+def test_cli_bracket_rejects_a_cochain_that_is_not_twist_compatible(tmp_path, capsys, bad):
+    from homlie.cochains import operator_cochain
+    from homlie.linalg import Mat
+    from homlie.structures import fixture_3dim
+    alg = fixture_3dim(0, 1, 1, 0)  # alpha = diag(1, 2, 2)
+    files = {"--p": tmp_path / "p.json", "--q": tmp_path / "q.json"}
+    e21 = operator_cochain(alg.space, alg.space, Mat.make([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+    for flag, path in files.items():
+        path.write_text(hio.dumps(hio.cochain_to_json(e21 if flag == bad else alg.mu)))
+    algebra = tmp_path / "a.json"
+    algebra.write_text(hio.dumps(hio.structure_to_json(alg)))
+    for kind in ("cup", "derived", "fn", "nr"):
+        assert main(["bracket", "--kind", kind, "--algebra", str(algebra),
+                     "--p", str(files["--p"]), "--q", str(files["--q"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: cochain is not twist-compatible at (1,):"
+                                " beta f = [0, 2, 0] vs f alpha = [0, 1, 0]\n")
+
+
 def test_cli_cohomology_rep_coefficients(tmp_path, capsys):
     B = fixture_b()
     alg = tmp_path / "b.json"

@@ -217,6 +217,14 @@ def test_star_import_and_submodule_attributes():
     assert out.strip() == "[] True True"
 
 
+def test_consistency_error_is_one_class_defined_in_structures():
+    out = _fresh("import homlie\nfrom homlie.operators import ConsistencyError\n"
+                 "import homlie.deformations as d, homlie.structures as s\n"
+                 "print(homlie.ConsistencyError is ConsistencyError is d.ConsistencyError"
+                 " is s.ConsistencyError, ConsistencyError.__module__)")
+    assert out.split() == ["True", "homlie.structures"]
+
+
 # -- CLI text -----------------------------------------------------------------
 
 

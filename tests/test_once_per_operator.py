@@ -1,7 +1,7 @@
 """Each operator criterion runs once per operator, and the shortcuts keep every value.
 
 The counting tests wrap the private routines of ``operators`` (the twist
-guards, the pointwise pair check, the graph closure and the Maurer-Cartan
+guard, the pointwise pair check, the graph closure and the Maurer-Cartan
 checks) and read off how often each ran for one public call or one search
 candidate.  ``parent_mc_residual`` is the oracle for the one-assembly
 Maurer-Cartan residual: d(s) + (1/2)[s, s] built as separate cochains, with
@@ -52,8 +52,7 @@ def _count(monkeypatch, module, names):
     return calls
 
 
-CRITERIA = ("_check_commutes", "_check_intertwines", "_pair_defect", "_graph_closed",
-            "_relative_mc", "fn_bracket")
+CRITERIA = ("_check_intertwines", "_pair_defect", "_graph_closed", "_relative_mc", "fn_bracket")
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +74,9 @@ def test_one_public_call_runs_the_guard_and_each_criterion_once(name, alg, monke
 
     for R in ops:
         is_nijenhuis(alg, R)
-        assert ran() == {"_check_commutes": 1, "_pair_defect": 1, "fn_bracket": 1}
+        assert ran() == {"_check_intertwines": 1, "_pair_defect": 1, "fn_bracket": 1}
         is_rota_baxter(alg, R, 1)
-        assert ran() == {"_check_commutes": 1, "_pair_defect": 1, "_relative_mc": 1}
+        assert ran() == {"_check_intertwines": 1, "_pair_defect": 1, "_relative_mc": 1}
         for _, action in _actions(alg):
             is_relative_rb(action, R, 1)
             assert ran() == {"_check_intertwines": 1, "_pair_defect": 1, "_graph_closed": 1,
@@ -91,7 +90,7 @@ def test_nijenhuis_report_builds_the_bracket_square_once(name, alg, monkeypatch)
     for N in (Mat.identity(alg.dim), cochain_matrix(sample_cochain(alg.space, alg.space, 1, rng))):
         checks = operators.nijenhuis_report(alg, N).checks
         assert {k: len(v) for k, v in calls.items() if v} == {
-            "_check_commutes": 1, "_pair_defect": 1, "fn_bracket": 1}
+            "_check_intertwines": 1, "_pair_defect": 1, "fn_bracket": 1}
         nc = operator_cochain(alg.space, alg.space, N)
         square = delta_hom(adjoint_action(alg), fn_bracket(alg, nc, nc)).is_zero()
         assert checks[0][:2] == ("nijenhuis identity", is_nijenhuis(alg, N))
@@ -105,13 +104,13 @@ def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch)
     candidates = operators._search_matrices(alg.space, alg.space, (0, 1))
     calls = _count(monkeypatch, operators, CRITERIA)
     search_nijenhuis(alg, (0, 1))
-    assert calls["_check_commutes"] == calls["_pair_defect"] == calls["fn_bracket"] == candidates
-    assert not (calls["_check_intertwines"] or calls["_graph_closed"] or calls["_relative_mc"])
+    assert calls["_check_intertwines"] == calls["_pair_defect"] == calls["fn_bracket"] == candidates
+    assert not (calls["_graph_closed"] or calls["_relative_mc"])
     for seen in calls.values():
         seen.clear()
     search_rota_baxter(alg, 1, (0, 1))
-    assert calls["_check_commutes"] == calls["_pair_defect"] == calls["_relative_mc"] == candidates
-    assert not (calls["_check_intertwines"] or calls["_graph_closed"] or calls["fn_bracket"])
+    assert calls["_check_intertwines"] == calls["_pair_defect"] == calls["_relative_mc"] == candidates
+    assert not (calls["_graph_closed"] or calls["fn_bracket"])
 
 
 @pytest.mark.parametrize("name,alg", FIXTURES)
@@ -123,7 +122,7 @@ def test_relative_search_cross_checks_only_what_passes_pointwise(name, alg, monk
     assert found
     assert calls["_check_intertwines"] == calls["_pair_defect"] == candidates
     assert calls["_graph_closed"] == calls["_relative_mc"] == found
-    assert not calls["_check_commutes"] and not calls["fn_bracket"]
+    assert not calls["fn_bracket"]
 
 
 def test_context_runs_no_criterion_after_its_two_searches(monkeypatch):
