@@ -248,7 +248,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_deform_extend(args) -> int:
-    from .deformations import MorphismDeformation, _extend_with, deformation_witness, obstruction
+    from .cohomology import ComplexSpec
+    from .deformations import MorphismDeformation, _extend_with, _obstruction, deformation_witness
     if args.to_order < 0:
         raise ParseError(f"--to-order must be >= 0, got {args.to_order}")
     source = hio.algebra_from_json(_read_json(args.algebra))
@@ -260,14 +261,17 @@ def _cmd_deform_extend(args) -> int:
             raise ParseError("--terms: the file must hold a list of matrices")
         terms.extend(_morphism_matrix(t, f"--terms[{k}]", source, target)
                      for k, t in enumerate(raw))
-    deformation = MorphismDeformation(source, target, tuple(terms))
+    deformation = MorphismDeformation(source, target, terms)
     w = deformation_witness(deformation)
     if w is not None:
         raise ParseError(f"input terms are not an order-{deformation.order} deformation:"
                          f" {w[0]} fails at order {w[1]}")
+    # One complex for every step: one check of phi_0, and the coboundaries of
+    # its basis 1-cochains, kept per representation, are computed once.
+    spec = ComplexSpec.morphism(deformation.base)
     orders = []
     while deformation.order < args.to_order:
-        ob = obstruction(deformation)
+        ob = _obstruction(deformation, spec)
         entry = {"order": deformation.order,
                  "obstruction_zero": ob.cocycle.is_zero(),
                  "obstruction_coboundary": ob.is_coboundary}

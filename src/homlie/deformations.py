@@ -5,16 +5,20 @@ phi_N whose truncated morphism equations hold through order N.  The
 obstruction to extending it one order further is an explicit 2-cocycle of
 the morphism-twisted complex; the deformation extends exactly when that
 cocycle is a coboundary, and any preimage serves as the next term.
+
+The order-n equation is ``structures.order_witness``, whose order 0 is
+``morphism_witness``.  ``obstruction`` and ``extend`` validate the family
+they are given; ``homlie deform extend`` checks its input once, builds the
+morphism complex of phi_0 once and checks each new order once.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
-from .linalg import Mat, Vec
+from .linalg import Mat
 from .cochains import SkewCochain, cochain_matrix, linear_combination, operator_cochain
-from .structures import ConsistencyError, HomLieAlgebra, HomMorphism
+from .structures import ConsistencyError, HomLieAlgebra, HomMorphism, order_witness
 from .cohomology import ComplexSpec, is_coboundary
 from .brackets import cup_bracket
 
@@ -25,6 +29,7 @@ class MorphismDeformation:
     __slots__ = ("source", "target", "terms")
 
     def __init__(self, source: HomLieAlgebra, target: HomLieAlgebra, terms: tuple[Mat, ...]):
+        terms = tuple(terms)
         if not terms:
             raise ValueError("a deformation needs at least its order-0 term")
         for m in terms:
@@ -56,24 +61,22 @@ class MorphismDeformation:
 
 
 def deformation_witness(d: MorphismDeformation):
-    """First violated deformation equation, or None.
-
-    Order n requires twist equivariance of phi_n and, on basis pairs,
-    phi_n([x, y]) = sum over i+j=n of [phi_i(x), phi_j(y)].
-    """
-    src, tgt = d.source, d.target
-    basis = src.space.basis
-    for n, m in enumerate(d.terms):
-        if tgt.alpha @ m != m @ src.alpha:
-            return ("twist equivariance", n, None, None, None)
-        for i, j in combinations(range(src.dim), 2):
-            lhs = m @ src.table[i][j]
-            rhs = Vec.zero(tgt.dim)
-            for a in range(n + 1):
-                rhs = rhs + tgt.bracket(d.terms[a] @ basis[i], d.terms[n - a] @ basis[j])
-            if lhs != rhs:
-                return ("order equation", n, (i, j), lhs, rhs)
+    """First violated deformation equation, or None: ``order_witness`` at each order."""
+    for n in range(len(d.terms)):
+        w = _witness_at(d, n)
+        if w is not None:
+            return w
     return None
+
+
+def _witness_at(d: MorphismDeformation, n: int):
+    """``deformation_witness`` at order n alone."""
+    w = order_witness(d.source, d.target, d.terms, n)
+    if w is None:
+        return None
+    if w[1] is None:
+        return ("twist equivariance", n, None, None, None)
+    return ("order equation", n) + w[1:]
 
 
 def check_order_deformation(d: MorphismDeformation) -> bool:
@@ -100,36 +103,37 @@ def obstruction(d: MorphismDeformation) -> ObstructionClass:
     w = deformation_witness(d)
     if w is not None:
         raise ValueError(f"not a valid order-{d.order} deformation: {w[0]} fails at order {w[1]}")
-    n_next = d.order + 1
-    cocycle = linear_combination(
-        d.source.space, d.target.space, 2,
-        [(-1, cup_bracket(d.term_cochain(i), d.term_cochain(n_next - i), d.target))
-         for i in range(1, n_next)], 2)
-    spec = ComplexSpec.morphism(d.base)
-    closed = spec.differential(cocycle)
-    if not closed.is_zero():
-        raise ConsistencyError("obstruction is not closed; the twisted coboundary is inconsistent")
-    preimage = is_coboundary(spec, cocycle)
-    return ObstructionClass(cocycle, preimage)
+    return _obstruction(d, ComplexSpec.morphism(d.base))
 
 
 def extend(d: MorphismDeformation) -> MorphismDeformation | None:
     """One-order extension of a valid deformation, or None when obstructed.
 
     The new term solves the next-order equation over the compatible arity-1
-    cochains; the extended family is re-validated before being returned, and
-    a failure is a ``ConsistencyError``.
+    cochains; its order equation is checked before the extension is returned,
+    and a failure is a ``ConsistencyError``.
     """
     return _extend_with(d, obstruction(d))
 
 
+def _obstruction(d: MorphismDeformation, spec: ComplexSpec) -> ObstructionClass:
+    """``obstruction`` of a valid d, in the given morphism complex of its phi_0."""
+    n_next = d.order + 1
+    cocycle = linear_combination(
+        d.source.space, d.target.space, 2,
+        [(-1, cup_bracket(d.term_cochain(i), d.term_cochain(n_next - i), d.target))
+         for i in range(1, n_next)], 2)
+    if not spec.differential(cocycle).is_zero():
+        raise ConsistencyError("obstruction is not closed; the twisted coboundary is inconsistent")
+    return ObstructionClass(cocycle, is_coboundary(spec, cocycle))
+
+
 def _extend_with(d: MorphismDeformation, ob: ObstructionClass) -> MorphismDeformation | None:
-    """``extend`` given the already computed obstruction of d."""
+    """``extend`` given the obstruction of d; checks the new order alone."""
     if ob.preimage is None:
         return None
-    new_term = cochain_matrix(ob.preimage)
-    extended = MorphismDeformation(d.source, d.target, d.terms + (new_term,))
-    w = deformation_witness(extended)
+    extended = MorphismDeformation(d.source, d.target, d.terms + (cochain_matrix(ob.preimage),))
+    w = _witness_at(extended, extended.order)
     if w is not None:
         raise ConsistencyError(f"extension failed to re-validate: {w[0]} at order {w[1]}")
     return extended

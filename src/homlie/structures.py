@@ -265,18 +265,29 @@ class HomMorphism:
         return f"HomMorphism({self.source.dim} -> {self.target.dim})"
 
 
-def morphism_witness(phi: HomMorphism):
-    """First failing morphism identity: twist intertwining or bracket preservation."""
-    src, tgt, m = phi.source, phi.target, phi.mat
-    if tgt.alpha @ m != m @ src.alpha:
-        return ("twist intertwining", None, tgt.alpha @ m, m @ src.alpha)
-    basis = src.space.basis
-    for i, j in combinations(range(src.dim), 2):
-        lhs = m @ src.table[i][j]
-        rhs = tgt.bracket(m @ basis[i], m @ basis[j])
+def order_witness(source: HomLieAlgebra, target: HomLieAlgebra, terms, n: int):
+    """First failing order-n equation of the family terms[0], ..., terms[n], or None.
+
+    phi_n must intertwine the twists and satisfy phi_n [x, y] = sum over
+    a + b = n of [phi_a x, phi_b y] on basis pairs; order 0 is ``morphism_witness``.
+    """
+    m = terms[n]
+    if target.alpha @ m != m @ source.alpha:
+        return ("twist intertwining", None, target.alpha @ m, m @ source.alpha)
+    basis = source.space.basis
+    for i, j in combinations(range(source.dim), 2):
+        lhs = m @ source.table[i][j]
+        rhs = target.bracket(terms[0] @ basis[i], m @ basis[j])
+        for a in range(1, n + 1):
+            rhs = rhs + target.bracket(terms[a] @ basis[i], terms[n - a] @ basis[j])
         if lhs != rhs:
             return ("bracket preservation", (i, j), lhs, rhs)
     return None
+
+
+def morphism_witness(phi: HomMorphism):
+    """First failing morphism identity: twist intertwining or bracket preservation."""
+    return order_witness(phi.source, phi.target, (phi.mat,), 0)
 
 
 def check_morphism(phi: HomMorphism) -> bool:

@@ -115,3 +115,12 @@ def test_extension_roundtrip_revalidates():
         new_term = ext.terms[-1]
         got = spec.differential(ext.term_cochain(2))
         assert got == ob.cocycle
+
+
+def test_a_deformation_given_a_list_of_terms_stores_a_tuple():
+    B = fixture_b()
+    listed = MorphismDeformation(B, B, [Mat.identity(3)])
+    assert listed.terms == (Mat.identity(3),)
+    assert listed == MorphismDeformation(B, B, (Mat.identity(3),))
+    extended = extend(listed)
+    assert extended is not None and extended.order == 1 and check_order_deformation(extended)

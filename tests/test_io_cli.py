@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +10,11 @@ import pytest
 from homlie import io as hio
 from homlie.io import ParseError
 from homlie.cli import main
-from homlie.structures import check_action, fixture_b, fixture_jackson_sl2
-from homlie.theorems import sample_cochain, _stream
+from homlie.cochains import cochain_matrix, linear_combination
+from homlie.cohomology import ComplexSpec
+from homlie.linalg import Mat, Vec, kernel_basis
+from homlie.structures import HomMorphism, check_action, fixture_b, fixture_jackson_sl2
+from homlie.theorems import default_fixtures, sample_cochain, _stream
 
 
 # -- io ----------------------------------------------------------------------
@@ -520,15 +525,15 @@ def test_cli_out_of_range_integer_option_is_usage_error(capsys, case):
 def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monkeypatch):
     from homlie import deformations
     calls = []
-    original = deformations.obstruction
+    original = deformations._obstruction
 
-    def counting(d):
+    def counting(d, spec):
         calls.append(d.order)
-        return original(d)
+        return original(d, spec)
 
-    # The command imports ``obstruction`` from ``deformations`` when it runs,
-    # so patching that module counts every call.
-    monkeypatch.setattr(deformations, "obstruction", counting)
+    # The command's steps call ``_obstruction`` through the ``deformations``
+    # module, so patching that module counts every call.
+    monkeypatch.setattr(deformations, "_obstruction", counting)
     alg = tmp_path / "b.json"
     alg.write_text(hio.dumps(hio.structure_to_json(fixture_b())))
     ident = tmp_path / "id.json"
@@ -538,6 +543,105 @@ def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monk
     assert capsys.readouterr().out == ("order 0 -> 1: extended\norder 1 -> 2: extended\n"
                                        "order 2 -> 3: extended\nreached order 3 of 3\n")
     assert calls == [0, 1, 2]
+
+
+def test_cli_deform_extend_checks_each_order_once(tmp_path, capsys, monkeypatch):
+    # Order 0 is checked for the input and by the one morphism complex of
+    # phi_0; every later order only when its term is added.
+    from homlie import deformations, structures
+    calls = []
+    original = structures.order_witness
+
+    def counting(source, target, terms, n):
+        calls.append(n)
+        return original(source, target, terms, n)
+
+    monkeypatch.setattr(structures, "order_witness", counting)
+    monkeypatch.setattr(deformations, "order_witness", counting)
+    alg = tmp_path / "b.json"
+    alg.write_text(hio.dumps(hio.structure_to_json(fixture_b())))
+    ident = tmp_path / "id.json"
+    ident.write_text('[["1","0","0"],["0","1","0"],["0","0","1"]]')
+    assert main(["deform", "extend", "--algebra", str(alg), "--target", str(alg),
+                 "--morphism", str(ident), "--to-order", "3"]) == 0
+    assert capsys.readouterr().out == ("order 0 -> 1: extended\norder 1 -> 2: extended\n"
+                                       "order 2 -> 3: extended\nreached order 3 of 3\n")
+    assert calls == [0, 0, 1, 2, 3]
+
+
+# case: map of fixture_b to itself -> (human line, JSON text); both exit 1
+_MORPHISM_FAILURES = {
+    # beta phi != phi alpha on e2: phi e2 = e1 + e2 is not in an eigenspace of the twist
+    "twist-intertwining": ('[["1","1","0"],["0","1","0"],["0","0","1"]]',
+                           "morphism: no (twist intertwining fails)\n",
+                           '{\n  "morphism": false,\n  "witness": {\n'
+                           '    "check": "twist intertwining",\n    "pair": null\n  }\n}\n'),
+    # diag(2, 1, 2) keeps [e1, e2] = e3 and breaks [e1, e3] = e2
+    "bracket-preservation": ('[["2","0","0"],["0","1","0"],["0","0","2"]]',
+                             "morphism: no (bracket preservation fails)\n",
+                             '{\n  "morphism": false,\n  "witness": {\n'
+                             '    "check": "bracket preservation",\n    "pair": [\n'
+                             '      1,\n      3\n    ]\n  }\n}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MORPHISM_FAILURES))
+def test_cli_check_morphism_failure_output(tmp_path, capsys, case):
+    matrix, human, as_json = _MORPHISM_FAILURES[case]
+    alg = tmp_path / "b.json"
+    alg.write_text(hio.dumps(hio.structure_to_json(fixture_b())))
+    phi = tmp_path / "phi.json"
+    phi.write_text(matrix)
+    argv = ["check", "morphism", "--algebra", str(alg), "--target", str(alg), "--map", str(phi)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == human
+    assert main(argv + ["--json"]) == 1
+    assert capsys.readouterr().out == as_json
+
+
+def _seeded_first_order_term(alg, seed):
+    """phi_1 for the identity: a seeded integer combination of the 1-cocycles of its complex."""
+    spec = ComplexSpec.morphism(HomMorphism(alg, alg, Mat.identity(alg.dim)))
+    basis = spec.basis(1)
+    rng = random.Random(seed)
+    combo = Vec.zero(len(basis))
+    for k in kernel_basis(spec.matrix(1)):
+        combo = combo + k.scale(rng.choice((-2, -1, 1, 2)))
+    return cochain_matrix(linear_combination(alg.space, alg.space, 1,
+                                             zip(combo.num, basis), combo.den))
+
+
+# (fixture, seed of the first-order term or None for the identity alone, --to-order)
+# -> SHA-256 of the stdout of deform extend --json from the identity; yau-sl2 has a
+# nonzero obstruction at each of its 7 steps
+_DEEP_DEFORM_DIGESTS = {
+    ("yau-sl2", 0, 8): "7cdbd27076318c44c0470fa2bcc4fb883f2022a7f03f9081b1c5ce2ba0046550",
+    ("yau-shear", 0, 8): "833da7a83815f158d0f03936598d3505da64490ba0f634bc0b020d07c1fe6390",
+    ("yau-dim4", 0, 8): "7782d6da3975f65e5e7819fa87db56b6b764d05203c3bde5407c15d94130abff",
+    ("yau-heisenberg", None, 40):
+        "a4025c72fb83eb8853f6761a5ce64a247f34deb514193bc56e602dc1c75e3749",
+}
+
+
+@pytest.mark.parametrize("name, seed, order", list(_DEEP_DEFORM_DIGESTS))
+def test_cli_deform_extend_deep_json_digest(tmp_path, capsys, name, seed, order):
+    alg = dict(default_fixtures())[name]
+    terms = [] if seed is None else [_seeded_first_order_term(alg, seed)]
+    assert not any(t.is_zero() for t in terms)
+    files = {"alg": hio.structure_to_json(alg),
+             "id": hio.matrix_to_json(Mat.identity(alg.dim)),
+             "terms": [hio.matrix_to_json(t) for t in terms]}
+    for key, blob in files.items():
+        (tmp_path / f"{key}.json").write_text(hio.dumps(blob))
+    assert main(["deform", "extend", "--algebra", str(tmp_path / "alg.json"),
+                 "--target", str(tmp_path / "alg.json"), "--morphism", str(tmp_path / "id.json"),
+                 "--terms", str(tmp_path / "terms.json"), "--to-order", str(order), "--json"]) == 0
+    out = capsys.readouterr().out
+    steps = json.loads(out)["steps"]
+    assert len(steps) == order - len(terms) and all(step["extended"] for step in steps)
+    if name == "yau-sl2":
+        assert not any(step["obstruction_zero"] for step in steps)
+    assert hashlib.sha256(out.encode()).hexdigest() == _DEEP_DEFORM_DIGESTS[name, seed, order]
 
 
 # case: (argv given the files and the matrix file, the wrong and the right matrix file,
