@@ -119,10 +119,10 @@ def extend(d: MorphismDeformation) -> MorphismDeformation | None:
 def _obstruction(d: MorphismDeformation, spec: ComplexSpec) -> ObstructionClass:
     """``obstruction`` of a valid d, in the given morphism complex of its phi_0."""
     n_next = d.order + 1
+    terms = [None] + [d.term_cochain(i) for i in range(1, n_next)]  # phi_0 takes no part
     cocycle = linear_combination(
         d.source.space, d.target.space, 2,
-        [(-1, cup_bracket(d.term_cochain(i), d.term_cochain(n_next - i), d.target))
-         for i in range(1, n_next)], 2)
+        [(-1, cup_bracket(terms[i], terms[n_next - i], d.target)) for i in range(1, n_next)], 2)
     if not spec.differential(cocycle).is_zero():
         raise ConsistencyError("obstruction is not closed; the twisted coboundary is inconsistent")
     return ObstructionClass(cocycle, is_coboundary(spec, cocycle))

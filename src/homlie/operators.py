@@ -15,6 +15,14 @@ predicates, ``nijenhuis_report``, ``induced_structures`` and the CLI's
 ``check`` commands read it.  ``theorems`` builds the induced structures of
 a relative search's operators without checking them again.
 
+A search writes its candidates as R = sum_p c_p M_p / s over an integer basis
+M_p of the twist commutant and runs the twist guard on the M_p alone.  Each
+criterion is quadratic plus linear in R, so its values at M_p, -M_p and
+M_p + M_q polarize it into an integer table in the c_p.  The Nijenhuis and
+Rota-Baxter searches compare the tables of the pointwise identity and of
+[N, N]_fn or the Maurer-Cartan residual on every candidate.  A relative
+search decides on the pointwise table and cross-checks what passes.
+
 A weight-lambda Rota-Baxter operator is a relative one of the adjoint action
 (``structures.adjoint_action``): its pointwise identity, its deformed bracket
 and its Maurer-Cartan equation are those of the relative operator.
@@ -23,16 +31,17 @@ and its Maurer-Cartan equation are those of the relative operator.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import Mat, Vec, _common, _mat_reduced, _rref, mat_rank, rat
+from .linalg import Mat, Vec, _common, _mat, _mat_reduced, _rref, mat_rank, rat
 from .cochains import (SkewCochain, TwistedSpace, _assemble, compatibility_basis,
                        flatten_cochain, operator_cochain)
 from .structures import (ConsistencyError, HomLieAction, HomLieAlgebra, HomMorphism,
-                         RawHomStructure, Representation, adjoint_action, check_morphism,
-                         hom_jacobi_witness, representation_witness, semidirect_weight)
+                         RawHomStructure, Representation, _images, adjoint_action,
+                         check_morphism, hom_jacobi_witness, representation_witness,
+                         semidirect_weight)
 from .differentials import _coboundary, delta_hom
 from .brackets import _cup_part, _derived_parts, fn_bracket
 
@@ -46,24 +55,20 @@ def _check_intertwines(action: HomLieAction, R: Mat) -> None:
         raise ValueError("operator does not intertwine the twists")
 
 
-def _images(T: Mat) -> list[Vec]:
-    """T e_j for every basis vector e_j of the source, that is the columns of T."""
-    return [T.col(j) for j in range(T.ncols)]
-
-
-def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed):
-    """First basis pair (x, y) of space with [Tx, Ty] != T(deformed), with both sides.
+def _pair_sides(bracket, T: Mat, space: TwistedSpace, deformed):
+    """(key, [Tx, Ty], T(deformed(key))) for each increasing basis pair key = (x, y) of space.
 
     deformed maps an increasing basis pair to the deformed bracket of its
     two vectors.
     """
     images = _images(T)
     for key in combinations(range(space.dim), 2):
-        lhs = bracket(images[key[0]], images[key[1]])
-        rhs = T @ deformed(key)
-        if lhs != rhs:
-            return key, lhs, rhs
-    return None
+        yield key, bracket(images[key[0]], images[key[1]]), T @ deformed(key)
+
+
+def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed):
+    """First basis pair (x, y) of space with [Tx, Ty] != T(deformed), with both sides."""
+    return next((s for s in _pair_sides(bracket, T, space, deformed) if s[1] != s[2]), None)
 
 
 def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat):
@@ -106,10 +111,13 @@ def is_nijenhuis(alg: HomLieAlgebra, N: Mat) -> bool:
 
 def _nijenhuis(alg: HomLieAlgebra, N: Mat):
     """The agreed Nijenhuis witness of an operator, after the twist guard, and [N, N]_fn."""
-    defect = nijenhuis_defect(alg, N)
-    nc = operator_cochain(alg.space, alg.space, N)
-    square = fn_bracket(alg, nc, nc)
+    defect, square = nijenhuis_defect(alg, N), _square(alg, N)
     return _agreed("Nijenhuis", defect, ("bracket square", square.is_zero())), square
+
+
+def _square(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
+    nc = operator_cochain(alg.space, alg.space, N)
+    return fn_bracket(alg, nc, nc)
 
 
 class OperatorReport(NamedTuple):
@@ -196,10 +204,6 @@ def _induced_bracket(action: HomLieAction, R: Mat, lam):
 def relative_rb_defect(action: HomLieAction, R: Mat, lam):
     """First basis pair violating the relative Rota-Baxter identity."""
     _check_intertwines(action, R)
-    return _relative_defect(action, R, lam)
-
-
-def _relative_defect(action: HomLieAction, R: Mat, lam):
     return _pair_defect(action.acting.bracket, R, action.acted.space,
                         _induced_bracket(action, R, rat(lam)))
 
@@ -235,8 +239,12 @@ def relative_rb_mc(action: HomLieAction, R: Mat, lam) -> bool:
 
 
 def _relative_mc(action: HomLieAction, R: Mat, lam) -> bool:
+    return _relative_residual(action, R, lam).is_zero()
+
+
+def _relative_residual(action: HomLieAction, R: Mat, lam) -> SkewCochain:
     rc = operator_cochain(action.acted.space, action.acting.space, R)
-    return mc_residual(rc, "relative_derived", action=action, lam=lam).is_zero()
+    return mc_residual(rc, "relative_derived", action=action, lam=lam)
 
 
 def is_relative_rb(action: HomLieAction, R: Mat, lam) -> bool:
@@ -315,14 +323,19 @@ def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None 
 # Grid search over the twist commutant
 
 
-def _search_matrices(source, target, entries) -> list[Mat]:
+# A search's candidates: the matrix sum_p c_p basis[p] / scale of each pivot combo c.
+_Grid = NamedTuple("_Grid", [("basis", list), ("scale", int), ("combos", list), ("matrices", list)])
+
+
+def _search_grid(source, target, entries) -> _Grid:
     """All matrices with entries in the grid ``entries`` intertwining the twists.
 
     In the reduced row echelon form of the arity-1 compatibility basis,
     flattened column by column, the pivot coordinates fix the rest: the grid
     runs over the pivots, and a candidate stays if its other coordinates land
     in it.  Two intertwiners first differ at a pivot, so the matrices come in
-    the grid order (position in ``entries``) of the column-major table.
+    the grid order (position in ``entries``) of the column-major table.  The
+    basis is the integer rows of that form; a combo is the pivots' numerators.
     """
     nums, den = _common(entries)  # the grid as integers over one denominator
     nums = tuple(dict.fromkeys(nums))  # a repeated value would repeat its matrices
@@ -332,7 +345,7 @@ def _search_matrices(source, target, entries) -> list[Mat]:
     rows = target.dim
     # coordinate k of a candidate, times den, is combo . column_k / d
     columns = [[row[k] for row in reduced] for k in range(rows * source.dim)]
-    found = []
+    combos, found = [], []
     for combo in product(nums, repeat=len(pivots)):
         flat = []
         for column in columns:
@@ -341,33 +354,74 @@ def _search_matrices(source, target, entries) -> list[Mat]:
                 break
             flat.append(q)
         else:
+            combos.append(combo)
             found.append(_mat_reduced(tuple(tuple(flat[i::rows]) for i in range(rows)), den,
                                       source.dim))
+    basis = [_mat(tuple(tuple(row[i::rows]) for i in range(rows)), 1, source.dim)
+             for row in reduced[:len(pivots)]]
+    return _Grid(basis, den * d, combos, found)
+
+
+def _form(value, grid: _Grid) -> list[tuple[int, ...]]:
+    """The nonzero rows of 2 D s^2 F(R), F = value, in the monomials c_p c_q (p <= q) and c_p.
+
+    F is quadratic (Q) plus linear (L) in R = sum_p c_p M_p / s, so
+    2 Q_pp = F(M_p) + F(-M_p), 2 L_p = F(M_p) - F(-M_p) and
+    Q_pq + Q_qp = F(M_p + M_q) - F(M_p) - F(M_q); D is the columns' denominator.
+    """
+    basis = grid.basis
+    plus, minus = [value(M) for M in basis], [value(-M) for M in basis]
+    columns = [plus[p] + minus[p] if p == q
+               else (value(basis[p] + basis[q]) - plus[p] - plus[q]).scale(2)
+               for p, q in combinations_with_replacement(range(len(basis)), 2)]
+    columns += [(a - n).scale(grid.scale) for a, n in zip(plus, minus)]
+    return [row for row in Mat.from_columns(columns).num if any(row)]
+
+
+def _search(action: HomLieAction, entries, kind: str, deformed, *others) -> list[Mat]:
+    """The grid operators, acted to acting space, with [Rx, Ry] = R(deformed(R)(x, y)).
+
+    Each of others is (name, value): value(R) is a Vec vanishing exactly when
+    R passes, and must agree on every candidate.  Intertwining is linear in R,
+    so the twist guard runs on the basis alone.
+    """
+    grid = _search_grid(action.acted.space, action.acting.space, entries)
+    for M in grid.basis:
+        _check_intertwines(action, M)
+    pointwise = _form(lambda R: Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
+        action.acting.bracket, R, action.acted.space, deformed(R))]), grid)
+    forms = [pointwise] + [_form(value, grid) for _, value in others]
+    found = []
+    for combo, m in zip(grid.combos, grid.matrices):
+        c = [x * y for x, y in combinations_with_replacement(combo, 2)] + list(combo)
+        holds = [not any(sum(map(mul, row, c)) for row in form) for form in forms]
+        if _agreed(kind, None if holds[0] else combo,
+                   *zip([name for name, _ in others], holds[1:])) is None:
+            found.append(m)
     return found
 
 
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:
     """Nijenhuis operators with entries in ``entries``, in column-major grid order."""
-    return [m for m in _search_matrices(alg.space, alg.space, entries)
-            if is_nijenhuis(alg, m)]
+    return _search(adjoint_action(alg), entries, "Nijenhuis", lambda N: _nijenhuis_bracket(alg, N),
+                   ("bracket square", lambda N: flatten_cochain(_square(alg, N))))
 
 
 def search_rota_baxter(alg: HomLieAlgebra, lam, entries=(-1, 0, 1)) -> list[Mat]:
     """Weight-lam Rota-Baxter operators with entries in ``entries``, column-major grid order."""
-    lam = rat(lam)
-    return [m for m in _search_matrices(alg.space, alg.space, entries)
-            if is_rota_baxter(alg, m, lam)]
+    lam, adj = rat(lam), adjoint_action(alg)
+    return _search(adj, entries, "Rota-Baxter", lambda R: _induced_bracket(adj, R, lam),
+                   ("Maurer-Cartan", lambda R: flatten_cochain(_relative_residual(adj, R, lam))))
 
 
 def search_relative_rb(action: HomLieAction, lam, entries=(-1, 0, 1)) -> list[Mat]:
     """Relative weight-lam Rota-Baxter operators, entries in ``entries``, column-major grid order.
 
     The grid runs over maps from the acted to the acting space.  The pointwise
-    identity runs once per candidate and rejects first, stopping at the first
-    failing pair; a candidate that passes then gets the graph and
+    form decides each candidate; one that passes then gets the graph and
     Maurer-Cartan criteria, which must agree with it.
     """
     lam = rat(lam)
-    return [m for m in _search_matrices(action.acted.space, action.acting.space, entries)
-            if relative_rb_pointwise(action, m, lam)
-            and _cross_checked(action, m, lam, None) is None]
+    return [m for m in _search(action, entries, "relative Rota-Baxter",
+                               lambda R: _induced_bracket(action, R, lam))
+            if _cross_checked(action, m, lam, None) is None]

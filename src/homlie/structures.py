@@ -265,6 +265,11 @@ class HomMorphism:
         return f"HomMorphism({self.source.dim} -> {self.target.dim})"
 
 
+def _images(T: Mat) -> list[Vec]:
+    """T e_j for every basis vector e_j of the source, that is the columns of T."""
+    return [T.col(j) for j in range(T.ncols)]
+
+
 def order_witness(source: HomLieAlgebra, target: HomLieAlgebra, terms, n: int):
     """First failing order-n equation of the family terms[0], ..., terms[n], or None.
 
@@ -274,12 +279,12 @@ def order_witness(source: HomLieAlgebra, target: HomLieAlgebra, terms, n: int):
     m = terms[n]
     if target.alpha @ m != m @ source.alpha:
         return ("twist intertwining", None, target.alpha @ m, m @ source.alpha)
-    basis = source.space.basis
+    images = [_images(t) for t in terms[:n + 1]]
     for i, j in combinations(range(source.dim), 2):
         lhs = m @ source.table[i][j]
-        rhs = target.bracket(terms[0] @ basis[i], m @ basis[j])
+        rhs = target.bracket(images[0][i], images[n][j])
         for a in range(1, n + 1):
-            rhs = rhs + target.bracket(terms[a] @ basis[i], terms[n - a] @ basis[j])
+            rhs = rhs + target.bracket(images[a][i], images[n - a][j])
         if lhs != rhs:
             return ("bracket preservation", (i, j), lhs, rhs)
     return None
@@ -300,8 +305,7 @@ def morphism_representation(phi: HomMorphism) -> Representation:
         raise ValueError("twisting map is not a morphism")
     tgt = phi.target
     return Representation(phi.source, tgt.space, tuple(
-        tuple(tgt.bracket(phi.mat.col(i), e) for e in tgt.space.basis)
-        for i in range(phi.source.dim)))
+        tuple(tgt.bracket(image, e) for e in tgt.space.basis) for image in _images(phi.mat)))
 
 
 def yau_twist(lie_mu: SkewCochain, a: Mat) -> HomLieAlgebra:

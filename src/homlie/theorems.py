@@ -306,8 +306,8 @@ def _relative_context(alg: HomLieAlgebra):
 def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
     """The identity's fixed data for ``alg``; ``shared`` holds what identities reuse.
 
-    The relative context (two relative operator searches, each candidate
-    checked three ways) is built once per ``shared`` dict, that is once per
+    The relative context (two relative operator searches, each operator
+    found checked three ways) is built once per ``shared`` dict, that is once per
     algebra in ``run_all``, which also puts the algebra's name there; above
     ``MAX_RELATIVE_CANDIDATES`` per search it raises ``ValueError`` instead.
     """

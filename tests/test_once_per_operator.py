@@ -2,14 +2,16 @@
 
 The counting tests wrap the private routines of ``operators`` (the twist
 guard, the pointwise pair check, the graph closure and the Maurer-Cartan
-checks) and read off how often each ran for one public call or one search
-candidate.  ``parent_mc_residual`` is the oracle for the one-assembly
+checks) and read off how often each ran for one public call or one search.
+A search evaluates each criterion on the polarization points of its basis
+alone, whatever the size of its grid.  ``parent_mc_residual`` is the oracle for the one-assembly
 Maurer-Cartan residual: d(s) + (1/2)[s, s] built as separate cochains, with
 the bracket taken against an equal but distinct copy of s, so that it shares
 neither the assembly nor the self-bracket shortcut.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -99,30 +101,49 @@ def test_nijenhuis_report_builds_the_bracket_square_once(name, alg, monkeypatch)
             seen.clear()
 
 
+SEARCH_CRITERIA = CRITERIA + ("_pair_sides", "_relative_residual")
+
+
+def _polarization(basis):
+    """The operators a search evaluates each criterion's value on: M_p, -M_p, M_p + M_q."""
+    return (basis + [-m for m in basis]
+            + [basis[p] + basis[q] for p, q in combinations(range(len(basis)), 2)])
+
+
 @pytest.mark.parametrize("name,alg", FIXTURES)
 def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch):
-    candidates = operators._search_matrices(alg.space, alg.space, (0, 1))
-    calls = _count(monkeypatch, operators, CRITERIA)
-    search_nijenhuis(alg, (0, 1))
-    assert calls["_check_intertwines"] == calls["_pair_defect"] == calls["fn_bracket"] == candidates
-    assert not (calls["_graph_closed"] or calls["_relative_mc"])
-    for seen in calls.values():
-        seen.clear()
-    search_rota_baxter(alg, 1, (0, 1))
-    assert calls["_check_intertwines"] == calls["_pair_defect"] == calls["_relative_mc"] == candidates
-    assert not (calls["_graph_closed"] or calls["fn_bracket"])
+    calls = _count(monkeypatch, operators, SEARCH_CRITERIA)
+    for grid in ((0, 1), (-1, 0, 1)):
+        basis = operators._search_grid(alg.space, alg.space, grid).basis
+        points = _polarization(basis)
+        assert len(points) == len(basis) * (len(basis) + 3) // 2
+        for seen in calls.values():
+            seen.clear()
+        search_nijenhuis(alg, grid)
+        assert calls["_check_intertwines"] == basis
+        assert calls["_pair_sides"] == calls["fn_bracket"] == points
+        assert not (calls["_pair_defect"] or calls["_graph_closed"] or calls["_relative_mc"]
+                    or calls["_relative_residual"])
+        for seen in calls.values():
+            seen.clear()
+        search_rota_baxter(alg, 1, grid)
+        assert calls["_check_intertwines"] == basis
+        assert calls["_pair_sides"] == calls["_relative_residual"] == points
+        assert not (calls["_pair_defect"] or calls["_graph_closed"] or calls["_relative_mc"]
+                    or calls["fn_bracket"])
 
 
 @pytest.mark.parametrize("name,alg", FIXTURES)
 def test_relative_search_cross_checks_only_what_passes_pointwise(name, alg, monkeypatch):
     action = bracket_action_on_abelian(alg)
-    candidates = operators._search_matrices(action.acted.space, action.acting.space, (0, 1))
-    calls = _count(monkeypatch, operators, CRITERIA)
+    grid = operators._search_grid(action.acted.space, action.acting.space, (0, 1))
+    calls = _count(monkeypatch, operators, SEARCH_CRITERIA)
     found = search_relative_rb(action, 1, (0, 1))
     assert found
-    assert calls["_check_intertwines"] == calls["_pair_defect"] == candidates
-    assert calls["_graph_closed"] == calls["_relative_mc"] == found
-    assert not calls["fn_bracket"]
+    assert calls["_check_intertwines"] == grid.basis
+    assert calls["_pair_sides"] == _polarization(grid.basis)
+    assert calls["_graph_closed"] == calls["_relative_mc"] == calls["_relative_residual"] == found
+    assert not (calls["_pair_defect"] or calls["fn_bracket"])
 
 
 def test_context_runs_no_criterion_after_its_two_searches(monkeypatch):

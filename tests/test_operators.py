@@ -159,7 +159,7 @@ _GRIDS = [(0, 1), (-1, 0, 1), (1, 2), ("1/2", 0, 3), (0,)]
 @pytest.mark.parametrize("kind", ["endomorphism", "relative"])
 @pytest.mark.parametrize("name", sorted(_SEARCH_ALGEBRAS))
 def test_search_matches_full_grid_oracle(name, kind):
-    from homlie.operators import _search_matrices
+    from homlie.operators import _search_grid
     alg = _SEARCH_ALGEBRAS[name]
     if kind == "endomorphism":
         source = target = alg.space
@@ -167,13 +167,14 @@ def test_search_matches_full_grid_oracle(name, kind):
         act = bracket_action_on_abelian(alg)
         source, target = act.acted.space, act.acting.space
     for entries in _GRIDS:
-        assert _search_matrices(source, target, entries) == _grid_oracle(source, target, entries)
+        assert (_search_grid(source, target, entries).matrices
+                == _grid_oracle(source, target, entries))
 
 
 def test_search_on_the_non_aligned_yau_shear_commutant():
-    from homlie.operators import _search_matrices
+    from homlie.operators import _search_grid
     shear = _FIXTURES["yau-shear"]
-    mats = _search_matrices(shear.space, shear.space, (-1, 0, 1))
+    mats = _search_grid(shear.space, shear.space, (-1, 0, 1)).matrices
     assert len(mats) == 243  # 5-dim commutant of the unipotent twist
     assert all(shear.alpha @ m == m @ shear.alpha for m in mats)
     found = search_nijenhuis(shear)
@@ -240,11 +241,11 @@ def _graph_closed_by_pairs(action, R, lam):
 
 @pytest.mark.parametrize("name", [name for name, alg in default_fixtures() if alg.dim == 3])
 def test_graph_closure_matches_the_per_pair_reference(name):
-    from homlie.operators import _search_matrices
+    from homlie.operators import _search_grid
     alg = _FIXTURES[name]
     seen = {True: 0, False: 0}
     for act in (bracket_action_on_abelian(alg), adjoint_action(alg)):
-        intertwiners = _search_matrices(act.acted.space, act.acting.space, (-1, 0, 1))
+        intertwiners = _search_grid(act.acted.space, act.acting.space, (-1, 0, 1)).matrices
         for lam in ("0", "1", "-1", "1/2", "2"):
             for R in intertwiners:
                 verdict = relative_rb_graph(act, R, lam)
@@ -316,16 +317,21 @@ def test_mc_residual_kinds():
 
 
 def test_search_checks_each_candidate_pointwise_once(monkeypatch):
+    # the pointwise identity runs on the P(P+3)/2 polarization points of the
+    # P basis matrices, not once per candidate
     from homlie import operators
     act = bracket_action_on_abelian(B)
-    candidates = operators._search_matrices(act.acted.space, act.acting.space, (0, 1))
+    grid = operators._search_grid(act.acted.space, act.acting.space, (0, 1))
+    basis = grid.basis
     calls = []
-    defect = operators.relative_rb_defect
-    monkeypatch.setattr(operators, "relative_rb_defect",
-                        lambda action, R, lam: calls.append(R) or defect(action, R, lam))
+    sides = operators._pair_sides
+    monkeypatch.setattr(operators, "_pair_sides",
+                        lambda bracket, R, *rest: calls.append(R) or sides(bracket, R, *rest))
     found = search_relative_rb(act, 1, (0, 1))
-    assert found and len(found) < len(candidates)
-    assert calls == candidates
+    assert found and len(found) < len(grid.matrices)
+    assert calls == (basis + [-m for m in basis]
+                     + [basis[p] + basis[q] for p, q in combinations(range(len(basis)), 2)])
+    assert len(calls) == len(basis) * (len(basis) + 3) // 2
     # a candidate that passes pointwise is still cross-checked
     monkeypatch.setattr(operators, "_relative_mc", lambda action, R, lam: False)
     with pytest.raises(ConsistencyError, match="pointwise=True, graph=True, Maurer-Cartan=False"):
