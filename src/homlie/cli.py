@@ -269,9 +269,9 @@ def _cmd_deform_extend(args) -> int:
     # One complex for every step: one check of phi_0, and the coboundaries of
     # its basis 1-cochains, kept per representation, are computed once.
     spec = ComplexSpec.morphism(deformation.base)
-    orders = []
+    orders, cochains = [], [None]  # the term cochains, kept across the steps
     while deformation.order < args.to_order:
-        ob = _obstruction(deformation, spec)
+        ob = _obstruction(deformation, spec, cochains)
         entry = {"order": deformation.order,
                  "obstruction_zero": ob.cocycle.is_zero(),
                  "obstruction_coboundary": ob.is_coboundary}

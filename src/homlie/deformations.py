@@ -103,7 +103,7 @@ def obstruction(d: MorphismDeformation) -> ObstructionClass:
     w = deformation_witness(d)
     if w is not None:
         raise ValueError(f"not a valid order-{d.order} deformation: {w[0]} fails at order {w[1]}")
-    return _obstruction(d, ComplexSpec.morphism(d.base))
+    return _obstruction(d, ComplexSpec.morphism(d.base), [None])
 
 
 def extend(d: MorphismDeformation) -> MorphismDeformation | None:
@@ -116,10 +116,10 @@ def extend(d: MorphismDeformation) -> MorphismDeformation | None:
     return _extend_with(d, obstruction(d))
 
 
-def _obstruction(d: MorphismDeformation, spec: ComplexSpec) -> ObstructionClass:
-    """``obstruction`` of a valid d, in the given morphism complex of its phi_0."""
+def _obstruction(d: MorphismDeformation, spec: ComplexSpec, terms: list) -> ObstructionClass:
+    """``obstruction`` of valid d in a complex of its phi_0; extends terms = [None, phi_1, ...]."""
     n_next = d.order + 1
-    terms = [None] + [d.term_cochain(i) for i in range(1, n_next)]  # phi_0 takes no part
+    terms += [d.term_cochain(i) for i in range(len(terms), n_next)]
     cocycle = linear_combination(
         d.source.space, d.target.space, 2,
         [(-1, cup_bracket(terms[i], terms[n_next - i], d.target)) for i in range(1, n_next)], 2)

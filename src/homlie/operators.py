@@ -18,10 +18,12 @@ a relative search's operators without checking them again.
 A search writes its candidates as R = sum_p c_p M_p / s over an integer basis
 M_p of the twist commutant and runs the twist guard on the M_p alone.  Each
 criterion is quadratic plus linear in R, so its values at M_p, -M_p and
-M_p + M_q polarize it into an integer table in the c_p.  The Nijenhuis and
-Rota-Baxter searches compare the tables of the pointwise identity and of
-[N, N]_fn or the Maurer-Cartan residual on every candidate.  A relative
-search decides on the pointwise table and cross-checks what passes.
+M_p + M_q polarize it into an integer table in the c_p.  A Nijenhuis or
+Rota-Baxter search checks once that the pointwise table and that of [N, N]_fn
+or the Maurer-Cartan residual have one row space, so one zero set, and then
+decides on the pointwise one; else every candidate compares them.  The c_p are
+set depth-first in grid order, each check at the depth of its last variable.
+A relative search decides pointwise and cross-checks what passes.
 
 A weight-lambda Rota-Baxter operator is a relative one of the adjoint action
 (``structures.adjoint_action``): its pointwise identity, its deformed bracket
@@ -31,7 +33,7 @@ and its Maurer-Cartan equation are those of the relative operator.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from operator import mul
 from typing import NamedTuple
 
@@ -323,43 +325,34 @@ def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None 
 # Grid search over the twist commutant
 
 
-# A search's candidates: the matrix sum_p c_p basis[p] / scale of each pivot combo c.
-_Grid = NamedTuple("_Grid", [("basis", list), ("scale", int), ("combos", list), ("matrices", list)])
+# A search's candidates R = sum_p c_p basis[p] / scale, c in nums^P: entry (i, j) of R is
+# c . coeffs[i][j] / scale.  A check (terms, allowed) asks sum k c_a c_b (c_P = 1) in allowed.
+_Grid = NamedTuple("_Grid", [("basis", list), ("scale", int), ("nums", tuple), ("coeffs", list),
+                             ("checks", list)])
 
 
 def _search_grid(source, target, entries) -> _Grid:
-    """All matrices with entries in the grid ``entries`` intertwining the twists.
+    """The grid of matrices with entries in ``entries`` intertwining the twists.
 
     In the reduced row echelon form of the arity-1 compatibility basis,
     flattened column by column, the pivot coordinates fix the rest: the grid
     runs over the pivots, and a candidate stays if its other coordinates land
-    in it.  Two intertwiners first differ at a pivot, so the matrices come in
-    the grid order (position in ``entries``) of the column-major table.  The
-    basis is the integer rows of that form; a combo is the pivots' numerators.
+    in it.  Two intertwiners first differ at a pivot, so product order of the
+    combos is the grid order (position in ``entries``) of the column-major
+    table.  The basis is the integer rows of that form; a combo is the pivots'
+    numerators, and each off-pivot coordinate gets a check.
     """
     nums, den = _common(entries)  # the grid as integers over one denominator
     nums = tuple(dict.fromkeys(nums))  # a repeated value would repeat its matrices
-    grid = set(nums)
     reduced, pivots, d = _rref([list(flatten_cochain(b).num)
                                 for b in compatibility_basis(source, target, 1)])
-    rows = target.dim
-    # coordinate k of a candidate, times den, is combo . column_k / d
-    columns = [[row[k] for row in reduced] for k in range(rows * source.dim)]
-    combos, found = [], []
-    for combo in product(nums, repeat=len(pivots)):
-        flat = []
-        for column in columns:
-            q, rem = divmod(sum(map(mul, combo, column)), d)
-            if rem or q not in grid:
-                break
-            flat.append(q)
-        else:
-            combos.append(combo)
-            found.append(_mat_reduced(tuple(tuple(flat[i::rows]) for i in range(rows)), den,
-                                      source.dim))
+    P, rows, allowed = len(pivots), target.dim, {d * n for n in nums}
+    columns = [tuple(row[k] for row in reduced[:P]) for k in range(rows * source.dim)]
+    checks = [([(x, p, P) for p, x in enumerate(column) if x], allowed)  # a pivot is d c_p
+              for k, column in enumerate(columns) if k not in pivots]
     basis = [_mat(tuple(tuple(row[i::rows]) for i in range(rows)), 1, source.dim)
-             for row in reduced[:len(pivots)]]
-    return _Grid(basis, den * d, combos, found)
+             for row in reduced[:P]]
+    return _Grid(basis, den * d, nums, [columns[i::rows] for i in range(rows)], checks)
 
 
 def _form(value, grid: _Grid) -> list[tuple[int, ...]]:
@@ -378,6 +371,40 @@ def _form(value, grid: _Grid) -> list[tuple[int, ...]]:
     return [row for row in Mat.from_columns(columns).num if any(row)]
 
 
+def _depth_first(grid: _Grid, table=()) -> list[Mat]:
+    """The grid intertwiners, in grid order, at which every row of table vanishes.
+
+    A matrix is built only for a combo that passes every check.
+    """
+    P = len(grid.basis)
+    monomials = list(combinations_with_replacement(range(P), 2)) + [(p, P) for p in range(P)]
+    at, c, found = [[] for _ in range(P)], [0] * P + [1], []
+    for terms, allowed in grid.checks + [([(k, *monomials[m]) for m, k in enumerate(row) if k],
+                                          {0}) for row in table]:
+        if terms:
+            at[max(a if b == P else b for _, a, b in terms)].append((terms, allowed))
+        elif 0 not in allowed:  # a coordinate that is 0 on every combo, off the grid
+            return []
+
+    def walk(t):
+        if t == P:
+            num = tuple(tuple(sum(map(mul, c, e)) for e in row) for row in grid.coeffs)
+            found.append(_mat_reduced(num, grid.scale, len(num[0])))
+            return
+        for c[t] in grid.nums:
+            for terms, allowed in at[t]:
+                value = 0
+                for k, a, b in terms:
+                    value += k * c[a] * c[b]
+                if value not in allowed:
+                    break
+            else:
+                walk(t + 1)
+
+    walk(0)
+    return found
+
+
 def _search(action: HomLieAction, entries, kind: str, deformed, *others) -> list[Mat]:
     """The grid operators, acted to acting space, with [Rx, Ry] = R(deformed(R)(x, y)).
 
@@ -390,15 +417,13 @@ def _search(action: HomLieAction, entries, kind: str, deformed, *others) -> list
         _check_intertwines(action, M)
     pointwise = _form(lambda R: Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
         action.acting.bracket, R, action.acted.space, deformed(R))]), grid)
-    forms = [pointwise] + [_form(value, grid) for _, value in others]
-    found = []
-    for combo, m in zip(grid.combos, grid.matrices):
-        c = [x * y for x, y in combinations_with_replacement(combo, 2)] + list(combo)
-        holds = [not any(sum(map(mul, row, c)) for row in form) for form in forms]
-        if _agreed(kind, None if holds[0] else combo,
-                   *zip([name for name, _ in others], holds[1:])) is None:
-            found.append(m)
-    return found
+    forms = [_form(value, grid) for _, value in others]
+    if all(mat_rank(Mat(pointwise)) == mat_rank(Mat(form)) == mat_rank(Mat(pointwise + form))
+           for form in forms):
+        return _depth_first(grid, pointwise)
+    holds = [set(_depth_first(grid, form)) for form in [pointwise] + forms]
+    return [m for m in _depth_first(grid) if _agreed(kind, None if m in holds[0] else m, *[
+        (name, m in h) for (name, _), h in zip(others, holds[1:])]) is None]
 
 
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:

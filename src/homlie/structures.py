@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import Mat, Vec, _lincomb, rat
+from .linalg import Mat, Vec, _lincomb, _vec, _vec_reduced, rat
 from .cochains import SkewCochain, TwistedSpace, compatibility_failures, compatibility_witness
 
 
@@ -137,9 +137,15 @@ def multiplicativity_failures(s: RawHomStructure) -> list[tuple[tuple[int, int],
 
 def _bilinear(table, x: Vec, y: Vec, dim: int) -> Vec:
     """Bilinear extension of basis values table[i][j] (vectors of length dim)."""
-    ys = [(j, b) for j, b in enumerate(y.num) if b]
-    return _lincomb(((a * b, table[i][j]) for i, a in enumerate(x.num) if a for j, b in ys),
-                    dim, x.den * y.den)
+    xs = [(i, a) for i, a in enumerate(x.num) if a]
+    ys = xs and [(j, b) for j, b in enumerate(y.num) if b]
+    if len(xs) == len(ys) == 1:  # one table entry, scaled
+        (i, a), (j, b) = xs[0], ys[0]
+        v, c, den = table[i][j], a * b, x.den * y.den
+        return v if c == den == 1 else _vec_reduced(tuple([c * t for t in v.num]), v.den * den)
+    if not ys:  # a zero argument
+        return _vec((0,) * dim, 1)
+    return _lincomb(((a * b, table[i][j]) for i, a in xs for j, b in ys), dim, x.den * y.den)
 
 
 class Representation:
@@ -171,7 +177,8 @@ def representation_witness(rep: Representation):
     """First failing representation axiom, or None.
 
     Checks beta(x . v) = alpha(x) . beta(v) on basis pairs and
-    [x, y] . beta(v) = alpha(x) . (y . v) - alpha(y) . (x . v) on basis triples.
+    [x, y] . beta(v) = alpha(x) . (y . v) - alpha(y) . (x . v) on basis triples
+    with x before y (the law is skew in x and y).
     """
     alg, mod = rep.algebra, rep.module
     gtwisted, vtwisted = alg.space.twisted_basis(1), mod.twisted_basis(1)
@@ -181,14 +188,12 @@ def representation_witness(rep: Representation):
             rhs = rep.act(gtwisted[i], vtwisted[j])
             if lhs != rhs:
                 return ("twist equivariance", (i, j), lhs, rhs)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k in range(mod.dim):
-                lhs = rep.act(alg.table[i][j], vtwisted[k])
-                rhs = (rep.act(gtwisted[i], rep.table[j][k])
-                       - rep.act(gtwisted[j], rep.table[i][k]))
-                if lhs != rhs:
-                    return ("bracket compatibility", (i, j, k), lhs, rhs)
+    for i, j in combinations(range(alg.dim), 2):
+        for k in range(mod.dim):
+            lhs = rep.act(alg.table[i][j], vtwisted[k])
+            rhs = rep.act(gtwisted[i], rep.table[j][k]) - rep.act(gtwisted[j], rep.table[i][k])
+            if lhs != rhs:
+                return ("bracket compatibility", (i, j, k), lhs, rhs)
     return None
 
 

@@ -318,6 +318,29 @@ def test_cli_deform_extend_failed_revalidation_exits_three(tmp_path, capsys, mon
                             " order equation at order 1\n")
 
 
+def test_cli_deform_extend_builds_each_term_cochain_once(tmp_path, capsys, monkeypatch):
+    from homlie import deformations
+    from homlie.structures import fixture_yau_heisenberg
+    built = []
+    real = deformations.operator_cochain
+    monkeypatch.setattr(deformations, "operator_cochain",
+                        lambda source, target, m: built.append(m) or real(source, target, m))
+    alg = tmp_path / "h.json"
+    alg.write_text(hio.dumps(hio.structure_to_json(fixture_yau_heisenberg())))
+    ident = tmp_path / "id.json"
+    ident.write_text('[["1","0","0"],["0","1","0"],["0","0","1"]]')
+    assert main(["deform", "extend", "--algebra", str(alg), "--target", str(alg),
+                 "--morphism", str(ident), "--to-order", "12", "--json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    # the obstruction at order n reads phi_1, ..., phi_n: each is built once, 11 in all
+    assert [hio.matrix_to_json(m) for m in built] == terms[1:12]
+    assert main(["deform", "extend", "--algebra", str(alg), "--target", str(alg),
+                 "--morphism", str(ident), "--to-order", "12"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"order {n} -> {n + 1}: extended\n" for n in range(12)) + "reached order 12 of 12\n"
+    assert len(built) == 22
+
+
 @pytest.mark.parametrize("bad", ["--p", "--q"])
 def test_cli_bracket_rejects_a_cochain_that_is_not_twist_compatible(tmp_path, capsys, bad):
     from homlie.cochains import operator_cochain
@@ -527,9 +550,9 @@ def test_cli_deform_extend_computes_each_obstruction_once(tmp_path, capsys, monk
     calls = []
     original = deformations._obstruction
 
-    def counting(d, spec):
+    def counting(d, spec, terms):
         calls.append(d.order)
-        return original(d, spec)
+        return original(d, spec, terms)
 
     # The command's steps call ``_obstruction`` through the ``deformations``
     # module, so patching that module counts every call.

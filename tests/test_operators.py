@@ -1,14 +1,16 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from homlie.linalg import Mat, Vec, mat_rank
-from homlie.cochains import cochain_matrix, operator_cochain
+from homlie.cochains import SkewCochain, TwistedSpace, cochain_matrix, operator_cochain
 from homlie.structures import (adjoint_action, adjoint_representation,
                                bracket_action_on_abelian, check_hom_jacobi,
                                check_morphism, check_representation, fixture_abelian, fixture_b,
-                               HomMorphism, RawHomStructure, semidirect_weight)
+                               HomLieAction, HomLieAlgebra, HomMorphism, RawHomStructure,
+                               semidirect_weight)
 from homlie.differentials import delta_hom
 from homlie.brackets import theta
 from homlie.operators import (ConsistencyError, deformed_bracket_n, induced_structures,
@@ -156,10 +158,15 @@ _SEARCH_ALGEBRAS = {**_FIXTURES,
 _GRIDS = [(0, 1), (-1, 0, 1), (1, 2), ("1/2", 0, 3), (0,)]
 
 
+def _intertwiners(source, target, entries):
+    """Every grid intertwiner: the search's depth-first enumeration with no table rows."""
+    from homlie.operators import _depth_first, _search_grid
+    return _depth_first(_search_grid(source, target, entries))
+
+
 @pytest.mark.parametrize("kind", ["endomorphism", "relative"])
 @pytest.mark.parametrize("name", sorted(_SEARCH_ALGEBRAS))
 def test_search_matches_full_grid_oracle(name, kind):
-    from homlie.operators import _search_grid
     alg = _SEARCH_ALGEBRAS[name]
     if kind == "endomorphism":
         source = target = alg.space
@@ -167,18 +174,43 @@ def test_search_matches_full_grid_oracle(name, kind):
         act = bracket_action_on_abelian(alg)
         source, target = act.acted.space, act.acting.space
     for entries in _GRIDS:
-        assert (_search_grid(source, target, entries).matrices
-                == _grid_oracle(source, target, entries))
+        assert _intertwiners(source, target, entries) == _grid_oracle(source, target, entries)
 
 
 def test_search_on_the_non_aligned_yau_shear_commutant():
-    from homlie.operators import _search_grid
     shear = _FIXTURES["yau-shear"]
-    mats = _search_grid(shear.space, shear.space, (-1, 0, 1)).matrices
+    mats = _intertwiners(shear.space, shear.space, (-1, 0, 1))
     assert len(mats) == 243  # 5-dim commutant of the unipotent twist
     assert all(shear.alpha @ m == m @ shear.alpha for m in mats)
     found = search_nijenhuis(shear)
     assert found and any(not m.is_zero() for m in found)
+
+
+def test_search_over_an_empty_commutant():
+    # alpha = (2) on the acting line and (3) on the acted one: no nonzero map
+    # intertwines them, so the only candidate is the zero map, kept exactly
+    # when 0 is a grid value
+    acting, acted = fixture_abelian(1, Mat.make([[2]])), fixture_abelian(1, Mat.make([[3]]))
+    action = HomLieAction(acting, acted, ((Vec.zero(1),),))
+    assert _intertwiners(acted.space, acting.space, (0, 1)) == [Mat.zero(1, 1)]
+    assert search_relative_rb(action, 1, (0, 1)) == [Mat.zero(1, 1)]
+    assert search_relative_rb(action, 1, (1, 2)) == []
+
+
+def _filiform(n):
+    """The filiform Lie algebra L_n, [e_1, e_i] = e_(i+1), untwisted."""
+    space = TwistedSpace.untwisted(n)
+    return HomLieAlgebra(space, SkewCochain(space, space, 2,
+                                            {(0, i): space.basis[i + 1] for i in range(1, n - 1)}))
+
+
+def test_search_at_scale_on_untwisted_filiform_l4():
+    # 2^16 candidates over the full 4 x 4 commutant; the digest of the list,
+    # order included, was recorded from a search that tested every candidate
+    found = search_nijenhuis(_filiform(4), (0, 1))
+    assert len(found) == 496
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "180968fe3212afe26a33e6ceaea1df0867b9a3ab9596742e244aa9f0ad9dbc7e")
 
 
 def test_theta_of_residual_detects_deformed_jacobi():
@@ -241,11 +273,10 @@ def _graph_closed_by_pairs(action, R, lam):
 
 @pytest.mark.parametrize("name", [name for name, alg in default_fixtures() if alg.dim == 3])
 def test_graph_closure_matches_the_per_pair_reference(name):
-    from homlie.operators import _search_grid
     alg = _FIXTURES[name]
     seen = {True: 0, False: 0}
     for act in (bracket_action_on_abelian(alg), adjoint_action(alg)):
-        intertwiners = _search_grid(act.acted.space, act.acting.space, (-1, 0, 1)).matrices
+        intertwiners = _intertwiners(act.acted.space, act.acting.space, (-1, 0, 1))
         for lam in ("0", "1", "-1", "1/2", "2"):
             for R in intertwiners:
                 verdict = relative_rb_graph(act, R, lam)
@@ -328,7 +359,7 @@ def test_search_checks_each_candidate_pointwise_once(monkeypatch):
     monkeypatch.setattr(operators, "_pair_sides",
                         lambda bracket, R, *rest: calls.append(R) or sides(bracket, R, *rest))
     found = search_relative_rb(act, 1, (0, 1))
-    assert found and len(found) < len(grid.matrices)
+    assert found and len(found) < len(operators._depth_first(grid))
     assert calls == (basis + [-m for m in basis]
                      + [basis[p] + basis[q] for p, q in combinations(range(len(basis)), 2)])
     assert len(calls) == len(basis) * (len(basis) + 3) // 2

@@ -27,7 +27,9 @@ CASES = [(name, grid) for name, alg in FIXTURES
 
 
 def _candidates(action, grid):
-    return operators._search_grid(action.acted.space, action.acting.space, grid).matrices
+    """Every grid intertwiner: the search's depth-first enumeration with no table rows."""
+    grid = operators._search_grid(action.acted.space, action.acting.space, grid)
+    return operators._depth_first(grid)
 
 
 @pytest.mark.parametrize("name,grid", CASES)

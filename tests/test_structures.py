@@ -269,3 +269,57 @@ def test_adjoint_representation_is_one_instance_serving_the_structure_table():
         for x in basis:
             for y in basis:
                 assert adj.act(x, y) == alg.bracket(x, y)
+
+
+def _representation_witness_over_ordered_pairs(rep):
+    """The reference for representation_witness: the bracket law on every ordered pair (i, j)."""
+    alg, mod = rep.algebra, rep.module
+    gtwisted, vtwisted = alg.space.twisted_basis(1), mod.twisted_basis(1)
+    for i in range(alg.dim):
+        for j in range(mod.dim):
+            lhs = mod.alpha @ rep.table[i][j]
+            rhs = rep.act(gtwisted[i], vtwisted[j])
+            if lhs != rhs:
+                return ("twist equivariance", (i, j), lhs, rhs)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(mod.dim):
+                lhs = rep.act(alg.table[i][j], vtwisted[k])
+                rhs = (rep.act(gtwisted[i], rep.table[j][k])
+                       - rep.act(gtwisted[j], rep.table[i][k]))
+                if lhs != rhs:
+                    return ("bracket compatibility", (i, j, k), lhs, rhs)
+    return None
+
+
+def _planted(rep):
+    """rep with one action entry x . e_k doubled or shifted by e_k, for every (x, k)."""
+    from homlie.structures import Representation
+    for x in range(rep.algebra.dim):
+        for k in range(rep.module.dim):
+            for wrong in (rep.table[x][k].scale(2), rep.table[x][k] + rep.module.basis[k]):
+                table = [list(row) for row in rep.table]
+                table[x][k] = wrong
+                yield x, Representation(rep.algebra, rep.module, table)
+
+
+def test_representation_witness_matches_the_ordered_pair_reference():
+    from homlie.structures import representation_witness
+    from homlie.theorems import _context, default_fixtures
+    reps, bracket_failures = [], set()
+    for _, alg in default_fixtures():
+        actions = [adjoint_action(alg), bracket_action_on_abelian(alg)]
+        induced = _context("d_r_matches_induced", alg, 3, {})[1]
+        reps += actions + [rep for _, _, rep in induced]
+        for action in actions:
+            for x, rep in _planted(action):
+                reps.append(rep)
+                w = representation_witness(rep)
+                if w is not None and w[0] == "bracket compatibility":
+                    i, j, _ = w[1]
+                    bracket_failures.add("first" if x == i else "second" if x == j else "other")
+    assert len(reps) > 200
+    for rep in reps:
+        assert representation_witness(rep) == _representation_witness_over_ordered_pairs(rep)
+    # planted entries fail the bracket law as the first and as the second index of a pair
+    assert {"first", "second"} <= bracket_failures
