@@ -12,9 +12,9 @@ from homlie.structures import bracket_action_on_abelian, check_representation
 
 B = fixture_b()
 
-# Bounded grid search over the twist commutant (integer entries).  Each hit
-# is confirmed twice: the pointwise identity and the Maurer-Cartan equation
-# of the matching graded bracket must agree.
+# Bounded grid search over the twist commutant (integer entries).  Once per
+# search, the pointwise identity and the Maurer-Cartan equation of the
+# matching graded bracket are proved to have the same zeros on the commutant.
 nij = search_nijenhuis(B)
 print(f"Nijenhuis operators with entries in {{-1, 0, 1}} on the 3-dim fixture: {len(nij)}")
 sample = next(m for m in nij if not m.is_zero() and m != Mat.identity(3))

@@ -137,7 +137,7 @@ def _cmd_check_rotabaxter(args) -> int:
 
 
 def _cmd_check_relative_rb(args) -> int:
-    from .operators import _cross_checked, relative_rb_defect
+    from .operators import _cross_checked
     from .structures import action_witness
     alg = hio.algebra_from_json(_read_json(args.algebra))
     action = hio.action_from_json(alg, _read_json(args.action))
@@ -149,8 +149,7 @@ def _cmd_check_relative_rb(args) -> int:
     lam = hio.rational_from_json(args.weight, "--weight")
     return _operator_verdict("relative-rota-baxter",
                              f"relative Rota-Baxter operator of weight {rat_str(lam)}",
-                             _cross_checked(action, op, lam, relative_rb_defect(action, op, lam)),
-                             args.json)
+                             _cross_checked(action, op, lam), args.json)
 
 
 def _cmd_check_morphism(args) -> int:

@@ -6,24 +6,24 @@ the graded bracket machinery.  The dual routes must agree; a disagreement is
 an internal consistency failure (it would mean a sign error in a bracket),
 reported as ``ConsistencyError`` rather than a verdict.
 
-Each criterion runs once per operator.  One private routine per kind
-returns the agreed pointwise witness, the first failing basis pair or None:
-``_nijenhuis`` and ``_rota_baxter`` run the twist guard, the pointwise
-identity and then the kind's cross-checks, and ``_cross_checked`` runs the
-relative cross-checks on the witness of ``relative_rb_defect``.  The
+Each criterion runs once per operator.  One private routine per kind,
+``_nijenhuis``, ``_rota_baxter`` or the relative ``_cross_checked``, runs the
+twist guard, the pointwise identity and the kind's cross-checks, and returns
+the agreed witness (the first failing basis pair, or None) that the
 predicates, ``nijenhuis_report``, ``induced_structures`` and the CLI's
-``check`` commands read it.  ``theorems`` builds the induced structures of
-a relative search's operators without checking them again.
+``check`` commands read.  ``theorems`` builds the induced structures of a
+relative search's operators without checking them again.
 
 A search writes its candidates as R = sum_p c_p M_p / s over an integer basis
 M_p of the twist commutant and runs the twist guard on the M_p alone.  Each
 criterion is quadratic plus linear in R, so its values at M_p, -M_p and
-M_p + M_q polarize it into an integer table in the c_p.  A Nijenhuis or
-Rota-Baxter search checks once that the pointwise table and that of [N, N]_fn
-or the Maurer-Cartan residual have one row space, so one zero set, and then
-decides on the pointwise one; else every candidate compares them.  The c_p are
-set depth-first in grid order, each check at the depth of its last variable.
-A relative search decides pointwise and cross-checks what passes.
+M_p + M_q polarize it into an integer table in the c_p.  Every search checks
+once that the pointwise table and that of its dual, [N, N]_fn or the
+Maurer-Cartan residual, have one row space, so one zero set, and then decides
+on the pointwise one; else every candidate compares them.  No search checks
+an operator it found again; graph closure is an oracle of the predicates.
+The c_p are set depth-first in grid order, each check at the depth of its
+last variable.
 
 A weight-lambda Rota-Baxter operator is a relative one of the adjoint action
 (``structures.adjoint_action``): its pointwise identity, its deformed bracket
@@ -251,12 +251,13 @@ def _relative_residual(action: HomLieAction, R: Mat, lam) -> SkewCochain:
 
 def is_relative_rb(action: HomLieAction, R: Mat, lam) -> bool:
     """All three relative Rota-Baxter criteria; they must agree."""
-    return _cross_checked(action, R, lam, relative_rb_defect(action, R, lam)) is None
+    return _cross_checked(action, R, lam) is None
 
 
-def _cross_checked(action: HomLieAction, R: Mat, lam, defect):
-    """The pointwise witness, once the graph and Maurer-Cartan criteria agree with it."""
-    return _agreed("relative Rota-Baxter", defect, ("graph", _graph_closed(action, R, lam)),
+def _cross_checked(action: HomLieAction, R: Mat, lam):
+    """The relative witness, after the twist guard, once graph and Maurer-Cartan agree with it."""
+    return _agreed("relative Rota-Baxter", relative_rb_defect(action, R, lam),
+                   ("graph", _graph_closed(action, R, lam)),
                    ("Maurer-Cartan", _relative_mc(action, R, lam)))
 
 
@@ -405,25 +406,24 @@ def _depth_first(grid: _Grid, table=()) -> list[Mat]:
     return found
 
 
-def _search(action: HomLieAction, entries, kind: str, deformed, *others) -> list[Mat]:
+def _search(action: HomLieAction, entries, kind: str, deformed, dual) -> list[Mat]:
     """The grid operators, acted to acting space, with [Rx, Ry] = R(deformed(R)(x, y)).
 
-    Each of others is (name, value): value(R) is a Vec vanishing exactly when
-    R passes, and must agree on every candidate.  Intertwining is linear in R,
-    so the twist guard runs on the basis alone.
+    dual is (name, value): value(R) is a Vec vanishing exactly when R passes,
+    and must agree on every candidate.  Intertwining is linear in R, so the
+    twist guard runs on the basis alone.
     """
     grid = _search_grid(action.acted.space, action.acting.space, entries)
     for M in grid.basis:
         _check_intertwines(action, M)
     pointwise = _form(lambda R: Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
         action.acting.bracket, R, action.acted.space, deformed(R))]), grid)
-    forms = [_form(value, grid) for _, value in others]
-    if all(mat_rank(Mat(pointwise)) == mat_rank(Mat(form)) == mat_rank(Mat(pointwise + form))
-           for form in forms):
+    form = _form(dual[1], grid)
+    if mat_rank(Mat(pointwise)) == mat_rank(Mat(form)) == mat_rank(Mat(pointwise + form)):
         return _depth_first(grid, pointwise)
-    holds = [set(_depth_first(grid, form)) for form in [pointwise] + forms]
-    return [m for m in _depth_first(grid) if _agreed(kind, None if m in holds[0] else m, *[
-        (name, m in h) for (name, _), h in zip(others, holds[1:])]) is None]
+    holds, dual_holds = set(_depth_first(grid, pointwise)), set(_depth_first(grid, form))
+    return [m for m in _depth_first(grid)
+            if _agreed(kind, None if m in holds else m, (dual[0], m in dual_holds)) is None]
 
 
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:
@@ -434,19 +434,19 @@ def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:
 
 def search_rota_baxter(alg: HomLieAlgebra, lam, entries=(-1, 0, 1)) -> list[Mat]:
     """Weight-lam Rota-Baxter operators with entries in ``entries``, column-major grid order."""
-    lam, adj = rat(lam), adjoint_action(alg)
-    return _search(adj, entries, "Rota-Baxter", lambda R: _induced_bracket(adj, R, lam),
-                   ("Maurer-Cartan", lambda R: flatten_cochain(_relative_residual(adj, R, lam))))
+    return _rota_baxter_search(adjoint_action(alg), lam, entries)
 
 
 def search_relative_rb(action: HomLieAction, lam, entries=(-1, 0, 1)) -> list[Mat]:
     """Relative weight-lam Rota-Baxter operators, entries in ``entries``, column-major grid order.
 
-    The grid runs over maps from the acted to the acting space.  The pointwise
-    form decides each candidate; one that passes then gets the graph and
-    Maurer-Cartan criteria, which must agree with it.
+    The grid runs over maps from the acted to the acting space; the search is the weighted one's.
     """
+    return _rota_baxter_search(action, lam, entries)
+
+
+def _rota_baxter_search(action: HomLieAction, lam, entries) -> list[Mat]:
+    """The one search behind both public ones, which never call each other."""
     lam = rat(lam)
-    return [m for m in _search(action, entries, "relative Rota-Baxter",
-                               lambda R: _induced_bracket(action, R, lam))
-            if _cross_checked(action, m, lam, None) is None]
+    return _search(action, entries, "Rota-Baxter", lambda R: _induced_bracket(action, R, lam),
+                   ("Maurer-Cartan", lambda R: flatten_cochain(_relative_residual(action, R, lam))))

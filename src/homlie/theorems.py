@@ -291,8 +291,8 @@ def _sample_cocycle(data, arity: int, rng: random.Random, space, codomain) -> Sk
     return linear_combination(space, codomain, arity, zip(coeffs.num, basis), coeffs.den)
 
 
-# A relative search runs the {-1, 0, 1} grid over the k-dim twist commutant,
-# 3^k candidates; 3^9 keeps every default fixture (k <= 6) and abelian dim 3.
+# The guard bounds the 3^k points of a relative search's {-1, 0, 1} grid over the k-dim twist
+# commutant, all operators when alg is abelian; 3^9 keeps the fixtures (k <= 6) and abelian dim 3.
 MAX_RELATIVE_CANDIDATES = 3 ** 9
 
 
@@ -306,10 +306,10 @@ def _relative_context(alg: HomLieAlgebra):
 def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
     """The identity's fixed data for ``alg``; ``shared`` holds what identities reuse.
 
-    The relative context (two relative operator searches, each operator
-    found checked three ways) is built once per ``shared`` dict, that is once per
-    algebra in ``run_all``, which also puts the algebra's name there; above
-    ``MAX_RELATIVE_CANDIDATES`` per search it raises ``ValueError`` instead.
+    The relative context (two relative operator searches) is built once per ``shared``
+    dict, that is once per algebra in ``run_all``, which also puts the algebra's name there.
+    Above ``MAX_RELATIVE_CANDIDATES`` grid points per search, which bound the operators
+    whose induced structures d_r_matches_induced builds, it raises ``ValueError``.
     """
     if identity == "cup_trivial_cohomology":
         return _cocycle_data(alg, max_arity)
@@ -327,7 +327,7 @@ def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
     if identity == "relative_consistency":
         return shared["relative"]
     action, verified = shared["relative"]
-    # the search cross-checked each operator: build its induced structures, checking no criterion
+    # the search decided each operator: build its induced structures, checking no criterion
     induced = [(lam, operator_cochain(action.acted.space, action.acting.space, R),
                 _induced_structures(action, R, lam)[1]) for lam, R in verified]
     return action, induced

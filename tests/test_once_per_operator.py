@@ -113,37 +113,24 @@ def _polarization(basis):
 @pytest.mark.parametrize("name,alg", FIXTURES)
 def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch):
     calls = _count(monkeypatch, operators, SEARCH_CRITERIA)
+    adj, abelian = adjoint_action(alg), bracket_action_on_abelian(alg)
+    searches = (  # (action searched, search on a grid, the criterion dual to the pointwise one)
+        (adj, lambda grid: search_nijenhuis(alg, grid), "fn_bracket"),
+        (adj, lambda grid: search_rota_baxter(alg, 1, grid), "_relative_residual"),
+        (abelian, lambda grid: search_relative_rb(abelian, 1, grid), "_relative_residual"))
     for grid in ((0, 1), (-1, 0, 1)):
-        basis = operators._search_grid(alg.space, alg.space, grid).basis
-        points = _polarization(basis)
-        assert len(points) == len(basis) * (len(basis) + 3) // 2
-        for seen in calls.values():
-            seen.clear()
-        search_nijenhuis(alg, grid)
-        assert calls["_check_intertwines"] == basis
-        assert calls["_pair_sides"] == calls["fn_bracket"] == points
-        assert not (calls["_pair_defect"] or calls["_graph_closed"] or calls["_relative_mc"]
-                    or calls["_relative_residual"])
-        for seen in calls.values():
-            seen.clear()
-        search_rota_baxter(alg, 1, grid)
-        assert calls["_check_intertwines"] == basis
-        assert calls["_pair_sides"] == calls["_relative_residual"] == points
-        assert not (calls["_pair_defect"] or calls["_graph_closed"] or calls["_relative_mc"]
-                    or calls["fn_bracket"])
-
-
-@pytest.mark.parametrize("name,alg", FIXTURES)
-def test_relative_search_cross_checks_only_what_passes_pointwise(name, alg, monkeypatch):
-    action = bracket_action_on_abelian(alg)
-    grid = operators._search_grid(action.acted.space, action.acting.space, (0, 1))
-    calls = _count(monkeypatch, operators, SEARCH_CRITERIA)
-    found = search_relative_rb(action, 1, (0, 1))
-    assert found
-    assert calls["_check_intertwines"] == grid.basis
-    assert calls["_pair_sides"] == _polarization(grid.basis)
-    assert calls["_graph_closed"] == calls["_relative_mc"] == calls["_relative_residual"] == found
-    assert not (calls["_pair_defect"] or calls["fn_bracket"])
+        for action, search, dual in searches:
+            basis = operators._search_grid(action.acted.space, action.acting.space, grid).basis
+            points = _polarization(basis)
+            assert len(points) == len(basis) * (len(basis) + 3) // 2
+            for seen in calls.values():
+                seen.clear()
+            search(grid)
+            assert calls["_check_intertwines"] == basis
+            assert calls["_pair_sides"] == calls[dual] == points
+            # and nothing else: no pair check, graph closure, Maurer-Cartan verdict or other dual
+            assert not any(calls[c] for c in SEARCH_CRITERIA
+                           if c not in ("_check_intertwines", "_pair_sides", dual))
 
 
 def test_context_runs_no_criterion_after_its_two_searches(monkeypatch):

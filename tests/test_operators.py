@@ -278,9 +278,11 @@ def test_graph_closure_matches_the_per_pair_reference(name):
     for act in (bracket_action_on_abelian(alg), adjoint_action(alg)):
         intertwiners = _intertwiners(act.acted.space, act.acting.space, (-1, 0, 1))
         for lam in ("0", "1", "-1", "1/2", "2"):
+            found = set(search_relative_rb(act, lam, (-1, 0, 1)))
             for R in intertwiners:
                 verdict = relative_rb_graph(act, R, lam)
                 assert verdict == _graph_closed_by_pairs(act, R, lam), (name, lam, R)
+                assert verdict == (R in found), (name, lam, R)  # the graph oracle of the search
                 seen[verdict] += 1
     assert seen[True] and seen[False]
 
@@ -363,7 +365,3 @@ def test_search_checks_each_candidate_pointwise_once(monkeypatch):
     assert calls == (basis + [-m for m in basis]
                      + [basis[p] + basis[q] for p, q in combinations(range(len(basis)), 2)])
     assert len(calls) == len(basis) * (len(basis) + 3) // 2
-    # a candidate that passes pointwise is still cross-checked
-    monkeypatch.setattr(operators, "_relative_mc", lambda action, R, lam: False)
-    with pytest.raises(ConsistencyError, match="pointwise=True, graph=True, Maurer-Cartan=False"):
-        search_relative_rb(act, 1, (0, 1))

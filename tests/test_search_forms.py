@@ -64,3 +64,5 @@ def test_an_offset_in_one_criterion_is_a_consistency_error(name, alg, monkeypatc
                         lambda action, R, lam: residual(action, R, lam) + offset)
     with pytest.raises(ConsistencyError, match="Rota-Baxter criteria disagree"):
         search_rota_baxter(alg, -1, (0, 1))
+    with pytest.raises(ConsistencyError, match="Rota-Baxter criteria disagree"):
+        search_relative_rb(bracket_action_on_abelian(alg), -1, (0, 1))
