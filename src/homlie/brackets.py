@@ -22,11 +22,11 @@ The brackets are sums of insertions (``cochains.contract``) and cup
 pairings, the insertions taking coboundary images (``differentials``) or
 theta images as their inner cochain.  Insertion, the coboundaries and the cup
 pairing run on compiled plans.  The cup plan of (dim, m, n) lists, per
-increasing (m+n)-tuple key, the (left key, right key, shuffle sign) splits of
-that key; it depends on nothing but the three integers and is kept in an
-``lru_cache`` like the shuffle table.  ``cup_bracket`` twists each input
-value once and sums the bracket-table vectors of the paired values on integer
-numerators.
+increasing m-tuple left key, the (right key, key, shuffle sign) of the
+(m+n)-tuple keys that split into it; it is kept in an ``lru_cache`` like the
+shuffle table.  ``cup_bracket`` walks it from the nonzero keys of its left
+input, on each input's twisted values as nonzero integer numerators, kept on
+the cochain per twist power, and sums the paired bracket-table vectors.
 
 Each bracket is one assembly of parts (``cochains._assemble``).  A part is one
 summand of the bracket formula, an insertion (``_contract_part``) or a cup
@@ -43,16 +43,19 @@ even.  The coboundary images come from ``delta_hom``, which keeps them on
 their cochain, so a cochain met again in another bracket is not
 differentiated again.  ``theta_tilde`` is one action part
 (``cochains._action_part``, as in the coboundary) on the acted basis table
-e_a . beta^k(e_i), kept on the representation per power.
+e_a . beta^k(e_i), kept on the representation per power; its image is kept on
+its cochain, weakly keyed by the representation as ``delta_hom`` keeps its own.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
+from weakref import ref
 
-from .cochains import (SkewCochain, TwistedSpace, _action_part, _assemble, _contract_part,
-                       _numerators, contract, shuffles)
+from .cochains import (SkewCochain, _action_part, _assemble, _common_numerators, _contract_part,
+                       _kept, _numerators, contract, shuffles)
 from .linalg import Vec
 from .structures import HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
@@ -106,47 +109,46 @@ def _cup_part(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra,
         raise ValueError("cup bracket needs both cochains valued in the codomain algebra")
     if m + n > P.domain.dim:  # alternating maps of arity above the dimension vanish
         return 1, {}
-    space = codomain_alg.space
-    lefts, left_den = _twisted_supports(space, n - 1, P)
-    rights, right_den = _twisted_supports(space, m - 1, Q)
+    lefts, left_den = _kept(P, "supports", n - 1, _twisted_supports, P, n - 1)
+    rights, right_den = _kept(Q, "supports", m - 1, _twisted_supports, Q, m - 1)
     brackets = codomain_alg.table
-    part = {}
-    for key, splits in _cup_plan(P.domain.dim, m, n):
-        terms = []
-        for left_key, right_key, split_sign in splits:
-            left, right = lefts.get(left_key), rights.get(right_key)
-            if left is not None and right is not None:
+    plan = _cup_plan(P.domain.dim, m, n)
+    part = defaultdict(list)
+    for left_key, left in lefts.items():
+        for right_key, key, split_sign in plan[left_key]:
+            right = rights.get(right_key)
+            if right is not None:
+                terms = part[key]
                 for i, x in left:
                     row, c = brackets[i], sign * split_sign * x
                     terms.extend([(c * y, row[j]) for j, y in right])
-        if terms:
-            part[key] = terms
     return left_den * right_den, part
 
 
-def _twisted_supports(space: TwistedSpace, power: int, f: SkewCochain):
+def _twisted_supports(f: SkewCochain, power: int) -> tuple[dict, int]:
     """The values beta^power f(e_key) as nonzero (coordinate, numerator) lists.
 
-    The numerators are over one common denominator, returned with them.
+    beta is f's codomain twist; the numerators are over one denominator, returned with them.
     """
-    twist = space.twist_power(power)
-    values, den = _numerators(f.coeffs if power == 0
-                              else {key: twist @ v for key, v in f.coeffs.items()})
+    twist = f.codomain.twist_power(power)
+    values, den = (_numerators(f) if power == 0
+                   else _common_numerators({key: twist @ v for key, v in f.coeffs.items()}))
     return {key: [(i, x) for i, x in enumerate(num) if x] for key, num in values.items()}, den
 
 
 @lru_cache(maxsize=None)
-def _cup_plan(dim: int, m: int, n: int) -> tuple:
-    """Per increasing (m+n)-tuple of range(dim), lexicographically, its (m, n) splits.
+def _cup_plan(dim: int, m: int, n: int) -> dict:
+    """plan[left] lists (right, key, sign) per increasing m-tuple left of range(dim).
 
-    A split is (left key, right key, sign): the shuffle's first block and
-    second block of the key with the shuffle's signature.
+    The (m, n)-shuffle of signature sign splits the (m+n)-tuple key into left, then right.
     """
     table = shuffles(m, n)
-    return tuple((key, tuple([(tuple([key[p] for p in image[:m]]),
-                               tuple([key[p] for p in image[m:]]), sign)
-                              for image, sign in table]))
-                 for key in combinations(range(dim), m + n))
+    plan = {left: [] for left in combinations(range(dim), m)}
+    for key in combinations(range(dim), m + n):
+        for image, sign in table:
+            plan[tuple([key[p] for p in image[:m]])].append(
+                (tuple([key[p] for p in image[m:]]), key, sign))
+    return {left: tuple(splits) for left, splits in plan.items()}
 
 
 def theta(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
@@ -191,25 +193,24 @@ def theta_tilde(rep: Representation, P: SkewCochain) -> SkewCochain:
     (theta~ P)(h_1, ..., h_{n+1}) = sum_i (-1)^{n+i} P(..., h_i omitted, ...)
     acted on beta^{n-1}(h_i).  Reads the acted basis table of ``_module_action``.
     """
-    module = rep.module
-    if P.domain != module or P.codomain != rep.algebra.space or P.arity < 1:
-        raise ValueError("expected a cochain of arity >= 1 from the module to the algebra")
-    n = P.arity
-    if n + 1 > module.dim:
-        return SkewCochain.zero(module, module, n + 1)
-    # (-1)^{n+i} with i = pos + 1 is (-1)^{n+1} times the part's (-1)^pos
-    return _assemble(module, module, n + 1,
-                     [_action_part(P, _module_action(rep, n - 1), _sign(n + 1))])
+    def build():
+        module = rep.module
+        if P.domain != module or P.codomain != rep.algebra.space or P.arity < 1:
+            raise ValueError("expected a cochain of arity >= 1 from the module to the algebra")
+        n = P.arity
+        if n + 1 > module.dim:
+            return SkewCochain.zero(module, module, n + 1)
+        # (-1)^{n+i} with i = pos + 1 is (-1)^{n+1} times the part's (-1)^pos
+        return _assemble(module, module, n + 1,
+                         [_action_part(P, _module_action(rep, n - 1), _sign(n + 1))])
+
+    return _kept(P, "theta_tilde", ref(rep), build)
 
 
 def _module_action(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...]:
     """rows[i][a] = e_a . beta^k(e_i), computed once per power and kept on rep."""
-    cache = rep.__dict__.setdefault("_module_action", {})
-    if k not in cache:
-        algebra_basis = rep.algebra.space.basis
-        cache[k] = tuple(tuple(rep.act(x, v) for x in algebra_basis)
-                         for v in rep.module.twisted_basis(k))
-    return cache[k]
+    return _kept(rep, "module_action", k, lambda: tuple(
+        tuple(rep.act(x, v) for x in rep.algebra.space.basis) for v in rep.module.twisted_basis(k)))
 
 
 def derived_bracket_rel(rep: Representation, P: SkewCochain, Q: SkewCochain) -> SkewCochain:

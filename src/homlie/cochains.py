@@ -17,32 +17,36 @@ The twist enters every compiled table through one wedge table kept on the
 ``TwistedSpace``, ``_wedge(w, k, n)``: Lambda^n(alpha^k) on increasing
 n-tuples.  ``compatibility_basis`` is the kernel of the defect matrix
 beta (x) I - I (x) Lambda^n alpha read off it.  The insertion plan of a pair
-of arities, kept there too, lists per output key the entries (inner key,
-coordinate, outer key, integer coefficient) with the shuffle signs, the
+of arities, kept there too, lists per inner key and coordinate the entries
+(outer key, output key, integer coefficient) with the shuffle signs, the
 wedge of the trailing arguments under alpha^(m-1) and the sort signs
-multiplied out, over one denominator.  Plans work in raw coefficient
-coordinates: a nested bracket yields an arbitrary cochain, whose basis
-coordinates would need a linear solve.  ``evaluate`` and ``shuffles`` are
-the oracle the explicit shuffle sums of ``theorems`` and the tests check the
-plans and the wedge table against.
+multiplied out, over one denominator; an insertion walks it from its inner
+cochain's nonzero keys and coordinates.  Plans work in raw coefficient
+coordinates, as a nested bracket yields an arbitrary cochain.  ``evaluate``
+and ``shuffles`` are the oracle the explicit shuffle sums of ``theorems`` and
+the tests check the plans and the wedge table against.
 
 ``_assemble`` is the one place that sums cochain values.  A part is one
 signed summand: a denominator and, per output key, integer (c, Vec) terms.
 ``_contract_part`` gives an insertion; ``_action_part`` gives the sum over
 positions of (-1)^pos table[key[pos]] paired with f(key without pos), the
-action terms of the coboundary and theta~.  ``_assemble`` puts the parts over
-the lcm of their denominators and sums each output key once with
-``_lincomb``.  ``contract`` and ``linear_combination`` (so cochain + and -)
-are one-part assemblies; the brackets and the coboundary assemble several.
+action terms of the coboundary and theta~.  Both read a cochain's
+``_numerators``, kept on it by ``_kept``, the one helper for per-object
+caches.  ``_assemble`` puts the parts over the lcm of their denominators and
+sums each output key once with ``_lincomb``.  ``contract`` and
+``linear_combination`` (so cochain + and -) are one-part assemblies; the
+brackets and the coboundary assemble several.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from functools import lru_cache
+from collections import defaultdict
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import lcm
 from typing import Callable, Iterable, Sequence
+from weakref import ref
 
 from .linalg import Mat, Vec, _lincomb, _mat, _vec_reduced, kernel_basis, rat
 
@@ -404,18 +408,18 @@ def _contract_part(inner: SkewCochain, outer: SkewCochain, sign: int = 1) -> tup
     if m + n - 1 > w.dim:  # alternating maps of arity above the dimension vanish
         return 1, {}
     plan, den = _insertion_plan(w, m, n)
-    heads, head_den = _numerators(inner.coeffs)
+    heads, head_den = _numerators(inner)
     outs = outer.coeffs
-    part = {}
-    for key, entries in plan:
-        terms = []
-        for inner_key, a, outer_key, c in entries:
-            head = heads.get(inner_key)
-            value = outs.get(outer_key)
-            if head is not None and value is not None and head[a]:
-                terms.append((sign * c * head[a], value))
-        if terms:
-            part[key] = terms
+    part = defaultdict(list)
+    for inner_key, head in heads.items():
+        entries = plan[inner_key]
+        for a, x in enumerate(head):
+            if x:
+                x *= sign
+                for outer_key, key, c in entries[a]:
+                    value = outs.get(outer_key)
+                    if value is not None:
+                        part[key].append((c * x, value))
     return den * head_den, part
 
 
@@ -426,7 +430,7 @@ def _action_part(f: SkewCochain, table: Sequence[Sequence[Vec]], sign: int = 1
     table[x][v] is what domain index x makes of coordinate v of f's values.
     Each key of f meets every index x it lacks, at the position x sorts into.
     """
-    values, den = _numerators(f.coeffs)
+    values, den = _numerators(f)
     coords = [(x, 1) for x in range(f.domain.dim)]
     part: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
     for key, num in values.items():
@@ -471,37 +475,71 @@ def _wedge(w: TwistedSpace, k: int, n: int) -> tuple[dict, int]:
     return wedge
 
 
-def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[tuple, int]:
+def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[dict, int]:
     """The compiled insertion of an m-cochain into an n-cochain on w, kept on w.
 
-    Returns (plan, den).  The plan lists, per increasing (m+n-1)-tuple key in
-    lexicographic order, the entries (inner key, coordinate a, outer key, c)
-    with (i_P Q)(e_key) = sum c * P(e_inner)[a] * Q(e_outer) / den, where den
-    is that of the wedge of the n-1 trailing arguments under alpha^(m-1).
+    Returns (plan, den).  plan[inner][a] lists, per increasing m-tuple inner and
+    coordinate a, the entries (outer key, key, c) of (i_P Q)(e_key) = sum over all
+    entries of c * P(e_inner)[a] * Q(e_outer) / den, den being that of the wedge of
+    the n-1 trailing arguments under alpha^(m-1).
     """
     plan = w._insertion_plans.get((m, n))
     if plan is None:
         wedge, den = _wedge(w, m - 1, n - 1)
         coords = [(a, 1) for a in range(w.dim)]
         table = shuffles(m, n - 1)
-        keys = []
+        index = {inner: [[] for _ in range(w.dim)] for inner in combinations(range(w.dim), m)}
         for key in combinations(range(w.dim), m + n - 1):
             entries: dict[tuple, int] = {}
             for image, sign in table:
                 inner = tuple([key[p] for p in image[:m]])
                 for a, outer, c in _prepend(coords, wedge[tuple([key[p] for p in image[m:]])]):
                     entries[inner, a, outer] = entries.get((inner, a, outer), 0) + sign * c
-            keys.append((key, tuple([e + (c,) for e, c in entries.items() if c])))
-        plan = w._insertion_plans[m, n] = (tuple(keys), den)
+            for (inner, a, outer), c in entries.items():
+                if c:
+                    index[inner][a].append((outer, key, c))
+        index = {inner: tuple(map(tuple, by_coord)) for inner, by_coord in index.items()}
+        plan = w._insertion_plans[m, n] = (index, den)
     return plan
 
 
-def _numerators(values: dict[tuple[int, ...], Vec]
-                ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
-    """A coefficient table's values as integer numerators over their least common denominator."""
+def _numerators(f: SkewCochain) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """f's values as integer numerators over their least common denominator, kept on f."""
+    return _kept(f, "numerators", None, _common_numerators, f.coeffs)
+
+
+def _common_numerators(values: dict[tuple[int, ...], Vec]
+                       ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
     den = lcm(*[v.den for v in values.values()])
     return {k: v.num if v.den == den else tuple([x * (den // v.den) for x in v.num])
             for k, v in values.items()}, den
+
+
+_NOT_KEPT = object()
+
+
+def _kept(obj, name: str, key, build: Callable, *args):
+    """build(*args), made at the first call for (name, key) and kept in the dict obj._kept.
+
+    Every caller gets the one kept value, to read only.  The entry of a weak reference
+    key (to a representation) goes with its referent.
+    """
+    kept = getattr(obj, "_kept", None)
+    if kept is None:
+        kept = obj._kept = {}
+    value = kept.get((name, key), _NOT_KEPT)
+    if value is _NOT_KEPT:
+        value = build(*args)
+        if type(key) is ref:
+            key = ref(key(), partial(_forget, ref(obj), name))
+        kept[name, key] = value
+    return value
+
+
+def _forget(owner: ref, name: str, key: ref):
+    """Drop the entry of the collected weak key from its owner's kept entries."""
+    if (obj := owner()) is not None:
+        del obj._kept[name, key]
 
 
 def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,

@@ -20,23 +20,24 @@ all zero.  ``_coboundary`` hands the parts out, scaled by a rational, so
 that ``mc_residual`` sums 2 lam d(s) and [s, s] in one assembly, over 2.
 
 ``delta_hom`` computes a cochain's coboundary once per representation and
-keeps it on the cochain (``f.__dict__["_delta"]``, keyed by the
-``Representation`` object): the brackets, the identities and the coboundary
-matrices meet the same cochains again, the cached compatibility-basis ones
-above all.  The key is the representation, not its spaces, because algebras
-with one twist share those basis cochains.  Cochains are immutable, so the
-kept image stays valid for the cochain's lifetime.  The key is weak: the
-basis cochains live as long as the process, and must not keep alive every
-algebra whose coboundary was taken on them.
+keeps it on the cochain (``cochains._kept``, keyed by the ``Representation``
+object): the brackets, the identities and the coboundary matrices meet the
+same cochains again, the cached compatibility-basis ones above all.  The key
+is the representation, not its spaces, because algebras with one twist share
+those basis cochains.  Cochains are immutable, so the kept image stays valid
+for the cochain's lifetime.  The key is weak: the basis cochains live as long
+as the process, and must not keep alive every algebra whose coboundary was
+taken on them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from weakref import WeakKeyDictionary
+from weakref import ref
 
 from .linalg import Vec, rat
-from .cochains import SkewCochain, _action_part, _assemble, _numerators, _prepend, _wedge, contract
+from .cochains import (SkewCochain, _action_part, _assemble, _kept, _numerators, _prepend, _wedge,
+                       contract)
 from .structures import HomLieAlgebra, Representation
 
 
@@ -52,16 +53,13 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
     representation object.  Not by its spaces: algebras with one twist share
     the cached compatibility-basis cochains.
     """
-    memo = f.__dict__.get("_delta")
-    if memo is None:
-        memo = f.__dict__["_delta"] = WeakKeyDictionary()
-    image = memo.get(rep)
-    if image is None:
+    def build():
         if f.domain != rep.algebra.space or f.codomain != rep.module:
             raise ValueError("cochain does not live on the representation's complex")
-        image = memo[rep] = _assemble(rep.algebra.space, f.codomain, f.arity + 1,
-                                      _coboundary(rep.algebra, f, rep))
-    return image
+        return _assemble(rep.algebra.space, f.codomain, f.arity + 1,
+                         _coboundary(rep.algebra, f, rep))
+
+    return _kept(f, "delta", ref(rep), build)
 
 
 def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None, scale=1) -> list:
@@ -90,13 +88,13 @@ def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None, 
 
 def _action_columns(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...] | None:
     """columns[x][v] = alpha^k(e_x) . e_v, kept on rep per power; None for the zero action."""
-    cache = rep.__dict__.setdefault("_action_columns", {})
-    if k not in cache:
-        module_basis = rep.module.basis
-        zero = all(v.is_zero() for row in rep.table for v in row)
-        cache[k] = None if zero else tuple(tuple(rep.act(x, v) for v in module_basis)
-                                           for x in rep.algebra.space.twisted_basis(k))
-    return cache[k]
+    def build():
+        if all(v.is_zero() for row in rep.table for v in row):
+            return None
+        return tuple(tuple(rep.act(x, v) for v in rep.module.basis)
+                     for x in rep.algebra.space.twisted_basis(k))
+
+    return _kept(rep, "action_columns", k, build)
 
 
 def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
@@ -107,10 +105,9 @@ def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
     sum_{i<j} (-1)^{i+j} f([x_i, x_j], alpha(x_1), ..., twisted args with
     positions i and j omitted) = sum c * f(e_key') / den on e_key.
     """
-    plans = alg.__dict__.setdefault("_bracket_plans", {})
-    if n not in plans:
+    def build():
         wedge, wedge_den = _wedge(alg.space, 1, max(n - 1, 0))  # n = 0: no pairs, no entries
-        brackets, bracket_den = _numerators(alg.mu.coeffs)
+        brackets, bracket_den = _numerators(alg.mu)
         keys = []
         for key in combinations(range(alg.dim), n + 1):
             entries: dict[tuple[int, ...], int] = {}
@@ -123,8 +120,9 @@ def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
                 for _, k, c in _prepend([(a, x) for a, x in enumerate(head) if x], wedge[rest]):
                     entries[k] = entries.get(k, 0) + sign * c
             keys.append((key, tuple([(k, c) for k, c in entries.items() if c])))
-        plans[n] = (tuple(keys), bracket_den * wedge_den)
-    return plans[n]
+        return tuple(keys), bracket_den * wedge_den
+
+    return _kept(alg, "bracket_plan", n, build)
 
 
 def d_trivial(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:

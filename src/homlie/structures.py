@@ -30,7 +30,8 @@ from functools import cached_property
 from itertools import combinations
 
 from .linalg import Mat, Vec, _lincomb, _vec, _vec_reduced, rat
-from .cochains import SkewCochain, TwistedSpace, compatibility_failures, compatibility_witness
+from .cochains import (SkewCochain, TwistedSpace, _kept, compatibility_failures,
+                       compatibility_witness)
 
 
 class ConsistencyError(RuntimeError):
@@ -240,10 +241,7 @@ def check_action(a: HomLieAction) -> bool:
 
 def adjoint_action(alg: HomLieAlgebra) -> HomLieAction:
     """The algebra acting on itself by its own bracket; one instance per algebra."""
-    action = alg.__dict__.get("_adjoint")
-    if action is None:
-        action = alg._adjoint = HomLieAction(alg, alg, alg.table)
-    return action
+    return _kept(alg, "adjoint", None, HomLieAction, alg, alg, alg.table)
 
 
 def adjoint_representation(alg: HomLieAlgebra) -> Representation:
@@ -369,8 +367,8 @@ def semidirect_weight(action: HomLieAction, lam) -> HomLieAlgebra:
     Fraction, so "1", 1 and Fraction(1) give the same object.
     """
     lam = rat(lam)
-    cache = action.__dict__.setdefault("_semidirect", {})
-    if lam not in cache:
+
+    def build():
         g, h = action.acting, action.acted
         gd, hd = g.dim, h.dim
         g_rows, h_rows = g.alpha.rows, h.alpha.rows
@@ -389,8 +387,9 @@ def semidirect_weight(action: HomLieAction, lam) -> HomLieAlgebra:
             hpart = action.act(x1, h2) - action.act(x2, h1) + h.bracket(h1, h2).scale(lam)
             return Vec.concat(gpart, hpart)
 
-        cache[lam] = HomLieAlgebra(space, SkewCochain.from_function(space, space, 2, value))
-    return cache[lam]
+        return HomLieAlgebra(space, SkewCochain.from_function(space, space, 2, value))
+
+    return _kept(action, "semidirect", lam, build)
 
 
 # ---------------------------------------------------------------------------

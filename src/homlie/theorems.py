@@ -175,14 +175,16 @@ def _pair_mismatch(detail: str, a: GradedPair, b: GradedPair):
             or _mismatch(detail + " (second component)", a.lower, b.lower))
 
 
-def _skew_jacobi(detail, bracket, degree_of, P, Q, R, mismatch=_mismatch):
-    dP, dQ = degree_of(P), degree_of(Q)
-    skew = mismatch(f"{detail} skew-symmetry",
-                    bracket(Q, P), bracket(P, Q).scale(-_sign(dP * dQ)))
+def _skew_jacobi(detail, bracket, degree_of, P, Q, R, mismatch=_mismatch, PQ=None):
+    """Graded skew-symmetry, then Jacobi; PQ is [P, Q] if the caller holds it already."""
+    sign = _sign(degree_of(P) * degree_of(Q))
+    if PQ is None:
+        PQ = bracket(P, Q)
+    skew = mismatch(f"{detail} skew-symmetry", bracket(Q, P), PQ.scale(-sign))
     if skew is not None:
         return skew
     lhs = bracket(P, bracket(Q, R))
-    rhs = bracket(bracket(P, Q), R) + bracket(Q, bracket(P, R)).scale(_sign(dP * dQ))
+    rhs = bracket(PQ, R) + bracket(Q, bracket(P, R)).scale(sign)
     return mismatch(f"{detail} Jacobi", lhs, rhs)
 
 
@@ -421,15 +423,15 @@ def _check_pre_lie(alg, rng, max_arity, ctx):
 def _check_rho_is_action(alg, rng, max_arity, ctx):
     P, Q, E, F = (_sample_endo(alg, rng, max_arity) for _ in range(4))
     m, n, k = P.arity - 1, Q.arity - 1, E.arity
+    PE = contract(P, E)
     first = _mismatch("insertion is a bracket morphism",
                       contract(br.nr_bracket(P, Q), E),
-                      contract(P, contract(Q, E))
-                      - contract(Q, contract(P, E)).scale(_sign(m * n)))
+                      contract(P, contract(Q, E)) - contract(Q, PE).scale(_sign(m * n)))
     if first is not None:
         return first
     return _mismatch("insertion derives cup",
                      contract(P, br.cup_bracket(E, F, alg)),
-                     br.cup_bracket(contract(P, E), F, alg)
+                     br.cup_bracket(PE, F, alg)
                      + br.cup_bracket(E, contract(P, F), alg).scale(_sign(m * k)))
 
 
@@ -480,36 +482,38 @@ def _check_matched_pair_axioms(alg, rng, max_arity, ctx):
     fn = lambda a, b: br.fn_bracket(alg, a, b)
     rho = contract
     psi = lambda e, p: br.fn_bracket(alg, e, p)
+    # the brackets that two axioms share, each taken once
+    PQ, PE, QE = br.nr_bracket(P, Q), rho(P, E), rho(Q, E)
     check = _mismatch("action morphism axiom",
-                      rho(br.nr_bracket(P, Q), E),
-                      rho(P, rho(Q, E)) - rho(Q, rho(P, E)).scale(_sign(m * n)))
+                      rho(PQ, E), rho(P, QE) - rho(Q, PE).scale(_sign(m * n)))
     if check is not None:
         return check
+    EF, EP, FP = fn(E, F), psi(E, P), psi(F, P)
     check = _mismatch("twisted derivation axiom",
-                      rho(P, fn(E, F)),
-                      fn(rho(P, E), F) + fn(E, rho(P, F)).scale(_sign(m * k))
-                      + rho(psi(F, P), E).scale(_sign((m + k) * l))
-                      - rho(psi(E, P), F).scale(_sign(m * k)))
+                      rho(P, EF),
+                      fn(PE, F) + fn(E, rho(P, F)).scale(_sign(m * k))
+                      + rho(FP, E).scale(_sign((m + k) * l))
+                      - rho(EP, F).scale(_sign(m * k)))
     if check is not None:
         return check
     check = _mismatch("reverse morphism axiom",
-                      psi(fn(E, F), P),
-                      psi(E, psi(F, P)) - psi(F, psi(E, P)).scale(_sign(k * l)))
+                      psi(EF, P), psi(E, FP) - psi(F, EP).scale(_sign(k * l)))
     if check is not None:
         return check
     return _mismatch("reverse derivation axiom",
-                     psi(E, br.nr_bracket(P, Q)),
-                     br.nr_bracket(psi(E, P), Q)
+                     psi(E, PQ),
+                     br.nr_bracket(EP, Q)
                      + br.nr_bracket(P, psi(E, Q)).scale(_sign(k * m))
-                     + psi(rho(Q, E), P).scale(_sign((k + m) * n))
-                     - psi(rho(P, E), Q).scale(_sign(k * m)))
+                     + psi(QE, P).scale(_sign((k + m) * n))
+                     - psi(PE, Q).scale(_sign(k * m)))
 
 
 def _check_bicrossed_jacobi(alg, rng, max_arity, ctx):
     a, b, c = (_sample_pair(alg, rng, max_arity) for _ in range(3))
+    ab = br.bicrossed_bracket(alg, a, b)
     check = _skew_jacobi("bicrossed bracket",
                          lambda x, y: br.bicrossed_bracket(alg, x, y),
-                         lambda p: p.degree, a, b, c, mismatch=_pair_mismatch)
+                         lambda p: p.degree, a, b, c, mismatch=_pair_mismatch, PQ=ab)
     if check is not None:
         return check
     adj = adjoint_representation(alg)
@@ -519,8 +523,7 @@ def _check_bicrossed_jacobi(alg, rng, max_arity, ctx):
         return GradedPair(pair.upper + shift, pair.lower)
 
     return _pair_mismatch("pair embedding preserves brackets",
-                          embed(br.bicrossed_bracket(alg, a, b)),
-                          br.semidirect_graded_bracket(alg, embed(a), embed(b)))
+                          embed(ab), br.semidirect_graded_bracket(alg, embed(a), embed(b)))
 
 
 def _check_graph_theta_closed(alg, rng, max_arity, ctx):
@@ -558,22 +561,22 @@ def _check_theta_squared(alg, rng, max_arity, ctx):
     f = _sample_endo(alg, rng, max_arity)
     n = f.arity
     adj = adjoint_representation(alg)
-    lhs = br.theta(alg, br.theta(alg, f))
-    rhs = (br.theta(alg, delta_hom(adj, f))
-           - delta_hom(adj, br.theta(alg, f))).scale(_sign(n))
+    theta_f = br.theta(alg, f)
+    lhs = br.theta(alg, theta_f)
+    rhs = (br.theta(alg, delta_hom(adj, f)) - delta_hom(adj, theta_f)).scale(_sign(n))
     return _mismatch("theta squared", lhs, rhs)
 
 
 def _check_rb_lemma(alg, rng, max_arity, ctx):
     R = sample_cochain(alg.space, alg.space, 1, rng)
     lam = rat(rng.choice(_LAMBDAS))
+    theta_R = br.theta(alg, R)
     first = _mismatch("cup with the structure cochain",
-                      br.cup_bracket(alg.mu, R, alg),
-                      contract(br.theta(alg, R), alg.mu))
+                      br.cup_bracket(alg.mu, R, alg), contract(theta_R, alg.mu))
     if first is not None:
         return first
     lhs = br.theta(alg, d_lambda(alg, R, lam))
-    rhs = br.nr_bracket(alg.mu, br.theta(alg, R)).scale(-lam)
+    rhs = br.nr_bracket(alg.mu, theta_R).scale(-lam)
     return _mismatch("theta of the weighted differential", lhs, rhs)
 
 

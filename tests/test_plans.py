@@ -10,19 +10,23 @@ tables on raw (not necessarily compatible) cochains with rational values, on
 every default fixture and on twists, representations and codomains that the
 fixtures do not cover.  Cochain ``+`` and ``-``, which the bracket references
 use, are themselves assemblies; ``ref_add`` checks them key by key on
-``Fraction`` entries.
+``Fraction`` entries.  The plans walk only the nonzero keys and coordinates
+of their inputs, so sparse inputs (one key, values with zero coordinates)
+are checked against the references too.
 """
 
 import gc
 import random
+import weakref
 from itertools import combinations
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from homlie import cochains
 from homlie.brackets import (GradedPair, _cup_plan, bicrossed_bracket, cup_bracket,
-                             derived_bracket_rel, fn_bracket, nr_bracket,
+                             derived_bracket, derived_bracket_rel, fn_bracket, nr_bracket,
                              semidirect_graded_bracket, theta_tilde)
 from homlie.cochains import (SkewCochain, TwistedSpace, _shuffle_table, contract, evaluate,
                              linear_combination, shuffles)
@@ -31,7 +35,8 @@ from homlie.differentials import d_trivial, delta_hom
 from homlie.linalg import Mat, Vec, _lincomb
 from homlie.structures import (HomLieAlgebra, Representation, adjoint_representation,
                                bracket_action_on_abelian, fixture_abelian,
-                               representation_witness, yau_twist, _heisenberg_lie_mu)
+                               representation_witness, trivial_representation, yau_twist,
+                               _heisenberg_lie_mu)
 from homlie.theorems import default_fixtures
 
 
@@ -182,6 +187,31 @@ def raw_cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
         lambda key: Vec([rng.choice(_VALUES) for _ in range(codomain.dim)]))
 
 
+def sparse_cochains(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
+                    rng: random.Random) -> list[SkewCochain]:
+    """A one-key cochain with one nonzero coordinate, and one on some keys whose values
+    each have a zero coordinate: the entries a plan walk skips."""
+    keys = list(combinations(range(domain.dim), arity))
+    nonzero = [x for x in _VALUES if x]
+
+    def value(zeros: int) -> Vec:
+        entries = [rng.choice(nonzero) for _ in range(codomain.dim)]
+        for i in rng.sample(range(codomain.dim), zeros):
+            entries[i] = 0
+        return Vec(entries)
+
+    one = {rng.choice(keys): value(codomain.dim - 1)} if keys else {}
+    some = {key: value(rng.randint(1, codomain.dim - 1) if codomain.dim > 1 else 0)
+            for key in keys if rng.random() < 0.5}
+    return [SkewCochain(domain, codomain, arity, one), SkewCochain(domain, codomain, arity, some)]
+
+
+def kept(obj, name: str) -> dict:
+    """The entries obj keeps under name, by key; a weak key is given by its referent."""
+    return {key() if isinstance(key, weakref.ref) else key: value
+            for (entry, key), value in getattr(obj, "_kept", {}).items() if entry == name}
+
+
 def _rational_shear() -> HomLieAlgebra:
     """Heisenberg twisted by a non-diagonal automorphism with non-integer entries."""
     alpha = Mat([["1/2", "1/3", 0], [0, 3, 0], ["1/5", 0, "3/2"]])
@@ -266,8 +296,8 @@ def test_plans_are_kept_on_their_objects():
     assert contract(P, P) == first
     assert alg.space._insertion_plans[2, 2] is plan
     delta_hom(adjoint_representation(alg), P)
-    assert set(alg.__dict__["_bracket_plans"]) == {2}
-    assert set(adjoint_representation(alg).__dict__["_action_columns"]) == {1}
+    assert set(kept(alg, "bracket_plan")) == {2}
+    assert set(kept(adjoint_representation(alg), "action_columns")) == {1}
 
 
 def test_arity_above_dimension_builds_no_table():
@@ -412,11 +442,82 @@ def test_coboundary_memo_is_kept_per_representation(monkeypatch, first):
     assert basis is cochains.compatibility_basis(spaces[1], spaces[1], 2)
     reps = [adjoint_representation(algebras[k][0]) for k in order]
     for b in basis:
-        assert set(b.__dict__["_delta"]) == set(reps)
-        assert delta_hom(reps[0], b) is b.__dict__["_delta"][reps[0]]
+        assert set(kept(b, "delta")) == set(reps)
+        assert delta_hom(reps[0], b) is kept(b, "delta")[reps[0]]
         for rep in reps:
             assert delta_hom(rep, b) == ref_delta_hom(rep, b)
     # the kept images do not keep the algebras alive
     del algebras, alg, reps, rep
     gc.collect()
-    assert all(not b.__dict__["_delta"] for b in basis)
+    assert all(not kept(b, "delta") for b in basis)
+
+
+@pytest.mark.parametrize("name,alg", default_fixtures(), ids=[n for n, _ in default_fixtures()])
+def test_plans_match_reference_on_sparse_inputs(name, alg):
+    rng = random.Random(f"sparse|{name}")
+    space, adj = alg.space, adjoint_representation(alg)
+    # each input meets partners of every arity, so what is kept on it is read at every twist power
+    sparse = {m: sparse_cochains(space, space, m, rng) for m in ARITIES}
+    dense = {n: raw_cochain(space, space, n, rng) for n in ARITIES}
+    for m in ARITIES:
+        for n in ARITIES:
+            for P in sparse[m]:
+                for Q in sparse[n] + [dense[n]]:
+                    for a, b in ((P, Q), (Q, P)):
+                        assert contract(a, b) == ref_contract(a, b), (m, n)
+                        assert cup_bracket(a, b, alg) == ref_cup_bracket(a, b, alg), (m, n)
+                        assert fn_bracket(alg, a, b) == ref_fn_bracket(alg, a, b), (m, n)
+                        assert derived_bracket(alg, a, b) == ref_derived_bracket_rel(adj, a, b), (m, n)
+
+
+def test_kept_images_are_keyed_by_representation():
+    """theta~ and delta images of one cochain under representations of the same spaces."""
+    alg = dict(default_fixtures())["yau-heisenberg"]
+    space = alg.space
+    rng = random.Random("kept-keys")
+    action = bracket_action_on_abelian(alg)
+    assert action.module == space
+    f = raw_cochain(space, space, 2, rng)
+    coeffs, values = f.coeffs, dict(f.coeffs)
+    for order in ((0, 1, 2), (2, 1, 0)):
+        g = raw_cochain(space, space, 1, rng)
+        reps = [adjoint_representation(alg), action, trivial_representation(alg, space)]
+        for k in order:
+            theta_tilde(reps[k], g), delta_hom(reps[k], g)
+        for rep in reps:
+            assert kept(g, "theta_tilde")[rep] is theta_tilde(rep, g)
+            assert theta_tilde(rep, g) == ref_theta_tilde(rep, g)
+            assert delta_hom(rep, g) == ref_delta_hom(rep, g)
+        assert theta_tilde(reps[2], g).is_zero() and not theta_tilde(reps[0], g).is_zero()
+    # a representation gone leaves no entry, and one made in its place reads none
+    for trial in range(6):
+        rep = (trivial_representation(alg, space) if trial % 2
+               else Representation(alg, space, alg.table))
+        assert theta_tilde(rep, f) == ref_theta_tilde(rep, f), trial
+        assert delta_hom(rep, f) == ref_delta_hom(rep, f), trial
+        assert set(kept(f, "theta_tilde")) == set(kept(f, "delta")) == {rep}
+        del rep
+        gc.collect()
+        assert not kept(f, "theta_tilde") and not kept(f, "delta"), trial
+    # the kept numerators and supports are a fresh computation's, and no cache touched the values
+    g = raw_cochain(space, space, 1, rng)
+    g_values = dict(g.coeffs)
+    assert contract(g, f) == ref_contract(g, f)
+    assert cup_bracket(g, g, alg) == ref_cup_bracket(g, g, alg)
+    assert fn_bracket(alg, g, f) == ref_fn_bracket(alg, g, f)
+    assert derived_bracket(alg, f, g) == ref_derived_bracket_rel(adjoint_representation(alg), f, g)
+    nums, den = kept(g, "numerators")[None]
+    assert set(nums) == set(g.coeffs) and den == lcm(*[v.den for v in g.coeffs.values()])
+    assert all(Vec([Fraction(x, den) for x in nums[k]]) == v for k, v in g.coeffs.items())
+    assert set(kept(g, "supports")) == {0, 1}  # the twist powers the cup pairings read
+    for power, (supports, den) in kept(g, "supports").items():
+        assert set(supports) == set(g.coeffs)
+        for key, support in supports.items():
+            dense = [0] * space.dim
+            for i, x in support:
+                dense[i] = x
+            assert all(x for _, x in support), (power, key)
+            assert Vec([Fraction(x, den) for x in dense]) == space.twist_power(power) @ g.coeffs[key]
+    assert g.coeffs == g_values and all(g.coeffs[k] is v for k, v in g_values.items())
+    assert f.coeffs is coeffs and f.coeffs == values
+    assert all(f.coeffs[k] is v for k, v in values.items())
