@@ -364,8 +364,11 @@ def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int
             for k, c in entries:
                 row[at[k] + r] -= beta.den * c
             rows.append(tuple(row))
-    basis = [unflatten_cochain(domain, codomain, arity, list(wedge), v)
-             for v in kernel_basis(_mat(tuple(rows), 1, width))]
+    basis = []  # each kernel vector's nonzero slices are its cochain's values
+    for v in kernel_basis(_mat(tuple(rows), 1, width)):
+        slices = ((key, v.num[at[key]:at[key] + d]) for key in wedge)
+        basis.append(_cochain(domain, codomain, arity,
+                              {key: _vec_reduced(part, v.den) for key, part in slices if any(part)}))
     _COMPAT_CACHE[cache_key] = basis
     return basis
 
@@ -375,15 +378,6 @@ def flatten_cochain(f: SkewCochain, keys: list[tuple[int, ...]] | None = None) -
     if keys is None:
         keys = list(combinations(range(f.domain.dim), f.arity))
     return Vec.concat(*[f.value_on(key) for key in keys])
-
-
-def unflatten_cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
-                      keys: list[tuple[int, ...]], v: Vec) -> SkewCochain:
-    table = {}
-    d = codomain.dim
-    for pos, key in enumerate(keys):
-        table[key] = _vec_reduced(v.num[pos * d:(pos + 1) * d], v.den)
-    return SkewCochain(domain, codomain, arity, table)
 
 
 def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:

@@ -20,7 +20,8 @@ criterion is quadratic plus linear in R, so its values at M_p, -M_p and
 M_p + M_q polarize it into an integer table in the c_p.  Every search checks
 once that the pointwise table and that of its dual, [N, N]_fn or the
 Maurer-Cartan residual, have one row space, so one zero set, and then decides
-on the pointwise one; else every candidate compares them.  No search checks
+on the pointwise one; a mismatch is a ``ConsistencyError`` raised before any
+candidate is enumerated, and no search compares candidates.  No search checks
 an operator it found again; graph closure is an oracle of the predicates.
 The c_p are set depth-first in grid order, each check at the depth of its
 last variable.
@@ -409,9 +410,10 @@ def _depth_first(grid: _Grid, table=()) -> list[Mat]:
 def _search(action: HomLieAction, entries, kind: str, deformed, dual) -> list[Mat]:
     """The grid operators, acted to acting space, with [Rx, Ry] = R(deformed(R)(x, y)).
 
-    dual is (name, value): value(R) is a Vec vanishing exactly when R passes,
-    and must agree on every candidate.  Intertwining is linear in R, so the
-    twist guard runs on the basis alone.
+    dual is (name, value): value(R) is a Vec vanishing exactly when R passes.
+    The tables of the two criteria must have one row space, so one zero set:
+    a mismatch is a ConsistencyError before any candidate is enumerated.
+    Intertwining is linear in R, so the twist guard runs on the basis alone.
     """
     grid = _search_grid(action.acted.space, action.acting.space, entries)
     for M in grid.basis:
@@ -419,11 +421,11 @@ def _search(action: HomLieAction, entries, kind: str, deformed, dual) -> list[Ma
     pointwise = _form(lambda R: Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
         action.acting.bracket, R, action.acted.space, deformed(R))]), grid)
     form = _form(dual[1], grid)
-    if mat_rank(Mat(pointwise)) == mat_rank(Mat(form)) == mat_rank(Mat(pointwise + form)):
-        return _depth_first(grid, pointwise)
-    holds, dual_holds = set(_depth_first(grid, pointwise)), set(_depth_first(grid, form))
-    return [m for m in _depth_first(grid)
-            if _agreed(kind, None if m in holds else m, (dual[0], m in dual_holds)) is None]
+    ranks = mat_rank(Mat(pointwise)), mat_rank(Mat(form)), mat_rank(Mat(pointwise + form))
+    if not ranks[0] == ranks[1] == ranks[2]:
+        raise ConsistencyError(f"{kind} criteria disagree: the pointwise table has rank {ranks[0]}, "
+                               f"the {dual[0]} table rank {ranks[1]}, both stacked rank {ranks[2]}")
+    return _depth_first(grid, pointwise)
 
 
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:

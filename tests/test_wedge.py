@@ -29,7 +29,7 @@ from homlie import cli, cochains
 from homlie import io as hio
 from homlie.brackets import cup_bracket, derived_bracket, fn_bracket, nr_bracket
 from homlie.cochains import (SkewCochain, TwistedSpace, _wedge, compatibility_basis,
-                             compatibility_failures, evaluate, flatten_cochain, unflatten_cochain)
+                             compatibility_failures, evaluate, flatten_cochain)
 from homlie.cohomology import ComplexSpec, cohomology
 from homlie.differentials import delta_hom
 from homlie.linalg import Mat, Vec, kernel_basis
@@ -60,7 +60,9 @@ def ref_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int):
             unit = SkewCochain(domain, codomain, arity, {key: codomain.basis[c]})
             defect = {k: lhs - rhs for k, lhs, rhs in ref_failures(unit)}
             columns.append(flatten_cochain(SkewCochain(domain, codomain, arity, defect), keys))
-    return [unflatten_cochain(domain, codomain, arity, keys, v)
+    d = codomain.dim
+    return [SkewCochain(domain, codomain, arity,
+                        {key: Vec(v.entries[j * d:(j + 1) * d]) for j, key in enumerate(keys)})
             for v in kernel_basis(Mat.from_columns(columns))]
 
 
