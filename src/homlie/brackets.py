@@ -141,6 +141,7 @@ def _cup_plan(dim: int, m: int, n: int) -> dict:
     """plan[left] lists (right, key, sign) per increasing m-tuple left of range(dim).
 
     The (m, n)-shuffle of signature sign splits the (m+n)-tuple key into left, then right.
+    In an ``lru_cache``, not ``_kept``: integers alone key it, no object owns it.
     """
     table = shuffles(m, n)
     plan = {left: [] for left in combinations(range(dim), m)}

@@ -16,15 +16,16 @@ the first-slot insertion operator underlying all graded brackets.
 The twist enters every compiled table through one wedge table kept on the
 ``TwistedSpace``, ``_wedge(w, k, n)``: Lambda^n(alpha^k) on increasing
 n-tuples.  ``compatibility_basis`` is the kernel of the defect matrix
-beta (x) I - I (x) Lambda^n alpha read off it.  The insertion plan of a pair
-of arities, kept there too, lists per inner key and coordinate the entries
-(outer key, output key, integer coefficient) with the shuffle signs, the
-wedge of the trailing arguments under alpha^(m-1) and the sort signs
-multiplied out, over one denominator; an insertion walks it from its inner
-cochain's nonzero keys and coordinates.  Plans work in raw coefficient
-coordinates, as a nested bracket yields an arbitrary cochain.  ``evaluate``
-and ``shuffles`` are the oracle the explicit shuffle sums of ``theorems`` and
-the tests check the plans and the wedge table against.
+beta (x) I - I (x) Lambda^n alpha read off it, kept on the domain per codomain
+and arity.  The insertion plan of a pair of arities, kept on the space too,
+lists per inner key and coordinate the entries (outer key, output key, integer
+coefficient) with the shuffle signs, the wedge of the trailing arguments under
+alpha^(m-1) and the sort signs multiplied out, over one denominator; an
+insertion walks it from its inner cochain's nonzero keys and coordinates.
+Plans work in raw coefficient coordinates, as a nested bracket yields an
+arbitrary cochain.  ``evaluate`` and ``shuffles`` are the oracle the explicit
+shuffle sums of ``theorems`` and the tests check the plans and the wedge
+table against.
 
 ``_assemble`` is the one place that sums cochain values.  A part is one
 signed summand: a denominator and, per output key, integer (c, Vec) terms.
@@ -32,10 +33,11 @@ signed summand: a denominator and, per output key, integer (c, Vec) terms.
 positions of (-1)^pos table[key[pos]] paired with f(key without pos), the
 action terms of the coboundary and theta~.  Both read a cochain's
 ``_numerators``, kept on it by ``_kept``, the one helper for per-object
-caches.  ``_assemble`` puts the parts over the lcm of their denominators and
-sums each output key once with ``_lincomb``.  ``contract`` and
-``linear_combination`` (so cochain + and -) are one-part assemblies; the
-brackets and the coboundary assemble several.
+caches; only integer-keyed tables (shuffles, cup plans) are process-wide.
+``_assemble`` puts the parts over the lcm of their denominators and sums each
+output key once with ``_lincomb``.  ``contract`` and ``linear_combination``
+(so cochain + and -) are one-part assemblies; the brackets and the coboundary
+assemble several.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ from .linalg import Mat, Vec, _lincomb, _mat, _vec_reduced, kernel_basis, rat
 class TwistedSpace:
     """A dimension together with its twist endomorphism.
 
-    Caches the twist powers, the standard basis, the images of the basis
-    under each twist power, the wedge tables and the compiled insertion
-    plans, so callers never rebuild them.
+    Holds the standard basis and the twist powers, which grow one step at a
+    time so that a high power needs no recursion.  Its other tables (twisted
+    bases, wedge tables, insertion plans, compatibility bases with it as
+    domain) are ``_kept`` on it and go with it.
     """
 
     def __init__(self, alpha: Mat):
@@ -66,9 +69,6 @@ class TwistedSpace:
         self.dim = alpha.nrows
         self._powers: dict[int, Mat] = {0: Mat.identity(self.dim), 1: alpha}
         self.basis: tuple[Vec, ...] = tuple(Vec.basis(self.dim, i) for i in range(self.dim))
-        self._twisted: dict[int, tuple[Vec, ...]] = {0: self.basis}
-        self._wedges: dict[tuple[int, int], tuple] = {}
-        self._insertion_plans: dict[tuple[int, int], tuple] = {}
 
     @staticmethod
     def untwisted(dim: int) -> "TwistedSpace":
@@ -83,11 +83,9 @@ class TwistedSpace:
         return powers[k]
 
     def twisted_basis(self, k: int) -> tuple[Vec, ...]:
-        """The basis vectors hit by the k-th twist power, alpha^k(e_i)."""
-        if k not in self._twisted:
-            power = self.twist_power(k)
-            self._twisted[k] = tuple(power @ b for b in self.basis)
-        return self._twisted[k]
+        """The basis vectors hit by the k-th twist power, alpha^k(e_i), kept on the space."""
+        return self.basis if not k else _kept(
+            self, "twisted", k, lambda: tuple(map(self.twist_power(k).__matmul__, self.basis)))
 
     def basis_vec(self, i: int) -> Vec:
         return self.basis[i]
@@ -109,7 +107,6 @@ def shuffles(*block_sizes: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     consecutive block of positions.  Returns (image, sign) pairs where
     image[p] is the 0-based value of the permutation at position p, so a term
     indexed by a shuffle reads its arguments as [args[i] for i in image].
-    The table is computed once per tuple of block sizes.
     """
     if any(n < 0 for n in block_sizes):
         raise ValueError("block sizes must be nonnegative")
@@ -118,6 +115,7 @@ def shuffles(*block_sizes: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 @lru_cache(maxsize=None)
 def _shuffle_table(block_sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The table of ``shuffles``, in an ``lru_cache``: integers alone key it, no object owns it."""
     blocks = [n for n in block_sizes if n > 0]
 
     def rec(remaining: tuple[int, ...], blocks: list[int]):
@@ -337,9 +335,6 @@ def compatibility_witness(f: SkewCochain) -> tuple[tuple[int, ...], Vec, Vec] | 
     return next(iter(compatibility_failures(f)), None)
 
 
-_COMPAT_CACHE: dict[tuple, list[SkewCochain]] = {}
-
-
 def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int) -> list[SkewCochain]:
     """Basis of the twist-compatible cochain space C^arity(domain, codomain).
 
@@ -347,30 +342,31 @@ def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int
     the matrix beta (x) I - I (x) Lambda^n alpha read off the wedge table.
     Ordered by lexicographic tuples, then codomain coordinates.  At arity 0 the
     map is beta - I: the basis is ``kernel_basis(beta - I)``, the fixed vectors.
+    Kept on the domain per codomain and arity, so it goes with its space.
     """
     if arity < 0:
         raise ValueError("arity must be >= 0")
-    cache_key = (domain.alpha, codomain.alpha, arity)
-    if cache_key in _COMPAT_CACHE:
-        return _COMPAT_CACHE[cache_key]
-    wedge, den = _wedge(domain, 1, arity)
-    beta, d = codomain.alpha, codomain.dim
-    at, width = {key: j * d for j, key in enumerate(wedge)}, len(wedge) * d
-    rows = []  # (key, r) x (key', c): beta.den * den * (beta (x) I - I (x) Lambda^n alpha)
-    for key, entries in wedge.items():
-        for r in range(d):
-            row = [0] * width
-            row[at[key]:at[key] + d] = [den * x for x in beta.num[r]]
-            for k, c in entries:
-                row[at[k] + r] -= beta.den * c
-            rows.append(tuple(row))
-    basis = []  # each kernel vector's nonzero slices are its cochain's values
-    for v in kernel_basis(_mat(tuple(rows), 1, width)):
-        slices = ((key, v.num[at[key]:at[key] + d]) for key in wedge)
-        basis.append(_cochain(domain, codomain, arity,
-                              {key: _vec_reduced(part, v.den) for key, part in slices if any(part)}))
-    _COMPAT_CACHE[cache_key] = basis
-    return basis
+
+    def build():
+        wedge, den = _wedge(domain, 1, arity)
+        beta, d = codomain.alpha, codomain.dim
+        at, width = {key: j * d for j, key in enumerate(wedge)}, len(wedge) * d
+        rows = []  # (key, r) x (key', c): beta.den * den * (beta (x) I - I (x) Lambda^n alpha)
+        for key, entries in wedge.items():
+            for r in range(d):
+                row = [0] * width
+                row[at[key]:at[key] + d] = [den * x for x in beta.num[r]]
+                for k, c in entries:
+                    row[at[k] + r] -= beta.den * c
+                rows.append(tuple(row))
+        basis = []  # each kernel vector's nonzero slices are its cochain's values
+        for v in kernel_basis(_mat(tuple(rows), 1, width)):
+            slices = ((key, v.num[at[key]:at[key] + d]) for key in wedge)
+            basis.append(_cochain(domain, codomain, arity, {
+                key: _vec_reduced(part, v.den) for key, part in slices if any(part)}))
+        return basis
+
+    return _kept(domain, "compat", (codomain, arity), build)
 
 
 def flatten_cochain(f: SkewCochain, keys: list[tuple[int, ...]] | None = None) -> Vec:
@@ -453,8 +449,7 @@ def _wedge(w: TwistedSpace, k: int, n: int) -> tuple[dict, int]:
     table maps each key, lexicographically, to the (key', c) with
     alpha^k(e_key[0]) ^ ... ^ alpha^k(e_key[n-1]) = sum c * e_key' / den.
     """
-    wedge = w._wedges.get((k, n))
-    if wedge is None:
+    def build():
         power = w.twist_power(k)
         table = {(): (((), 1),)} if n == 0 else {}
         if 0 < n <= w.dim:
@@ -465,8 +460,9 @@ def _wedge(w: TwistedSpace, k: int, n: int) -> tuple[dict, int]:
                 for _, out, c in _prepend(columns[key[0]], tails[key[1:]]):
                     entries[out] = entries.get(out, 0) + c
                 table[key] = tuple([(out, c) for out, c in entries.items() if c])
-        wedge = w._wedges[k, n] = (table, power.den ** n)
-    return wedge
+        return table, power.den ** n
+
+    return _kept(w, "wedge", (k, n), build)
 
 
 def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[dict, int]:
@@ -477,8 +473,7 @@ def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[dict, int]:
     entries of c * P(e_inner)[a] * Q(e_outer) / den, den being that of the wedge of
     the n-1 trailing arguments under alpha^(m-1).
     """
-    plan = w._insertion_plans.get((m, n))
-    if plan is None:
+    def build():
         wedge, den = _wedge(w, m - 1, n - 1)
         coords = [(a, 1) for a in range(w.dim)]
         table = shuffles(m, n - 1)
@@ -492,9 +487,9 @@ def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[dict, int]:
             for (inner, a, outer), c in entries.items():
                 if c:
                     index[inner][a].append((outer, key, c))
-        index = {inner: tuple(map(tuple, by_coord)) for inner, by_coord in index.items()}
-        plan = w._insertion_plans[m, n] = (index, den)
-    return plan
+        return {inner: tuple(map(tuple, by_coord)) for inner, by_coord in index.items()}, den
+
+    return _kept(w, "insertion_plan", (m, n), build)
 
 
 def _numerators(f: SkewCochain) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:

@@ -20,14 +20,13 @@ all zero.  ``_coboundary`` hands the parts out, scaled by a rational, so
 that ``mc_residual`` sums 2 lam d(s) and [s, s] in one assembly, over 2.
 
 ``delta_hom`` computes a cochain's coboundary once per representation and
-keeps it on the cochain (``cochains._kept``, keyed by the ``Representation``
-object): the brackets, the identities and the coboundary matrices meet the
-same cochains again, the cached compatibility-basis ones above all.  The key
-is the representation, not its spaces, because algebras with one twist share
-those basis cochains.  Cochains are immutable, so the kept image stays valid
-for the cochain's lifetime.  The key is weak: the basis cochains live as long
-as the process, and must not keep alive every algebra whose coboundary was
-taken on them.
+keeps it on the cochain (``cochains._kept``): the brackets, the identities and
+the coboundary matrices meet the same cochains again, a space's compatibility
+basis above all.  Cochains are immutable, so the kept image stays valid.  The
+key is the ``Representation`` object, held weakly: the representations on one
+space share its basis cochains, and a basis cochain lives as long as its
+space, so it must not keep alive the short-lived ones (a morphism's, a trivial
+or an induced one) whose coboundary was taken on it.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
           with positions i and j omitted).
 
     Computed once per (rep, f): the result is kept on f, weakly keyed by the
-    representation object.  Not by its spaces: algebras with one twist share
-    the cached compatibility-basis cochains.
+    representation object, so a short-lived representation is not kept alive
+    by a basis cochain of a long-lived space.
     """
     def build():
         if f.domain != rep.algebra.space or f.codomain != rep.module:

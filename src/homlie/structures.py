@@ -57,7 +57,10 @@ class RawHomStructure:
 
     @cached_property
     def table(self) -> tuple[tuple[Vec, ...], ...]:
-        """Basis brackets: table[i][j] = [e_i, e_j], skew with a zero diagonal."""
+        """Basis brackets: table[i][j] = [e_i, e_j], skew with a zero diagonal.
+
+        A ``cached_property``, not ``_kept``: inner loops read it, so a call per read costs time.
+        """
         coeffs, dim = self.mu.coeffs, self.dim
         zero = Vec.zero(dim)
         rows = [[zero] * dim for _ in range(dim)]

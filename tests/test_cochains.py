@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, prod
@@ -9,7 +11,9 @@ from homlie.linalg import Mat, Vec
 from homlie.cochains import (SkewCochain, TwistedSpace, cochain_matrix,
                              compatibility_basis, contract, evaluate, is_compatible,
                              operator_cochain, perm_sign, shuffles, sort_with_sign)
-from homlie.structures import fixture_3dim, fixture_b, fixture_jackson_sl2
+from homlie.differentials import delta_hom
+from homlie.structures import (adjoint_representation, fixture_3dim, fixture_b,
+                               fixture_jackson_sl2, fixture_yau_sl2)
 from homlie.theorems import sample_cochain, _stream
 
 
@@ -122,6 +126,26 @@ def test_compatibility_basis_dimensions():
     for arity in (1, 2, 3):
         for b in compatibility_basis(fixture_b().space, fixture_b().space, arity):
             assert is_compatible(b)
+
+
+def test_compatibility_bases_go_with_their_space():
+    """Bases are kept on their domain: they keep no space alive, an equal twist builds its own."""
+    def probe():
+        alg = fixture_yau_sl2(3)
+        for arity in (1, 2, 3):
+            compatibility_basis(alg.space, alg.space, arity)
+        delta_hom(adjoint_representation(alg), compatibility_basis(alg.space, alg.space, 1)[0])
+        return weakref.ref(alg.space)
+
+    space = probe()
+    gc.collect()
+    assert space() is None
+    alpha = Mat.diagonal([2, 1, "1/2"])
+    spaces = (TwistedSpace(alpha), TwistedSpace(alpha))
+    bases = [compatibility_basis(w, w, 2) for w in spaces]
+    assert bases[0] is not bases[1] and bases[0] == bases[1]
+    for w, basis in zip(spaces, bases):
+        assert basis and all(b.domain is w for b in basis)
 
 
 def test_degree0_fixed_vectors():

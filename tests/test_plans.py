@@ -34,9 +34,8 @@ from homlie.cohomology import ComplexSpec, cohomology
 from homlie.differentials import d_trivial, delta_hom
 from homlie.linalg import Mat, Vec, _lincomb
 from homlie.structures import (HomLieAlgebra, Representation, adjoint_representation,
-                               bracket_action_on_abelian, fixture_abelian,
-                               representation_witness, trivial_representation, yau_twist,
-                               _heisenberg_lie_mu)
+                               bracket_action_on_abelian, representation_witness,
+                               trivial_representation, yau_twist, _heisenberg_lie_mu)
 from homlie.theorems import default_fixtures
 
 
@@ -292,9 +291,9 @@ def test_plans_are_kept_on_their_objects():
     rng = random.Random(5)
     P = raw_cochain(alg.space, alg.space, 2, rng)
     first = contract(P, P)
-    plan = alg.space._insertion_plans[2, 2]
+    plan = kept(alg.space, "insertion_plan")[2, 2]
     assert contract(P, P) == first
-    assert alg.space._insertion_plans[2, 2] is plan
+    assert kept(alg.space, "insertion_plan")[2, 2] is plan
     delta_hom(adjoint_representation(alg), P)
     assert set(kept(alg, "bracket_plan")) == {2}
     assert set(kept(adjoint_representation(alg), "action_columns")) == {1}
@@ -314,7 +313,8 @@ def test_arity_above_dimension_builds_no_table():
         assert result.is_zero() and result.arity == arity
     assert _shuffle_table.cache_info().currsize == shuffle_entries
     assert _cup_plan.cache_info().currsize == cup_entries
-    assert (9, 2) not in alg.space._insertion_plans and (2, 9) not in alg.space._insertion_plans
+    plans = kept(alg.space, "insertion_plan")
+    assert (9, 2) not in plans and (2, 9) not in plans
 
 
 def test_high_twist_power_needs_no_recursion():
@@ -428,18 +428,17 @@ def test_cochain_add_and_sub_reject_a_shape_mismatch():
 
 
 @pytest.mark.parametrize("first", ["heisenberg", "abelian"])
-def test_coboundary_memo_is_kept_per_representation(monkeypatch, first):
-    """Algebras with one twist share their basis cochains, and each keeps its own coboundary."""
-    monkeypatch.setattr(cochains, "_COMPAT_CACHE", {})
-    algebras = {"heisenberg": (yau_twist(_heisenberg_lie_mu(), Mat.identity(3)), (4, 5, 2)),
-                "abelian": (fixture_abelian(3), (9, 9, 3))}
+def test_coboundary_memo_is_kept_per_representation(first):
+    """Algebras on one space share its basis cochains, and each keeps its own coboundary."""
+    space = TwistedSpace.untwisted(3)
+    heisenberg = SkewCochain(space, space, 2, _heisenberg_lie_mu().coeffs)
+    algebras = {"heisenberg": (HomLieAlgebra(space, heisenberg), (4, 5, 2)),
+                "abelian": (HomLieAlgebra(space, SkewCochain.zero(space, space, 2)), (9, 9, 3))}
     order = [first] + [k for k in algebras if k != first]
     for name in order:
         alg, dims = algebras[name]
         assert tuple(cohomology(ComplexSpec.adjoint(alg), n).dim_h for n in (1, 2, 3)) == dims
-    spaces = [algebras[k][0].space for k in order]
-    basis = cochains.compatibility_basis(spaces[0], spaces[0], 2)
-    assert basis is cochains.compatibility_basis(spaces[1], spaces[1], 2)
+    basis = cochains.compatibility_basis(space, space, 2)
     reps = [adjoint_representation(algebras[k][0]) for k in order]
     for b in basis:
         assert set(kept(b, "delta")) == set(reps)

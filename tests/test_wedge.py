@@ -25,7 +25,7 @@ from itertools import combinations
 
 import pytest
 
-from homlie import cli, cochains
+from homlie import cli
 from homlie import io as hio
 from homlie.brackets import cup_bracket, derived_bracket, fn_bracket, nr_bracket
 from homlie.cochains import (SkewCochain, TwistedSpace, _wedge, compatibility_basis,
@@ -152,7 +152,6 @@ def test_production_paths_never_call_evaluate(monkeypatch, tmp_path, capsys):
         if getattr(module, "__name__", "").startswith("homlie") and \
                 getattr(module, "evaluate", None) is evaluate:
             monkeypatch.setattr(module, "evaluate", refuse)
-    monkeypatch.setattr(cochains, "_COMPAT_CACHE", {})  # every basis is built afresh
     rng = random.Random(0)
     fixtures = default_fixtures()
     for _, alg in fixtures:
