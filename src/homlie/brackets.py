@@ -256,14 +256,8 @@ class GradedPair:
     def __add__(self, other: "GradedPair") -> "GradedPair":
         return GradedPair(self.upper + other.upper, self.lower + other.lower)
 
-    def __sub__(self, other: "GradedPair") -> "GradedPair":
-        return GradedPair(self.upper - other.upper, self.lower - other.lower)
-
     def scale(self, c) -> "GradedPair":
         return GradedPair(self.upper.scale(c), self.lower.scale(c))
-
-    def is_zero(self) -> bool:
-        return self.upper.is_zero() and self.lower.is_zero()
 
 
 def semidirect_graded_bracket(cod_alg: HomLieAlgebra, a: GradedPair, b: GradedPair) -> GradedPair:

@@ -175,6 +175,7 @@ class SkewCochain:
         self.domain = domain
         self.codomain = codomain
         self.arity = arity
+        self._kept = {}  # see ``_kept``
         table: dict[tuple[int, ...], Vec] = {}
         for key, value in coeffs.items():
             key = tuple(key)
@@ -258,7 +259,7 @@ def _cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
     Valid means increasing in-range keys and nonzero codomain-sized values.
     """
     f = object.__new__(SkewCochain)
-    f.domain, f.codomain, f.arity, f.coeffs = domain, codomain, arity, table
+    f.domain, f.codomain, f.arity, f.coeffs, f._kept = domain, codomain, arity, table, {}
     return f
 
 
@@ -504,24 +505,23 @@ def _common_numerators(values: dict[tuple[int, ...], Vec]
             for k, v in values.items()}, den
 
 
-_NOT_KEPT = object()
-
-
 def _kept(obj, name: str, key, build: Callable, *args):
     """build(*args), made at the first call for (name, key) and kept in the dict obj._kept.
 
     Every caller gets the one kept value, to read only.  The entry of a weak reference
-    key (to a representation) goes with its referent.
+    key (to a representation) goes with its referent.  A hit is one lookup; a cochain
+    has its dict from the start, as a missing attribute is the dearest miss.
     """
-    kept = getattr(obj, "_kept", None)
-    if kept is None:
+    try:
+        return obj._kept[name, key]
+    except AttributeError:
         kept = obj._kept = {}
-    value = kept.get((name, key), _NOT_KEPT)
-    if value is _NOT_KEPT:
-        value = build(*args)
-        if type(key) is ref:
-            key = ref(key(), partial(_forget, ref(obj), name))
-        kept[name, key] = value
+    except KeyError:
+        kept = obj._kept
+    value = build(*args)
+    if type(key) is ref:
+        key = ref(key(), partial(_forget, ref(obj), name))
+    kept[name, key] = value
     return value
 
 

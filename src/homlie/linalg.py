@@ -333,11 +333,13 @@ class Mat:
         return "[" + "; ".join(" ".join(rat_str(a) for a in r) for r in self.rows) + "]"
 
 
-def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+def _rref(rows: list[list[int]], rank_only: bool = False) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Returns (rows, pivot columns, d) with d > 0: the first len(pivots) rows are
-    d times the reduced row echelon form and the rest are zero.  With pivot p
+    d times the reduced row echelon form (d I, written at once, when every
+    column is a pivot) and the rest are zero.  With rank_only, for ``mat_rank``,
+    only the pivots are meant: the rows are left unscaled.  With pivot p
     in column c and prev the pivot before it (1 at the start), every other
     row becomes (p * row - row[c] * pivot row) / prev; its entries stay minors
     of the input, so the division is exact (Bareiss, Math. Comp. 22, 1968).
@@ -367,6 +369,11 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
         pivots.append(c)
         prev = p
     d = abs(prev)
+    if rank_only:
+        return rows, pivots, d
+    if pivots and len(pivots) == len(rows[0]):  # the reduced form is the identity
+        rows[:len(pivots)] = [[d if j == i else 0 for j in pivots] for i in pivots]
+        return rows, pivots, d
     for i in range(len(pivots)):
         if level[i] != d:
             rows[i] = [a * d // level[i] for a in rows[i]]
@@ -374,8 +381,8 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
 
 
 def mat_rank(m: Mat) -> int:
-    """Rank over the rationals."""
-    return len(_rref([list(r) for r in m.num])[1])
+    """Rank over the rationals: the pivots of ``_rref``, with no rescaling."""
+    return len(_rref([list(r) for r in m.num], rank_only=True)[1])
 
 
 def kernel_basis(m: Mat) -> list[Vec]:

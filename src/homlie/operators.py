@@ -16,15 +16,16 @@ relative search's operators without checking them again.
 
 A search writes its candidates as R = sum_p c_p M_p / s over an integer basis
 M_p of the twist commutant and runs the twist guard on the M_p alone.  Each
-criterion is quadratic plus linear in R, so its values at M_p, -M_p and
-M_p + M_q polarize it into an integer table in the c_p.  Every search checks
-once that the pointwise table and that of its dual, [N, N]_fn or the
-Maurer-Cartan residual, have one row space, so one zero set, and then decides
-on the pointwise one; a mismatch is a ``ConsistencyError`` raised before any
+criterion is F(R) = B(R, R) + L(R), B bilinear and L linear: ``_form`` tables
+it in the c_p from B on the ordered pairs (M_p, M_q) and L on the M_p, the
+dual's on cochains of the M_p built once per search.  Every search checks once
+that the pointwise table and that of its dual, [N, N]_fn or the Maurer-Cartan
+residual, have one row space, so one zero set, and then decides on the
+pointwise one; a mismatch is a ``ConsistencyError`` raised before any
 candidate is enumerated, and no search compares candidates.  No search checks
-an operator it found again; graph closure is an oracle of the predicates.
-The c_p are set depth-first in grid order, each check at the depth of its
-last variable.
+an operator it found again; graph closure is an oracle of the predicates.  The
+c_p are set depth-first in grid order, each check at the depth of its last
+variable.
 
 A weight-lambda Rota-Baxter operator is a relative one of the adjoint action
 (``structures.adjoint_action``): its pointwise identity, its deformed bracket
@@ -58,20 +59,21 @@ def _check_intertwines(action: HomLieAction, R: Mat) -> None:
         raise ValueError("operator does not intertwine the twists")
 
 
-def _pair_sides(bracket, T: Mat, space: TwistedSpace, deformed):
-    """(key, [Tx, Ty], T(deformed(key))) for each increasing basis pair key = (x, y) of space.
+def _pair_sides(bracket, A: Mat, B: Mat, space: TwistedSpace, deformed):
+    """(key, [Ax, By], A(deformed(key))) for each increasing basis pair key = (x, y) of space.
 
-    deformed maps an increasing basis pair to the deformed bracket of its
-    two vectors.
+    deformed maps a basis pair to the deformed bracket of its two vectors, made
+    with B.  The verdicts pass A = B, a search's bilinear part its basis pairs.
     """
-    images = _images(T)
+    outer = _images(A)
+    inner = outer if B is A else _images(B)
     for key in combinations(range(space.dim), 2):
-        yield key, bracket(images[key[0]], images[key[1]]), T @ deformed(key)
+        yield key, bracket(outer[key[0]], inner[key[1]]), A @ deformed(key)
 
 
 def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed):
     """First basis pair (x, y) of space with [Tx, Ty] != T(deformed), with both sides."""
-    return next((s for s in _pair_sides(bracket, T, space, deformed) if s[1] != s[2]), None)
+    return next((s for s in _pair_sides(bracket, T, T, space, deformed) if s[1] != s[2]), None)
 
 
 def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat):
@@ -307,20 +309,27 @@ def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None 
     """
     if s.arity != 1:
         raise ValueError("Maurer-Cartan residual is defined for arity-1 elements")
-    # one assembly of (2 d(s) + [s, s]) / 2
+    d, bracket = _dgla(dgla_kind, s.domain, target=target, alg=alg, action=action, lam=lam)
+    return _assemble(s.domain, s.codomain, 2, d(s) + bracket(s, s), 2)  # (2 d(s) + [s, s]) / 2
+
+
+def _dgla(dgla_kind: str, domain: TwistedSpace, *, target=None, alg=None, action=None, lam=0):
+    """(d, bracket) of ``mc_residual`` on domain: the parts of 2 d(s) and of [s, t], over 2.
+
+    A search's dual criterion reads them apart, as its linear and bilinear parts.
+    """
     if dgla_kind == "morphism":
         if alg is None or target is None:
             raise ValueError("morphism residual needs the domain and codomain algebras")
-        if s.domain != alg.space:
+        if domain != alg.space:
             raise ValueError("cochain domain does not match the algebra")
-        parts = _coboundary(alg, s, None, 2) + [_cup_part(s, s, target)]
-    elif dgla_kind == "relative_derived":
+        return lambda s: _coboundary(alg, s, None, 2), lambda s, t: [_cup_part(s, t, target)]
+    if dgla_kind == "relative_derived":
         if not isinstance(action, HomLieAction):
             raise ValueError("relative derived residual needs a full action")
-        parts = _coboundary(action.acted, s, None, 2 * rat(lam)) + _derived_parts(action, s, s)
-    else:
-        raise ValueError(f"unknown differential graded Lie algebra kind: {dgla_kind!r}")
-    return _assemble(s.domain, s.codomain, 2, parts, 2)
+        return (lambda s: _coboundary(action.acted, s, None, 2 * rat(lam)),
+                lambda s, t: _derived_parts(action, s, t))
+    raise ValueError(f"unknown differential graded Lie algebra kind: {dgla_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +366,18 @@ def _search_grid(source, target, entries) -> _Grid:
     return _Grid(basis, den * d, nums, [columns[i::rows] for i in range(rows)], checks)
 
 
-def _form(value, grid: _Grid) -> list[tuple[int, ...]]:
-    """The nonzero rows of 2 D s^2 F(R), F = value, in the monomials c_p c_q (p <= q) and c_p.
+def _form(bilinear, linear, grid: _Grid) -> list[tuple[int, ...]]:
+    """The nonzero rows of 2 D s^2 F(R), F(R) = B(R, R) + L(R), in the monomials c_p c_q, c_p.
 
-    F is quadratic (Q) plus linear (L) in R = sum_p c_p M_p / s, so
-    2 Q_pp = F(M_p) + F(-M_p), 2 L_p = F(M_p) - F(-M_p) and
-    Q_pq + Q_qp = F(M_p + M_q) - F(M_p) - F(M_q); D is the columns' denominator.
+    With bilinear(p, q) = B(M_p, M_q) and linear(p) = L(M_p), each called once, and
+    R = sum_p c_p M_p / s, bilinearity alone gives the column 2 (B(M_p, M_q) + B(M_q, M_p))
+    of c_p c_q (p < q), 2 B(M_p, M_p) of c_p^2 and 2 s L(M_p) of c_p; D is their denominator.
     """
-    basis = grid.basis
-    plus, minus = [value(M) for M in basis], [value(-M) for M in basis]
-    columns = [plus[p] + minus[p] if p == q
-               else (value(basis[p] + basis[q]) - plus[p] - plus[q]).scale(2)
-               for p, q in combinations_with_replacement(range(len(basis)), 2)]
-    columns += [(a - n).scale(grid.scale) for a, n in zip(plus, minus)]
+    P = range(len(grid.basis))
+    values = [[bilinear(p, q) for q in P] for p in P]
+    columns = [(values[p][q] + values[q][p] if p < q else values[p][p]).scale(2)
+               for p, q in combinations_with_replacement(P, 2)]
+    columns += [linear(p).scale(2 * grid.scale) for p in P]
     return [row for row in Mat.from_columns(columns).num if any(row)]
 
 
@@ -407,20 +415,29 @@ def _depth_first(grid: _Grid, table=()) -> list[Mat]:
     return found
 
 
-def _search(action: HomLieAction, entries, kind: str, deformed, dual) -> list[Mat]:
-    """The grid operators, acted to acting space, with [Rx, Ry] = R(deformed(R)(x, y)).
+def _search(action: HomLieAction, entries, kind: str, deformed, lam, dual) -> list[Mat]:
+    """The grid operators R, acted to acting space, with [Rx, Ry] = R(deformed(R) + lam [x, y]).
 
-    dual is (name, value): value(R) is a Vec vanishing exactly when R passes.
-    The tables of the two criteria must have one row space, so one zero set:
+    deformed(R) is linear in R, tabled once per basis matrix: the pointwise B(A, C)
+    is [Ax, Cy] - A(deformed(C)) and L(A) is -lam A[x, y], and dual is (name, B, L)
+    on the basis cochains.  The two tables must have one row space, so one zero set:
     a mismatch is a ConsistencyError before any candidate is enumerated.
     Intertwining is linear in R, so the twist guard runs on the basis alone.
     """
-    grid = _search_grid(action.acted.space, action.acting.space, entries)
-    for M in grid.basis:
+    acted, acting = action.acted.space, action.acting.space
+    grid = _search_grid(acted, acting, entries)
+    basis = grid.basis
+    for M in basis:
         _check_intertwines(action, M)
-    pointwise = _form(lambda R: Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
-        action.acting.bracket, R, action.acted.space, deformed(R))]), grid)
-    form = _form(dual[1], grid)
+    pairs = list(combinations(range(acted.dim), 2))
+    inner = [dict(zip(pairs, map(deformed(M), pairs))).__getitem__ for M in basis]
+    constant = [action.acted.table[x][y].scale(lam) for x, y in pairs]
+    pointwise = _form(lambda p, q: Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
+        action.acting.bracket, basis[p], basis[q], acted, inner[q])]),
+        lambda p: Vec.concat(*[-(basis[p] @ v) for v in constant]), grid)
+    cochains = [operator_cochain(acted, acting, M) for M in basis]
+    form = _form(lambda p, q: flatten_cochain(dual[1](cochains[p], cochains[q])),
+                 lambda p: flatten_cochain(dual[2](cochains[p])), grid)
     ranks = mat_rank(Mat(pointwise)), mat_rank(Mat(form)), mat_rank(Mat(pointwise + form))
     if not ranks[0] == ranks[1] == ranks[2]:
         raise ConsistencyError(f"{kind} criteria disagree: the pointwise table has rank {ranks[0]}, "
@@ -431,7 +448,8 @@ def _search(action: HomLieAction, entries, kind: str, deformed, dual) -> list[Ma
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:
     """Nijenhuis operators with entries in ``entries``, in column-major grid order."""
     return _search(adjoint_action(alg), entries, "Nijenhuis", lambda N: _nijenhuis_bracket(alg, N),
-                   ("bracket square", lambda N: flatten_cochain(_square(alg, N))))
+                   0, ("bracket square", lambda s, t: fn_bracket(alg, s, t),
+                       lambda s: SkewCochain.zero(s.domain, s.codomain, 2)))
 
 
 def search_rota_baxter(alg: HomLieAlgebra, lam, entries=(-1, 0, 1)) -> list[Mat]:
@@ -450,5 +468,8 @@ def search_relative_rb(action: HomLieAction, lam, entries=(-1, 0, 1)) -> list[Ma
 def _rota_baxter_search(action: HomLieAction, lam, entries) -> list[Mat]:
     """The one search behind both public ones, which never call each other."""
     lam = rat(lam)
-    return _search(action, entries, "Rota-Baxter", lambda R: _induced_bracket(action, R, lam),
-                   ("Maurer-Cartan", lambda R: flatten_cochain(_relative_residual(action, R, lam))))
+    acted, acting = action.acted.space, action.acting.space
+    d, bracket = _dgla("relative_derived", acted, action=action, lam=lam)
+    return _search(action, entries, "Rota-Baxter", lambda R: _induced_bracket(action, R, 0), lam,
+                   ("Maurer-Cartan", lambda s, t: _assemble(acted, acting, 2, bracket(s, t), 2),
+                    lambda s: _assemble(acted, acting, 2, d(s), 2)))

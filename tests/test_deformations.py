@@ -1,8 +1,11 @@
 import pytest
 
+from homlie import io as hio
+from homlie.cli import main
 from homlie.linalg import Mat, kernel_basis
 from homlie.cochains import SkewCochain, cochain_matrix, flatten_cochain
-from homlie.structures import HomMorphism, fixture_b, fixture_yau_heisenberg, fixture_yau_sl2
+from homlie.structures import (HomMorphism, fixture_b, fixture_yau_dim4, fixture_yau_heisenberg,
+                               fixture_yau_sl2)
 from homlie.cohomology import ComplexSpec, cohomology
 from homlie.deformations import (MorphismDeformation, check_order_deformation,
                                  deformation_witness, extend, obstruction)
@@ -124,3 +127,32 @@ def test_a_deformation_given_a_list_of_terms_stores_a_tuple():
     assert listed == MorphismDeformation(B, B, (Mat.identity(3),))
     extended = extend(listed)
     assert extended is not None and extended.order == 1 and check_order_deformation(extended)
+
+
+def _obstructed_yau_dim4():
+    """yau-dim4 with phi = E11 (the matrix unit at (1, 1)) and the direction diag(1, 1, 0, 0)."""
+    phi = Mat.make([[int(i == j == 0) for j in range(4)] for i in range(4)])
+    return fixture_yau_dim4(), phi, Mat.diagonal([1, 1, 0, 0])
+
+
+def test_an_obstructed_direction_does_not_extend():
+    alg, phi, direction = _obstructed_yau_dim4()
+    d = MorphismDeformation(alg, alg, (phi, direction))
+    assert check_order_deformation(d)
+    ob = obstruction(d)
+    assert not ob.cocycle.is_zero() and not ob.is_coboundary
+    assert extend(d) is None
+
+
+def test_cli_deform_extend_reports_the_obstructed_order(tmp_path, capsys):
+    alg, phi, direction = _obstructed_yau_dim4()
+    files = {}
+    for name, blob in (("alg", hio.structure_to_json(alg)), ("phi", hio.matrix_to_json(phi)),
+                       ("terms", [hio.matrix_to_json(direction)])):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(hio.dumps(blob))
+    assert main(["deform", "extend", "--algebra", str(files["alg"]), "--target", str(files["alg"]),
+                 "--morphism", str(files["phi"]), "--terms", str(files["terms"]),
+                 "--to-order", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["order 1 -> 2: obstructed",
+                                                    "reached order 1 of 3"]

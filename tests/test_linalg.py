@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlie.linalg import Mat, Vec, kernel_basis, mat_rank, rat, rat_str, solve_linear
+from homlie.linalg import Mat, Vec, _rref, kernel_basis, mat_rank, rat, rat_str, solve_linear
 
 
 def test_rat_parsing_and_canonical_form():
@@ -198,6 +198,24 @@ def _rref_kernel(dm, ncols: int) -> list[Vec]:
                 v[p] = -Fraction(int(e.numerator), int(e.denominator))
         basis.append(Vec.make(v))
     return basis
+
+
+def test_full_column_rank_matches_sympy():
+    # every column a pivot: _rref writes the reduced form as d I at once, and the
+    # rank, the empty kernel and the unique solution agree with sympy's
+    rng = random.Random(2011)
+    for nrows, ncols in ((1, 1), (6, 6), (40, 25), (90, 60)):
+        m = Mat.make([[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(ncols)]
+                      for _ in range(nrows)])
+        dm = _sparse_qq(m)
+        assert mat_rank(m) == dm.rank() == ncols
+        assert kernel_basis(m) == _rref_kernel(dm, ncols) == []
+        rows, pivots, d = _rref([list(r) for r in m.num])
+        assert pivots == list(range(ncols))
+        assert rows[:ncols] == [[d if j == i else 0 for j in range(ncols)] for i in range(ncols)]
+        assert not any(map(any, rows[ncols:]))
+        x = Vec.make([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)])
+        assert solve_linear(m, m @ x) == x
 
 
 def test_sparse_rank_kernel_and_solve_at_scale_match_sympy():

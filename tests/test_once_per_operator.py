@@ -3,15 +3,15 @@
 The counting tests wrap the private routines of ``operators`` (the twist
 guard, the pointwise pair check, the graph closure and the Maurer-Cartan
 checks) and read off how often each ran for one public call or one search.
-A search evaluates each criterion on the polarization points of its basis
-alone, whatever the size of its grid.  ``parent_mc_residual`` is the oracle for the one-assembly
-Maurer-Cartan residual: d(s) + (1/2)[s, s] built as separate cochains, with
-the bracket taken against an equal but distinct copy of s, so that it shares
-neither the assembly nor the self-bracket shortcut.
+A search reads each criterion's bilinear part on the ordered pairs of its
+basis and its linear part on the basis alone, whatever the size of its grid.
+``parent_mc_residual`` is the oracle for the one-assembly Maurer-Cartan
+residual: d(s) + (1/2)[s, s] built as separate cochains, with the bracket
+taken against an equal but distinct copy of s, so that it shares neither the
+assembly nor the self-bracket shortcut.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -39,15 +39,19 @@ def _actions(alg):
     return (("adjoint", adjoint_action(alg)), ("abelian", bracket_action_on_abelian(alg)))
 
 
-def _count(monkeypatch, module, names):
-    """Wrap each named function of module to record the operator matrix it was given."""
+def _count(monkeypatch, module, names, pairs=()):
+    """Wrap each named function of module to record the operator matrix it was given.
+
+    A function named in pairs takes two operators, and records both as a pair.
+    """
     calls = {name: [] for name in names}
     for name in names:
         real = getattr(module, name)
 
-        def counting(*args, _real=real, _seen=calls[name], **kwargs):
-            op = args[1]
-            _seen.append(op if isinstance(op, Mat) else cochain_matrix(op))
+        def counting(*args, _real=real, _seen=calls[name], _ops=2 if name in pairs else 1,
+                     **kwargs):
+            ops = tuple(m if isinstance(m, Mat) else cochain_matrix(m) for m in args[1:1 + _ops])
+            _seen.append(ops if _ops == 2 else ops[0])
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
@@ -101,36 +105,56 @@ def test_nijenhuis_report_builds_the_bracket_square_once(name, alg, monkeypatch)
             seen.clear()
 
 
-SEARCH_CRITERIA = CRITERIA + ("_pair_sides", "_relative_residual")
+SEARCH_CRITERIA = CRITERIA + ("_pair_sides", "_relative_residual", "_square", "_derived_parts",
+                              "_coboundary")
 
 
-def _polarization(basis):
-    """The operators a search evaluates each criterion's value on: M_p, -M_p, M_p + M_q."""
-    return (basis + [-m for m in basis]
-            + [basis[p] + basis[q] for p, q in combinations(range(len(basis)), 2)])
+def _record_forms(monkeypatch):
+    """Wrap operators._form's bilinear and linear arguments; per call, the indices given them."""
+    calls, real = [], operators._form
+
+    def recording(bilinear, linear, grid):
+        calls.append(([], []))
+        pairs, singles = calls[-1]
+        return real(lambda p, q: pairs.append((p, q)) or bilinear(p, q),
+                    lambda p: singles.append(p) or linear(p), grid)
+
+    monkeypatch.setattr(operators, "_form", recording)
+    return calls
 
 
 @pytest.mark.parametrize("name,alg", FIXTURES)
 def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch):
-    calls = _count(monkeypatch, operators, SEARCH_CRITERIA)
+    # each criterion is read as its bilinear part on the P^2 ordered pairs of the
+    # basis and its linear part on the P basis elements, each once: the pointwise
+    # one through _pair_sides, the dual through fn_bracket or the Maurer-Cartan
+    # residual's derived-bracket parts and its coboundary parts
+    calls = _count(monkeypatch, operators, SEARCH_CRITERIA,
+                   pairs=("_pair_sides", "fn_bracket", "_derived_parts"))
+    forms = _record_forms(monkeypatch)
     adj, abelian = adjoint_action(alg), bracket_action_on_abelian(alg)
-    searches = (  # (action searched, search on a grid, the criterion dual to the pointwise one)
-        (adj, lambda grid: search_nijenhuis(alg, grid), "fn_bracket"),
-        (adj, lambda grid: search_rota_baxter(alg, 1, grid), "_relative_residual"),
-        (abelian, lambda grid: search_relative_rb(abelian, 1, grid), "_relative_residual"))
+    searches = (  # (action searched, search on a grid, the dual's bilinear and linear hooks)
+        (adj, lambda grid: search_nijenhuis(alg, grid), ("fn_bracket",)),
+        (adj, lambda grid: search_rota_baxter(alg, 1, grid), ("_derived_parts", "_coboundary")),
+        (abelian, lambda grid: search_relative_rb(abelian, 1, grid),
+         ("_derived_parts", "_coboundary")))
     for grid in ((0, 1), (-1, 0, 1)):
         for action, search, dual in searches:
             basis = operators._search_grid(action.acted.space, action.acting.space, grid).basis
-            points = _polarization(basis)
-            assert len(points) == len(basis) * (len(basis) + 3) // 2
+            P = range(len(basis))
+            pairs = [(basis[p], basis[q]) for p in P for q in P]
             for seen in calls.values():
                 seen.clear()
+            forms.clear()
             search(grid)
+            assert forms == [([(p, q) for p in P for q in P], list(P))] * 2
             assert calls["_check_intertwines"] == basis
-            assert calls["_pair_sides"] == calls[dual] == points
+            assert calls["_pair_sides"] == calls[dual[0]] == pairs
+            if len(dual) == 2:
+                assert calls[dual[1]] == basis
             # and nothing else: no pair check, graph closure, Maurer-Cartan verdict or other dual
             assert not any(calls[c] for c in SEARCH_CRITERIA
-                           if c not in ("_check_intertwines", "_pair_sides", dual))
+                           if c not in ("_check_intertwines", "_pair_sides") + dual)
 
 
 def test_context_runs_no_criterion_after_its_two_searches(monkeypatch):

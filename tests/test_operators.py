@@ -350,18 +350,17 @@ def test_mc_residual_kinds():
 
 
 def test_search_checks_each_candidate_pointwise_once(monkeypatch):
-    # the pointwise identity runs on the P(P+3)/2 polarization points of the
-    # P basis matrices, not once per candidate
+    # the pointwise identity runs as its bilinear part on the P^2 ordered pairs
+    # of the P basis matrices, not once per candidate
     from homlie import operators
     act = bracket_action_on_abelian(B)
     grid = operators._search_grid(act.acted.space, act.acting.space, (0, 1))
     basis = grid.basis
     calls = []
     sides = operators._pair_sides
-    monkeypatch.setattr(operators, "_pair_sides",
-                        lambda bracket, R, *rest: calls.append(R) or sides(bracket, R, *rest))
+    monkeypatch.setattr(operators, "_pair_sides", lambda bracket, A, C, *rest:
+                        calls.append((A, C)) or sides(bracket, A, C, *rest))
     found = search_relative_rb(act, 1, (0, 1))
     assert found and len(found) < len(operators._depth_first(grid))
-    assert calls == (basis + [-m for m in basis]
-                     + [basis[p] + basis[q] for p, q in combinations(range(len(basis)), 2)])
-    assert len(calls) == len(basis) * (len(basis) + 3) // 2
+    assert calls == [(M, N) for M in basis for N in basis]
+    assert len(calls) == len(basis) ** 2

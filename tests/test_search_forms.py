@@ -1,17 +1,21 @@
 """Searches decided on polarized forms give what the public predicates give.
 
-A search evaluates each criterion on the polarization points of its basis
+A search writes each criterion as F(R) = B(R, R) + L(R), reads its bilinear
+part B on the ordered pairs of its basis and its linear part L on the basis,
 and decides every candidate on the integer table of the resulting form.  The
 reference here is the plain one: the search's candidate matrices filtered by
-the public single-operator predicate, in the same order.  A value that is not
-quadratic plus linear in the operator (a planted constant offset) breaks the
-polarization, and the search must then report the two criteria disagreeing
-before it enumerates any candidate.  On a correct bracket that cannot happen:
-each dual criterion is one fixed nonzero multiple of the pointwise defects.
+the public single-operator predicate, in the same order.  The tables
+themselves must equal, row for row, the point-evaluation polarization of the
+whole criterion, at M_p, -M_p and M_p + M_q.  A term planted in one
+criterion's parts (a constant offset) breaks their agreement, and the search
+must then report the two criteria disagreeing before it enumerates any
+candidate.  On a correct bracket that cannot happen: each dual criterion is
+one fixed nonzero multiple of the pointwise defects.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -60,7 +64,7 @@ def _ratio(dual, pointwise):
 
 def _defects(bracket, R, space, deformed):
     """The pointwise defects [Rx, Ry] - R(deformed(x, y)), basis pair after basis pair."""
-    return Vec.concat(*[lhs - rhs for _, lhs, rhs in operators._pair_sides(bracket, R, space,
+    return Vec.concat(*[lhs - rhs for _, lhs, rhs in operators._pair_sides(bracket, R, R, space,
                                                                            deformed)])
 
 
@@ -97,11 +101,60 @@ def _filiform_l4():
     return HomLieAlgebra(space, SkewCochain(space, space, 2, {(0, 1): e[2], (0, 2): e[3]}))
 
 
+def _point_form(value, grid):
+    """The table of F = value polarized by point evaluation: F at M_p, -M_p and M_p + M_q.
+
+    2 Q_pp = F(M_p) + F(-M_p), 2 L_p = F(M_p) - F(-M_p) and
+    Q_pq + Q_qp = F(M_p + M_q) - F(M_p) - F(M_q), in the columns of ``operators._form``.
+    """
+    basis = grid.basis
+    plus, minus = [value(M) for M in basis], [value(-M) for M in basis]
+    columns = [plus[p] + minus[p] if p == q
+               else (value(basis[p] + basis[q]) - plus[p] - plus[q]).scale(2)
+               for p, q in combinations_with_replacement(range(len(basis)), 2)]
+    columns += [(a - n).scale(grid.scale) for a, n in zip(plus, minus)]
+    return [row for row in Mat.from_columns(columns).num if any(row)]
+
+
+def _criteria(alg, lams):
+    """(search, action, pointwise F, dual F) of Nijenhuis, Rota-Baxter, then relative searches."""
+    adj, abelian = adjoint_action(alg), bracket_action_on_abelian(alg)
+    yield (lambda grid: search_nijenhuis(alg, grid), adj,
+           lambda R: _defects(alg.bracket, R, alg.space, operators._nijenhuis_bracket(alg, R)),
+           lambda R: flatten_cochain(operators._square(alg, R)))
+    for lam, action, search in ([(lam, adj, search_rota_baxter) for lam in lams]
+                                + [(lam, abelian, search_relative_rb) for lam in (0, 1)]):
+        yield (lambda grid, lam=lam, action=action, search=search:
+               search(alg if search is search_rota_baxter else action, lam, grid), action,
+               lambda R, lam=lam, action=action: _defects(
+                   action.acting.bracket, R, action.acted.space,
+                   operators._induced_bracket(action, R, lam)),
+               lambda R, lam=lam, action=action: flatten_cochain(
+                   operators._relative_residual(action, R, lam)))
+
+
+@pytest.mark.parametrize("name,alg", FIXTURES + [("filiform-L4", _filiform_l4())])
+def test_each_table_is_the_point_evaluation_polarization(name, alg, monkeypatch):
+    # the columns read from the bilinear and linear parts equal those of F at
+    # M_p, -M_p and M_p + M_q, row for row, for both criteria of every search
+    tables, form = [], operators._form
+    monkeypatch.setattr(operators, "_form", lambda *args: tables.append(form(*args)) or tables[-1])
+    # a grid with a denominator gives the linear columns a scale s != 1
+    grids = ((0, 1),) if name == "filiform-L4" else (
+        ((0, 1), (-1, 0, 1)) + ((("-1/2", 0, 1),) if alg.dim <= 3 else ()))
+    for grid in grids:
+        for search, action, pointwise, dual in _criteria(alg, LAMBDAS):
+            tables.clear()
+            search(grid)
+            points = operators._search_grid(action.acted.space, action.acting.space, grid)
+            assert tables == [_point_form(pointwise, points), _point_form(dual, points)]
+
+
 @pytest.mark.parametrize("name,alg", FIXTURES + [("filiform-L4", _filiform_l4())])
 def test_an_offset_in_one_criterion_is_a_consistency_error(name, alg, monkeypatch):
     # a failed row-space proof is the verdict: no candidate is enumerated
     offset, walks = _unit_offset(alg.space), []
-    fn_bracket, residual = operators.fn_bracket, operators._relative_residual
+    fn_bracket, dgla = operators.fn_bracket, operators._dgla
     depth_first = operators._depth_first
     monkeypatch.setattr(operators, "_depth_first",
                         lambda *args: walks.append(args) or depth_first(*args))
@@ -110,11 +163,18 @@ def test_an_offset_in_one_criterion_is_a_consistency_error(name, alg, monkeypatc
     with pytest.raises(ConsistencyError, match="Nijenhuis criteria disagree") as raised:
         search_nijenhuis(alg, (0, 1))
     assert "pointwise table" in str(raised.value) and "bracket square table" in str(raised.value)
-    monkeypatch.setattr(operators, "_relative_residual",
-                        lambda action, R, lam: residual(action, R, lam) + offset)
-    for search in (lambda: search_rota_baxter(alg, -1, (0, 1)),
-                   lambda: search_relative_rb(bracket_action_on_abelian(alg), -1, (0, 1))):
-        with pytest.raises(ConsistencyError, match="Rota-Baxter criteria disagree") as raised:
-            search()
-        assert "pointwise table" in str(raised.value) and "Maurer-Cartan table" in str(raised.value)
+    # the Maurer-Cartan residual's parts are summed over 2: this part is the unit offset
+    part = lambda: (1, {key: [(2, v)] for key, v in offset.coeffs.items()})
+    for planted in (lambda differential, bracket: (differential,
+                                                   lambda s, t: bracket(s, t) + [part()]),
+                    lambda differential, bracket: (lambda s: differential(s) + [part()],
+                                                   bracket)):
+        monkeypatch.setattr(operators, "_dgla",
+                            lambda *args, planted=planted, **kw: planted(*dgla(*args, **kw)))
+        for search in (lambda: search_rota_baxter(alg, -1, (0, 1)),
+                       lambda: search_relative_rb(bracket_action_on_abelian(alg), -1, (0, 1))):
+            with pytest.raises(ConsistencyError, match="Rota-Baxter criteria disagree") as raised:
+                search()
+            assert ("pointwise table" in str(raised.value)
+                    and "Maurer-Cartan table" in str(raised.value))
     assert walks == []
