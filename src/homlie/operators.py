@@ -18,11 +18,13 @@ A search writes its candidates as R = sum_p c_p M_p / s over an integer basis
 M_p of the twist commutant and runs the twist guard on the M_p alone.  Each
 criterion is F(R) = B(R, R) + L(R), B bilinear and L linear: ``_form`` tables
 it in the c_p from B on the ordered pairs (M_p, M_q) and L on the M_p, the
-dual's on cochains of the M_p built once per search.  Every search checks once
-that the pointwise table and that of its dual, [N, N]_fn or the Maurer-Cartan
-residual, have one row space, so one zero set, and then decides on the
-pointwise one; a mismatch is a ``ConsistencyError`` raised before any
-candidate is enumerated, and no search compares candidates.  No search checks
+dual's on cochains of the M_p built once per search.  A search may take several
+weights: no B depends on the weight, so each is read once per call for all of
+them, and each weight has its own L.  Per weight, a search checks once that the
+pointwise table and that of its dual, [N, N]_fn or the Maurer-Cartan residual,
+have one row space, so one zero set, and then decides on the pointwise one; a
+mismatch is a ``ConsistencyError`` raised before any candidate is enumerated,
+and no search compares candidates.  No search checks
 an operator it found again; graph closure is an oracle of the predicates.  The
 c_p are set depth-first in grid order, each check at the depth of its last
 variable.
@@ -59,14 +61,15 @@ def _check_intertwines(action: HomLieAction, R: Mat) -> None:
         raise ValueError("operator does not intertwine the twists")
 
 
-def _pair_sides(bracket, A: Mat, B: Mat, space: TwistedSpace, deformed):
+def _pair_sides(bracket, A: Mat, B: Mat, space: TwistedSpace, deformed, images=None):
     """(key, [Ax, By], A(deformed(key))) for each increasing basis pair key = (x, y) of space.
 
     deformed maps a basis pair to the deformed bracket of its two vectors, made
-    with B.  The verdicts pass A = B, a search's bilinear part its basis pairs.
+    with B.  The verdicts pass A = B, a search's bilinear part its basis pairs
+    with images, the columns of A and of B that it reads once per basis matrix.
     """
-    outer = _images(A)
-    inner = outer if B is A else _images(B)
+    outer = _images(A) if images is None else images[0]
+    inner = images[1] if images else outer if B is A else _images(B)
     for key in combinations(range(space.dim), 2):
         yield key, bracket(outer[key[0]], inner[key[1]]), A @ deformed(key)
 
@@ -415,13 +418,16 @@ def _depth_first(grid: _Grid, table=()) -> list[Mat]:
     return found
 
 
-def _search(action: HomLieAction, entries, kind: str, deformed, lam, dual) -> list[Mat]:
-    """The grid operators R, acted to acting space, with [Rx, Ry] = R(deformed(R) + lam [x, y]).
+def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> list[list[Mat]]:
+    """Per weight lam of lams, the grid operators R, acted to acting space, with
+    [Rx, Ry] = R(deformed(R) + lam [x, y]).
 
     deformed(R) is linear in R, tabled once per basis matrix: the pointwise B(A, C)
-    is [Ax, Cy] - A(deformed(C)) and L(A) is -lam A[x, y], and dual is (name, B, L)
-    on the basis cochains.  The two tables must have one row space, so one zero set:
-    a mismatch is a ConsistencyError before any candidate is enumerated.
+    is [Ax, Cy] - A(deformed(C)) and L(A) is -lam A[x, y], and dual is (name, B, Ls)
+    on the basis cochains, with one L per weight.  Neither B depends on lam: both
+    are tabled once per call, on the ordered basis pairs, and every weight reads them.
+    Each weight's two tables must have one row space, so one zero set: a mismatch
+    is a ConsistencyError before any candidate of any weight is enumerated.
     Intertwining is linear in R, so the twist guard runs on the basis alone.
     """
     acted, acting = action.acted.space, action.acting.space
@@ -429,32 +435,39 @@ def _search(action: HomLieAction, entries, kind: str, deformed, lam, dual) -> li
     basis = grid.basis
     for M in basis:
         _check_intertwines(action, M)
-    pairs = list(combinations(range(acted.dim), 2))
+    P, pairs = range(len(basis)), list(combinations(range(acted.dim), 2))
     inner = [dict(zip(pairs, map(deformed(M), pairs))).__getitem__ for M in basis]
-    constant = [action.acted.table[x][y].scale(lam) for x, y in pairs]
-    pointwise = _form(lambda p, q: Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
-        action.acting.bracket, basis[p], basis[q], acted, inner[q])]),
-        lambda p: Vec.concat(*[-(basis[p] @ v) for v in constant]), grid)
+    images = [_images(M) for M in basis]
     cochains = [operator_cochain(acted, acting, M) for M in basis]
-    form = _form(lambda p, q: flatten_cochain(dual[1](cochains[p], cochains[q])),
-                 lambda p: flatten_cochain(dual[2](cochains[p])), grid)
-    ranks = mat_rank(Mat(pointwise)), mat_rank(Mat(form)), mat_rank(Mat(pointwise + form))
-    if not ranks[0] == ranks[1] == ranks[2]:
-        raise ConsistencyError(f"{kind} criteria disagree: the pointwise table has rank {ranks[0]}, "
-                               f"the {dual[0]} table rank {ranks[1]}, both stacked rank {ranks[2]}")
-    return _depth_first(grid, pointwise)
+    sides = [[Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
+        action.acting.bracket, basis[p], basis[q], acted, inner[q], (images[p], images[q]))])
+        for q in P] for p in P]
+    duals = [[flatten_cochain(dual[1](cochains[p], cochains[q])) for q in P] for p in P]
+    tables = []
+    for lam, linear in zip(lams, dual[2]):
+        constant = [action.acted.table[x][y].scale(lam) for x, y in pairs]
+        pointwise = _form(lambda p, q: sides[p][q],
+                          lambda p: Vec.concat(*[-(basis[p] @ v) for v in constant]), grid)
+        form = _form(lambda p, q: duals[p][q], lambda p: flatten_cochain(linear(cochains[p])), grid)
+        ranks = mat_rank(Mat(pointwise)), mat_rank(Mat(form)), mat_rank(Mat(pointwise + form))
+        if not ranks[0] == ranks[1] == ranks[2]:
+            raise ConsistencyError(f"{kind} criteria disagree: the pointwise table has rank "
+                                   f"{ranks[0]}, the {dual[0]} table rank {ranks[1]}, both "
+                                   f"stacked rank {ranks[2]}")
+        tables.append(pointwise)
+    return [_depth_first(grid, pointwise) for pointwise in tables]
 
 
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:
     """Nijenhuis operators with entries in ``entries``, in column-major grid order."""
     return _search(adjoint_action(alg), entries, "Nijenhuis", lambda N: _nijenhuis_bracket(alg, N),
-                   0, ("bracket square", lambda s, t: fn_bracket(alg, s, t),
-                       lambda s: SkewCochain.zero(s.domain, s.codomain, 2)))
+                   (0,), ("bracket square", lambda s, t: fn_bracket(alg, s, t),
+                          [lambda s: SkewCochain.zero(s.domain, s.codomain, 2)]))[0]
 
 
 def search_rota_baxter(alg: HomLieAlgebra, lam, entries=(-1, 0, 1)) -> list[Mat]:
     """Weight-lam Rota-Baxter operators with entries in ``entries``, column-major grid order."""
-    return _rota_baxter_search(adjoint_action(alg), lam, entries)
+    return _rota_baxter_search(adjoint_action(alg), (lam,), entries)[0]
 
 
 def search_relative_rb(action: HomLieAction, lam, entries=(-1, 0, 1)) -> list[Mat]:
@@ -462,14 +475,17 @@ def search_relative_rb(action: HomLieAction, lam, entries=(-1, 0, 1)) -> list[Ma
 
     The grid runs over maps from the acted to the acting space; the search is the weighted one's.
     """
-    return _rota_baxter_search(action, lam, entries)
+    return _rota_baxter_search(action, (lam,), entries)[0]
 
 
-def _rota_baxter_search(action: HomLieAction, lam, entries) -> list[Mat]:
-    """The one search behind both public ones, which never call each other."""
-    lam = rat(lam)
-    acted, acting = action.acted.space, action.acting.space
-    d, bracket = _dgla("relative_derived", acted, action=action, lam=lam)
-    return _search(action, entries, "Rota-Baxter", lambda R: _induced_bracket(action, R, 0), lam,
-                   ("Maurer-Cartan", lambda s, t: _assemble(acted, acting, 2, bracket(s, t), 2),
-                    lambda s: _assemble(acted, acting, 2, d(s), 2)))
+def _rota_baxter_search(action: HomLieAction, lams, entries) -> list[list[Mat]]:
+    """The one search behind both public ones, which never call each other: one list per weight.
+
+    The derived bracket's part is read from the first weight's ``_dgla``, the
+    weighted differential's from each weight's own.
+    """
+    lams, acted, acting = [rat(lam) for lam in lams], action.acted.space, action.acting.space
+    dglas = [_dgla("relative_derived", acted, action=action, lam=lam) for lam in lams]
+    return _search(action, entries, "Rota-Baxter", lambda R: _induced_bracket(action, R, 0), lams,
+                   ("Maurer-Cartan", lambda s, t: _assemble(acted, acting, 2, dglas[0][1](s, t), 2),
+                    [lambda s, d=d: _assemble(acted, acting, 2, d(s), 2) for d, _ in dglas]))

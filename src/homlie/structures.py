@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .linalg import Mat, Vec, _lincomb, _vec, _vec_reduced, rat
 from .cochains import (SkewCochain, TwistedSpace, _kept, compatibility_failures,
@@ -107,15 +108,15 @@ def hom_jacobi_witness(s: RawHomStructure) -> tuple[tuple[int, int, int], Vec] |
     """First increasing basis triple where the twisted cyclic sum is nonzero.
 
     The cyclic sum is alternating and trilinear, so vanishing on increasing
-    triples is equivalent to vanishing everywhere.  This direct evaluation is
-    the independent oracle for the Maurer-Cartan characterization of the
-    bracket inside the graded bracket machinery.
+    triples is equivalent to vanishing everywhere.  Each triple's three
+    brackets are one ``_bilinear_sum`` of twisted-basis and table entries.
+    This direct evaluation is the independent oracle for the Maurer-Cartan
+    characterization of the bracket inside the graded bracket machinery.
     """
     table, twisted = s.table, s.space.twisted_basis(1)
     for i, j, k in combinations(range(s.dim), 3):
-        total = (s.bracket(twisted[i], table[j][k])
-                 + s.bracket(twisted[j], table[k][i])
-                 + s.bracket(twisted[k], table[i][j]))
+        total = _bilinear_sum(table, ((1, twisted[i], table[j][k]), (1, twisted[j], table[k][i]),
+                                      (1, twisted[k], table[i][j])), s.dim)
         if not total.is_zero():
             return (i, j, k), total
     return None
@@ -152,6 +153,13 @@ def _bilinear(table, x: Vec, y: Vec, dim: int) -> Vec:
     return _lincomb(((a * b, table[i][j]) for i, a in xs for j, b in ys), dim, x.den * y.den)
 
 
+def _bilinear_sum(table, terms, dim: int) -> Vec:
+    """sum c * _bilinear(table, x, y, dim) over (integer c, x, y) in terms, as one ``_lincomb``."""
+    den = lcm(*[x.den * y.den for _, x, y in terms])
+    return _lincomb([(c * a * b * (den // (x.den * y.den)), table[i][j]) for c, x, y in terms
+                     for i, a in enumerate(x.num) if a for j, b in enumerate(y.num) if b], dim, den)
+
+
 class Representation:
     """A twisted module (V, act, beta) for a Hom-Lie algebra."""
 
@@ -182,21 +190,24 @@ def representation_witness(rep: Representation):
 
     Checks beta(x . v) = alpha(x) . beta(v) on basis pairs and
     [x, y] . beta(v) = alpha(x) . (y . v) - alpha(y) . (x . v) on basis triples
-    with x before y (the law is skew in x and y).
+    with x before y (the law is skew in x and y).  The law on a triple is one
+    ``_bilinear_sum``; its two sides are built only for the witness.
     """
-    alg, mod = rep.algebra, rep.module
+    alg, mod, table = rep.algebra, rep.module, rep.table
     gtwisted, vtwisted = alg.space.twisted_basis(1), mod.twisted_basis(1)
     for i in range(alg.dim):
         for j in range(mod.dim):
-            lhs = mod.alpha @ rep.table[i][j]
+            lhs = mod.alpha @ table[i][j]
             rhs = rep.act(gtwisted[i], vtwisted[j])
             if lhs != rhs:
                 return ("twist equivariance", (i, j), lhs, rhs)
     for i, j in combinations(range(alg.dim), 2):
         for k in range(mod.dim):
-            lhs = rep.act(alg.table[i][j], vtwisted[k])
-            rhs = rep.act(gtwisted[i], rep.table[j][k]) - rep.act(gtwisted[j], rep.table[i][k])
-            if lhs != rhs:
+            law = ((1, alg.table[i][j], vtwisted[k]), (-1, gtwisted[i], table[j][k]),
+                   (1, gtwisted[j], table[i][k]))
+            if not _bilinear_sum(table, law, mod.dim).is_zero():
+                lhs = rep.act(alg.table[i][j], vtwisted[k])
+                rhs = rep.act(gtwisted[i], table[j][k]) - rep.act(gtwisted[j], table[i][k])
                 return ("bracket compatibility", (i, j, k), lhs, rhs)
     return None
 
@@ -364,31 +375,28 @@ def commutator_hom_lie(product: tuple[tuple[Vec, ...], ...], a: Mat) -> RawHomSt
 def semidirect_weight(action: HomLieAction, lam) -> HomLieAlgebra:
     """Weighted semidirect product on acting + acted with twist alpha (+) beta.
 
-    [(x, h), (y, k)] = ([x, y], x . k - y . h + lam [h, k]); the result is
-    verified to be a multiplicative Hom-Lie algebra.  It is built and verified
-    once per weight and kept on the action, keyed by the weight as a
-    Fraction, so "1", 1 and Fraction(1) give the same object.
+    [(x, h), (y, k)] = ([x, y], x . k - y . h + lam [h, k]), read off the
+    acting table, the action table and lam times the acted table; the result
+    is verified to be a multiplicative Hom-Lie algebra.  It is built and
+    verified once per weight and kept on the action, keyed by the weight as a
+    Fraction, so "1", 1 and Fraction(1) give the same object.  All weights
+    share one sum space, kept on the action, with its wedge table and twisted bases.
     """
     lam = rat(lam)
 
     def build():
         g, h = action.acting, action.acted
-        gd, hd = g.dim, h.dim
-        g_rows, h_rows = g.alpha.rows, h.alpha.rows
-        space = TwistedSpace(Mat([row + (0,) * hd for row in g_rows]
-                                 + [(0,) * gd + row for row in h_rows]))
-        g_zero, h_zero = Vec.zero(gd), Vec.zero(hd)
-
-        def split(i: int) -> tuple[Vec, Vec]:
-            if i < gd:
-                return g.space.basis_vec(i), h_zero
-            return g_zero, h.space.basis_vec(i - gd)
+        gd, gzero, hzero = g.dim, Vec.zero(g.dim), Vec.zero(h.dim)
+        space = _kept(action, "semidirect space", None, lambda: TwistedSpace(Mat(
+            [row + (0,) * h.dim for row in g.alpha.rows] + [(0,) * gd + row for row in h.alpha.rows])))
 
         def value(key):
-            (x1, h1), (x2, h2) = split(key[0]), split(key[1])
-            gpart = g.bracket(x1, x2)
-            hpart = action.act(x1, h2) - action.act(x2, h1) + h.bracket(h1, h2).scale(lam)
-            return Vec.concat(gpart, hpart)
+            i, j = key
+            if j < gd:
+                return Vec.concat(g.table[i][j], hzero)
+            if i < gd:
+                return Vec.concat(gzero, action.table[i][j - gd])
+            return Vec.concat(gzero, h.table[i - gd][j - gd].scale(lam))
 
         return HomLieAlgebra(space, SkewCochain.from_function(space, space, 2, value))
 

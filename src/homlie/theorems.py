@@ -74,8 +74,8 @@ from .differentials import d_lambda, d_lambda_tilde, delta_hom
 from . import brackets as br
 from .brackets import GradedPair, _sign
 from .cohomology import ComplexSpec
-from .operators import (_graph_closed, _induced_structures, _relative_mc, relative_rb_pointwise,
-                        search_relative_rb)
+from .operators import (_graph_closed, _induced_structures, _relative_mc, _rota_baxter_search,
+                        relative_rb_pointwise)
 
 IDENTITIES: tuple[str, ...] = (
     "mc_homlie", "nr_graded_lie", "cup_graded_lie", "cup_via_theta", "cup_via_delta",
@@ -299,16 +299,19 @@ MAX_RELATIVE_CANDIDATES = 3 ** 9
 
 
 def _relative_context(alg: HomLieAlgebra):
-    """Action on the abelianized copy, plus verified operators (always the zero one)."""
-    action = bracket_action_on_abelian(alg)
-    return action, [(lam, R) for lam in (Fraction(0), Fraction(1))
-                    for R in search_relative_rb(action, lam)]
+    """Action on the abelianized copy, plus verified operators (always the zero one).
+
+    One relative search for the weights 0 and 1 tables the bilinear parts once.
+    """
+    action, lams = bracket_action_on_abelian(alg), (Fraction(0), Fraction(1))
+    found = _rota_baxter_search(action, lams, (-1, 0, 1))
+    return action, [(lam, R) for lam, ops in zip(lams, found) for R in ops]
 
 
 def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
     """The identity's fixed data for ``alg``; ``shared`` holds what identities reuse.
 
-    The relative context (two relative operator searches) is built once per ``shared``
+    The relative context (one relative search, for two weights) is built once per ``shared``
     dict, that is once per algebra in ``run_all``, which also puts the algebra's name there.
     Above ``MAX_RELATIVE_CANDIDATES`` grid points per search, which bound the operators
     whose induced structures d_r_matches_induced builds, it raises ``ValueError``.

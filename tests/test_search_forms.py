@@ -178,3 +178,65 @@ def test_an_offset_in_one_criterion_is_a_consistency_error(name, alg, monkeypatc
             assert ("pointwise table" in str(raised.value)
                     and "Maurer-Cartan table" in str(raised.value))
     assert walks == []
+
+
+# ---------------------------------------------------------------------------
+# One search for several weights
+
+WEIGHTS = ((0, 1), (1, -1, "1/2"))
+
+
+@pytest.mark.parametrize("name,alg", FIXTURES)
+def test_a_search_for_several_weights_gives_the_single_weight_searches(name, alg):
+    for action in (adjoint_action(alg), bracket_action_on_abelian(alg)):
+        for grid in ((0, 1), (-1, 0, 1)):
+            for lams in WEIGHTS:
+                assert operators._rota_baxter_search(action, lams, grid) == [
+                    search_relative_rb(action, lam, grid) for lam in lams]
+
+
+@pytest.mark.parametrize("name,alg", FIXTURES)
+def test_a_search_for_two_weights_tables_the_bilinear_parts_once(name, alg, monkeypatch):
+    # the P^2 pointwise and derived-bracket pairs are read once for both weights;
+    # each weight still has its own two tables, its own proof and its own walk
+    calls = {"_pair_sides": [], "_derived_parts": [], "_form": [], "_depth_first": [],
+             "mat_rank": []}
+    for hook, seen in calls.items():
+        monkeypatch.setattr(operators, hook, lambda *args, _real=getattr(operators, hook),
+                            _seen=seen: _seen.append(args) or _real(*args))
+    for action in (adjoint_action(alg), bracket_action_on_abelian(alg)):
+        for seen in calls.values():
+            seen.clear()
+        basis = operators._search_grid(action.acted.space, action.acting.space, (0, 1)).basis
+        found = operators._rota_baxter_search(action, (0, 1), (0, 1))
+        assert [args[1:3] for args in calls["_pair_sides"]] == [
+            (M, N) for M in basis for N in basis]
+        assert len(calls["_derived_parts"]) == len(basis) ** 2
+        assert len(calls["_form"]) == 4 and len(calls["mat_rank"]) == 6
+        assert len(calls["_depth_first"]) == 2 and len(found) == 2
+
+
+@pytest.mark.parametrize("name,alg", FIXTURES)
+def test_an_offset_at_one_weight_stops_a_search_for_several_before_any_walk(name, alg,
+                                                                           monkeypatch):
+    # the weights 0 and 1 are untouched and their proofs hold; the planted weight's
+    # proof fails, and no weight's candidates are enumerated
+    offset, walks = _unit_offset(alg.space), []
+    depth_first, dgla = operators._depth_first, operators._dgla
+    monkeypatch.setattr(operators, "_depth_first",
+                        lambda *args: walks.append(args) or depth_first(*args))
+    part = lambda: (1, {key: [(2, v)] for key, v in offset.coeffs.items()})
+
+    def planted(*args, lam, **kw):
+        differential, bracket = dgla(*args, lam=lam, **kw)
+        if lam == Fraction(1, 2):
+            return lambda s: differential(s) + [part()], bracket
+        return differential, bracket
+
+    monkeypatch.setattr(operators, "_dgla", planted)
+    for action in (adjoint_action(alg), bracket_action_on_abelian(alg)):
+        assert len(operators._rota_baxter_search(action, (0, 1), (0, 1))) == 2
+        walks.clear()
+        with pytest.raises(ConsistencyError, match="Rota-Baxter criteria disagree"):
+            operators._rota_baxter_search(action, (0, 1, "1/2"), (0, 1))
+        assert walks == []

@@ -303,7 +303,57 @@ def _planted(rep):
                 yield x, Representation(rep.algebra, rep.module, table)
 
 
+def _equivariant_tables(alg, module):
+    """A basis of the action tables with beta(x . v) = alpha(x) . beta(v), by one kernel.
+
+    The unknown x . e_b = sum_c t[x, b, c] e_c is coordinate (x * m + b) * m + c.
+    """
+    from homlie.linalg import kernel_basis
+    n, m = alg.dim, module.dim
+    alpha, beta = alg.alpha.rows, module.alpha.rows
+    rows = []
+    for x in range(n):
+        for b in range(m):
+            for c in range(m):
+                row = [Fraction(0)] * (n * m * m)
+                for a in range(m):
+                    row[(x * m + b) * m + a] += beta[c][a]
+                for k in range(n):
+                    for d in range(m):
+                        row[(k * m + d) * m + c] -= alpha[k][x] * beta[d][b]
+                rows.append(row)
+    return kernel_basis(Mat(rows))
+
+
+def _random_equivariant(alg, module, kernel, rng):
+    """A random integer combination of the kernel, as a Representation of alg on module."""
+    from homlie.structures import Representation
+    n, m = alg.dim, module.dim
+    picks = [rng.randint(-2, 2) for _ in kernel]
+    coeffs = [sum((k[t] * c for k, c in zip(kernel, picks)), Fraction(0)) for t in range(n * m * m)]
+    return Representation(alg, module, [[Vec(coeffs[(x * m + b) * m:(x * m + b + 1) * m])
+                                         for b in range(m)] for x in range(n)])
+
+
+def _dense_pairs():
+    """(algebra, module space): the default fixtures on their own and on dense twists.
+
+    A 3-dim fixture moved by the dense unimodular change of basis of the transport
+    tests gives a dense twist; it acts on its own space and on the fixture's.
+    """
+    from test_transport import G, transport
+    from homlie.theorems import default_fixtures
+    for _, alg in default_fixtures():
+        yield alg, alg.space
+        if alg.dim == 3:
+            moved = as_hom_lie(transport(alg, G))
+            yield moved, moved.space
+            yield moved, alg.space
+            yield alg, moved.space
+
+
 def test_representation_witness_matches_the_ordered_pair_reference():
+    import random
     from homlie.structures import representation_witness
     from homlie.theorems import _context, default_fixtures
     reps, bracket_failures = [], set()
@@ -318,8 +368,49 @@ def test_representation_witness_matches_the_ordered_pair_reference():
                 if w is not None and w[0] == "bracket compatibility":
                     i, j, _ = w[1]
                     bracket_failures.add("first" if x == i else "second" if x == j else "other")
-    assert len(reps) > 200
+    # random twist-equivariant tables on the default and dense twists reach the bracket law
+    rng, random_failures = random.Random(43), 0
+    for alg, module in _dense_pairs():
+        kernel = _equivariant_tables(alg, module)
+        for _ in range(6):
+            rep = _random_equivariant(alg, module, kernel, rng)
+            reps.append(rep)
+            w = representation_witness(rep)
+            assert w is None or w[0] == "bracket compatibility"
+            random_failures += w is not None
+    assert len(reps) > 300 and random_failures > 60
     for rep in reps:
         assert representation_witness(rep) == _representation_witness_over_ordered_pairs(rep)
     # planted entries fail the bracket law as the first and as the second index of a pair
     assert {"first", "second"} <= bracket_failures
+
+
+def _hom_jacobi_three_brackets(s):
+    """The reference for hom_jacobi_witness: each triple's cyclic sum as three brackets, added."""
+    from itertools import combinations
+    table, twisted = s.table, s.space.twisted_basis(1)
+    for i, j, k in combinations(range(s.dim), 3):
+        total = (s.bracket(twisted[i], table[j][k]) + s.bracket(twisted[j], table[k][i])
+                 + s.bracket(twisted[k], table[i][j]))
+        if not total.is_zero():
+            return (i, j, k), total
+    return None
+
+
+def test_hom_jacobi_witness_matches_the_three_bracket_reference():
+    import random
+    from itertools import combinations
+    from homlie.structures import hom_jacobi_witness
+    rng, structures, failing = random.Random(41), [], 0
+    for alg, module in _dense_pairs():
+        structures.append(alg)
+        for _ in range(8):  # random skew brackets with denominators, mostly not Hom-Jacobi
+            structures.append(RawHomStructure(module, SkewCochain(module, module, 2, {
+                key: Vec([Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                          for _ in range(module.dim)])
+                for key in combinations(range(module.dim), 2) if rng.random() < 0.8})))
+    for s in structures:
+        w = hom_jacobi_witness(s)
+        assert w == _hom_jacobi_three_brackets(s)
+        failing += w is not None
+    assert len(structures) > 100 and failing > 60
