@@ -26,14 +26,16 @@ increasing m-tuple left key, the (right key, key, shuffle sign) of the
 (m+n)-tuple keys that split into it; it is kept in an ``lru_cache`` like the
 shuffle table.  ``cup_bracket`` walks it from the nonzero keys of its left
 input, on each input's twisted values as nonzero integer numerators, kept on
-the cochain per twist power, and sums the paired bracket-table vectors.
+the cochain per twist power, and pairs them through the bracket table as
+integer numerators over one denominator, kept on the algebra.
 
 Each bracket is one assembly of parts (``cochains._assemble``).  A part is one
 summand of the bracket formula, an insertion (``_contract_part``) or a cup
 pairing (``_cup_part``) with its sign applied: one denominator and, per output
-key, the integer (c, Vec) terms of the plan sum.  The assembler puts all
-parts over the lcm of their denominators and sums each output key once, so
-no summand is built as a cochain of its own: ``nr_bracket`` has 2 parts,
+key, the integer (c, numerator tuple) terms of the plan sum, with no ``Vec``.
+The assembler puts all parts over the lcm of their denominators, sums each
+output key once and reduces the result with one gcd, so no summand is built
+as a cochain of its own: ``nr_bracket`` has 2 parts,
 ``fn_bracket``, ``derived_bracket_rel`` and the semidirect lower component 3,
 and the bicrossed components 8 (upper) and 5 (lower).  A self-bracket [P, P]
 builds delta P or theta~ P once and sums its two insertions in one part,
@@ -43,8 +45,9 @@ even.  The coboundary images come from ``delta_hom``, which keeps them on
 their cochain, so a cochain met again in another bracket is not
 differentiated again.  ``theta_tilde`` is one action part
 (``cochains._action_part``, as in the coboundary) on the acted basis table
-e_a . beta^k(e_i), kept on the representation per power; its image is kept on
-its cochain, weakly keyed by the representation as ``delta_hom`` keeps its own.
+e_a . beta^k(e_i) as integer numerators, kept on the representation per
+power; its image is kept on its cochain, weakly keyed by the representation
+as ``delta_hom`` keeps its own.
 """
 
 from __future__ import annotations
@@ -52,11 +55,11 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from weakref import ref
 
-from .cochains import (SkewCochain, _action_part, _assemble, _common_numerators, _contract_part,
-                       _kept, _numerators, contract, shuffles)
-from .linalg import Vec
+from .cochains import (SkewCochain, _action_part, _assemble, _contract_part, _kept,
+                       _numerator_table, contract, shuffles)
 from .structures import HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
 
@@ -111,7 +114,8 @@ def _cup_part(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra,
         return 1, {}
     lefts, left_den = _kept(P, "supports", n - 1, _twisted_supports, P, n - 1)
     rights, right_den = _kept(Q, "supports", m - 1, _twisted_supports, Q, m - 1)
-    brackets = codomain_alg.table
+    brackets, bracket_den = _kept(codomain_alg, "table numerators", None, _numerator_table,
+                                  codomain_alg.table)
     plan = _cup_plan(P.domain.dim, m, n)
     part = defaultdict(list)
     for left_key, left in lefts.items():
@@ -121,8 +125,8 @@ def _cup_part(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra,
                 terms = part[key]
                 for i, x in left:
                     row, c = brackets[i], sign * split_sign * x
-                    terms.extend([(c * y, row[j]) for j, y in right])
-    return left_den * right_den, part
+                    terms.extend([(c * y, row[j]) for j, y in right if j in row])
+    return left_den * right_den * bracket_den, part
 
 
 def _twisted_supports(f: SkewCochain, power: int) -> tuple[dict, int]:
@@ -130,9 +134,12 @@ def _twisted_supports(f: SkewCochain, power: int) -> tuple[dict, int]:
 
     beta is f's codomain twist; the numerators are over one denominator, returned with them.
     """
-    twist = f.codomain.twist_power(power)
-    values, den = (_numerators(f) if power == 0
-                   else _common_numerators({key: twist @ v for key, v in f.coeffs.items()}))
+    values, den = f.num, f.den
+    if power:
+        twist = f.codomain.twist_power(power)
+        values = {key: [sum(map(mul, row, num)) for row in twist.num]
+                  for key, num in values.items()}
+        den *= twist.den
     return {key: [(i, x) for i, x in enumerate(num) if x] for key, num in values.items()}, den
 
 
@@ -208,9 +215,9 @@ def theta_tilde(rep: Representation, P: SkewCochain) -> SkewCochain:
     return _kept(P, "theta_tilde", ref(rep), build)
 
 
-def _module_action(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...]:
-    """rows[i][a] = e_a . beta^k(e_i), computed once per power and kept on rep."""
-    return _kept(rep, "module_action", k, lambda: tuple(
+def _module_action(rep: Representation, k: int) -> tuple[tuple, int]:
+    """(rows, den), rows[i][a] / den being e_a . beta^k(e_i) where nonzero, kept on rep per k."""
+    return _kept(rep, "module_action", k, lambda: _numerator_table(
         tuple(rep.act(x, v) for x in rep.algebra.space.basis) for v in rep.module.twisted_basis(k)))
 
 

@@ -27,17 +27,22 @@ arbitrary cochain.  ``evaluate`` and ``shuffles`` are the oracle the explicit
 shuffle sums of ``theorems`` and the tests check the plans and the wedge
 table against.
 
-``_assemble`` is the one place that sums cochain values.  A part is one
-signed summand: a denominator and, per output key, integer (c, Vec) terms.
-``_contract_part`` gives an insertion; ``_action_part`` gives the sum over
-positions of (-1)^pos table[key[pos]] paired with f(key without pos), the
-action terms of the coboundary and theta~.  Both read a cochain's
-``_numerators``, kept on it by ``_kept``, the one helper for per-object
-caches; only integer-keyed tables (shuffles, cup plans) are process-wide.
-``_assemble`` puts the parts over the lcm of their denominators and sums each
-output key once with ``_lincomb``.  ``contract`` and ``linear_combination``
-(so cochain + and -) are one-part assemblies; the brackets and the coboundary
-assemble several.
+A cochain holds its values as ``Vec`` and ``Mat`` hold theirs: ``num`` maps
+each nonzero key to its integer numerators over the one denominator ``den``,
+in canonical form, and ``coeffs`` (key -> ``Vec``) is a view built on first
+read and kept, for io, witnesses and tests.  ``_assemble`` is the one place
+that sums cochain values.  A part is one signed summand: a denominator and,
+per output key, integer (c, numerators) terms, read off the numerators of
+the cochains and of integer tables kept on their owners, so a part carries no
+``Vec``.  ``_contract_part`` gives an insertion; ``_action_part`` gives the
+sum over positions of (-1)^pos table[key[pos]] paired with f(key without
+pos), the action terms of the coboundary and theta~, on an integer table of
+``_numerator_table``.  ``_kept`` is the one helper for per-object caches; only
+integer-keyed tables (shuffles, cup plans) are process-wide.  ``_assemble``
+puts the parts over the lcm of their denominators, sums each output key once
+on the integers and reduces the whole cochain with one gcd.  ``contract`` and
+``linear_combination`` (so cochain + and -) are one-part assemblies; the
+brackets and the coboundary assemble several.
 """
 
 from __future__ import annotations
@@ -45,12 +50,13 @@ from __future__ import annotations
 from bisect import bisect
 from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import combinations, product
-from math import lcm
+from itertools import chain, combinations, product
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 from weakref import ref
 
-from .linalg import Mat, Vec, _lincomb, _mat, _vec_reduced, kernel_basis, rat
+from .linalg import Mat, Vec, _lincomb, _mat, _scalar, _vec_reduced, kernel_basis
 
 
 class TwistedSpace:
@@ -160,22 +166,22 @@ def sort_with_sign(idxs: Sequence[int]) -> tuple[int, tuple[int, ...] | None]:
 class SkewCochain:
     """Alternating multilinear map on wedge basis coefficients.
 
-    coeffs maps strictly increasing 0-based index tuples to value vectors in
-    the codomain; missing tuples are zero.  An arity-0 cochain is a codomain
-    vector, kept under the empty tuple.  Instances are immutable by
-    convention and compared by exact coefficient tables.
+    num maps strictly increasing 0-based index tuples to the integer
+    numerators of their nonzero values in the codomain, over the one positive
+    denominator den, in canonical form: gcd(den, every numerator) == 1, so the
+    zero cochain has den == 1 and equal cochains have equal (num, den).
+    Missing tuples are zero.  An arity-0 cochain is a codomain vector, kept
+    under the empty tuple.  ``coeffs``, the values as ``Vec``, is a view built
+    on first read.  Instances are immutable by convention.
     """
 
+    __slots__ = ("domain", "codomain", "arity", "num", "den", "_kept", "__weakref__")
     __hash__ = None
 
     def __init__(self, domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                  coeffs: dict[tuple[int, ...], Vec]):
         if arity < 0:
             raise ValueError("cochain arity must be >= 0")
-        self.domain = domain
-        self.codomain = codomain
-        self.arity = arity
-        self._kept = {}  # see ``_kept``
         table: dict[tuple[int, ...], Vec] = {}
         for key, value in coeffs.items():
             key = tuple(key)
@@ -187,7 +193,8 @@ class SkewCochain:
                 raise ValueError("coefficient value has wrong dimension")
             if not value.is_zero():
                 table[key] = value
-        self.coeffs = table
+        self.domain, self.codomain, self.arity, self._kept = domain, codomain, arity, {}
+        self.num, self.den = _common_numerators(table)
 
     @staticmethod
     def zero(domain: TwistedSpace, codomain: TwistedSpace, arity: int) -> "SkewCochain":
@@ -207,7 +214,13 @@ class SkewCochain:
                 raise ValueError("coefficient value has wrong dimension")
             if not value.is_zero():
                 table[key] = value
-        return _cochain(domain, codomain, arity, table)
+        return _cochain(domain, codomain, arity, *_common_numerators(table))
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], Vec]:
+        """The nonzero values as ``Vec``, key by key: built on first read and kept."""
+        return _kept(self, "coeffs", None, lambda: {
+            key: _vec_reduced(num, self.den) for key, num in self.num.items()})
 
     def value_on(self, key: tuple[int, ...]) -> Vec:
         """Value on a strictly increasing basis tuple."""
@@ -216,8 +229,8 @@ class SkewCochain:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SkewCochain):
             return NotImplemented
-        return (self.arity == other.arity and self.domain == other.domain
-                and self.codomain == other.codomain and self.coeffs == other.coeffs)
+        return (self.arity == other.arity and self.den == other.den and self.num == other.num
+                and self.domain == other.domain and self.codomain == other.codomain)
 
     def __add__(self, other: "SkewCochain") -> "SkewCochain":
         self._require_same_shape(other)
@@ -229,19 +242,19 @@ class SkewCochain:
 
     def __neg__(self) -> "SkewCochain":
         return _cochain(self.domain, self.codomain, self.arity,
-                        {k: -v for k, v in self.coeffs.items()})
+                        {k: tuple([-x for x in v]) for k, v in self.num.items()}, self.den)
 
     def scale(self, c) -> "SkewCochain":
         if type(c) is int and c in (1, -1):  # the signs (-1)^k, with no Fraction round trip
             return self if c == 1 else -self
-        c = rat(c)
-        if c == 0:
+        p, q = _scalar(c)
+        if p == 0:
             return SkewCochain.zero(self.domain, self.codomain, self.arity)
-        return _cochain(self.domain, self.codomain, self.arity,
-                        {k: v.scale(c) for k, v in self.coeffs.items()})
+        return _reduced(self.domain, self.codomain, self.arity,
+                        {k: tuple([p * x for x in v]) for k, v in self.num.items()}, self.den * q)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def _require_same_shape(self, other: "SkewCochain"):
         if (self.arity != other.arity or self.domain != other.domain
@@ -249,31 +262,71 @@ class SkewCochain:
             raise ValueError("cochain shape mismatch")
 
     def __repr__(self) -> str:
-        return f"SkewCochain(arity={self.arity}, nonzero={len(self.coeffs)})"
+        return f"SkewCochain(arity={self.arity}, nonzero={len(self.num)})"
 
 
 def _cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
-             table: dict[tuple[int, ...], Vec]) -> SkewCochain:
-    """A cochain from a table already valid for its shape, without re-checking.
+             num: dict[tuple[int, ...], tuple[int, ...]], den: int) -> SkewCochain:
+    """A cochain from numerators and a denominator already canonical for its shape, unchecked.
 
-    Valid means increasing in-range keys and nonzero codomain-sized values.
+    Canonical means increasing in-range keys, nonzero codomain-sized numerator
+    tuples and a positive den with gcd(den, every numerator) == 1.
     """
     f = object.__new__(SkewCochain)
-    f.domain, f.codomain, f.arity, f.coeffs, f._kept = domain, codomain, arity, table, {}
+    f.domain, f.codomain, f.arity, f.num, f.den, f._kept = domain, codomain, arity, num, den, {}
     return f
+
+
+def _reduced(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
+             num: dict[tuple[int, ...], tuple[int, ...]], den: int) -> SkewCochain:
+    """A cochain from nonzero numerator tuples over a positive den, canonical after one gcd."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num.values()))
+        if g != 1:
+            num = {k: tuple([x // g for x in v]) for k, v in num.items()}
+            den //= g
+    return _cochain(domain, codomain, arity, num, den)
+
+
+def _common_numerators(values: dict) -> tuple[dict, int]:
+    """Canonical ``Vec`` values as numerators over their lcm, which is canonical.
+
+    The lcm of canonical denominators leaves the numerators coprime to it, as in
+    ``linalg._common``.
+    """
+    den = lcm(*[v.den for v in values.values()])
+    return {k: _over(v, den) for k, v in values.items()}, den
+
+
+def _numerator_table(rows) -> tuple[tuple[dict[int, tuple[int, ...]], ...], int]:
+    """A table of ``Vec`` rows as (rows, den): rows[i] maps each j with a nonzero entry
+    (i, j) to its integer numerators over the one denominator den, so a sum skips zeros.
+    """
+    rows = [tuple(row) for row in rows]
+    den = lcm(*[v.den for row in rows for v in row])
+    return tuple({j: _over(v, den) for j, v in enumerate(row) if any(v.num)} for row in rows), den
+
+
+def _over(v: Vec, den: int) -> tuple[int, ...]:
+    """The numerators of v over den, a multiple of v.den."""
+    return v.num if v.den == den else tuple([x * (den // v.den) for x in v.num])
 
 
 def linear_combination(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                        terms: Iterable[tuple[int, SkewCochain]], den: int = 1) -> SkewCochain:
     """The sum of c * f over (integer c, cochain f) pairs, divided by the positive integer den.
 
-    One ``_assemble`` part, visiting only the keys some f is nonzero on.
+    One ``_assemble`` part over the lcm of the denominators, visiting only the
+    keys some f with c != 0 is nonzero on.
     """
-    by_key: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
+    terms = [(c, f) for c, f in terms if c]
+    common = lcm(*[f.den for _, f in terms])
+    by_key: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for c, f in terms:
-        for key, value in f.coeffs.items():
+        c *= common // f.den
+        for key, value in f.num.items():
             by_key.setdefault(key, []).append((c, value))
-    return _assemble(domain, codomain, arity, [(den, by_key)])
+    return _assemble(domain, codomain, arity, [(common, by_key)], den)
 
 
 def evaluate(f: SkewCochain, args: Sequence[Vec]) -> Vec:
@@ -293,20 +346,20 @@ def evaluate(f: SkewCochain, args: Sequence[Vec]) -> Vec:
             raise ValueError("argument dimension mismatch")
         arg_den *= a.den
         supports.append([(i, x) for i, x in enumerate(a.num) if x])
-    coeffs = f.coeffs
+    num = f.num
     terms = []
     for combo in product(*supports):
         sign, key = sort_with_sign([i for i, _ in combo])
         if sign == 0:
             continue
-        value = coeffs.get(key)
+        value = num.get(key)
         if value is None:
             continue
         c = sign
         for _, x in combo:
             c *= x
         terms.append((c, value))
-    return _lincomb(terms, f.codomain.dim, arg_den)
+    return _vec_reduced(tuple(_row_sum(terms, f.codomain.dim)), arg_den * f.den)
 
 
 def is_compatible(f: SkewCochain) -> bool:
@@ -360,11 +413,11 @@ def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int
                 for k, c in entries:
                     row[at[k] + r] -= beta.den * c
                 rows.append(tuple(row))
-        basis = []  # each kernel vector's nonzero slices are its cochain's values
+        basis = []  # each canonical kernel vector's nonzero slices are its cochain's numerators
         for v in kernel_basis(_mat(tuple(rows), 1, width)):
             slices = ((key, v.num[at[key]:at[key] + d]) for key in wedge)
-            basis.append(_cochain(domain, codomain, arity, {
-                key: _vec_reduced(part, v.den) for key, part in slices if any(part)}))
+            basis.append(_cochain(domain, codomain, arity,
+                                  {key: part for key, part in slices if any(part)}, v.den))
         return basis
 
     return _kept(domain, "compat", (codomain, arity), build)
@@ -374,7 +427,8 @@ def flatten_cochain(f: SkewCochain, keys: list[tuple[int, ...]] | None = None) -
     """Raw coefficient table as a single vector (fixed tuple ordering)."""
     if keys is None:
         keys = list(combinations(range(f.domain.dim), f.arity))
-    return Vec.concat(*[f.value_on(key) for key in keys])
+    num, zero = f.num, (0,) * f.codomain.dim
+    return _vec_reduced(tuple(chain.from_iterable([num.get(key, zero) for key in keys])), f.den)
 
 
 def contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
@@ -399,10 +453,9 @@ def _contract_part(inner: SkewCochain, outer: SkewCochain, sign: int = 1) -> tup
     if m + n - 1 > w.dim:  # alternating maps of arity above the dimension vanish
         return 1, {}
     plan, den = _insertion_plan(w, m, n)
-    heads, head_den = _numerators(inner)
-    outs = outer.coeffs
+    outs = outer.num
     part = defaultdict(list)
-    for inner_key, head in heads.items():
+    for inner_key, head in inner.num.items():
         entries = plan[inner_key]
         for a, x in enumerate(head):
             if x:
@@ -411,25 +464,26 @@ def _contract_part(inner: SkewCochain, outer: SkewCochain, sign: int = 1) -> tup
                     value = outs.get(outer_key)
                     if value is not None:
                         part[key].append((c * x, value))
-    return den * head_den, part
+    return den * inner.den * outer.den, part
 
 
-def _action_part(f: SkewCochain, table: Sequence[Sequence[Vec]], sign: int = 1
-                 ) -> tuple[int, dict]:
+def _action_part(f: SkewCochain, table: tuple[Sequence[Sequence[tuple[int, ...]]], int],
+                 sign: int = 1) -> tuple[int, dict]:
     """sign * sum_pos (-1)^pos table[key[pos]] . f(key without pos) as a part for ``_assemble``.
 
-    table[x][v] is what domain index x makes of coordinate v of f's values.
-    Each key of f meets every index x it lacks, at the position x sorts into.
+    table is (rows, den) of ``_numerator_table``: rows[x][v] / den, if present, is
+    what domain index x makes of coordinate v of f's values.  Each key of f meets
+    every index x it lacks, at the position x sorts into.
     """
-    values, den = _numerators(f)
+    rows, den = table
     coords = [(x, 1) for x in range(f.domain.dim)]
-    part: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
-    for key, num in values.items():
+    part: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for key, num in f.num.items():
         support = [(v, y) for v, y in enumerate(num) if y]
         for x, out, c in _prepend(coords, ((key, sign),)):
-            row = table[x]
-            part.setdefault(out, []).extend([(c * y, row[v]) for v, y in support])
-    return den, part
+            row = rows[x]
+            part.setdefault(out, []).extend([(c * y, row[v]) for v, y in support if v in row])
+    return f.den * den, part
 
 
 def _prepend(head, tails):
@@ -493,18 +547,6 @@ def _insertion_plan(w: TwistedSpace, m: int, n: int) -> tuple[dict, int]:
     return _kept(w, "insertion_plan", (m, n), build)
 
 
-def _numerators(f: SkewCochain) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
-    """f's values as integer numerators over their least common denominator, kept on f."""
-    return _kept(f, "numerators", None, _common_numerators, f.coeffs)
-
-
-def _common_numerators(values: dict[tuple[int, ...], Vec]
-                       ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
-    den = lcm(*[v.den for v in values.values()])
-    return {k: v.num if v.den == den else tuple([x * (den // v.den) for x in v.num])
-            for k, v in values.items()}, den
-
-
 def _kept(obj, name: str, key, build: Callable, *args):
     """build(*args), made at the first call for (name, key) and kept in the dict obj._kept.
 
@@ -532,44 +574,64 @@ def _forget(owner: ref, name: str, key: ref):
 
 
 def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
-              parts: Sequence[tuple[int, dict[tuple[int, ...], list[tuple[int, Vec]]]]],
+              parts: Sequence[tuple[int, dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]],
               divisor: int = 1) -> SkewCochain:
     """The cochain that sums its parts, divided by the positive integer divisor.
 
-    A part is (den, {key: [(c, v), ...]}) and stands for the value
-    sum c * v / den on e_key; every part must have the cochain's shape.  The
-    terms of all parts go over the lcm of their denominators, so each output
-    key is summed once, with one ``_lincomb`` and no intermediate cochain.
+    A part is (den, {key: [(c, v), ...]}), v an integer numerator tuple, and
+    stands for the value sum c * v / den on e_key; every part must have the
+    cochain's shape.  The terms of all parts go over the lcm of their
+    denominators, so each output key is summed once on the integers, and the
+    whole cochain is brought to canonical form with one gcd.
     """
-    common = lcm(*[den for den, _ in parts])
-    merged: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
-    for den, part in parts:  # the parts are consumed: their term lists are extended
-        up = common // den
-        for key, terms in part.items():
-            if up != 1:
-                terms = [(c * up, v) for c, v in terms]
-            got = merged.get(key)
-            if got is None:
-                merged[key] = terms
-            else:
-                got.extend(terms)
-    table: dict[tuple[int, ...], Vec] = {}
+    if len(parts) == 1:
+        common, merged = parts[0]
+    else:
+        common, merged = lcm(*[den for den, _ in parts]), {}
+        for den, part in parts:  # the parts are consumed: their term lists are extended
+            up = common // den
+            for key, terms in part.items():
+                if up != 1:
+                    terms = [(c * up, v) for c, v in terms]
+                got = merged.get(key)
+                if got is None:
+                    merged[key] = terms
+                else:
+                    got.extend(terms)
+    dim, num = codomain.dim, {}
     for key, terms in merged.items():
-        value = _lincomb(terms, codomain.dim, common * divisor)
-        if not value.is_zero():
-            table[key] = value
-    return _cochain(domain, codomain, arity, table)
+        total = _row_sum(terms, dim)
+        if any(total):
+            num[key] = tuple(total)
+    return _reduced(domain, codomain, arity, num, common * divisor)
+
+
+def _row_sum(terms: Sequence[tuple[int, tuple[int, ...]]], dim: int) -> list[int]:
+    """sum c * v over the (integer c, numerator tuple v) terms, v of length dim."""
+    if len(terms) == 1:
+        c, v = terms[0]
+        return [c * x for x in v]
+    if len(terms) == 2:
+        (c, v), (d, w) = terms
+        return [c * x + d * y for x, y in zip(v, w)]
+    if not terms:
+        return [0] * dim
+    cs, vs = zip(*terms)
+    return [sum(map(mul, cs, column)) for column in zip(*vs)]
 
 
 def operator_cochain(domain: TwistedSpace, codomain: TwistedSpace, m: Mat) -> SkewCochain:
-    """A linear map as an arity-1 cochain (columns become coefficients)."""
+    """A linear map as an arity-1 cochain: the numerator columns of m over its denominator."""
     if m.nrows != codomain.dim or m.ncols != domain.dim:
         raise ValueError("operator shape does not match the spaces")
-    return SkewCochain(domain, codomain, 1, {(j,): m.col(j) for j in range(domain.dim)})
+    return _cochain(domain, codomain, 1,
+                    {(j,): col for j, col in enumerate(zip(*m.num)) if any(col)}, m.den)
 
 
 def cochain_matrix(f: SkewCochain) -> Mat:
     """Matrix of an arity-1 cochain."""
     if f.arity != 1:
         raise ValueError("only arity-1 cochains correspond to matrices")
-    return Mat.from_columns([f.value_on((j,)) for j in range(f.domain.dim)])
+    num, zero = f.num, (0,) * f.codomain.dim
+    columns = [num.get((j,), zero) for j in range(f.domain.dim)]
+    return _mat(tuple(zip(*columns)), f.den, f.domain.dim)

@@ -8,13 +8,16 @@ serves every degree n >= 0; at n = 0 its bracket sum is empty and its action
 sum is (delta v)(x) = x . v.
 
 The coboundary is two parts summed once by ``cochains._assemble``, each read
-off a table kept on the object its data comes from.  The bracket part reads
+off a table kept on the object its data comes from, and neither carries a
+``Vec``: its terms are integer numerator tuples.  The bracket part reads
 the bracket plan of an arity, kept on the structure: per output key the
 entries (cochain key, integer coefficient) of the bracket sum, with the signs
 (-1)^{i+j}, the structure constants, the wedge of alpha (``cochains._wedge``)
 on the other arguments and the sort signs multiplied out over one plan
-denominator.  The action part is ``cochains._action_part`` on the action
-columns of a twist power, kept on the ``Representation``: alpha^k(e_x) . e_v.
+denominator; it pairs them with the cochain's numerators.  The action part is
+``cochains._action_part`` on the action columns of a twist power, integer
+numerators over one denominator kept on the ``Representation``:
+alpha^k(e_x) . e_v.
 ``d_trivial`` has no action part, nor has a representation whose table is
 all zero.  ``_coboundary`` hands the parts out, scaled by a rational, so
 that ``mc_residual`` sums 2 lam d(s) and [s, s] in one assembly, over 2.
@@ -34,9 +37,9 @@ from __future__ import annotations
 from itertools import combinations
 from weakref import ref
 
-from .linalg import Vec, rat
-from .cochains import (SkewCochain, _action_part, _assemble, _kept, _numerators, _prepend, _wedge,
-                       contract)
+from .linalg import rat
+from .cochains import (SkewCochain, _action_part, _assemble, _kept, _numerator_table, _prepend,
+                       _wedge, contract)
 from .structures import HomLieAlgebra, Representation
 
 
@@ -70,9 +73,9 @@ def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None, 
     if n + 1 > alg.dim or not scale:  # alternating maps of arity above the dimension vanish
         return []
     plan, den = _bracket_plan(alg, n)
-    coeffs = f.coeffs
-    parts = [(den, {key: terms for key, entries in plan
-                    if (terms := [(c, coeffs[k]) for k, c in entries if k in coeffs])})]
+    num = f.num
+    parts = [(den * f.den, {key: terms for key, entries in plan
+                            if (terms := [(c, num[k]) for k, c in entries if k in num])})]
     # Degree 0 reads alpha^0, so (delta v)(x) = x . v.  On the yau-sl2 adjoint
     # complex that makes d1 o d0 != 0, a defect ROADMAP.md keeps open.
     acting = None if rep is None else _action_columns(rep, max(n - 1, 0))
@@ -85,13 +88,16 @@ def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None, 
     return parts
 
 
-def _action_columns(rep: Representation, k: int) -> tuple[tuple[Vec, ...], ...] | None:
-    """columns[x][v] = alpha^k(e_x) . e_v, kept on rep per power; None for the zero action."""
+def _action_columns(rep: Representation, k: int) -> tuple[tuple, int] | None:
+    """(columns, den), columns[x][v] / den being alpha^k(e_x) . e_v where nonzero, kept on rep.
+
+    One table per power k; None for the zero action.
+    """
     def build():
         if all(v.is_zero() for row in rep.table for v in row):
             return None
-        return tuple(tuple(rep.act(x, v) for v in rep.module.basis)
-                     for x in rep.algebra.space.twisted_basis(k))
+        return _numerator_table(tuple(rep.act(x, v) for v in rep.module.basis)
+                                for x in rep.algebra.space.twisted_basis(k))
 
     return _kept(rep, "action_columns", k, build)
 
@@ -106,7 +112,7 @@ def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
     """
     def build():
         wedge, wedge_den = _wedge(alg.space, 1, max(n - 1, 0))  # n = 0: no pairs, no entries
-        brackets, bracket_den = _numerators(alg.mu)
+        brackets, bracket_den = alg.mu.num, alg.mu.den
         keys = []
         for key in combinations(range(alg.dim), n + 1):
             entries: dict[tuple[int, ...], int] = {}

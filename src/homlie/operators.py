@@ -61,27 +61,30 @@ def _check_intertwines(action: HomLieAction, R: Mat) -> None:
         raise ValueError("operator does not intertwine the twists")
 
 
-def _pair_sides(bracket, A: Mat, B: Mat, space: TwistedSpace, deformed, images=None):
+def _pair_sides(bracket, A: Mat, B: Mat, space: TwistedSpace, deformed, images):
     """(key, [Ax, By], A(deformed(key))) for each increasing basis pair key = (x, y) of space.
 
     deformed maps a basis pair to the deformed bracket of its two vectors, made
-    with B.  The verdicts pass A = B, a search's bilinear part its basis pairs
-    with images, the columns of A and of B that it reads once per basis matrix.
+    with B.  images are the columns of A and of B, which the verdicts (A = B)
+    and a search's bilinear part (its basis pairs) read once per matrix.
     """
-    outer = _images(A) if images is None else images[0]
-    inner = images[1] if images else outer if B is A else _images(B)
+    outer, inner = images
     for key in combinations(range(space.dim), 2):
         yield key, bracket(outer[key[0]], inner[key[1]]), A @ deformed(key)
 
 
-def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed):
-    """First basis pair (x, y) of space with [Tx, Ty] != T(deformed), with both sides."""
-    return next((s for s in _pair_sides(bracket, T, T, space, deformed) if s[1] != s[2]), None)
+def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed, images):
+    """First basis pair (x, y) of space with [Tx, Ty] != T(deformed), with both sides.
+
+    images are the columns of T, which deformed reads too.
+    """
+    return next((s for s in _pair_sides(bracket, T, T, space, deformed, (images, images))
+                 if s[1] != s[2]), None)
 
 
-def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat):
-    """Basis pair -> [Nx, y] + [x, Ny] - N[x, y]."""
-    basis, images = alg.space.basis, _images(N)
+def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat, images=None):
+    """Basis pair -> [Nx, y] + [x, Ny] - N[x, y]; images, if given, are the columns of N."""
+    basis, images = alg.space.basis, _images(N) if images is None else images
 
     def value(key):
         i, j = key
@@ -100,7 +103,8 @@ def deformed_bracket_n(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
 def nijenhuis_defect(alg: HomLieAlgebra, N: Mat):
     """First basis pair violating [Nx, Ny] = N([x, y]^N), with both sides."""
     _check_intertwines(adjoint_action(alg), N)
-    return _pair_defect(alg.bracket, N, alg.space, _nijenhuis_bracket(alg, N))
+    images = _images(N)
+    return _pair_defect(alg.bracket, N, alg.space, _nijenhuis_bracket(alg, N, images), images)
 
 
 def _agreed(kind: str, defect, *verdicts: tuple[str, bool]):
@@ -196,10 +200,13 @@ def _rota_baxter(alg: HomLieAlgebra, R: Mat, lam):
                    ("Maurer-Cartan", _relative_mc(adj, R, lam)))
 
 
-def _induced_bracket(action: HomLieAction, R: Mat, lam):
-    """Basis pair -> Rh . k - Rk . h + lam [h, k] on the acted algebra."""
+def _induced_bracket(action: HomLieAction, R: Mat, lam, images=None):
+    """Basis pair -> Rh . k - Rk . h + lam [h, k] on the acted algebra.
+
+    images, if given, are the columns of R.
+    """
     h = action.acted
-    basis, images = h.space.basis, _images(R)
+    basis, images = h.space.basis, _images(R) if images is None else images
 
     def value(key):
         i, j = key
@@ -212,8 +219,9 @@ def _induced_bracket(action: HomLieAction, R: Mat, lam):
 def relative_rb_defect(action: HomLieAction, R: Mat, lam):
     """First basis pair violating the relative Rota-Baxter identity."""
     _check_intertwines(action, R)
+    images = _images(R)
     return _pair_defect(action.acting.bracket, R, action.acted.space,
-                        _induced_bracket(action, R, rat(lam)))
+                        _induced_bracket(action, R, rat(lam), images), images)
 
 
 def relative_rb_pointwise(action: HomLieAction, R: Mat, lam) -> bool:
@@ -284,12 +292,11 @@ def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra
 def _induced_structures(action: HomLieAction, R: Mat, lam: Fraction):
     """``induced_structures`` of a checked operator, with all three facts still verified."""
     g, h = action.acting, action.acted
-    hbasis, gbasis, images = h.space.basis, g.space.basis, _images(R)
+    gbasis, images = g.space.basis, _images(R)
     induced = HomLieAlgebra(h.space, SkewCochain.from_function(
-        h.space, h.space, 2, _induced_bracket(action, R, lam)))
+        h.space, h.space, 2, _induced_bracket(action, R, lam, images)))
     table = tuple(
-        tuple(g.bracket(images[i], gbasis[j]) + (R @ action.act(gbasis[j], hbasis[i]))
-              for j in range(g.dim))
+        tuple(g.bracket(images[i], gbasis[j]) + (R @ action.table[j][i]) for j in range(g.dim))
         for i in range(h.dim))
     rep = Representation(induced, g.space, table)
     w = representation_witness(rep)
@@ -422,10 +429,11 @@ def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> l
     """Per weight lam of lams, the grid operators R, acted to acting space, with
     [Rx, Ry] = R(deformed(R) + lam [x, y]).
 
-    deformed(R) is linear in R, tabled once per basis matrix: the pointwise B(A, C)
-    is [Ax, Cy] - A(deformed(C)) and L(A) is -lam A[x, y], and dual is (name, B, Ls)
-    on the basis cochains, with one L per weight.  Neither B depends on lam: both
-    are tabled once per call, on the ordered basis pairs, and every weight reads them.
+    deformed(R, images) is linear in R, tabled once per basis matrix, images being
+    its columns, read once: the pointwise B(A, C) is [Ax, Cy] - A(deformed(C)) and
+    L(A) is -lam A[x, y], and dual is (name, B, Ls) on the basis cochains, with one L
+    per weight.  Neither B depends on lam: both are tabled once per call, on the
+    ordered basis pairs, and every weight reads them.
     Each weight's two tables must have one row space, so one zero set: a mismatch
     is a ConsistencyError before any candidate of any weight is enumerated.
     Intertwining is linear in R, so the twist guard runs on the basis alone.
@@ -436,8 +444,9 @@ def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> l
     for M in basis:
         _check_intertwines(action, M)
     P, pairs = range(len(basis)), list(combinations(range(acted.dim), 2))
-    inner = [dict(zip(pairs, map(deformed(M), pairs))).__getitem__ for M in basis]
     images = [_images(M) for M in basis]
+    inner = [dict(zip(pairs, map(deformed(M, cols), pairs))).__getitem__
+             for M, cols in zip(basis, images)]
     cochains = [operator_cochain(acted, acting, M) for M in basis]
     sides = [[Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
         action.acting.bracket, basis[p], basis[q], acted, inner[q], (images[p], images[q]))])
@@ -460,7 +469,8 @@ def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> l
 
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:
     """Nijenhuis operators with entries in ``entries``, in column-major grid order."""
-    return _search(adjoint_action(alg), entries, "Nijenhuis", lambda N: _nijenhuis_bracket(alg, N),
+    return _search(adjoint_action(alg), entries, "Nijenhuis",
+                   lambda N, images: _nijenhuis_bracket(alg, N, images),
                    (0,), ("bracket square", lambda s, t: fn_bracket(alg, s, t),
                           [lambda s: SkewCochain.zero(s.domain, s.codomain, 2)]))[0]
 
@@ -486,6 +496,7 @@ def _rota_baxter_search(action: HomLieAction, lams, entries) -> list[list[Mat]]:
     """
     lams, acted, acting = [rat(lam) for lam in lams], action.acted.space, action.acting.space
     dglas = [_dgla("relative_derived", acted, action=action, lam=lam) for lam in lams]
-    return _search(action, entries, "Rota-Baxter", lambda R: _induced_bracket(action, R, 0), lams,
+    return _search(action, entries, "Rota-Baxter",
+                   lambda R, images: _induced_bracket(action, R, 0, images), lams,
                    ("Maurer-Cartan", lambda s, t: _assemble(acted, acting, 2, dglas[0][1](s, t), 2),
                     [lambda s, d=d: _assemble(acted, acting, 2, d(s), 2) for d, _ in dglas]))

@@ -317,9 +317,10 @@ def test_dual_criteria_disagreement_is_a_hard_error(monkeypatch):
     with pytest.raises(ConsistencyError):
         operators.is_nijenhuis(B, Mat.identity(3))
     monkeypatch.undo()
-    # the Maurer-Cartan residual assembles the derived bracket's parts: make [R, R] = 2 mu
+    # the Maurer-Cartan residual assembles the derived bracket's parts: make [R, R] = 2 mu,
+    # a part of integer (c, numerators) terms over the denominator of mu
     monkeypatch.setattr(operators, "_derived_parts",
-                        lambda rep, a, b: [(1, {k: [(2, v)] for k, v in B.mu.coeffs.items()})])
+                        lambda rep, a, b: [(B.mu.den, {k: [(2, v)] for k, v in B.mu.num.items()})])
     with pytest.raises(ConsistencyError):
         operators.is_rota_baxter(B, Mat.zero(3, 3), 0)
 

@@ -498,16 +498,18 @@ def test_kept_images_are_keyed_by_representation():
         del rep
         gc.collect()
         assert not kept(f, "theta_tilde") and not kept(f, "delta"), trial
-    # the kept numerators and supports are a fresh computation's, and no cache touched the values
+    # the numerators are the values over their lcm, the kept supports are a fresh
+    # computation's, and no cache touched the values
     g = raw_cochain(space, space, 1, rng)
     g_values = dict(g.coeffs)
     assert contract(g, f) == ref_contract(g, f)
     assert cup_bracket(g, g, alg) == ref_cup_bracket(g, g, alg)
     assert fn_bracket(alg, g, f) == ref_fn_bracket(alg, g, f)
     assert derived_bracket(alg, f, g) == ref_derived_bracket_rel(adjoint_representation(alg), f, g)
-    nums, den = kept(g, "numerators")[None]
+    nums, den = g.num, g.den
     assert set(nums) == set(g.coeffs) and den == lcm(*[v.den for v in g.coeffs.values()])
     assert all(Vec([Fraction(x, den) for x in nums[k]]) == v for k, v in g.coeffs.items())
+    assert not kept(g, "numerators")
     assert set(kept(g, "supports")) == {0, 1}  # the twist powers the cup pairings read
     for power, (supports, den) in kept(g, "supports").items():
         assert set(supports) == set(g.coeffs)

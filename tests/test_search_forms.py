@@ -64,8 +64,9 @@ def _ratio(dual, pointwise):
 
 def _defects(bracket, R, space, deformed):
     """The pointwise defects [Rx, Ry] - R(deformed(x, y)), basis pair after basis pair."""
-    return Vec.concat(*[lhs - rhs for _, lhs, rhs in operators._pair_sides(bracket, R, R, space,
-                                                                           deformed)])
+    images = operators._images(R)
+    return Vec.concat(*[lhs - rhs for _, lhs, rhs in operators._pair_sides(
+        bracket, R, R, space, deformed, (images, images))])
 
 
 def test_each_dual_is_one_fixed_multiple_of_the_pointwise_defect():
@@ -164,7 +165,7 @@ def test_an_offset_in_one_criterion_is_a_consistency_error(name, alg, monkeypatc
         search_nijenhuis(alg, (0, 1))
     assert "pointwise table" in str(raised.value) and "bracket square table" in str(raised.value)
     # the Maurer-Cartan residual's parts are summed over 2: this part is the unit offset
-    part = lambda: (1, {key: [(2, v)] for key, v in offset.coeffs.items()})
+    part = lambda: (offset.den, {key: [(2, v)] for key, v in offset.num.items()})
     for planted in (lambda differential, bracket: (differential,
                                                    lambda s, t: bracket(s, t) + [part()]),
                     lambda differential, bracket: (lambda s: differential(s) + [part()],
@@ -225,7 +226,7 @@ def test_an_offset_at_one_weight_stops_a_search_for_several_before_any_walk(name
     depth_first, dgla = operators._depth_first, operators._dgla
     monkeypatch.setattr(operators, "_depth_first",
                         lambda *args: walks.append(args) or depth_first(*args))
-    part = lambda: (1, {key: [(2, v)] for key, v in offset.coeffs.items()})
+    part = lambda: (offset.den, {key: [(2, v)] for key, v in offset.num.items()})
 
     def planted(*args, lam, **kw):
         differential, bracket = dgla(*args, lam=lam, **kw)
