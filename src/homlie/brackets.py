@@ -25,9 +25,10 @@ pairing run on compiled plans.  The cup plan of (dim, m, n) lists, per
 increasing m-tuple left key, the (right key, key, shuffle sign) of the
 (m+n)-tuple keys that split into it; it is kept in an ``lru_cache`` like the
 shuffle table.  ``cup_bracket`` walks it from the nonzero keys of its left
-input, on each input's twisted values as nonzero integer numerators, kept on
-the cochain per twist power, and pairs them through the bracket table as
-integer numerators over one denominator, kept on the algebra.
+input, on each input's twisted values as nonzero integer numerators
+(``cochains._twisted_numerators``), kept on the cochain per twist power, and
+pairs them through the skew bracket table read off the numerators of the
+structure cochain (``cochains._skew_table``), kept on the algebra.
 
 Each bracket is one assembly of parts (``cochains._assemble``).  A part is one
 summand of the bracket formula, an insertion (``_contract_part``) or a cup
@@ -55,11 +56,10 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
 from weakref import ref
 
 from .cochains import (SkewCochain, _action_part, _assemble, _contract_part, _kept,
-                       _numerator_table, contract, shuffles)
+                       _numerator_table, _skew_table, _twisted_numerators, contract, shuffles)
 from .structures import HomLieAlgebra, Representation, adjoint_representation
 from .differentials import delta_hom
 
@@ -114,8 +114,7 @@ def _cup_part(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra,
         return 1, {}
     lefts, left_den = _kept(P, "supports", n - 1, _twisted_supports, P, n - 1)
     rights, right_den = _kept(Q, "supports", m - 1, _twisted_supports, Q, m - 1)
-    brackets, bracket_den = _kept(codomain_alg, "table numerators", None, _numerator_table,
-                                  codomain_alg.table)
+    brackets, bracket_den = _kept(codomain_alg, "skew table", None, _skew_table, codomain_alg.mu)
     plan = _cup_plan(P.domain.dim, m, n)
     part = defaultdict(list)
     for left_key, left in lefts.items():
@@ -134,12 +133,7 @@ def _twisted_supports(f: SkewCochain, power: int) -> tuple[dict, int]:
 
     beta is f's codomain twist; the numerators are over one denominator, returned with them.
     """
-    values, den = f.num, f.den
-    if power:
-        twist = f.codomain.twist_power(power)
-        values = {key: [sum(map(mul, row, num)) for row in twist.num]
-                  for key, num in values.items()}
-        den *= twist.den
+    values, den = _twisted_numerators(f, power)
     return {key: [(i, x) for i, x in enumerate(num) if x] for key, num in values.items()}, den
 
 

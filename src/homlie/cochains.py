@@ -193,8 +193,9 @@ class SkewCochain:
                 raise ValueError("coefficient value has wrong dimension")
             if not value.is_zero():
                 table[key] = value
-        self.domain, self.codomain, self.arity, self._kept = domain, codomain, arity, {}
+        self.domain, self.codomain, self.arity = domain, codomain, arity
         self.num, self.den = _common_numerators(table)
+        self._kept = {("coeffs", None): table}  # the checked values are the coeffs view
 
     @staticmethod
     def zero(domain: TwistedSpace, codomain: TwistedSpace, arity: int) -> "SkewCochain":
@@ -305,6 +306,25 @@ def _numerator_table(rows) -> tuple[tuple[dict[int, tuple[int, ...]], ...], int]
     rows = [tuple(row) for row in rows]
     den = lcm(*[v.den for row in rows for v in row])
     return tuple({j: _over(v, den) for j, v in enumerate(row) if any(v.num)} for row in rows), den
+
+
+def _skew_table(mu: SkewCochain) -> tuple[tuple[dict[int, tuple[int, ...]], ...], int]:
+    """The bracket table of a 2-cochain mu as (rows, mu.den): rows[i][j] holds the
+    numerators of mu(e_i, e_j) where nonzero, the skew entries (i > j) sign-flipped.
+    """
+    rows = [{} for _ in range(mu.domain.dim)]
+    for (i, j), v in mu.num.items():
+        rows[i][j], rows[j][i] = v, tuple([-x for x in v])
+    return tuple(rows), mu.den
+
+
+def _twisted_numerators(f: SkewCochain, power: int) -> tuple[dict, int]:
+    """The values beta^power f(e_key) as (numerator lists by key, den), beta f's codomain twist."""
+    if not power:
+        return f.num, f.den
+    twist = f.codomain.twist_power(power)
+    return ({key: [sum(map(mul, row, num)) for row in twist.num] for key, num in f.num.items()},
+            f.den * twist.den)
 
 
 def _over(v: Vec, den: int) -> tuple[int, ...]:
@@ -584,20 +604,17 @@ def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
     denominators, so each output key is summed once on the integers, and the
     whole cochain is brought to canonical form with one gcd.
     """
-    if len(parts) == 1:
-        common, merged = parts[0]
-    else:
-        common, merged = lcm(*[den for den, _ in parts]), {}
-        for den, part in parts:  # the parts are consumed: their term lists are extended
-            up = common // den
-            for key, terms in part.items():
-                if up != 1:
-                    terms = [(c * up, v) for c, v in terms]
-                got = merged.get(key)
-                if got is None:
-                    merged[key] = terms
-                else:
-                    got.extend(terms)
+    common, merged = lcm(*[den for den, _ in parts]), {}
+    for den, part in parts:  # the parts are consumed: their term lists are extended
+        up = common // den
+        for key, terms in part.items():
+            if up != 1:
+                terms = [(c * up, v) for c, v in terms]
+            got = merged.get(key)
+            if got is None:
+                merged[key] = terms
+            else:
+                got.extend(terms)
     dim, num = codomain.dim, {}
     for key, terms in merged.items():
         total = _row_sum(terms, dim)
@@ -608,13 +625,7 @@ def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
 
 def _row_sum(terms: Sequence[tuple[int, tuple[int, ...]]], dim: int) -> list[int]:
     """sum c * v over the (integer c, numerator tuple v) terms, v of length dim."""
-    if len(terms) == 1:
-        c, v = terms[0]
-        return [c * x for x in v]
-    if len(terms) == 2:
-        (c, v), (d, w) = terms
-        return [c * x + d * y for x, y in zip(v, w)]
-    if not terms:
+    if not terms:  # an action part can leave a key with no terms
         return [0] * dim
     cs, vs = zip(*terms)
     return [sum(map(mul, cs, column)) for column in zip(*vs)]

@@ -82,9 +82,9 @@ def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed, images):
                  if s[1] != s[2]), None)
 
 
-def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat, images=None):
-    """Basis pair -> [Nx, y] + [x, Ny] - N[x, y]; images, if given, are the columns of N."""
-    basis, images = alg.space.basis, _images(N) if images is None else images
+def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat, images):
+    """Basis pair -> [Nx, y] + [x, Ny] - N[x, y]; images are the columns of N."""
+    basis = alg.space.basis
 
     def value(key):
         i, j = key
@@ -97,7 +97,8 @@ def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat, images=None):
 def deformed_bracket_n(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
     """The bracket [x, y]^N = [Nx, y] + [x, Ny] - N[x, y] as a 2-cochain."""
     _check_intertwines(adjoint_action(alg), N)
-    return SkewCochain.from_function(alg.space, alg.space, 2, _nijenhuis_bracket(alg, N))
+    return SkewCochain.from_function(alg.space, alg.space, 2,
+                                     _nijenhuis_bracket(alg, N, _images(N)))
 
 
 def nijenhuis_defect(alg: HomLieAlgebra, N: Mat):
@@ -152,7 +153,8 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
     """
     defect, square = _nijenhuis(alg, N)  # the coboundary check below reuses the square
     checks = [("nijenhuis identity", defect is None, "defining identity fails" if defect else "")]
-    deformed = SkewCochain.from_function(alg.space, alg.space, 2, _nijenhuis_bracket(alg, N))
+    deformed = SkewCochain.from_function(alg.space, alg.space, 2,
+                                         _nijenhuis_bracket(alg, N, _images(N)))
     deformed_alg = None
     try:
         deformed_alg = HomLieAlgebra(alg.space, deformed)
@@ -176,7 +178,8 @@ def rb_deformed_bracket(alg: HomLieAlgebra, R: Mat, lam) -> SkewCochain:
     """The bracket [x, y]^R = [Rx, y] + [x, Ry] + lam [x, y] as a 2-cochain."""
     adj = adjoint_action(alg)
     _check_intertwines(adj, R)
-    return SkewCochain.from_function(alg.space, alg.space, 2, _induced_bracket(adj, R, rat(lam)))
+    return SkewCochain.from_function(alg.space, alg.space, 2,
+                                     _induced_bracket(adj, R, rat(lam), _images(R)))
 
 
 def rota_baxter_defect(alg: HomLieAlgebra, R: Mat, lam):
@@ -200,13 +203,10 @@ def _rota_baxter(alg: HomLieAlgebra, R: Mat, lam):
                    ("Maurer-Cartan", _relative_mc(adj, R, lam)))
 
 
-def _induced_bracket(action: HomLieAction, R: Mat, lam, images=None):
-    """Basis pair -> Rh . k - Rk . h + lam [h, k] on the acted algebra.
-
-    images, if given, are the columns of R.
-    """
+def _induced_bracket(action: HomLieAction, R: Mat, lam, images):
+    """Basis pair -> Rh . k - Rk . h + lam [h, k] on the acted algebra; images are the columns of R."""
     h = action.acted
-    basis, images = h.space.basis, _images(R) if images is None else images
+    basis = h.space.basis
 
     def value(key):
         i, j = key

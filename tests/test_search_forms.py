@@ -15,6 +15,7 @@ one fixed nonzero multiple of the pointwise defects.
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
@@ -63,10 +64,13 @@ def _ratio(dual, pointwise):
 
 
 def _defects(bracket, R, space, deformed):
-    """The pointwise defects [Rx, Ry] - R(deformed(x, y)), basis pair after basis pair."""
+    """The pointwise defects [Rx, Ry] - R(deformed(R, images)(x, y)), basis pair after basis pair.
+
+    deformed(R, images) is the deformed bracket of R, images being its columns.
+    """
     images = operators._images(R)
     return Vec.concat(*[lhs - rhs for _, lhs, rhs in operators._pair_sides(
-        bracket, R, R, space, deformed, (images, images))])
+        bracket, R, R, space, deformed(R, images), (images, images))])
 
 
 def test_each_dual_is_one_fixed_multiple_of_the_pointwise_defect():
@@ -79,13 +83,13 @@ def test_each_dual_is_one_fixed_multiple_of_the_pointwise_defect():
             R = Mat([[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(alg.dim)])
             ratios["bracket square"].add(_ratio(
                 flatten_cochain(operators._square(alg, R)),
-                _defects(alg.bracket, R, alg.space, operators._nijenhuis_bracket(alg, R))))
+                _defects(alg.bracket, R, alg.space, partial(operators._nijenhuis_bracket, alg))))
             for action in (adjoint_action(alg), bracket_action_on_abelian(alg)):
                 for lam in (Fraction(0), Fraction(1), Fraction(-1, 2)):
                     ratios["Maurer-Cartan"].add(_ratio(
                         flatten_cochain(operators._relative_residual(action, R, lam)),
                         _defects(action.acting.bracket, R, action.acted.space,
-                                 operators._induced_bracket(action, R, lam))))
+                                 lambda R, images: operators._induced_bracket(action, R, lam, images))))
     for kind, seen in ratios.items():
         assert len(seen - {None}) == 1 and 0 not in seen, (kind, seen)
 
@@ -121,7 +125,7 @@ def _criteria(alg, lams):
     """(search, action, pointwise F, dual F) of Nijenhuis, Rota-Baxter, then relative searches."""
     adj, abelian = adjoint_action(alg), bracket_action_on_abelian(alg)
     yield (lambda grid: search_nijenhuis(alg, grid), adj,
-           lambda R: _defects(alg.bracket, R, alg.space, operators._nijenhuis_bracket(alg, R)),
+           lambda R: _defects(alg.bracket, R, alg.space, partial(operators._nijenhuis_bracket, alg)),
            lambda R: flatten_cochain(operators._square(alg, R)))
     for lam, action, search in ([(lam, adj, search_rota_baxter) for lam in lams]
                                 + [(lam, abelian, search_relative_rb) for lam in (0, 1)]):
@@ -129,7 +133,7 @@ def _criteria(alg, lams):
                search(alg if search is search_rota_baxter else action, lam, grid), action,
                lambda R, lam=lam, action=action: _defects(
                    action.acting.bracket, R, action.acted.space,
-                   operators._induced_bracket(action, R, lam)),
+                   lambda R, images: operators._induced_bracket(action, R, lam, images)),
                lambda R, lam=lam, action=action: flatten_cochain(
                    operators._relative_residual(action, R, lam)))
 
