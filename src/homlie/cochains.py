@@ -624,11 +624,20 @@ def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
 
 
 def _row_sum(terms: Sequence[tuple[int, tuple[int, ...]]], dim: int) -> list[int]:
-    """sum c * v over the (integer c, numerator tuple v) terms, v of length dim."""
-    if not terms:  # an action part can leave a key with no terms
+    """sum c * v over the (integer c, numerator tuple v) terms, v of length dim.
+
+    The first term sets the row, as in ``linalg._lincomb``; an action part can
+    leave a key with no terms.
+    """
+    terms = iter(terms)
+    for c, v in terms:
+        total = [c * x for x in v]
+        break
+    else:
         return [0] * dim
-    cs, vs = zip(*terms)
-    return [sum(map(mul, cs, column)) for column in zip(*vs)]
+    for c, v in terms:
+        total = [t + c * x for t, x in zip(total, v)]
+    return total
 
 
 def operator_cochain(domain: TwistedSpace, codomain: TwistedSpace, m: Mat) -> SkewCochain:
