@@ -193,9 +193,8 @@ class SkewCochain:
                 raise ValueError("coefficient value has wrong dimension")
             if not value.is_zero():
                 table[key] = value
-        self.domain, self.codomain, self.arity = domain, codomain, arity
+        self.domain, self.codomain, self.arity, self._kept = domain, codomain, arity, {}
         self.num, self.den = _common_numerators(table)
-        self._kept = {("coeffs", None): table}  # the checked values are the coeffs view
 
     @staticmethod
     def zero(domain: TwistedSpace, codomain: TwistedSpace, arity: int) -> "SkewCochain":
