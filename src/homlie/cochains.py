@@ -318,7 +318,7 @@ def _skew_table(mu: SkewCochain) -> tuple[tuple[dict[int, tuple[int, ...]], ...]
 
 
 def _twisted_numerators(f: SkewCochain, power: int) -> tuple[dict, int]:
-    """The values beta^power f(e_key) as (numerator lists by key, den), beta f's codomain twist."""
+    """The values beta^power f(e_key) as (numerators by key, den), beta f's codomain twist."""
     if not power:
         return f.num, f.den
     twist = f.codomain.twist_power(power)
