@@ -75,7 +75,9 @@ def nr_bracket(P: SkewCochain, Q: SkewCochain) -> SkewCochain:
 
 def _nr_parts(P: SkewCochain, Q: SkewCochain, sign: int = 1) -> list:
     """sign * [P, Q]_nr as its insertion parts for ``_assemble``."""
-    if P.domain != Q.domain or P.codomain != Q.codomain or P.domain != P.codomain:
+    if ((P.domain is not Q.domain and P.domain != Q.domain)
+            or (P.codomain is not Q.codomain and P.codomain != Q.codomain)
+            or (P.domain is not P.codomain and P.domain != P.codomain)):
         raise ValueError("both cochains must live in C(g, g) on the same space")
     m, n = P.arity, Q.arity
     return _insertion_parts(lambda f: f, P, Q, sign, -sign * _sign((m - 1) * (n - 1)))
@@ -106,9 +108,11 @@ def _cup_part(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra,
               sign: int = 1) -> tuple[int, dict]:
     """sign * [P, Q]_cup as a part for ``_assemble``, checking the shapes as ``cup_bracket`` does."""
     m, n = P.arity, Q.arity
-    if P.domain != Q.domain or min(m, n) < 1:
+    if (P.domain is not Q.domain and P.domain != Q.domain) or min(m, n) < 1:
         raise ValueError("cup bracket needs a common domain and arities >= 1")
-    if P.codomain != Q.codomain or P.codomain != codomain_alg.space:
+    space = codomain_alg.space
+    if ((P.codomain is not Q.codomain and P.codomain != Q.codomain)
+            or (P.codomain is not space and P.codomain != space)):
         raise ValueError("cup bracket needs both cochains valued in the codomain algebra")
     if m + n > P.domain.dim:  # alternating maps of arity above the dimension vanish
         return 1, {}
@@ -155,7 +159,8 @@ def _cup_plan(dim: int, m: int, n: int) -> dict:
 
 def theta(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
     """Minus the insertion of f into the structure cochain: theta f = -i_f mu."""
-    if f.domain != alg.space or f.codomain != alg.space:
+    if ((f.domain is not alg.space and f.domain != alg.space)
+            or (f.codomain is not alg.space and f.codomain != alg.space)):
         raise ValueError("theta expects a cochain in C(g, g)")
     return -contract(f, alg.mu)
 
@@ -196,8 +201,9 @@ def theta_tilde(rep: Representation, P: SkewCochain) -> SkewCochain:
     acted on beta^{n-1}(h_i).  Reads the acted basis table of ``_module_action``.
     """
     def build():
-        module = rep.module
-        if P.domain != module or P.codomain != rep.algebra.space or P.arity < 1:
+        module, space = rep.module, rep.algebra.space
+        if ((P.domain is not module and P.domain != module)
+                or (P.codomain is not space and P.codomain != space) or P.arity < 1):
             raise ValueError("expected a cochain of arity >= 1 from the module to the algebra")
         n = P.arity
         if n + 1 > module.dim:

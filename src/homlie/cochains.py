@@ -21,11 +21,13 @@ and arity.  The insertion plan of a pair of arities, kept on the space too,
 lists per inner key and coordinate the entries (outer key, output key, integer
 coefficient) with the shuffle signs, the wedge of the trailing arguments under
 alpha^(m-1) and the sort signs multiplied out, over one denominator; an
-insertion walks it from its inner cochain's nonzero keys and coordinates.
-Plans work in raw coefficient coordinates, as a nested bracket yields an
-arbitrary cochain.  ``evaluate`` and ``shuffles`` are the oracle the explicit
-shuffle sums of ``theorems`` and the tests check the plans and the wedge
-table against.
+insertion walks it from its inner cochain's nonzero keys and coordinates.  The
+action plan of a dimension and arity lists per increasing key each index it
+lacks with the sign and sorted key of prepending it; an action sum walks it
+from its cochain's nonzero keys.  Plans work in raw coefficient
+coordinates, as a nested bracket yields an arbitrary cochain.  ``evaluate``
+and ``shuffles`` are the oracle the explicit shuffle sums of ``theorems`` and
+the tests check the plans and the wedge table against.
 
 A cochain holds its values as ``Vec`` and ``Mat`` hold theirs: ``num`` maps
 each nonzero key to its integer numerators over the one denominator ``den``,
@@ -37,12 +39,13 @@ the cochains and of integer tables kept on their owners, so a part carries no
 ``Vec``.  ``_contract_part`` gives an insertion; ``_action_part`` gives the
 sum over positions of (-1)^pos table[key[pos]] paired with f(key without
 pos), the action terms of the coboundary and theta~, on an integer table of
-``_numerator_table``.  ``_kept`` is the one helper for per-object caches; only
-integer-keyed tables (shuffles, cup plans) are process-wide.  ``_assemble``
-puts the parts over the lcm of their denominators, sums each output key once
-on the integers and reduces the whole cochain with one gcd.  ``contract`` and
-``linear_combination`` (so cochain + and -) are one-part assemblies; the
-brackets and the coboundary assemble several.
+``_numerator_table`` and the action plan.  ``_kept`` is the one helper for
+per-object caches; only integer-keyed tables (shuffles, cup and action plans)
+are process-wide.  ``_assemble`` puts the parts over the lcm of their
+denominators, sums each output key once on the integers and reduces the whole
+cochain with one gcd.  ``contract`` and ``linear_combination`` (so cochain +
+and -) are one-part assemblies; the brackets and the coboundary assemble
+several.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class TwistedSpace:
     Holds the standard basis and the twist powers, which grow one step at a
     time so that a high power needs no recursion.  Its other tables (twisted
     bases, wedge tables, insertion plans, compatibility bases with it as
-    domain) are ``_kept`` on it and go with it.
+    domain) are ``_kept`` on it and go with it.  A shape check tests identity
+    before it calls ``__eq__``, as ``!=`` calls it even on one space.
     """
 
     def __init__(self, alpha: Mat):
@@ -230,7 +234,8 @@ class SkewCochain:
         if not isinstance(other, SkewCochain):
             return NotImplemented
         return (self.arity == other.arity and self.den == other.den and self.num == other.num
-                and self.domain == other.domain and self.codomain == other.codomain)
+                and (self.domain is other.domain or self.domain == other.domain)
+                and (self.codomain is other.codomain or self.codomain == other.codomain))
 
     def __add__(self, other: "SkewCochain") -> "SkewCochain":
         self._require_same_shape(other)
@@ -257,8 +262,9 @@ class SkewCochain:
         return not self.num
 
     def _require_same_shape(self, other: "SkewCochain"):
-        if (self.arity != other.arity or self.domain != other.domain
-                or self.codomain != other.codomain):
+        if (self.arity != other.arity
+                or (self.domain is not other.domain and self.domain != other.domain)
+                or (self.codomain is not other.codomain and self.codomain != other.codomain)):
             raise ValueError("cochain shape mismatch")
 
     def __repr__(self) -> str:
@@ -467,7 +473,8 @@ def _contract_part(inner: SkewCochain, outer: SkewCochain, sign: int = 1) -> tup
     """sign * i_P Q as a part for ``_assemble``, checking the shapes as ``contract`` does."""
     w = inner.domain
     m, n = inner.arity, outer.arity
-    if inner.codomain != w or outer.domain != w or min(m, n) < 1:
+    if ((inner.codomain is not w and inner.codomain != w)
+            or (outer.domain is not w and outer.domain != w) or min(m, n) < 1):
         raise ValueError("contraction requires inner in C^m(W, W), outer in C^n(W, V), m, n >= 1")
     if m + n - 1 > w.dim:  # alternating maps of arity above the dimension vanish
         return 1, {}
@@ -491,18 +498,27 @@ def _action_part(f: SkewCochain, table: tuple[Sequence[Sequence[tuple[int, ...]]
     """sign * sum_pos (-1)^pos table[key[pos]] . f(key without pos) as a part for ``_assemble``.
 
     table is (rows, den) of ``_numerator_table``: rows[x][v] / den, if present, is
-    what domain index x makes of coordinate v of f's values.  Each key of f meets
-    every index x it lacks, at the position x sorts into.
+    what domain index x makes of coordinate v of f's values.  Walks the action plan
+    of f's arity from f's nonzero keys.
     """
     rows, den = table
-    coords = [(x, 1) for x in range(f.domain.dim)]
+    plan = _action_plan(f.domain.dim, f.arity)
     part: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for key, num in f.num.items():
-        support = [(v, y) for v, y in enumerate(num) if y]
-        for x, out, c in _prepend(coords, ((key, sign),)):
+        support = [(v, sign * y) for v, y in enumerate(num) if y]
+        for x, out, c in plan[key]:
             row = rows[x]
             part.setdefault(out, []).extend([(c * y, row[v]) for v, y in support if v in row])
     return f.den * den, part
+
+
+@lru_cache(maxsize=None)
+def _action_plan(dim: int, n: int) -> dict:
+    """plan[key] lists (x, out, c) with e_x ^ e_key = c * e_out per increasing n-tuple key
+    of range(dim) and index x not in it; in an ``lru_cache``, as integers alone key it.
+    """
+    coords = [(x, 1) for x in range(dim)]
+    return {key: tuple(_prepend(coords, ((key, 1),))) for key in combinations(range(dim), n)}
 
 
 def _prepend(head, tails):

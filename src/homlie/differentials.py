@@ -10,13 +10,14 @@ sum is (delta v)(x) = x . v.
 The coboundary is two parts summed once by ``cochains._assemble``, each read
 off a table kept on the object its data comes from, and neither carries a
 ``Vec``: its terms are integer numerator tuples.  The bracket part reads
-the bracket plan of an arity, kept on the structure: per output key the
-entries (cochain key, integer coefficient) of the bracket sum, with the signs
+the bracket plan of an arity, kept on the structure: per cochain key the
+entries (output key, integer coefficient) of the bracket sum, with the signs
 (-1)^{i+j}, the structure constants, the wedge of alpha (``cochains._wedge``)
 on the other arguments and the sort signs multiplied out over one plan
-denominator; it pairs them with the cochain's numerators.  The action part is
-``cochains._action_part`` on the action columns of a twist power, integer
-numerators over one denominator kept on the ``Representation``:
+denominator; it walks them from the cochain's nonzero keys and pairs them
+with their numerators.  The action part is ``cochains._action_part``, which
+walks the action plan of the arity, on the action columns of a twist power,
+integer numerators over one denominator kept on the ``Representation``:
 alpha^k(e_x) . e_v.
 ``d_trivial`` has no action part, nor has a representation whose table is
 all zero.  ``_coboundary`` hands the parts out, scaled by a rational, so
@@ -34,6 +35,7 @@ or an induced one) whose coboundary was taken on it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 from weakref import ref
 
@@ -56,9 +58,11 @@ def delta_hom(rep: Representation, f: SkewCochain) -> SkewCochain:
     by a basis cochain of a long-lived space.
     """
     def build():
-        if f.domain != rep.algebra.space or f.codomain != rep.module:
+        space, module = rep.algebra.space, rep.module
+        if ((f.domain is not space and f.domain != space)
+                or (f.codomain is not module and f.codomain != module)):
             raise ValueError("cochain does not live on the representation's complex")
-        return _assemble(rep.algebra.space, f.codomain, f.arity + 1,
+        return _assemble(space, f.codomain, f.arity + 1,
                          _coboundary(rep.algebra, f, rep))
 
     return _kept(f, "delta", ref(rep), build)
@@ -73,9 +77,11 @@ def _coboundary(alg: HomLieAlgebra, f: SkewCochain, rep: Representation | None, 
     if n + 1 > alg.dim or not scale:  # alternating maps of arity above the dimension vanish
         return []
     plan, den = _bracket_plan(alg, n)
-    num = f.num
-    parts = [(den * f.den, {key: terms for key, entries in plan
-                            if (terms := [(c, num[k]) for k, c in entries if k in num])})]
+    part = defaultdict(list)
+    for k, value in f.num.items():
+        for key, c in plan[k]:
+            part[key].append((c, value))
+    parts = [(den * f.den, part)]
     # Degree 0 reads alpha^0, so (delta v)(x) = x . v.  On the yau-sl2 adjoint
     # complex that makes d1 o d0 != 0, a defect ROADMAP.md keeps open.
     acting = None if rep is None else _action_columns(rep, max(n - 1, 0))
@@ -102,18 +108,18 @@ def _action_columns(rep: Representation, k: int) -> tuple[tuple, int] | None:
     return _kept(rep, "action_columns", k, build)
 
 
-def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
+def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[dict, int]:
     """The compiled bracket sum of the coboundary of an n-cochain, kept on alg.
 
-    Returns (plan, den).  The plan lists, per increasing (n+1)-tuple key in
-    lexicographic order, the entries (key', c) with
+    Returns (plan, den).  plan[k] lists, per increasing n-tuple k, the entries
+    (key, c) such that the bracket sum on the increasing (n+1)-tuple key,
     sum_{i<j} (-1)^{i+j} f([x_i, x_j], alpha(x_1), ..., twisted args with
-    positions i and j omitted) = sum c * f(e_key') / den on e_key.
+    positions i and j omitted), has the term c * f(e_k) / den.
     """
     def build():
         wedge, wedge_den = _wedge(alg.space, 1, max(n - 1, 0))  # n = 0: no pairs, no entries
         brackets, bracket_den = alg.mu.num, alg.mu.den
-        keys = []
+        plan = {k: [] for k in combinations(range(alg.dim), n)}
         for key in combinations(range(alg.dim), n + 1):
             entries: dict[tuple[int, ...], int] = {}
             for p1, p2 in combinations(range(n + 1), 2):
@@ -124,22 +130,25 @@ def _bracket_plan(alg: HomLieAlgebra, n: int) -> tuple[tuple, int]:
                 rest = tuple([key[p] for p in range(n + 1) if p != p1 and p != p2])
                 for _, k, c in _prepend([(a, x) for a, x in enumerate(head) if x], wedge[rest]):
                     entries[k] = entries.get(k, 0) + sign * c
-            keys.append((key, tuple([(k, c) for k, c in entries.items() if c])))
-        return tuple(keys), bracket_den * wedge_den
+            for k, c in entries.items():
+                if c:
+                    plan[k].append((key, c))
+        return {k: tuple(outs) for k, outs in plan.items()}, bracket_den * wedge_den
 
     return _kept(alg, "bracket_plan", n, build)
 
 
 def d_trivial(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
     """Trivial-coefficient coboundary: the loop of ``delta_hom`` with no action."""
-    if f.domain != alg.space:
+    if f.domain is not alg.space and f.domain != alg.space:
         raise ValueError("cochain domain does not match the algebra")
     return _assemble(alg.space, f.codomain, f.arity + 1, _coboundary(alg, f, None))
 
 
 def delta_tr(alg: HomLieAlgebra, f: SkewCochain) -> SkewCochain:
     """Trivial-action coboundary on endomorphism cochains: minus insertion of mu."""
-    if f.domain != alg.space or f.codomain != alg.space:
+    if ((f.domain is not alg.space and f.domain != alg.space)
+            or (f.codomain is not alg.space and f.codomain != alg.space)):
         raise ValueError("expected a cochain in C(g, g)")
     return -contract(alg.mu, f)
 

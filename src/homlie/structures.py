@@ -43,7 +43,8 @@ class RawHomStructure:
     """Twisted space plus skew 2-cochain; no structural invariants enforced."""
 
     def __init__(self, space: TwistedSpace, mu: SkewCochain):
-        if mu.arity != 2 or mu.domain != space or mu.codomain != space:
+        if (mu.arity != 2 or (mu.domain is not space and mu.domain != space)
+                or (mu.codomain is not space and mu.codomain != space)):
             raise ValueError("structure bracket must be a 2-cochain on the space itself")
         self.space = space
         self.mu = mu

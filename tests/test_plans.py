@@ -8,11 +8,13 @@ term by term with cochain addition, as the brackets did before each became
 one assembly of parts.  The plans and brackets must give equal coefficient
 tables on raw (not necessarily compatible) cochains with rational values, on
 every default fixture and on twists, representations and codomains that the
-fixtures do not cover.  Cochain ``+`` and ``-``, which the bracket references
-use, are themselves assemblies; ``ref_add`` checks them key by key on
-``Fraction`` entries.  The plans walk only the nonzero keys and coordinates
-of their inputs, so sparse inputs (one key, values with zero coordinates)
-are checked against the references too.
+fixtures do not cover, dense twists among them: the fixtures of dimension 3
+transported by the change of basis of ``test_transport``.  The action plan is
+compared with the signs of ``sort_with_sign``.  Cochain ``+`` and ``-``,
+which the bracket references use, are themselves assemblies; ``ref_add``
+checks them key by key on ``Fraction`` entries.  The plans walk only the
+nonzero keys and coordinates of their inputs, so sparse inputs (one key,
+values with zero coordinates) are checked against the references too.
 """
 
 import gc
@@ -29,7 +31,7 @@ from homlie.brackets import (GradedPair, _cup_plan, bicrossed_bracket, cup_brack
                              derived_bracket, derived_bracket_rel, fn_bracket, nr_bracket,
                              semidirect_graded_bracket, theta_tilde)
 from homlie.cochains import (SkewCochain, TwistedSpace, _shuffle_table, contract, evaluate,
-                             linear_combination, shuffles)
+                             linear_combination, shuffles, sort_with_sign)
 from homlie.cohomology import ComplexSpec, cohomology
 from homlie.differentials import d_trivial, delta_hom
 from homlie.linalg import Mat, Vec, _lincomb
@@ -37,6 +39,7 @@ from homlie.structures import (HomLieAlgebra, Representation, adjoint_representa
                                bracket_action_on_abelian, representation_witness,
                                trivial_representation, yau_twist, _heisenberg_lie_mu)
 from homlie.theorems import default_fixtures
+from test_transport import FIXTURES_3, G, transport
 
 
 def ref_contract(inner: SkewCochain, outer: SkewCochain) -> SkewCochain:
@@ -237,8 +240,12 @@ def _adjoint_plus_line(alg: HomLieAlgebra) -> Representation:
     return Representation(alg, module, table)
 
 
+# The default fixtures of dimension 3 moved by a change of basis: each twist has a column
+# with three nonzero entries, where the default twists are diagonal or nearly so.
+DENSE = [(f"{name}-transported", HomLieAlgebra(moved.space, moved.mu))
+         for name, alg in FIXTURES_3 for moved in (transport(alg, G),)]
 ALGEBRAS = default_fixtures() + [("rational-shear", _rational_shear()),
-                                  ("rational-dim4", _rational_dim4())]
+                                  ("rational-dim4", _rational_dim4())] + DENSE
 ARITIES = (1, 2, 3)
 
 
@@ -286,6 +293,16 @@ def test_coboundary_plans_match_reference(name, alg):
         assert d_trivial(alg, h) == ref_d_trivial(alg, h), n
 
 
+def test_action_plan_prepends_each_index_with_its_sort_sign():
+    for dim in range(1, 7):
+        for n in range(dim + 1):
+            expected = {}
+            for key in combinations(range(dim), n):
+                signed = ((x, *sort_with_sign((x,) + key)) for x in range(dim))
+                expected[key] = tuple((x, out, sign) for x, sign, out in signed if sign)
+            assert cochains._action_plan(dim, n) == expected, (dim, n)
+
+
 def test_plans_are_kept_on_their_objects():
     alg = _rational_shear()
     rng = random.Random(5)
@@ -306,6 +323,7 @@ def test_arity_above_dimension_builds_no_table():
     tall = SkewCochain.zero(alg.space, alg.space, 9)
     shuffle_entries = _shuffle_table.cache_info().currsize
     cup_entries = _cup_plan.cache_info().currsize
+    action_entries = cochains._action_plan.cache_info().currsize
     for result, arity in ((contract(P, tall), 10), (contract(tall, P), 10),
                           (cup_bracket(P, tall, alg), 11), (cup_bracket(P, P, alg), 4),
                           (d_trivial(alg, tall), 10),
@@ -313,6 +331,7 @@ def test_arity_above_dimension_builds_no_table():
         assert result.is_zero() and result.arity == arity
     assert _shuffle_table.cache_info().currsize == shuffle_entries
     assert _cup_plan.cache_info().currsize == cup_entries
+    assert cochains._action_plan.cache_info().currsize == action_entries
     plans = kept(alg.space, "insertion_plan")
     assert (9, 2) not in plans and (2, 9) not in plans
 

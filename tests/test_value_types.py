@@ -2,18 +2,20 @@
 
 Reports and pairs are plain records: a field cannot be reassigned, equal
 values compare equal, and the reports' ``to_json`` forms are the ones the CLI
-and the pinned digests print.
+and the pinned digests print.  A space, a cochain, a structure, a
+representation and a morphism show their type and sizes as ``repr``.
 """
 
 import pytest
 
 from homlie.brackets import GradedPair
-from homlie.cochains import SkewCochain
+from homlie.cochains import SkewCochain, TwistedSpace
 from homlie.cohomology import CohomologyReport, ComplexSpec, cohomology
 from homlie.deformations import MorphismDeformation, obstruction
 from homlie.linalg import Mat
 from homlie.operators import nijenhuis_report
-from homlie.structures import fixture_b
+from homlie.structures import (HomMorphism, RawHomStructure, bracket_action_on_abelian,
+                               fixture_b, trivial_representation)
 from homlie.theorems import (Failure, SuiteReport, VerificationReport, _stream,
                              sample_cochain, verify)
 
@@ -112,3 +114,15 @@ def test_report_json_forms():
         "fixtures": [{"fixture": "B", "reports": [passing.to_json(), FAILING_JSON]},
                      {"fixture": "empty", "reports": []}]}
     assert SuiteReport(7, 2, 3, (("B", (passing,)),)).to_json()["all_passed"] is True
+
+
+def test_reprs_name_the_type_and_its_sizes():
+    line = TwistedSpace.untwisted(2)
+    assert repr(SP) == "TwistedSpace(dim=3)"
+    assert repr(B.mu) == "SkewCochain(arity=2, nonzero=2)"
+    assert repr(SkewCochain.zero(SP, line, 0)) == "SkewCochain(arity=0, nonzero=0)"
+    assert repr(RawHomStructure(SP, B.mu)) == "RawHomStructure(dim=3)"
+    assert repr(B) == "HomLieAlgebra(dim=3)"
+    assert repr(trivial_representation(B, line)) == "Representation(algebra dim=3, module dim=2)"
+    assert repr(bracket_action_on_abelian(B)) == "HomLieAction(algebra dim=3, module dim=3)"
+    assert repr(HomMorphism(B, B, Mat.identity(3))) == "HomMorphism(3 -> 3)"
