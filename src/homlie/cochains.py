@@ -508,7 +508,8 @@ def _action_part(f: SkewCochain, table: tuple[Sequence[Sequence[tuple[int, ...]]
         support = [(v, sign * y) for v, y in enumerate(num) if y]
         for x, out, c in plan[key]:
             row = rows[x]
-            part.setdefault(out, []).extend([(c * y, row[v]) for v, y in support if v in row])
+            if terms := [(c * y, row[v]) for v, y in support if v in row]:
+                part.setdefault(out, []).extend(terms)
     return f.den * den, part
 
 
@@ -641,7 +642,7 @@ def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
 def _row_sum(terms: Sequence[tuple[int, tuple[int, ...]]], dim: int) -> list[int]:
     """sum c * v over the (integer c, numerator tuple v) terms, v of length dim.
 
-    The first term sets the row, as in ``linalg._lincomb``; an action part can
+    The first term sets the row, as in ``linalg._lincomb``; a cup part can
     leave a key with no terms.
     """
     terms = iter(terms)

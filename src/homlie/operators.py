@@ -15,19 +15,23 @@ predicates, ``nijenhuis_report``, ``induced_structures`` and the CLI's
 relative search's operators without checking them again.
 
 A search writes its candidates as R = sum_p c_p M_p / s over an integer basis
-M_p of the twist commutant and runs the twist guard on the M_p alone.  Each
+M_p of the twist commutant and runs the twist guard on the M_p alone.  The
+grid, its guarded M_p and their columns are kept on the acted space per acting
+space and grid, so the searches of one pair of spaces share them.  Each
 criterion is F(R) = B(R, R) + L(R), B bilinear and L linear: ``_form`` tables
 it in the c_p from B on the ordered pairs (M_p, M_q) and L on the M_p, the
-dual's on cochains of the M_p built once per search.  A search may take several
-weights: no B depends on the weight, so each is read once per call for all of
-them, and each weight has its own L.  Per weight, a search checks once that the
-pointwise table and that of its dual, [N, N]_fn or the Maurer-Cartan residual,
-have one row space, so one zero set, and then decides on the pointwise one; a
-mismatch is a ``ConsistencyError`` raised before any candidate is enumerated,
-and no search compares candidates.  No search checks
-an operator it found again; graph closure is an oracle of the predicates.  The
-c_p are set depth-first in grid order, each check at the depth of its last
-variable.
+dual's on cochains of the M_p built once per search.  The dual's B, [N, M]_fn
+or the derived bracket, is symmetric on arity-1 cochains, so it is taken on
+the pairs p <= q alone.  A search may take several weights: no B depends on
+the weight, so each is read once per call for all of them, and each weight has
+its own L.  Per weight, a search checks once, by three ranks of the integer
+tables, that the pointwise table and that of its dual, [N, N]_fn or the
+Maurer-Cartan residual, have one row space, so one zero set, and then decides
+on the pointwise one; a mismatch is a ``ConsistencyError`` raised before any
+candidate is enumerated, and no search compares candidates.  Tables, proofs
+and walks are made per call, on a kept grid too.  No search checks an operator
+it found again; graph closure is an oracle of the predicates.  The c_p are set
+depth-first in grid order, each check at the depth of its last variable.
 
 A weight-lambda Rota-Baxter operator is a relative one of the adjoint action
 (``structures.adjoint_action``): its pointwise identity, its deformed bracket
@@ -42,7 +46,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .linalg import Mat, Vec, _common, _mat, _mat_reduced, _rref, mat_rank, rat
-from .cochains import (SkewCochain, TwistedSpace, _assemble, compatibility_basis,
+from .cochains import (SkewCochain, TwistedSpace, _assemble, _kept, compatibility_basis,
                        flatten_cochain, operator_cochain)
 from .structures import (ConsistencyError, HomLieAction, HomLieAlgebra, HomMorphism,
                          RawHomStructure, Representation, _images, adjoint_action,
@@ -425,6 +429,17 @@ def _depth_first(grid: _Grid, table=()) -> list[Mat]:
     return found
 
 
+def _checked_grid(action: HomLieAction, entries):
+    """(grid, columns): ``_search_grid`` of action's spaces, its basis past the twist guard.
+
+    The guard reads the twists alone, so ``_search`` keeps this per pair of spaces and grid.
+    """
+    grid = _search_grid(action.acted.space, action.acting.space, entries)
+    for M in grid.basis:
+        _check_intertwines(action, M)
+    return grid, [_images(M) for M in grid.basis]
+
+
 def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> list[list[Mat]]:
     """Per weight lam of lams, the grid operators R, acted to acting space, with
     [Rx, Ry] = R(deformed(R) + lam [x, y]).
@@ -432,33 +447,34 @@ def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> l
     deformed(R, images) is linear in R, tabled once per basis matrix, images being
     its columns, read once: the pointwise B(A, C) is [Ax, Cy] - A(deformed(C)) and
     L(A) is -lam A[x, y], and dual is (name, B, Ls) on the basis cochains, with one L
-    per weight.  Neither B depends on lam: both are tabled once per call, on the
-    ordered basis pairs, and every weight reads them.
-    Each weight's two tables must have one row space, so one zero set: a mismatch
-    is a ConsistencyError before any candidate of any weight is enumerated.
-    Intertwining is linear in R, so the twist guard runs on the basis alone.
+    per weight.  Neither B depends on lam: both are tabled once per call, the pointwise
+    one on the ordered basis pairs, the dual one, symmetric, on the pairs p <= q.
+    Each weight's two tables must have one row space, so one zero set, as three ranks
+    prove: a mismatch is a ConsistencyError before any candidate of any weight is
+    enumerated.  Only the grid is kept (``_checked_grid``).
     """
     acted, acting = action.acted.space, action.acting.space
-    grid = _search_grid(acted, acting, entries)
+    grid, images = _kept(acted, "search_grid", (acting, _common(entries)),
+                         _checked_grid, action, entries)
     basis = grid.basis
-    for M in basis:
-        _check_intertwines(action, M)
     P, pairs = range(len(basis)), list(combinations(range(acted.dim), 2))
-    images = [_images(M) for M in basis]
     inner = [dict(zip(pairs, map(deformed(M, cols), pairs))).__getitem__
              for M, cols in zip(basis, images)]
     cochains = [operator_cochain(acted, acting, M) for M in basis]
     sides = [[Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
         action.acting.bracket, basis[p], basis[q], acted, inner[q], (images[p], images[q]))])
         for q in P] for p in P]
-    duals = [[flatten_cochain(dual[1](cochains[p], cochains[q])) for q in P] for p in P]
+    duals = [[None] * len(basis) for _ in P]
+    for p, q in combinations_with_replacement(P, 2):
+        duals[p][q] = duals[q][p] = flatten_cochain(dual[1](cochains[p], cochains[q]))
     tables = []
     for lam, linear in zip(lams, dual[2]):
         constant = [action.acted.table[x][y].scale(lam) for x, y in pairs]
         pointwise = _form(lambda p, q: sides[p][q],
                           lambda p: Vec.concat(*[-(basis[p] @ v) for v in constant]), grid)
         form = _form(lambda p, q: duals[p][q], lambda p: flatten_cochain(linear(cochains[p])), grid)
-        ranks = mat_rank(Mat(pointwise)), mat_rank(Mat(form)), mat_rank(Mat(pointwise + form))
+        ranks = [len(_rref(rows, rank_only=True)[1])
+                 for rows in (pointwise[:], form[:], pointwise + form)]
         if not ranks[0] == ranks[1] == ranks[2]:
             raise ConsistencyError(f"{kind} criteria disagree: the pointwise table has rank "
                                    f"{ranks[0]}, the {dual[0]} table rank {ranks[1]}, both "

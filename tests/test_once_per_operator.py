@@ -3,8 +3,12 @@
 The counting tests wrap the private routines of ``operators`` (the twist
 guard, the pointwise pair check, the graph closure and the Maurer-Cartan
 checks) and read off how often each ran for one public call or one search.
-A search reads each criterion's bilinear part on the ordered pairs of its
-basis and its linear part on the basis alone, whatever the size of its grid.
+A search reads each criterion's linear part on the basis alone, whatever the
+size of its grid, and its bilinear part on pairs of basis elements: the
+pointwise one on the ordered pairs, the symmetric dual one on the pairs
+p <= q.  The searches of one pair of spaces and one grid share a kept grid,
+whose basis passes the twist guard once; these tests take their algebras
+fresh from a JSON round trip, so no earlier test has kept a grid on them.
 ``parent_mc_residual`` is the oracle for the one-assembly Maurer-Cartan
 residual: d(s) + (1/2)[s, s] built as separate cochains, with the bracket
 taken against an equal but distinct copy of s, so that it shares neither the
@@ -12,6 +16,7 @@ assembly nor the self-bracket shortcut.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -25,6 +30,7 @@ from homlie.operators import (ConsistencyError, is_nijenhuis, is_relative_rb, is
                               search_rota_baxter)
 from homlie.structures import adjoint_action, bracket_action_on_abelian, fixture_b
 from homlie.theorems import _stream, default_fixtures, sample_cochain
+from test_search_forms import fresh
 
 FIXTURES = default_fixtures()
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
@@ -125,10 +131,14 @@ def _record_forms(monkeypatch):
 
 @pytest.mark.parametrize("name,alg", FIXTURES)
 def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch):
-    # each criterion is read as its bilinear part on the P^2 ordered pairs of the
-    # basis and its linear part on the P basis elements, each once: the pointwise
-    # one through _pair_sides, the dual through fn_bracket or the Maurer-Cartan
-    # residual's derived-bracket parts and its coboundary parts
+    # each criterion is read as its bilinear part on pairs of basis elements and
+    # its linear part on the P basis elements, each once: the pointwise one on
+    # the P^2 ordered pairs through _pair_sides, the dual, which is symmetric,
+    # on the P(P+1)/2 pairs p <= q through fn_bracket or the Maurer-Cartan
+    # residual's derived-bracket parts, and its coboundary parts.  The three
+    # searches of a grid share the kept grid of the algebra's space (the abelian
+    # copy has that space too), so its basis passes the twist guard once
+    alg = fresh(alg)
     calls = _count(monkeypatch, operators, SEARCH_CRITERIA,
                    pairs=("_pair_sides", "fn_bracket", "_derived_parts"))
     forms = _record_forms(monkeypatch)
@@ -139,17 +149,18 @@ def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch)
         (abelian, lambda grid: search_relative_rb(abelian, 1, grid),
          ("_derived_parts", "_coboundary")))
     for grid in ((0, 1), (-1, 0, 1)):
-        for action, search, dual in searches:
+        for k, (action, search, dual) in enumerate(searches):
             basis = operators._search_grid(action.acted.space, action.acting.space, grid).basis
             P = range(len(basis))
             pairs = [(basis[p], basis[q]) for p in P for q in P]
+            unordered = [(basis[p], basis[q]) for p, q in combinations_with_replacement(P, 2)]
             for seen in calls.values():
                 seen.clear()
             forms.clear()
             search(grid)
             assert forms == [([(p, q) for p in P for q in P], list(P))] * 2
-            assert calls["_check_intertwines"] == basis
-            assert calls["_pair_sides"] == calls[dual[0]] == pairs
+            assert calls["_check_intertwines"] == (basis if k == 0 else [])
+            assert calls["_pair_sides"] == pairs and calls[dual[0]] == unordered
             if len(dual) == 2:
                 assert calls[dual[1]] == basis
             # and nothing else: no pair check, graph closure, Maurer-Cartan verdict or other dual

@@ -26,7 +26,7 @@ from math import lcm
 
 import pytest
 
-from homlie import cochains
+from homlie import brackets, cochains, differentials, theorems
 from homlie.brackets import (GradedPair, _cup_plan, bicrossed_bracket, cup_bracket,
                              derived_bracket, derived_bracket_rel, fn_bracket, nr_bracket,
                              semidirect_graded_bracket, theta_tilde)
@@ -301,6 +301,41 @@ def test_action_plan_prepends_each_index_with_its_sort_sign():
                 signed = ((x, *sort_with_sign((x,) + key)) for x in range(dim))
                 expected[key] = tuple((x, out, sign) for x, sign, out in signed if sign)
             assert cochains._action_plan(dim, n) == expected, (dim, n)
+
+
+def walked_action_part(f, table, sign=1):
+    """The action part with a key for every (key, index) the plan lists, empty term lists kept."""
+    rows, den = table
+    part = {}
+    for key, num in f.num.items():
+        support = [(v, sign * y) for v, y in enumerate(num) if y]
+        for x, out, c in cochains._action_plan(f.domain.dim, f.arity)[key]:
+            part.setdefault(out, []).extend([(c * y, rows[x][v]) for v, y in support
+                                             if v in rows[x]])
+    return f.den * den, part
+
+
+def test_an_action_part_holds_no_key_without_terms(monkeypatch):
+    # an action row that shares no coordinate with a value's support adds no
+    # key; every other key is the full walk's, and the identity suite reports
+    # the same with the full walk's parts
+    real, dropped = cochains._action_part, []
+
+    def checked(f, table, sign=1):
+        den, part = real(f, table, sign)
+        walked_den, walked = walked_action_part(f, table, sign)
+        assert all(part.values()) and den == walked_den
+        assert part == {key: terms for key, terms in walked.items() if terms}
+        dropped.append(len(walked) - len(part))
+        return den, part
+
+    for module in (brackets, differentials):
+        monkeypatch.setattr(module, "_action_part", checked)
+    report = theorems.run_all(trials=2)
+    assert dropped and sum(dropped)  # the suite meets rows that share no coordinate
+    for module in (brackets, differentials):
+        monkeypatch.setattr(module, "_action_part", walked_action_part)
+    assert theorems.run_all(trials=2) == report
 
 
 def test_plans_are_kept_on_their_objects():
