@@ -53,14 +53,13 @@ as ``delta_hom`` keeps its own.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
 from weakref import ref
 
 from .cochains import (SkewCochain, _action_part, _assemble, _contract_part, _kept,
-                       _numerator_table, _skew_table, _twisted_numerators, contract, shuffles)
-from .structures import HomLieAlgebra, Representation, adjoint_representation
+                       _numerator_table, _twisted_numerators, contract, shuffles)
+from .structures import HomLieAlgebra, Representation, _skew_numerators, adjoint_representation
 from .differentials import delta_hom
 
 
@@ -118,17 +117,17 @@ def _cup_part(P: SkewCochain, Q: SkewCochain, codomain_alg: HomLieAlgebra,
         return 1, {}
     lefts, left_den = _kept(P, "supports", n - 1, _twisted_supports, P, n - 1)
     rights, right_den = _kept(Q, "supports", m - 1, _twisted_supports, Q, m - 1)
-    brackets, bracket_den = _kept(codomain_alg, "skew table", None, _skew_table, codomain_alg.mu)
+    brackets, bracket_den = _skew_numerators(codomain_alg)
     plan = _cup_plan(P.domain.dim, m, n)
-    part = defaultdict(list)
+    part: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for left_key, left in lefts.items():
         for right_key, key, split_sign in plan[left_key]:
             right = rights.get(right_key)
             if right is not None:
-                terms = part[key]
                 for i, x in left:
                     row, c = brackets[i], sign * split_sign * x
-                    terms.extend([(c * y, row[j]) for j, y in right if j in row])
+                    if terms := [(c * y, row[j]) for j, y in right if j in row]:
+                        part.setdefault(key, []).extend(terms)
     return left_den * right_den * bracket_den, part
 
 

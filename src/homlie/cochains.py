@@ -642,8 +642,8 @@ def _assemble(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
 def _row_sum(terms: Sequence[tuple[int, tuple[int, ...]]], dim: int) -> list[int]:
     """sum c * v over the (integer c, numerator tuple v) terms, v of length dim.
 
-    The first term sets the row, as in ``linalg._lincomb``; a cup part can
-    leave a key with no terms.
+    The first term sets the row, as in ``linalg._lincomb``; no terms give the zero
+    row, as for an evaluation or a column bracket that meets no nonzero value.
     """
     terms = iter(terms)
     for c, v in terms:

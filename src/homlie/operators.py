@@ -14,12 +14,19 @@ predicates, ``nijenhuis_report``, ``induced_structures`` and the CLI's
 ``check`` commands read.  ``theorems`` builds the induced structures of a
 relative search's operators without checking them again.
 
+The pointwise identities are integer residual rows of the kernel
+``structures._column_brackets`` on kept skew tables and action numerators: the
+deformed brackets (``_deformed``), both sides of [Ax, Cy] = A(deformed_C(x, y))
+(``_pair_sides``), the induced module table and graph closure; ``Vec`` are
+built only for a witness, the first nonzero residual row.
+
 A search writes its candidates as R = sum_p c_p M_p / s over an integer basis
 M_p of the twist commutant and runs the twist guard on the M_p alone.  The
-grid, its guarded M_p and their columns are kept on the acted space per acting
-space and grid, so the searches of one pair of spaces share them.  Each
+grid and its guarded M_p are kept on the acted space per acting space and
+grid, so the searches of one pair of spaces share them.  Each
 criterion is F(R) = B(R, R) + L(R), B bilinear and L linear: ``_form`` tables
-it in the c_p from B on the ordered pairs (M_p, M_q) and L on the M_p, the
+it in the c_p from B on the ordered pairs (M_p, M_q), the pointwise B from one
+kernel call on all M_p side by side, and L on the M_p, the
 dual's on cochains of the M_p built once per search.  The dual's B, [N, M]_fn
 or the derived bracket, is symmetric on arity-1 cochains, so it is taken on
 the pairs p <= q alone.  A search may take several weights: no B depends on
@@ -42,18 +49,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import Mat, Vec, _common, _mat, _mat_reduced, _rref, mat_rank, rat
-from .cochains import (SkewCochain, TwistedSpace, _assemble, _kept, compatibility_basis,
-                       flatten_cochain, operator_cochain)
+from .linalg import Mat, _common, _mat, _mat_reduced, _rref, _vec_reduced, rat
+from .cochains import (SkewCochain, TwistedSpace, _assemble, _kept, _reduced, _row_sum,
+                       compatibility_basis, flatten_cochain, operator_cochain)
 from .structures import (ConsistencyError, HomLieAction, HomLieAlgebra, HomMorphism,
-                         RawHomStructure, Representation, _images, adjoint_action,
-                         check_morphism, hom_jacobi_witness, representation_witness,
-                         semidirect_weight)
-from .differentials import _coboundary, delta_hom
-from .brackets import _cup_part, _derived_parts, fn_bracket
+                         RawHomStructure, Representation, _column_brackets, _intertwines,
+                         _skew_numerators, _times, _witness, adjoint_action, check_morphism,
+                         hom_jacobi_witness, representation_witness, semidirect_weight)
+from .differentials import _action_columns, _coboundary, delta_hom
+from .brackets import _cup_part, _derived_parts, _module_action, fn_bracket
 
 
 # The weights t at which ``nijenhuis_report`` checks the pencil mu + t * [ , ]^N.
@@ -61,55 +69,80 @@ PENCIL_WEIGHTS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3))
 
 
 def _check_intertwines(action: HomLieAction, R: Mat) -> None:
-    if action.acting.alpha @ R != R @ action.acted.alpha:
+    if not _intertwines(action.acting.alpha, R, action.acted.alpha):
         raise ValueError("operator does not intertwine the twists")
 
 
-def _pair_sides(bracket, A: Mat, B: Mat, space: TwistedSpace, deformed, images):
-    """(key, [Ax, By], A(deformed(key))) for each increasing basis pair key = (x, y) of space.
+def _deformed(action: HomLieAction, Ms: list[Mat], lam=None) -> list:
+    """Per M of Ms, Mx . y - My . x + lam [x, y] on the acted basis pairs, as (rows, den).
 
-    deformed maps a basis pair to the deformed bracket of its two vectors, made
-    with B.  images are the columns of A and of B, which the verdicts (A = B)
-    and a search's bilinear part (its basis pairs) read once per matrix.
+    For lam None the third term is the Nijenhuis bracket's -M[x, y].  The rows are integer
+    numerators over den: two kernel calls on the kept action numerators for all Ms at
+    once, and the third term read off the acted skew table.
     """
-    outer, inner = images
-    for key in combinations(range(space.dim), 2):
-        yield key, bracket(outer[key[0]], inner[key[1]]), A @ deformed(key)
+    h, nums = action.acted, [M.num for M in Ms]
+    dim, pairs, (brackets, bden) = h.dim, list(combinations(range(h.dim), 2)), _skew_numerators(h)
+    table = _action_columns(action, 0) or ([{}] * action.acting.dim, 1)
+    forward = _column_brackets(table, nums, None, pairs)
+    backward = _column_brackets(table, nums, None, [(y, x) for x, y in pairs], -1)
+    values, out, zero = [brackets[x].get(y) for x, y in pairs], [], [0] * dim
+    for M, acts, backs in zip(Ms, forward, backward):
+        c, tden, third = ((-1, bden * M.den, _times(M.num, [v or (0,) * dim for v in values]))
+                          if lam is None else (lam.numerator, bden * lam.denominator, values))
+        den = lcm(table[1] * M.den, tden)
+        up, c = den // (table[1] * M.den), c * (den // tden)
+        rows = []
+        for a, b, t in zip(acts, backs, third):
+            terms = a + b if up == 1 else [(up * k, v) for k, v in a + b]
+            if c and t:
+                terms.append((c, t))
+            rows.append(_row_sum(terms, dim) if terms else zero)
+        out.append((rows, den))
+    return out
 
 
-def _pair_defect(bracket, T: Mat, space: TwistedSpace, deformed, images):
-    """First basis pair (x, y) of space with [Tx, Ty] != T(deformed), with both sides.
+def _two_cochain(space: TwistedSpace, deformed) -> SkewCochain:
+    """The 2-cochain with the (rows, den) of ``_deformed`` as its values."""
+    return _reduced(space, space, 2, {pair: tuple(row) for pair, row in zip(
+        combinations(range(space.dim), 2), deformed[0]) if any(row)}, deformed[1])
 
-    images are the columns of T, which deformed reads too.
+
+def _pair_sides(action: HomLieAction, Ms: list[Mat], deformed: list) -> list:
+    """[Ax, Cy] and A(deformed_C(x, y)) on the acted basis pairs, per A and C of Ms.
+
+    deformed lists the ``_deformed`` of Ms.  Per A, a list per C of (lhs rows, lhs den,
+    rhs rows, rhs den): one kernel call on the acting skew table for every pair of Ms,
+    and each A on the deformed rows of all Ms at once.
     """
-    return next((s for s in _pair_sides(bracket, T, T, space, deformed, (images, images))
-                 if s[1] != s[2]), None)
+    g, nums = action.acting, [M.num for M in Ms]
+    table, dim, pairs = _skew_numerators(g), g.dim, list(combinations(range(action.acted.dim), 2))
+    vectors, out, zero = [row for rows, _ in deformed for row in rows], [], [0] * g.dim
+    for A, brackets in zip(Ms, _column_brackets(table, nums, nums, pairs)):
+        rhs = iter(_times(A.num, vectors))
+        out.append([([_row_sum(terms, dim) if terms else zero for terms in lhs],
+                     table[1] * A.den * C.den, [next(rhs) for _ in lhs], A.den * den)
+                    for C, lhs, (_, den) in zip(Ms, brackets, deformed)])
+    return out
 
 
-def _nijenhuis_bracket(alg: HomLieAlgebra, N: Mat, images):
-    """Basis pair -> [Nx, y] + [x, Ny] - N[x, y]; images are the columns of N."""
-    basis = alg.space.basis
-
-    def value(key):
-        i, j = key
-        return (alg.bracket(images[i], basis[j]) + alg.bracket(basis[i], images[j])
-                - N @ alg.table[i][j])
-
-    return value
+def _pair_defect(action: HomLieAction, R: Mat, deformed):
+    """First basis pair (x, y) of the acted space with [Rx, Ry] != R(deformed), with both sides."""
+    return _witness(list(combinations(range(action.acted.dim), 2)),
+                    *_pair_sides(action, [R], [deformed])[0][0])
 
 
 def deformed_bracket_n(alg: HomLieAlgebra, N: Mat) -> SkewCochain:
     """The bracket [x, y]^N = [Nx, y] + [x, Ny] - N[x, y] as a 2-cochain."""
-    _check_intertwines(adjoint_action(alg), N)
-    return SkewCochain.from_function(alg.space, alg.space, 2,
-                                     _nijenhuis_bracket(alg, N, _images(N)))
+    adj = adjoint_action(alg)
+    _check_intertwines(adj, N)
+    return _two_cochain(alg.space, _deformed(adj, [N])[0])
 
 
 def nijenhuis_defect(alg: HomLieAlgebra, N: Mat):
     """First basis pair violating [Nx, Ny] = N([x, y]^N), with both sides."""
-    _check_intertwines(adjoint_action(alg), N)
-    images = _images(N)
-    return _pair_defect(alg.bracket, N, alg.space, _nijenhuis_bracket(alg, N, images), images)
+    adj = adjoint_action(alg)
+    _check_intertwines(adj, N)
+    return _pair_defect(adj, N, _deformed(adj, [N])[0])
 
 
 def _agreed(kind: str, defect, *verdicts: tuple[str, bool]):
@@ -157,8 +190,7 @@ def nijenhuis_report(alg: HomLieAlgebra, N: Mat) -> OperatorReport:
     """
     defect, square = _nijenhuis(alg, N)  # the coboundary check below reuses the square
     checks = [("nijenhuis identity", defect is None, "defining identity fails" if defect else "")]
-    deformed = SkewCochain.from_function(alg.space, alg.space, 2,
-                                         _nijenhuis_bracket(alg, N, _images(N)))
+    deformed = _two_cochain(alg.space, _deformed(adjoint_action(alg), [N])[0])
     deformed_alg = None
     try:
         deformed_alg = HomLieAlgebra(alg.space, deformed)
@@ -182,8 +214,7 @@ def rb_deformed_bracket(alg: HomLieAlgebra, R: Mat, lam) -> SkewCochain:
     """The bracket [x, y]^R = [Rx, y] + [x, Ry] + lam [x, y] as a 2-cochain."""
     adj = adjoint_action(alg)
     _check_intertwines(adj, R)
-    return SkewCochain.from_function(alg.space, alg.space, 2,
-                                     _induced_bracket(adj, R, rat(lam), _images(R)))
+    return _two_cochain(alg.space, _deformed(adj, [R], rat(lam))[0])
 
 
 def rota_baxter_defect(alg: HomLieAlgebra, R: Mat, lam):
@@ -207,25 +238,10 @@ def _rota_baxter(alg: HomLieAlgebra, R: Mat, lam):
                    ("Maurer-Cartan", _relative_mc(adj, R, lam)))
 
 
-def _induced_bracket(action: HomLieAction, R: Mat, lam, images):
-    """Basis pair -> Rh . k - Rk . h + lam [h, k] on the acted algebra; images are the columns of R."""
-    h = action.acted
-    basis = h.space.basis
-
-    def value(key):
-        i, j = key
-        return (action.act(images[i], basis[j]) - action.act(images[j], basis[i])
-                + h.table[i][j].scale(lam))
-
-    return value
-
-
 def relative_rb_defect(action: HomLieAction, R: Mat, lam):
     """First basis pair violating the relative Rota-Baxter identity."""
     _check_intertwines(action, R)
-    images = _images(R)
-    return _pair_defect(action.acting.bracket, R, action.acted.space,
-                        _induced_bracket(action, R, rat(lam), images), images)
+    return _pair_defect(action, R, _deformed(action, [R], rat(lam))[0])
 
 
 def relative_rb_pointwise(action: HomLieAction, R: Mat, lam) -> bool:
@@ -246,10 +262,14 @@ def relative_rb_graph(action: HomLieAction, R: Mat, lam) -> bool:
 
 
 def _graph_closed(action: HomLieAction, R: Mat, lam) -> bool:
-    big = semidirect_weight(action, lam)
-    graph = [Vec.concat(r, e) for r, e in zip(_images(R), action.acted.space.basis)]
-    brackets = [big.bracket(graph[i], graph[j]) for i, j in combinations(range(len(graph)), 2)]
-    return mat_rank(Mat.from_columns(graph + brackets)) == len(graph)
+    """One rank: the integer graph columns R.den (Rh, h) and their kernel brackets in the
+    weighted product span the graph's dimension exactly when it is closed."""
+    big, n = semidirect_weight(action, lam), action.acted.dim
+    graphs = [R.num + tuple(tuple(R.den if i == j else 0 for j in range(n)) for i in range(n))]
+    brackets = [_row_sum(terms, big.dim) for terms in _column_brackets(
+        _skew_numerators(big), graphs, graphs, list(combinations(range(n), 2)))[0][0]]
+    rows = [[*row, *[b[k] for b in brackets]] for k, row in enumerate(graphs[0])]
+    return len(_rref(rows, rank_only=True)[1]) == n
 
 
 def relative_rb_mc(action: HomLieAction, R: Mat, lam) -> bool:
@@ -296,12 +316,15 @@ def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra
 def _induced_structures(action: HomLieAction, R: Mat, lam: Fraction):
     """``induced_structures`` of a checked operator, with all three facts still verified."""
     g, h = action.acting, action.acted
-    gbasis, images = g.space.basis, _images(R)
-    induced = HomLieAlgebra(h.space, SkewCochain.from_function(
-        h.space, h.space, 2, _induced_bracket(action, R, lam, images)))
-    table = tuple(
-        tuple(g.bracket(images[i], gbasis[j]) + (R @ action.table[j][i]) for j in range(g.dim))
-        for i in range(h.dim))
+    induced = HomLieAlgebra(h.space, _two_cochain(h.space, _deformed(action, [R], lam)[0]))
+    # h_i . x_j = [R h_i, x_j] + R(x_j . h_i): the kernel on g's skew table, R on the module action
+    (brackets, bden), (acts, aden) = _skew_numerators(g), _module_action(action, 0)
+    den, pairs = lcm(bden, aden), [(i, j) for i in range(h.dim) for j in range(g.dim)]
+    values = zip(_column_brackets((brackets, bden), [R.num], None, pairs, den // bden)[0],
+                 _times(R.num, [acts[i].get(j, (0,) * h.dim) for i, j in pairs]))
+    entries = iter([_vec_reduced(tuple(_row_sum(terms + [(den // aden, v)], g.dim)), den * R.den)
+                    for terms, v in values])
+    table = tuple(tuple(next(entries) for _ in range(g.dim)) for _ in range(h.dim))
     rep = Representation(induced, g.space, table)
     w = representation_witness(rep)
     if w is not None:
@@ -429,23 +452,23 @@ def _depth_first(grid: _Grid, table=()) -> list[Mat]:
     return found
 
 
-def _checked_grid(action: HomLieAction, entries):
-    """(grid, columns): ``_search_grid`` of action's spaces, its basis past the twist guard.
+def _checked_grid(action: HomLieAction, entries) -> _Grid:
+    """``_search_grid`` of action's spaces, its basis past the twist guard.
 
     The guard reads the twists alone, so ``_search`` keeps this per pair of spaces and grid.
     """
     grid = _search_grid(action.acted.space, action.acting.space, entries)
     for M in grid.basis:
         _check_intertwines(action, M)
-    return grid, [_images(M) for M in grid.basis]
+    return grid
 
 
 def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> list[list[Mat]]:
     """Per weight lam of lams, the grid operators R, acted to acting space, with
     [Rx, Ry] = R(deformed(R) + lam [x, y]).
 
-    deformed(R, images) is linear in R, tabled once per basis matrix, images being
-    its columns, read once: the pointwise B(A, C) is [Ax, Cy] - A(deformed(C)) and
+    deformed(Ms) is ``_deformed`` of the basis, linear in each matrix: the pointwise
+    B(A, C) is [Ax, Cy] - A(deformed(C)) from one ``_pair_sides`` call on the basis and
     L(A) is -lam A[x, y], and dual is (name, B, Ls) on the basis cochains, with one L
     per weight.  Neither B depends on lam: both are tabled once per call, the pointwise
     one on the ordered basis pairs, the dual one, symmetric, on the pairs p <= q.
@@ -454,24 +477,26 @@ def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> l
     enumerated.  Only the grid is kept (``_checked_grid``).
     """
     acted, acting = action.acted.space, action.acting.space
-    grid, images = _kept(acted, "search_grid", (acting, _common(entries)),
-                         _checked_grid, action, entries)
+    grid = _kept(acted, "search_grid", (acting, _common(entries)), _checked_grid, action, entries)
     basis = grid.basis
-    P, pairs = range(len(basis)), list(combinations(range(acted.dim), 2))
-    inner = [dict(zip(pairs, map(deformed(M, cols), pairs))).__getitem__
-             for M, cols in zip(basis, images)]
+    P, inner = range(len(basis)), deformed(basis)
     cochains = [operator_cochain(acted, acting, M) for M in basis]
-    sides = [[Vec.concat(*[lhs - rhs for _, lhs, rhs in _pair_sides(
-        action.acting.bracket, basis[p], basis[q], acted, inner[q], (images[p], images[q]))])
-        for q in P] for p in P]
+    sides = [[_vec_reduced(tuple([x - y for a, b in zip(lhs, rhs) for x, y in zip(a, b)]), lden)
+              if lden == rden else _vec_reduced(tuple([x * rden - y * lden for a, b in zip(lhs, rhs)
+                                                       for x, y in zip(a, b)]), lden * rden)
+              for lhs, lden, rhs, rden in row]  # the residual rows of each ordered pair
+             for row in _pair_sides(action, basis, inner)]
     duals = [[None] * len(basis) for _ in P]
     for p, q in combinations_with_replacement(P, 2):
         duals[p][q] = duals[q][p] = flatten_cochain(dual[1](cochains[p], cochains[q]))
+    table, den = _skew_numerators(action.acted)
+    brackets = [table[x].get(y, (0,) * acted.dim) for x, y in combinations(range(acted.dim), 2)]
     tables = []
     for lam, linear in zip(lams, dual[2]):
-        constant = [action.acted.table[x][y].scale(lam) for x, y in pairs]
-        pointwise = _form(lambda p, q: sides[p][q],
-                          lambda p: Vec.concat(*[-(basis[p] @ v) for v in constant]), grid)
+        pointwise = _form(lambda p, q: sides[p][q], lambda p: _vec_reduced(tuple(
+            [-lam.numerator * x for row in _times(basis[p].num, brackets) for x in row]
+            if lam else [0] * len(brackets) * acting.dim),
+            lam.denominator * den * basis[p].den), grid)
         form = _form(lambda p, q: duals[p][q], lambda p: flatten_cochain(linear(cochains[p])), grid)
         ranks = [len(_rref(rows, rank_only=True)[1])
                  for rows in (pointwise[:], form[:], pointwise + form)]
@@ -485,8 +510,8 @@ def _search(action: HomLieAction, entries, kind: str, deformed, lams, dual) -> l
 
 def search_nijenhuis(alg: HomLieAlgebra, entries=(-1, 0, 1)) -> list[Mat]:
     """Nijenhuis operators with entries in ``entries``, in column-major grid order."""
-    return _search(adjoint_action(alg), entries, "Nijenhuis",
-                   lambda N, images: _nijenhuis_bracket(alg, N, images),
+    adj = adjoint_action(alg)
+    return _search(adj, entries, "Nijenhuis", lambda basis: _deformed(adj, basis),
                    (0,), ("bracket square", lambda s, t: fn_bracket(alg, s, t),
                           [lambda s: SkewCochain.zero(s.domain, s.codomain, 2)]))[0]
 
@@ -513,6 +538,6 @@ def _rota_baxter_search(action: HomLieAction, lams, entries) -> list[list[Mat]]:
     lams, acted, acting = [rat(lam) for lam in lams], action.acted.space, action.acting.space
     dglas = [_dgla("relative_derived", acted, action=action, lam=lam) for lam in lams]
     return _search(action, entries, "Rota-Baxter",
-                   lambda R, images: _induced_bracket(action, R, 0, images), lams,
+                   lambda basis: _deformed(action, basis, 0), lams,
                    ("Maurer-Cartan", lambda s, t: _assemble(acted, acting, 2, dglas[0][1](s, t), 2),
                     [lambda s, d=d: _assemble(acted, acting, 2, d(s), 2) for d, _ in dglas]))

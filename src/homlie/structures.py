@@ -21,6 +21,11 @@ the tests use it as the oracle for the table.
 An action is a ``Representation`` that also keeps the acted algebra, so it
 goes wherever a representation does.  Each algebra has one adjoint object,
 ``adjoint_action(alg)``, which ``adjoint_representation`` also returns.
+
+The pointwise identities of maps read one integer kernel, ``_column_brackets``:
+table(A e_x, B e_y) on basis pairs, A and B integer matrices, on an algebra's
+kept skew table or an action's numerators.  ``order_witness`` (``check_morphism``)
+compares its integer residual rows and builds ``Vec`` for the first failing pair.
 """
 
 from __future__ import annotations
@@ -29,10 +34,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .linalg import Mat, Vec, _lincomb, _vec, _vec_reduced, rat
-from .cochains import (SkewCochain, TwistedSpace, _kept, compatibility_failures,
-                       compatibility_witness)
+from .cochains import (SkewCochain, TwistedSpace, _kept, _numerator_table, _reduced, _row_sum,
+                       _skew_table, compatibility_failures, compatibility_witness)
 
 
 class ConsistencyError(RuntimeError):
@@ -283,29 +289,79 @@ class HomMorphism:
         return f"HomMorphism({self.source.dim} -> {self.target.dim})"
 
 
-def _images(T: Mat) -> list[Vec]:
-    """T e_j for every basis vector e_j of the source, that is the columns of T."""
-    return [T.col(j) for j in range(T.ncols)]
+def _skew_numerators(alg: RawHomStructure) -> tuple[tuple[dict, ...], int]:
+    """(rows, den) of ``cochains._skew_table`` on alg's bracket, kept on alg."""
+    return _kept(alg, "skew table", None, _skew_table, alg.mu)
+
+
+def _column_brackets(table, As, Bs, pairs, c: int = 1) -> list:
+    """The kernel: c table(A e_x, B e_y) for each A of As, B of Bs and pair (x, y) of pairs.
+
+    table is (rows, den), as ``_skew_numerators`` or an action's numerators; As and Bs
+    list integer matrices as rows, Bs None standing for the identity, left out of the
+    nesting.  A value is the list of (coefficient, numerators) terms for
+    ``cochains._row_sum``, over den times the denominators A and B stand for.
+    """
+    rows, lefts = table[0], [_supports(A) for A in As]
+    if Bs is None:
+        return [[[(c * a, v) for i, a in left[x] if (v := rows[i].get(y))] if left[x] else []
+                 for x, y in pairs] for left in lefts]
+    rights = lefts if Bs is As else [_supports(B) for B in Bs]
+    return [[[[(c * a * b, v) for i, a in left[x] for j, b in right[y] if (v := rows[i].get(j))]
+              if left[x] and right[y] else [] for x, y in pairs] for right in rights]
+            for left in lefts]
+
+
+def _supports(M):
+    """The nonzero (row, entry) pairs of each column of M, an integer matrix as rows."""
+    return [[(i, a) for i, a in enumerate(col) if a] for col in zip(*M)]
+
+
+def _times(M, vectors) -> list[list[int]]:
+    """M, an integer matrix as rows, times each integer vector, by rows of M on the
+    vectors' coordinates: a row with one nonzero entry scales one coordinate."""
+    coords, out = list(zip(*vectors)), []
+    for row in M if vectors else ():
+        support = [j for j, a in enumerate(row) if a]
+        out.append([row[support[0]] * x for x in coords[support[0]]] if len(support) == 1
+                   else [sum(map(mul, row, v)) for v in vectors] if support else [0] * len(vectors))
+    return [list(v) for v in zip(*out)]
+
+
+def _intertwines(beta: Mat, M: Mat, alpha: Mat) -> bool:
+    """Whether beta M = M alpha, on the integer numerators of the two products' columns."""
+    left, right = _times(beta.num, list(zip(*M.num))), _times(M.num, list(zip(*alpha.num)))
+    return left == right if alpha.den == beta.den else all(
+        x * alpha.den == y * beta.den for a, b in zip(left, right) for x, y in zip(a, b))
+
+
+def _witness(pairs, lhs, lden, rhs, rden):
+    """(pair, lhs, rhs) as ``Vec`` at the first nonzero residual row lhs rden - rhs lden."""
+    for pair, a, b in zip(pairs, lhs, rhs):
+        if a != b if lden == rden else any(x * rden != y * lden for x, y in zip(a, b)):
+            return pair, _vec_reduced(tuple(a), lden), _vec_reduced(tuple(b), rden)
+    return None
 
 
 def order_witness(source: HomLieAlgebra, target: HomLieAlgebra, terms, n: int):
     """First failing order-n equation of the family terms[0], ..., terms[n], or None.
 
     phi_n must intertwine the twists and satisfy phi_n [x, y] = sum over
-    a + b = n of [phi_a x, phi_b y] on basis pairs; order 0 is ``morphism_witness``.
+    a + b = n of [phi_a x, phi_b y] on basis pairs, read on integer rows (the right side
+    by the kernel); order 0 is ``morphism_witness``.
     """
     m = terms[n]
-    if target.alpha @ m != m @ source.alpha:
+    if not _intertwines(target.alpha, m, source.alpha):
         return ("twist intertwining", None, target.alpha @ m, m @ source.alpha)
-    images = [_images(t) for t in terms[:n + 1]]
-    for i, j in combinations(range(source.dim), 2):
-        lhs = m @ source.table[i][j]
-        rhs = target.bracket(images[0][i], images[n][j])
-        for a in range(1, n + 1):
-            rhs = rhs + target.bracket(images[a][i], images[n - a][j])
-        if lhs != rhs:
-            return ("bracket preservation", (i, j), lhs, rhs)
-    return None
+    pairs, table, mu = list(combinations(range(source.dim), 2)), _skew_numerators(target), source.mu
+    nums = [[t.num] for t in terms[:n + 1]]  # one list per term: a square reads its columns once
+    dens = [terms[a].den * terms[n - a].den for a in range(n + 1)]
+    found = zip(*[_column_brackets(table, nums[a], nums[n - a], pairs, lcm(*dens) // d)[0][0]
+                  for a, d in enumerate(dens)])
+    witness = _witness(pairs, _times(m.num, [mu.num.get(p, (0,) * source.dim) for p in pairs]),
+                       m.den * mu.den, [_row_sum(sum(terms, []), target.dim) for terms in found],
+                       lcm(*dens) * table[1])
+    return witness and ("bracket preservation", *witness)
 
 
 def morphism_witness(phi: HomMorphism):
@@ -321,9 +377,9 @@ def morphism_representation(phi: HomMorphism) -> Representation:
     """x . y = [phi(x), y], after checking phi; its coboundary is D_phi = d + [phi, .]_cup."""
     if not check_morphism(phi):
         raise ValueError("twisting map is not a morphism")
-    tgt = phi.target
+    tgt, m = phi.target, phi.mat
     return Representation(phi.source, tgt.space, tuple(
-        tuple(tgt.bracket(image, e) for e in tgt.space.basis) for image in _images(phi.mat)))
+        tuple(tgt.bracket(m.col(j), e) for e in tgt.space.basis) for j in range(m.ncols)))
 
 
 def yau_twist(lie_mu: SkewCochain, a: Mat) -> HomLieAlgebra:
@@ -376,8 +432,8 @@ def commutator_hom_lie(product: tuple[tuple[Vec, ...], ...], a: Mat) -> RawHomSt
 def semidirect_weight(action: HomLieAction, lam) -> HomLieAlgebra:
     """Weighted semidirect product on acting + acted with twist alpha (+) beta.
 
-    [(x, h), (y, k)] = ([x, y], x . k - y . h + lam [h, k]), read off the
-    acting table, the action table and lam times the acted table; the result
+    [(x, h), (y, k)] = ([x, y], x . k - y . h + lam [h, k]), the integer numerators of
+    the acting bracket, the action table and lam times the acted bracket; the result
     is verified to be a multiplicative Hom-Lie algebra.  It is built and
     verified once per weight and kept on the action, keyed by the weight as a
     Fraction, so "1", 1 and Fraction(1) give the same object.  All weights
@@ -387,19 +443,20 @@ def semidirect_weight(action: HomLieAction, lam) -> HomLieAlgebra:
 
     def build():
         g, h = action.acting, action.acted
-        gd, gzero, hzero = g.dim, Vec.zero(g.dim), Vec.zero(h.dim)
+        gd, gzero, hzero = g.dim, (0,) * g.dim, (0,) * h.dim
         space = _kept(action, "semidirect space", None, lambda: TwistedSpace(Mat(
             [row + (0,) * h.dim for row in g.alpha.rows] + [(0,) * gd + row for row in h.alpha.rows])))
-
-        def value(key):
-            i, j = key
-            if j < gd:
-                return Vec.concat(g.table[i][j], hzero)
-            if i < gd:
-                return Vec.concat(gzero, action.table[i][j - gd])
-            return Vec.concat(gzero, h.table[i - gd][j - gd].scale(lam))
-
-        return HomLieAlgebra(space, SkewCochain.from_function(space, space, 2, value))
+        arows, aden = _numerator_table(action.table)
+        den, num = lcm(g.mu.den, aden, h.mu.den * lam.denominator), {}  # three tables, one den
+        for (i, j), v in g.mu.num.items():
+            num[i, j] = (*[den // g.mu.den * x for x in v], *hzero)
+        for i, row in enumerate(arows):
+            for v, a in row.items():
+                num[i, gd + v] = (*gzero, *[den // aden * x for x in a])
+        c = lam.numerator * den // (h.mu.den * lam.denominator)
+        for (u, v), w in h.mu.num.items() if c else ():
+            num[gd + u, gd + v] = (*gzero, *[c * x for x in w])
+        return HomLieAlgebra(space, _reduced(space, space, 2, dict(sorted(num.items())), den))
 
     return _kept(action, "semidirect", lam, build)
 

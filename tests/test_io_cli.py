@@ -276,7 +276,7 @@ def test_cli_check_runs_the_guard_and_the_pointwise_check_once(tmp_path, capsys,
     files["alg"].write_text(hio.dumps(hio.structure_to_json(fixture_b())))
     files["op"].write_text('[["0","0","0"],["0","0","1"],["0","0","0"]]')
     files["act"].write_text(hio.dumps(hio.action_to_json(bracket_action_on_abelian(fixture_b()))))
-    calls = {"_check_intertwines": 0, "_pair_defect": 0}
+    calls = {"_check_intertwines": 0, "_deformed": 0, "_pair_defect": 0}
     for name in calls:
         def counting(*args, _real=getattr(operators, name), _name=name):
             calls[_name] += 1
@@ -287,12 +287,12 @@ def test_cli_check_runs_the_guard_and_the_pointwise_check_once(tmp_path, capsys,
         a.format(op=files["op"], act=files["act"]) for a in rest]
     assert main(argv) == 1
     assert capsys.readouterr().out == f"{label}: no (fails at pair {pair}: [0, 0, 0] vs [0, 1, 0])\n"
-    assert calls == {"_check_intertwines": 1, "_pair_defect": 1}
+    assert calls == {"_check_intertwines": 1, "_deformed": 1, "_pair_defect": 1}
     assert main(argv + ["--json"]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "operator": kind, "verdict": False,
         "witness": {"pair": list(pair), "lhs": ["0", "0", "0"], "rhs": ["0", "1", "0"]}}
-    assert calls == {"_check_intertwines": 2, "_pair_defect": 2}
+    assert calls == {"_check_intertwines": 2, "_deformed": 2, "_pair_defect": 2}
 
 
 def test_cli_deform_extend_failed_revalidation_exits_three(tmp_path, capsys, monkeypatch):

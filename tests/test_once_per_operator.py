@@ -48,7 +48,8 @@ def _actions(alg):
 def _count(monkeypatch, module, names, pairs=()):
     """Wrap each named function of module to record the operator matrix it was given.
 
-    A function named in pairs takes two operators, and records both as a pair.
+    A function named in pairs takes two operators, and records both as a pair.  A list
+    of operators, as a search's pointwise parts take its basis, is recorded as it is.
     """
     calls = {name: [] for name in names}
     for name in names:
@@ -56,7 +57,8 @@ def _count(monkeypatch, module, names, pairs=()):
 
         def counting(*args, _real=real, _seen=calls[name], _ops=2 if name in pairs else 1,
                      **kwargs):
-            ops = tuple(m if isinstance(m, Mat) else cochain_matrix(m) for m in args[1:1 + _ops])
+            ops = tuple(m if isinstance(m, (Mat, list)) else cochain_matrix(m)
+                        for m in args[1:1 + _ops])
             _seen.append(ops if _ops == 2 else ops[0])
             return _real(*args, **kwargs)
 
@@ -111,8 +113,8 @@ def test_nijenhuis_report_builds_the_bracket_square_once(name, alg, monkeypatch)
             seen.clear()
 
 
-SEARCH_CRITERIA = CRITERIA + ("_pair_sides", "_relative_residual", "_square", "_derived_parts",
-                              "_coboundary")
+SEARCH_CRITERIA = CRITERIA + ("_deformed", "_pair_sides", "_relative_residual", "_square",
+                              "_derived_parts", "_coboundary")
 
 
 def _record_forms(monkeypatch):
@@ -133,14 +135,15 @@ def _record_forms(monkeypatch):
 def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch):
     # each criterion is read as its bilinear part on pairs of basis elements and
     # its linear part on the P basis elements, each once: the pointwise one on
-    # the P^2 ordered pairs through _pair_sides, the dual, which is symmetric,
+    # the P^2 ordered pairs as one _deformed and one _pair_sides call on the
+    # whole basis (one kernel call on its columns side by side), the dual, which is symmetric,
     # on the P(P+1)/2 pairs p <= q through fn_bracket or the Maurer-Cartan
     # residual's derived-bracket parts, and its coboundary parts.  The three
     # searches of a grid share the kept grid of the algebra's space (the abelian
     # copy has that space too), so its basis passes the twist guard once
     alg = fresh(alg)
     calls = _count(monkeypatch, operators, SEARCH_CRITERIA,
-                   pairs=("_pair_sides", "fn_bracket", "_derived_parts"))
+                   pairs=("fn_bracket", "_derived_parts"))
     forms = _record_forms(monkeypatch)
     adj, abelian = adjoint_action(alg), bracket_action_on_abelian(alg)
     searches = (  # (action searched, search on a grid, the dual's bilinear and linear hooks)
@@ -152,7 +155,6 @@ def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch)
         for k, (action, search, dual) in enumerate(searches):
             basis = operators._search_grid(action.acted.space, action.acting.space, grid).basis
             P = range(len(basis))
-            pairs = [(basis[p], basis[q]) for p in P for q in P]
             unordered = [(basis[p], basis[q]) for p, q in combinations_with_replacement(P, 2)]
             for seen in calls.values():
                 seen.clear()
@@ -160,12 +162,13 @@ def test_search_checks_each_candidate_once_per_criterion(name, alg, monkeypatch)
             search(grid)
             assert forms == [([(p, q) for p in P for q in P], list(P))] * 2
             assert calls["_check_intertwines"] == (basis if k == 0 else [])
-            assert calls["_pair_sides"] == pairs and calls[dual[0]] == unordered
+            assert calls["_deformed"] == calls["_pair_sides"] == [basis]
+            assert calls[dual[0]] == unordered
             if len(dual) == 2:
                 assert calls[dual[1]] == basis
             # and nothing else: no pair check, graph closure, Maurer-Cartan verdict or other dual
             assert not any(calls[c] for c in SEARCH_CRITERIA
-                           if c not in ("_check_intertwines", "_pair_sides") + dual)
+                           if c not in ("_check_intertwines", "_deformed", "_pair_sides") + dual)
 
 
 def test_context_runs_no_criterion_after_its_two_searches(monkeypatch):

@@ -352,16 +352,16 @@ def test_mc_residual_kinds():
 
 def test_search_checks_each_candidate_pointwise_once(monkeypatch):
     # the pointwise identity runs as its bilinear part on the P^2 ordered pairs
-    # of the P basis matrices, not once per candidate
+    # of the P basis matrices, in one call on the whole basis, not once per candidate
     from homlie import operators
     act = bracket_action_on_abelian(B)
     grid = operators._search_grid(act.acted.space, act.acting.space, (0, 1))
     basis = grid.basis
-    calls = []
+    calls, tables = [], []
     sides = operators._pair_sides
-    monkeypatch.setattr(operators, "_pair_sides", lambda bracket, A, C, *rest:
-                        calls.append((A, C)) or sides(bracket, A, C, *rest))
+    monkeypatch.setattr(operators, "_pair_sides", lambda action, Ms, deformed: calls.append(Ms)
+                        or tables.append(sides(action, Ms, deformed)) or tables[-1])
     found = search_relative_rb(act, 1, (0, 1))
     assert found and len(found) < len(operators._depth_first(grid))
-    assert calls == [(M, N) for M in basis for N in basis]
-    assert len(calls) == len(basis) ** 2
+    assert calls == [basis]
+    assert [len(row) for row in tables[0]] == [len(basis)] * len(basis)

@@ -338,6 +338,49 @@ def test_an_action_part_holds_no_key_without_terms(monkeypatch):
     assert theorems.run_all(trials=2) == report
 
 
+def walked_cup_part(P, Q, codomain_alg, sign=1):
+    """The cup part with a key for every split of two nonzero keys, empty term lists kept."""
+    m, n = P.arity, Q.arity
+    if m + n > P.domain.dim:
+        return 1, {}
+    lefts, left_den = brackets._twisted_supports(P, n - 1)
+    rights, right_den = brackets._twisted_supports(Q, m - 1)
+    rows, den = cochains._skew_table(codomain_alg.mu)
+    part = {}
+    for left_key, left in lefts.items():
+        for right_key, key, split_sign in _cup_plan(P.domain.dim, m, n)[left_key]:
+            if right_key in rights:
+                terms = part.setdefault(key, [])
+                for i, x in left:
+                    terms.extend([(sign * split_sign * x * y, rows[i][j])
+                                  for j, y in rights[right_key] if j in rows[i]])
+    return left_den * right_den * den, part
+
+
+def test_a_cup_part_holds_no_key_without_terms(monkeypatch):
+    # a left value whose bracket row shares no coordinate with the right value's
+    # support adds no key; every other key is the full walk's, and the identity
+    # suite reports the same with the full walk's parts
+    from homlie import operators
+    real, dropped = brackets._cup_part, []
+
+    def checked(P, Q, codomain_alg, sign=1):
+        den, part = real(P, Q, codomain_alg, sign)
+        walked_den, walked = walked_cup_part(P, Q, codomain_alg, sign)
+        assert all(part.values()) and den == walked_den
+        assert part == {key: terms for key, terms in walked.items() if terms}
+        dropped.append(len(walked) - len(part))
+        return den, part
+
+    for module in (brackets, operators):
+        monkeypatch.setattr(module, "_cup_part", checked)
+    report = theorems.run_all(trials=2)
+    assert dropped and sum(dropped)  # the suite meets rows that share no coordinate
+    for module in (brackets, operators):
+        monkeypatch.setattr(module, "_cup_part", walked_cup_part)
+    assert theorems.run_all(trials=2) == report
+
+
 def test_plans_are_kept_on_their_objects():
     alg = _rational_shear()
     rng = random.Random(5)

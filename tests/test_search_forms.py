@@ -18,7 +18,6 @@ grid gives what a search on fresh copies gives, and still proves its criteria.
 
 import random
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -34,6 +33,7 @@ from homlie.operators import (ConsistencyError, nijenhuis_defect, relative_rb_po
 from homlie.structures import (HomLieAction, HomLieAlgebra, adjoint_action,
                                bracket_action_on_abelian)
 from homlie.theorems import default_fixtures
+from test_pair_residuals import FRACTIONAL, vec_defects
 from test_transport import FIXTURES_3, G, transport
 
 FIXTURES = default_fixtures()
@@ -75,16 +75,6 @@ def _ratio(dual, pointwise):
     return k
 
 
-def _defects(bracket, R, space, deformed):
-    """The pointwise defects [Rx, Ry] - R(deformed(R, images)(x, y)), basis pair after basis pair.
-
-    deformed(R, images) is the deformed bracket of R, images being its columns.
-    """
-    images = operators._images(R)
-    return Vec.concat(*[lhs - rhs for _, lhs, rhs in operators._pair_sides(
-        bracket, R, R, space, deformed(R, images), (images, images))])
-
-
 def test_each_dual_is_one_fixed_multiple_of_the_pointwise_defect():
     # why one row-space proof decides a search: on every operator, intertwining
     # or not, [N, N]_fn and the Maurer-Cartan residual are the pointwise defects
@@ -93,15 +83,13 @@ def test_each_dual_is_one_fixed_multiple_of_the_pointwise_defect():
     for _, alg in FIXTURES:
         for _ in range(8):
             R = Mat([[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(alg.dim)])
-            ratios["bracket square"].add(_ratio(
-                flatten_cochain(operators._square(alg, R)),
-                _defects(alg.bracket, R, alg.space, partial(operators._nijenhuis_bracket, alg))))
+            ratios["bracket square"].add(_ratio(flatten_cochain(operators._square(alg, R)),
+                                                vec_defects(adjoint_action(alg), R)))
             for action in (adjoint_action(alg), bracket_action_on_abelian(alg)):
                 for lam in (Fraction(0), Fraction(1), Fraction(-1, 2)):
                     ratios["Maurer-Cartan"].add(_ratio(
                         flatten_cochain(operators._relative_residual(action, R, lam)),
-                        _defects(action.acting.bracket, R, action.acted.space,
-                                 lambda R, images: operators._induced_bracket(action, R, lam, images))))
+                        vec_defects(action, R, lam)))
     for kind, seen in ratios.items():
         assert len(seen - {None}) == 1 and 0 not in seen, (kind, seen)
 
@@ -136,21 +124,18 @@ def _point_form(value, grid):
 def _criteria(alg, lams):
     """(search, action, pointwise F, dual F) of Nijenhuis, Rota-Baxter, then relative searches."""
     adj, abelian = adjoint_action(alg), bracket_action_on_abelian(alg)
-    yield (lambda grid: search_nijenhuis(alg, grid), adj,
-           lambda R: _defects(alg.bracket, R, alg.space, partial(operators._nijenhuis_bracket, alg)),
+    yield (lambda grid: search_nijenhuis(alg, grid), adj, lambda R: vec_defects(adj, R),
            lambda R: flatten_cochain(operators._square(alg, R)))
     for lam, action, search in ([(lam, adj, search_rota_baxter) for lam in lams]
                                 + [(lam, abelian, search_relative_rb) for lam in (0, 1)]):
         yield (lambda grid, lam=lam, action=action, search=search:
                search(alg if search is search_rota_baxter else action, lam, grid), action,
-               lambda R, lam=lam, action=action: _defects(
-                   action.acting.bracket, R, action.acted.space,
-                   lambda R, images: operators._induced_bracket(action, R, lam, images)),
+               lambda R, lam=lam, action=action: vec_defects(action, R, lam),
                lambda R, lam=lam, action=action: flatten_cochain(
                    operators._relative_residual(action, R, lam)))
 
 
-@pytest.mark.parametrize("name,alg", FIXTURES + [("filiform-L4", _filiform_l4())])
+@pytest.mark.parametrize("name,alg", FIXTURES + FRACTIONAL + [("filiform-L4", _filiform_l4())])
 def test_each_table_is_the_point_evaluation_polarization(name, alg, monkeypatch):
     # the columns read from the bilinear and linear parts equal those of F at
     # M_p, -M_p and M_p + M_q, row for row, for both criteria of every search
@@ -350,13 +335,15 @@ def test_a_search_for_several_weights_gives_the_single_weight_searches(name, alg
 @pytest.mark.parametrize("name,alg", FIXTURES)
 def test_a_search_for_two_weights_tables_the_bilinear_parts_once(name, alg, monkeypatch):
     # the P^2 pointwise pairs and the P(P+1)/2 derived-bracket pairs p <= q are read
-    # once for both weights; each weight still has its own two tables, its own proof
-    # (three ranks on the integer rows) and its own walk.  Both actions act on the
-    # algebra's space, fresh here: the first search builds and keeps the grid, so
-    # its basis passes the twist guard once, and the second reads it
+    # once for both weights: the pointwise ones as one call of the deformed brackets
+    # and one of both sides, each on the whole basis.  Each weight still has its own
+    # two tables, its own proof (three ranks on the integer rows) and its own walk.
+    # Both actions act on the algebra's space, fresh here: the first search builds
+    # and keeps the grid, so its basis passes the twist guard once, and the second
+    # reads it
     alg = fresh(alg)
-    calls = {"_pair_sides": [], "_derived_parts": [], "_form": [], "_depth_first": [],
-             "_rref": [], "_check_intertwines": []}
+    calls = {"_deformed": [], "_pair_sides": [], "_derived_parts": [], "_form": [],
+             "_depth_first": [], "_rref": [], "_check_intertwines": []}
     for hook, seen in calls.items():
         monkeypatch.setattr(operators, hook, lambda *args, _real=getattr(operators, hook),
                             _seen=seen, **kw: _seen.append((args, kw)) or _real(*args, **kw))
@@ -366,8 +353,8 @@ def test_a_search_for_two_weights_tables_the_bilinear_parts_once(name, alg, monk
         for seen in calls.values():
             seen.clear()
         found = operators._rota_baxter_search(action, (0, 1), (0, 1))
-        assert [args[1:3] for args, _ in calls["_pair_sides"]] == [
-            (M, N) for M in basis for N in basis]
+        assert [args[1] for args, _ in calls["_deformed"]] == [basis]
+        assert [args[1] for args, _ in calls["_pair_sides"]] == [basis]
         assert [tuple(map(cochain_matrix, args[1:])) for args, _ in calls["_derived_parts"]] == [
             (basis[p], basis[q]) for p, q in combinations_with_replacement(P, 2)]
         assert len(calls["_form"]) == 4
