@@ -59,7 +59,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 from weakref import ref
 
-from .linalg import Mat, Vec, _lincomb, _mat, _scalar, _vec_reduced, kernel_basis
+from .linalg import Mat, Vec, _mat, _scalar, _vec_reduced, kernel_basis
 
 
 class TwistedSpace:
@@ -395,23 +395,26 @@ def is_compatible(f: SkewCochain) -> bool:
 def compatibility_failures(f: SkewCochain) -> list[tuple[tuple[int, ...], Vec, Vec]]:
     """Every increasing basis tuple where twist-compatibility fails, with both sides.
 
-    Tuples come in lexicographic order; the sides are beta(f(e_I)) and
-    f(alpha(e_I)).
+    Tuples come in lexicographic order; the sides beta(f(e_I)) and f(alpha(e_I)) are integer
+    row sums, compared cross-multiplied and built as ``Vec`` only at a failure.
     """
-    beta, coeffs, dim = f.codomain.alpha, f.coeffs, f.codomain.dim
-    wedge, den = _wedge(f.domain, 1, f.arity)
-    failures = []
-    for key, entries in wedge.items():
-        lhs = beta @ f.value_on(key)
-        rhs = _lincomb([(c, coeffs[k]) for k, c in entries if k in coeffs], dim, den)
-        if lhs != rhs:
-            failures.append((key, lhs, rhs))
-    return failures
+    return list(_incompatible(f))
 
 
 def compatibility_witness(f: SkewCochain) -> tuple[tuple[int, ...], Vec, Vec] | None:
     """First basis tuple where twist-compatibility fails, with both sides."""
-    return next(iter(compatibility_failures(f)), None)
+    return next(_incompatible(f), None)
+
+
+def _incompatible(f: SkewCochain):
+    """The failures of ``compatibility_failures``, one at a time."""
+    beta, num, dim = f.codomain.alpha, f.num, f.codomain.dim
+    (wedge, den), columns = _wedge(f.domain, 1, f.arity), list(zip(*beta.num))
+    for key, entries in wedge.items():
+        lhs = _row_sum([(x, columns[r]) for r, x in enumerate(num.get(key, ())) if x], dim)
+        rhs = _row_sum([(c, num[k]) for k, c in entries if k in num], dim)
+        if lhs != rhs if den == beta.den else any(x * den != y * beta.den for x, y in zip(lhs, rhs)):
+            yield key, _vec_reduced(tuple(lhs), beta.den * f.den), _vec_reduced(tuple(rhs), den * f.den)
 
 
 def compatibility_basis(domain: TwistedSpace, codomain: TwistedSpace, arity: int) -> list[SkewCochain]:

@@ -12,7 +12,8 @@ twist guard, the pointwise identity and the kind's cross-checks, and returns
 the agreed witness (the first failing basis pair, or None) that the
 predicates, ``nijenhuis_report``, ``induced_structures`` and the CLI's
 ``check`` commands read.  ``theorems`` builds the induced structures of a
-relative search's operators without checking them again.
+relative search's operators without checking them again, each weight's with one
+``_deformed`` and one kernel call.
 
 The pointwise identities are integer residual rows of the kernel
 ``structures._column_brackets`` on kept skew tables and action numerators: the
@@ -310,28 +311,30 @@ def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra
     lam = rat(lam)
     if not is_relative_rb(action, R, lam):
         raise ValueError("operator fails the relative Rota-Baxter identity")
-    return _induced_structures(action, R, lam)
+    return next(_induced_structures(action, [R], lam))
 
 
-def _induced_structures(action: HomLieAction, R: Mat, lam: Fraction):
-    """``induced_structures`` of a checked operator, with all three facts still verified."""
+def _induced_structures(action: HomLieAction, Rs: list[Mat], lam: Fraction):
+    """``induced_structures`` of checked operators of one weight, one by one, all three facts
+    verified for each: one ``_deformed`` and one kernel call serve their brackets and tables."""
     g, h = action.acting, action.acted
-    induced = HomLieAlgebra(h.space, _two_cochain(h.space, _deformed(action, [R], lam)[0]))
     # h_i . x_j = [R h_i, x_j] + R(x_j . h_i): the kernel on g's skew table, R on the module action
     (brackets, bden), (acts, aden) = _skew_numerators(g), _module_action(action, 0)
     den, pairs = lcm(bden, aden), [(i, j) for i in range(h.dim) for j in range(g.dim)]
-    values = zip(_column_brackets((brackets, bden), [R.num], None, pairs, den // bden)[0],
-                 _times(R.num, [acts[i].get(j, (0,) * h.dim) for i, j in pairs]))
-    entries = iter([_vec_reduced(tuple(_row_sum(terms + [(den // aden, v)], g.dim)), den * R.den)
-                    for terms, v in values])
-    table = tuple(tuple(next(entries) for _ in range(g.dim)) for _ in range(h.dim))
-    rep = Representation(induced, g.space, table)
-    w = representation_witness(rep)
-    if w is not None:
-        raise ConsistencyError(f"induced module structure fails its axioms: {w[0]} at {w[1]}")
-    if not check_morphism(HomMorphism(induced, g, R)):
-        raise ConsistencyError("operator is not a morphism from the induced algebra")
-    return induced, rep
+    kernel = _column_brackets((brackets, bden), [R.num for R in Rs], None, pairs, den // bden)
+    for R, deformed, columns in zip(Rs, _deformed(action, Rs, lam), kernel):
+        induced = HomLieAlgebra(h.space, _two_cochain(h.space, deformed))
+        values = zip(columns, _times(R.num, [acts[i].get(j, (0,) * h.dim) for i, j in pairs]))
+        entries = iter([_vec_reduced(tuple(_row_sum(terms + [(den // aden, v)], g.dim)),
+                                     den * R.den) for terms, v in values])
+        rep = Representation(induced, g.space,
+                             tuple(tuple(next(entries) for _ in range(g.dim)) for _ in range(h.dim)))
+        w = representation_witness(rep)
+        if w is not None:
+            raise ConsistencyError(f"induced module structure fails its axioms: {w[0]} at {w[1]}")
+        if not check_morphism(HomMorphism(induced, g, R)):
+            raise ConsistencyError("operator is not a morphism from the induced algebra")
+        yield induced, rep
 
 
 def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None = None,

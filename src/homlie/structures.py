@@ -11,12 +11,10 @@ structures).  ``RawHomStructure`` carries the same data with no invariants so
 that candidate and known non-multiplicative structures can be loaded and
 diagnosed.
 
-Basis brackets come from a cached structure table: each structure reads the
-skew table [e_i, e_j] off its bracket cochain once, on first use.  Its
-``bracket``, its adjoint representation, the coboundaries' bracket terms and
-every other bracket of two basis vectors are served from that table.
-``cochains.evaluate`` on the bracket cochain stays the independent route, and
-the tests use it as the oracle for the table.
+Basis brackets come from tables read off the bracket cochain on first use: ``table``
+([e_i, e_j] as ``Vec``) serves ``bracket`` and the adjoint representation, and the
+kept integer skew table the kernel and the checks below.  ``cochains.evaluate`` on
+the bracket cochain stays the independent route, the tests' oracle for the tables.
 
 An action is a ``Representation`` that also keeps the acted algebra, so it
 goes wherever a representation does.  Each algebra has one adjoint object,
@@ -26,6 +24,9 @@ The pointwise identities of maps read one integer kernel, ``_column_brackets``:
 table(A e_x, B e_y) on basis pairs, A and B integer matrices, on an algebra's
 kept skew table or an action's numerators.  ``order_witness`` (``check_morphism``)
 compares its integer residual rows and builds ``Vec`` for the first failing pair.
+The structure checks read integer tables too: Jacobi the kept skew table,
+multiplicativity the wedge table, the representation axioms the action numerators,
+all with the twists' columns; each builds ``Vec`` for its first failure alone.
 """
 
 from __future__ import annotations
@@ -115,17 +116,22 @@ def hom_jacobi_witness(s: RawHomStructure) -> tuple[tuple[int, int, int], Vec] |
     """First increasing basis triple where the twisted cyclic sum is nonzero.
 
     The cyclic sum is alternating and trilinear, so vanishing on increasing
-    triples is equivalent to vanishing everywhere.  Each triple's three
-    brackets are one ``_bilinear_sum`` of twisted-basis and table entries.
-    This direct evaluation is the independent oracle for the Maurer-Cartan
+    triples is equivalent to vanishing everywhere.  From each nonzero [e_y, e_z], every
+    [alpha e_x, [e_y, e_z]] goes to its sorted triple as terms on the kept skew table and
+    alpha's sparse columns; a triple is one ``_row_sum``, and ``Vec`` is built for the
+    witness alone.  This direct evaluation is the independent oracle for the Maurer-Cartan
     characterization of the bracket inside the graded bracket machinery.
     """
-    table, twisted = s.table, s.space.twisted_basis(1)
-    for i, j, k in combinations(range(s.dim), 3):
-        total = _bilinear_sum(table, ((1, twisted[i], table[j][k]), (1, twisted[j], table[k][i]),
-                                      (1, twisted[k], table[i][j])), s.dim)
-        if not total.is_zero():
-            return (i, j, k), total
+    (rows, den), cols, sums = _skew_numerators(s), _supports(s.alpha.num), {}
+    for (y, z), inner in _sparse(s.mu.num).items():
+        for x, col in enumerate(cols):
+            if col and x != y and x != z:
+                key, c = ((x, y, z), 1) if x < y else ((y, x, z), -1) if x < z else ((y, z, x), 1)
+                if terms := [(c * a * b, w) for q, b in inner for p, a in col if (w := rows[p].get(q))]:
+                    sums.setdefault(key, []).extend(terms)
+    for key in sorted(sums):
+        if any(total := _row_sum(sums[key], s.dim)):
+            return key, _vec_reduced(tuple(total), s.alpha.den * den * den)
     return None
 
 
@@ -160,13 +166,6 @@ def _bilinear(table, x: Vec, y: Vec, dim: int) -> Vec:
     return _lincomb(((a * b, table[i][j]) for i, a in xs for j, b in ys), dim, x.den * y.den)
 
 
-def _bilinear_sum(table, terms, dim: int) -> Vec:
-    """sum c * _bilinear(table, x, y, dim) over (integer c, x, y) in terms, as one ``_lincomb``."""
-    den = lcm(*[x.den * y.den for _, x, y in terms])
-    return _lincomb([(c * a * b * (den // (x.den * y.den)), table[i][j]) for c, x, y in terms
-                     for i, a in enumerate(x.num) if a for j, b in enumerate(y.num) if b], dim, den)
-
-
 class Representation:
     """A twisted module (V, act, beta) for a Hom-Lie algebra."""
 
@@ -197,25 +196,33 @@ def representation_witness(rep: Representation):
 
     Checks beta(x . v) = alpha(x) . beta(v) on basis pairs and
     [x, y] . beta(v) = alpha(x) . (y . v) - alpha(y) . (x . v) on basis triples
-    with x before y (the law is skew in x and y).  The law on a triple is one
-    ``_bilinear_sum``; its two sides are built only for the witness.
+    with x before y (the law is skew in x and y).  Each check is one ``_row_sum`` on
+    the action's integer numerators, the sparse twist columns and the algebra's
+    bracket numerators; ``Representation.act`` builds the sides for the witness alone.
     """
-    alg, mod, table = rep.algebra, rep.module, rep.table
-    gtwisted, vtwisted = alg.space.twisted_basis(1), mod.twisted_basis(1)
+    alg, mod, table, dim = rep.algebra, rep.module, rep.table, rep.module.dim
+    (acts, aden), alpha, beta = _numerator_table(table), alg.alpha, mod.alpha
+    gcols, vcols, bcols = _supports(alpha.num), _supports(beta.num), list(zip(*beta.num))
+    values, brackets, up = [_sparse(row) for row in acts], _sparse(alg.mu.num), alg.mu.den * beta.den
+
+    def act(c, xs, vs):  # c x . v on the sparse numerators of x and v
+        return [(c * a * b, w) for p, a in xs for q, b in vs if (w := acts[p].get(q))]
+
     for i in range(alg.dim):
-        for j in range(mod.dim):
-            lhs = mod.alpha @ table[i][j]
-            rhs = rep.act(gtwisted[i], vtwisted[j])
-            if lhs != rhs:
-                return ("twist equivariance", (i, j), lhs, rhs)
+        for j in range(dim):
+            terms = [(alpha.den * y, bcols[r]) for r, y in values[i].get(j, ())]
+            if (terms := terms + act(-1, gcols[i], vcols[j])) and any(_row_sum(terms, dim)):
+                return ("twist equivariance", (i, j), beta @ table[i][j],
+                        rep.act(alg.space.twisted_basis(1)[i], mod.twisted_basis(1)[j]))
     for i, j in combinations(range(alg.dim), 2):
-        for k in range(mod.dim):
-            law = ((1, alg.table[i][j], vtwisted[k]), (-1, gtwisted[i], table[j][k]),
-                   (1, gtwisted[j], table[i][k]))
-            if not _bilinear_sum(table, law, mod.dim).is_zero():
-                lhs = rep.act(alg.table[i][j], vtwisted[k])
-                rhs = rep.act(gtwisted[i], table[j][k]) - rep.act(gtwisted[j], table[i][k])
-                return ("bracket compatibility", (i, j, k), lhs, rhs)
+        for k in range(dim):
+            law = (act(alpha.den * aden, brackets.get((i, j), ()), vcols[k])
+                   + act(-up, gcols[i], values[j].get(k, ()))
+                   + act(up, gcols[j], values[i].get(k, ())))
+            if law and any(_row_sum(law, dim)):
+                gtwisted, vtwisted = alg.space.twisted_basis(1), mod.twisted_basis(1)
+                return ("bracket compatibility", (i, j, k), rep.act(alg.table[i][j], vtwisted[k]),
+                        rep.act(gtwisted[i], table[j][k]) - rep.act(gtwisted[j], table[i][k]))
     return None
 
 
@@ -315,6 +322,11 @@ def _column_brackets(table, As, Bs, pairs, c: int = 1) -> list:
 def _supports(M):
     """The nonzero (row, entry) pairs of each column of M, an integer matrix as rows."""
     return [[(i, a) for i, a in enumerate(col) if a] for col in zip(*M)]
+
+
+def _sparse(values: dict) -> dict:
+    """The nonzero (coordinate, numerator) pairs of each numerator tuple of values, by key."""
+    return {key: [(q, b) for q, b in enumerate(v) if b] for key, v in values.items()}
 
 
 def _times(M, vectors) -> list[list[int]]:

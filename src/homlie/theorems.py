@@ -61,11 +61,14 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from itertools import groupby
+from math import lcm
 from typing import NamedTuple
 
 from .linalg import Vec, _lincomb, kernel_basis, rat, rat_str
-from .cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
-                       contract, evaluate, linear_combination, operator_cochain, shuffles)
+from .cochains import (SkewCochain, TwistedSpace, _kept, _reduced, _row_sum, cochain_matrix,
+                       compatibility_basis, contract, evaluate, linear_combination,
+                       operator_cochain, shuffles)
 from .structures import (HomLieAlgebra, RawHomStructure, Representation,
                          adjoint_representation, bracket_action_on_abelian, fixture_abelian,
                          fixture_b, fixture_yau_dim4, fixture_yau_heisenberg, fixture_yau_shear,
@@ -74,8 +77,6 @@ from .differentials import d_lambda, d_lambda_tilde, delta_hom
 from . import brackets as br
 from .brackets import GradedPair, _sign
 from .cohomology import ComplexSpec
-from .operators import (_graph_closed, _induced_structures, _relative_mc, _rota_baxter_search,
-                        relative_rb_pointwise)
 
 IDENTITIES: tuple[str, ...] = (
     "mc_homlie", "nr_graded_lie", "cup_graded_lie", "cup_via_theta", "cup_via_delta",
@@ -146,11 +147,23 @@ def sample_cochain(domain: TwistedSpace, codomain: TwistedSpace, arity: int,
                    rng: random.Random) -> SkewCochain:
     """Random integer combination (coefficients in [-3, 3]) of the compatible basis.
 
-    Membership in the compatible cochain space holds by construction.
+    Membership in the compatible cochain space holds by construction.  The sum is one
+    ``_row_sum`` per key of the sampling plan kept on the domain next to the basis.
     """
-    return linear_combination(domain, codomain, arity,
-                              [(rng.randint(-3, 3), b)
-                               for b in compatibility_basis(domain, codomain, arity)])
+    size, plan, den = _kept(domain, "sample", (codomain, arity), _sample_plan, domain, codomain, arity)
+    cs = [rng.randint(-3, 3) for _ in range(size)]
+    return _reduced(domain, codomain, arity, {key: tuple(row) for key, terms in plan.items() if any(
+        row := _row_sum([(cs[p] * c, v) for p, c, v in terms if cs[p]], codomain.dim))}, den)
+
+
+def _sample_plan(domain: TwistedSpace, codomain: TwistedSpace, arity: int):
+    """(size, plan, den): plan[key] lists (p, c, v), basis element p being c v / den at key."""
+    basis, plan = compatibility_basis(domain, codomain, arity), {}
+    den = lcm(*[b.den for b in basis])
+    for p, b in enumerate(basis):
+        for key, v in b.num.items():
+            plan.setdefault(key, []).append((p, den // b.den, v))
+    return len(basis), plan, den
 
 
 def _sample_endo(alg: HomLieAlgebra, rng: random.Random, max_arity: int) -> SkewCochain:
@@ -303,6 +316,7 @@ def _relative_context(alg: HomLieAlgebra):
 
     One relative search for the weights 0 and 1 tables the bilinear parts once.
     """
+    from .operators import _rota_baxter_search
     action, lams = bracket_action_on_abelian(alg), (Fraction(0), Fraction(1))
     found = _rota_baxter_search(action, lams, (-1, 0, 1))
     return action, [(lam, R) for lam, ops in zip(lams, found) for R in ops]
@@ -331,11 +345,13 @@ def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
         shared["relative"] = _relative_context(alg)
     if identity == "relative_consistency":
         return shared["relative"]
+    from .operators import _induced_structures
     action, verified = shared["relative"]
-    # the search decided each operator: build its induced structures, checking no criterion
-    induced = [(lam, operator_cochain(action.acted.space, action.acting.space, R),
-                _induced_structures(action, R, lam)[1]) for lam, R in verified]
-    return action, induced
+    # the search decided each operator: build the induced structures weight by weight, as listed
+    by_weight = [(lam, [R for _, R in ops]) for lam, ops in groupby(verified, lambda op: op[0])]
+    return action, [(lam, operator_cochain(action.acted.space, action.acting.space, R), rep)
+                    for lam, Rs in by_weight
+                    for R, (_, rep) in zip(Rs, _induced_structures(action, Rs, lam))]
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +600,7 @@ def _check_rb_lemma(alg, rng, max_arity, ctx):
 
 
 def _check_relative_consistency(alg, rng, max_arity, ctx):
+    from .operators import _graph_closed, _relative_mc, relative_rb_pointwise
     action, verified = ctx
     lam = rat(rng.choice(_LAMBDAS))
     if rng.random() < 0.2 and verified:

@@ -99,6 +99,12 @@ def test_import_homlie_loads_no_submodule():
     assert _loaded_after("import homlie") == {"homlie"}
 
 
+def test_import_theorems_loads_no_operator_code():
+    # only the two relative identities read operators, and they import it when they run
+    loaded = _loaded_after("import homlie.theorems")
+    assert "cohomology" in loaded and "operators" not in loaded
+
+
 def test_cli_and_check_structure_load_only_parsing_and_structures(algebra_file):
     parsing = {"homlie", "cli", "io", "linalg", "cochains", "structures"}
     assert _loaded_after("import homlie.cli") == parsing

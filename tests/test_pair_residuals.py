@@ -205,7 +205,7 @@ def test_graph_closure_induced_structures_and_semidirect_products_are_the_vec_on
         action, verified = _relative_context(alg)
         g, h = action.acting, action.acted
         for lam, R in verified[:6]:
-            induced, rep = operators._induced_structures(action, R, lam)
+            [(induced, rep)] = operators._induced_structures(action, [R], lam)
             deformed = vec_deformed(action, R, lam)
             e = h.space.basis
             assert all(induced.mu.value_on(pair) == deformed(e[pair[0]], e[pair[1]])

@@ -414,3 +414,108 @@ def test_hom_jacobi_witness_matches_the_three_bracket_reference():
         assert w == _hom_jacobi_three_brackets(s)
         failing += w is not None
     assert len(structures) > 100 and failing > 60
+
+
+# -- the integer structure checks at scale ---------------------------------------
+#
+# The checks read integer numerators; the references above read ``Vec``.  The
+# routes differ most on larger brackets, non-diagonal and singular twists and
+# weights with denominators, so these inputs add every default fixture's
+# weighted semidirect products (dimensions 4-8) at the workload weights,
+# the filiform algebras L8-L12 untwisted and Yau-twisted by the diagonal
+# automorphism diag(2, 3, 6, 12, ...), a singular twist of L8, and planted
+# failures in each.
+
+WEIGHTS = (0, 1, -1, "1/2", 2)
+
+
+def filiform(n, twist=None):
+    """The filiform Lie algebra L_n, [e_0, e_i] = e_(i+1) for 0 < i < n - 1, Yau-twisted by twist."""
+    plain = TwistedSpace.untwisted(n)
+    mu = SkewCochain(plain, plain, 2, {(0, i): plain.basis[i + 1] for i in range(1, n - 1)})
+    return yau_twist(mu, Mat.identity(n) if twist is None else twist)
+
+
+def filiform_weights(n):
+    """diag(2, 3, 6, 12, ...): e_0 has weight 2 and e_i weight 3 * 2^(i-1), an automorphism of L_n."""
+    return Mat.diagonal([2] + [3 * 2 ** (i - 1) for i in range(1, n)])
+
+
+def singular_shift(n):
+    """e_0 fixed, e_i -> e_(i+1) for 0 < i < n - 1 and e_(n-1) -> 0: a singular endomorphism of L_n."""
+    return Mat([[1 if i == j == 0 or 0 < j == i - 1 else 0 for j in range(n)] for i in range(n)])
+
+
+def structures_at_scale():
+    """(name, algebra): every default fixture's semidirect products, L8-L12 and a singular twist."""
+    from homlie.theorems import default_fixtures
+    for name, alg in default_fixtures():
+        for kind, action in (("adjoint", adjoint_action(alg)),
+                             ("abelian", bracket_action_on_abelian(alg))):
+            for lam in WEIGHTS:
+                yield f"{name}-{kind}-{lam}", semidirect_weight(action, lam)
+    for n in range(8, 13):
+        yield f"L{n}", filiform(n)
+        yield f"L{n}-twisted", filiform(n, filiform_weights(n))
+    yield "L8-singular", filiform(8, singular_shift(8))
+
+
+SCALE = list(structures_at_scale())
+
+
+def planted_brackets(s, rng, count=3):
+    """count raw copies of s, each with one bracket [e_i, e_j] shifted by +-e_k or +-e_k / 2."""
+    from itertools import combinations
+    pairs = list(combinations(range(s.dim), 2))
+    for _ in range(count):
+        pair, k = rng.choice(pairs), rng.randrange(s.dim)
+        shift = s.space.basis[k].scale(Fraction(rng.choice((1, -1)), rng.choice((1, 2))))
+        coeffs = dict(s.mu.coeffs)
+        coeffs[pair] = coeffs.get(pair, Vec.zero(s.dim)) + shift
+        yield RawHomStructure(s.space, SkewCochain(s.space, s.space, 2, coeffs))
+
+
+def test_the_scale_inputs_are_what_they_say():
+    names = dict(SCALE)
+    assert len(SCALE) == 6 * 2 * 5 + 11
+    assert {s.dim for name, s in SCALE if not name.startswith("L")} == {4, 6, 8}
+    assert all(isinstance(s, HomLieAlgebra) for _, s in SCALE)  # both checks passed
+    shift = names["L8-singular"].alpha.num
+    assert not any(row[7] for row in shift) and shift[2][1] == 1  # singular, not diagonal
+    assert names["L12-twisted"].alpha == Mat.diagonal([2, 3, 6, 12, 24, 48, 96, 192, 384,
+                                                       768, 1536, 3072])
+
+
+def test_hom_jacobi_witness_matches_the_three_bracket_reference_at_scale():
+    import random
+    from homlie.structures import hom_jacobi_witness
+    rng, failing = random.Random(47), set()
+    for name, s in SCALE:
+        assert hom_jacobi_witness(s) is None and _hom_jacobi_three_brackets(s) is None, name
+        for raw in planted_brackets(s, rng):
+            w = hom_jacobi_witness(raw)
+            assert w == _hom_jacobi_three_brackets(raw), name
+            if w is not None:
+                failing.add(name.split("-")[0] if name.startswith("L") else "semidirect")
+                failing.add("fraction" if w[1].den > 1 else "integer")
+    assert failing == {"semidirect", "L8", "L9", "L10", "L11", "L12", "fraction", "integer"}
+
+
+def test_representation_witness_matches_the_ordered_pair_reference_at_scale():
+    import random
+    from homlie.structures import Representation, representation_witness
+    rng, kinds = random.Random(53), set()
+    for name, s in SCALE:
+        adjoint = adjoint_representation(s)
+        assert representation_witness(adjoint) is None, name
+        assert _representation_witness_over_ordered_pairs(adjoint) is None, name
+        for _ in range(2):  # one planted entry x . e_k, scaled or shifted by e_k / 2
+            x, k = rng.randrange(s.dim), rng.randrange(s.dim)
+            table = [list(row) for row in adjoint.table]
+            table[x][k] = rng.choice((table[x][k].scale(-1), table[x][k] + s.space.basis[k].scale(
+                Fraction(1, 2))))
+            rep = Representation(s, s.space, table)
+            w = representation_witness(rep)
+            assert w == _representation_witness_over_ordered_pairs(rep), (name, x, k)
+            kinds.add(w and w[0])
+    assert kinds == {None, "twist equivariance", "bracket compatibility"}

@@ -28,6 +28,38 @@ def test_sample_cochain_deterministic_and_compatible():
     assert is_compatible(a)
 
 
+def _sample_by_linear_combination(domain, codomain, arity, rng):
+    """The reference for sample_cochain: one linear_combination over the compatible basis."""
+    from homlie.cochains import compatibility_basis, linear_combination
+    return linear_combination(domain, codomain, arity, [
+        (rng.randint(-3, 3), b) for b in compatibility_basis(domain, codomain, arity)])
+
+
+def test_sample_cochain_is_the_linear_combination_of_the_basis():
+    import random
+    from homlie.structures import bracket_action_on_abelian
+    from homlie.theorems import default_fixtures
+    from homlie.cochains import TwistedSpace, compatibility_basis
+    from homlie.linalg import Mat
+    relative = bracket_action_on_abelian(fixture_b())
+    mixed = TwistedSpace(Mat([[0, 3], [0, 2]]))  # its arity-1 basis has denominators 1 and 3
+    assert {b.den for b in compatibility_basis(mixed, mixed, 1)} == {1, 3}
+    spaces = [(alg.space, alg.space) for _, alg in default_fixtures()]
+    spaces += [(relative.acted.space, relative.acting.space), (mixed, mixed)]
+    nonzero = 0
+    for domain, codomain in spaces:
+        for arity in (1, 2, 3):
+            for seed in range(300):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = sample_cochain(domain, codomain, arity, rng)
+                want = _sample_by_linear_combination(domain, codomain, arity, ref)
+                assert got.num == want.num and got.den == want.den  # dict order aside
+                assert (got.domain, got.codomain, got.arity) == (domain, codomain, arity)
+                assert rng.getstate() == ref.getstate()
+                nonzero += not got.is_zero()
+    assert nonzero > 4500
+
+
 def test_top_arity_cocycles_are_sampled():
     from homlie.cohomology import ComplexSpec
     from homlie.theorems import _cocycle_data, _sample_cocycle

@@ -168,3 +168,21 @@ def test_production_paths_never_call_evaluate(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(hio.structure_to_json(fixture_jackson_sl2(2))))
     assert cli.main(["check", "structure", str(path), "--json"]) == 1  # q = 2 is not multiplicative
     assert json.loads(capsys.readouterr().out)["multiplicativity_failures"]
+
+
+def test_compatibility_failures_match_the_evaluate_route_at_scale():
+    # the semidirect products of the default fixtures, L8-L12 and a singular twist, valid and
+    # planted: multiplicativity is compatibility of the bracket
+    from homlie.cochains import compatibility_witness
+    from test_structures import SCALE, planted_brackets
+    rng, failing = random.Random(59), set()
+    for name, s in SCALE:
+        assert compatibility_failures(s.mu) == [] == ref_failures(s.mu), name
+        for raw in planted_brackets(s, rng, 2):
+            got = compatibility_failures(raw.mu)
+            assert got == ref_failures(raw.mu), name
+            assert compatibility_witness(raw.mu) == (got[0] if got else None)
+            if got:
+                failing.add(name.split("-")[0] if name.startswith("L") else "semidirect")
+                failing.add("denominators differ" if raw.alpha.den > 1 else "integer twist")
+    assert failing >= {"semidirect", "L8", "L12", "denominators differ", "integer twist"}
