@@ -12,8 +12,8 @@ twist guard, the pointwise identity and the kind's cross-checks, and returns
 the agreed witness (the first failing basis pair, or None) that the
 predicates, ``nijenhuis_report``, ``induced_structures`` and the CLI's
 ``check`` commands read.  ``theorems`` builds the induced structures of a
-relative search's operators without checking them again, each weight's with one
-``_deformed`` and one kernel call.
+relative search's operators without checking them again, with one ``_deformed``
+call per weight and one kernel call, each distinct structure built and verified once.
 
 The pointwise identities are integer residual rows of the kernel
 ``structures._column_brackets`` on kept skew tables and action numerators: the
@@ -303,38 +303,52 @@ def _cross_checked(action: HomLieAction, R: Mat, lam):
 def induced_structures(action: HomLieAction, R: Mat, lam) -> tuple[HomLieAlgebra, Representation]:
     """The Hom-Lie algebra and representation induced by a relative operator.
 
-    The acted space acquires the bracket Rh . k - Rk . h + lam [h, k] (with
-    the acted twist), the acting space becomes a module for it via
-    h . x = [Rh, x] + R(x . h), and R becomes a morphism from the induced
-    algebra to the acting one.  All three facts are verified.
+    The acted space acquires the bracket Rh . k - Rk . h + lam [h, k] (with the acted
+    twist), the acting space becomes a module for it via h . x = [Rh, x] + R(x . h), and
+    R becomes a morphism from the induced algebra to the acting one.  All three facts are
+    verified, by ``_induced_structures`` on the one entry (lam, R).
     """
     lam = rat(lam)
     if not is_relative_rb(action, R, lam):
         raise ValueError("operator fails the relative Rota-Baxter identity")
-    return next(_induced_structures(action, [R], lam))
+    return next(_induced_structures(action, [(lam, R)]))
 
 
-def _induced_structures(action: HomLieAction, Rs: list[Mat], lam: Fraction):
-    """``induced_structures`` of checked operators of one weight, one by one, all three facts
-    verified for each: one ``_deformed`` and one kernel call serve their brackets and tables."""
+def _induced_structures(action: HomLieAction, ops: list):
+    """``induced_structures`` of checked operators, ops a list of (lam, R), one by one, in order.
+
+    One ``_deformed`` call per weight gives the brackets and one kernel call, on one R per
+    key, the module tables.  The structures depend on (lam, R) only through R and the
+    deformed (rows, den), so that is the key, exact: a new key is built and all three facts
+    verified, and a key seen before in this call yields the same two objects again.
+    """
     g, h = action.acting, action.acted
+    weights = {lam: iter(_deformed(action, [R for mu, R in ops if mu == lam], lam))
+               for lam in dict.fromkeys(lam for lam, _ in ops)}
+    keys = [(R, tuple(map(tuple, rows)), rden) for lam, R in ops
+            for rows, rden in [next(weights[lam])]]
     # h_i . x_j = [R h_i, x_j] + R(x_j . h_i): the kernel on g's skew table, R on the module action
     (brackets, bden), (acts, aden) = _skew_numerators(g), _module_action(action, 0)
     den, pairs = lcm(bden, aden), [(i, j) for i in range(h.dim) for j in range(g.dim)]
-    kernel = _column_brackets((brackets, bden), [R.num for R in Rs], None, pairs, den // bden)
-    for R, deformed, columns in zip(Rs, _deformed(action, Rs, lam), kernel):
-        induced = HomLieAlgebra(h.space, _two_cochain(h.space, deformed))
-        values = zip(columns, _times(R.num, [acts[i].get(j, (0,) * h.dim) for i, j in pairs]))
-        entries = iter([_vec_reduced(tuple(_row_sum(terms + [(den // aden, v)], g.dim)),
-                                     den * R.den) for terms, v in values])
-        rep = Representation(induced, g.space,
-                             tuple(tuple(next(entries) for _ in range(g.dim)) for _ in range(h.dim)))
-        w = representation_witness(rep)
-        if w is not None:
-            raise ConsistencyError(f"induced module structure fails its axioms: {w[0]} at {w[1]}")
-        if not check_morphism(HomMorphism(induced, g, R)):
-            raise ConsistencyError("operator is not a morphism from the induced algebra")
-        yield induced, rep
+    kernel = iter(_column_brackets((brackets, bden), [R.num for R, _, _ in dict.fromkeys(keys)],
+                                   None, pairs, den // bden))
+    built = {}
+    for key in keys:
+        if key not in built:  # keys are new in ``dict.fromkeys`` order: the kernel's next columns
+            R, rows, rden = key
+            induced = HomLieAlgebra(h.space, _two_cochain(h.space, (rows, rden)))
+            values = zip(next(kernel), _times(R.num, [acts[i].get(j, (0,) * h.dim) for i, j in pairs]))
+            entries = iter([_vec_reduced(tuple(_row_sum(terms + [(den // aden, v)], g.dim)),
+                                         den * R.den) for terms, v in values])
+            rep = Representation(induced, g.space, tuple(tuple(next(entries) for _ in range(g.dim))
+                                                         for _ in range(h.dim)))
+            w = representation_witness(rep)
+            if w is not None:
+                raise ConsistencyError(f"induced module structure fails its axioms: {w[0]} at {w[1]}")
+            if not check_morphism(HomMorphism(induced, g, R)):
+                raise ConsistencyError("operator is not a morphism from the induced algebra")
+            built[key] = induced, rep
+        yield built[key]
 
 
 def mc_residual(s: SkewCochain, dgla_kind: str, *, target: HomLieAlgebra | None = None,

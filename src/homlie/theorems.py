@@ -61,7 +61,6 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
 from typing import NamedTuple
 
@@ -307,14 +306,16 @@ def _sample_cocycle(data, arity: int, rng: random.Random, space, codomain) -> Sk
 
 
 # The guard bounds the 3^k points of a relative search's {-1, 0, 1} grid over the k-dim twist
-# commutant, all operators when alg is abelian; 3^9 keeps the fixtures (k <= 6) and abelian dim 3.
+# commutant, all operators when alg is abelian, and so the distinct induced structures that
+# d_r_matches_induced builds; 3^9 keeps the fixtures (k <= 6) and abelian dim 3.
 MAX_RELATIVE_CANDIDATES = 3 ** 9
 
 
 def _relative_context(alg: HomLieAlgebra):
     """Action on the abelianized copy, plus verified operators (always the zero one).
 
-    One relative search for the weights 0 and 1 tables the bilinear parts once.
+    One relative search for the weights 0 and 1 tables the bilinear parts once.  The acted
+    bracket is zero, so lam [h, k] vanishes and both weights find one list, listed twice.
     """
     from .operators import _rota_baxter_search
     action, lams = bracket_action_on_abelian(alg), (Fraction(0), Fraction(1))
@@ -327,8 +328,9 @@ def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
 
     The relative context (one relative search, for two weights) is built once per ``shared``
     dict, that is once per algebra in ``run_all``, which also puts the algebra's name there.
-    Above ``MAX_RELATIVE_CANDIDATES`` grid points per search, which bound the operators
-    whose induced structures d_r_matches_induced builds, it raises ``ValueError``.
+    d_r_matches_induced gets one entry per (lam, R) of it, and an entry shares the induced
+    structures of an earlier one with the same R and deformed bracket, built and checked once.
+    Above ``MAX_RELATIVE_CANDIDATES`` grid points per search it raises ``ValueError``.
     """
     if identity == "cup_trivial_cohomology":
         return _cocycle_data(alg, max_arity)
@@ -347,11 +349,9 @@ def _context(identity: str, alg: HomLieAlgebra, max_arity: int, shared: dict):
         return shared["relative"]
     from .operators import _induced_structures
     action, verified = shared["relative"]
-    # the search decided each operator: build the induced structures weight by weight, as listed
-    by_weight = [(lam, [R for _, R in ops]) for lam, ops in groupby(verified, lambda op: op[0])]
+    # the search decided each operator: each distinct induced structure is built once
     return action, [(lam, operator_cochain(action.acted.space, action.acting.space, R), rep)
-                    for lam, Rs in by_weight
-                    for R, (_, rep) in zip(Rs, _induced_structures(action, Rs, lam))]
+                    for (lam, R), (_, rep) in zip(verified, _induced_structures(action, verified))]
 
 
 # ---------------------------------------------------------------------------

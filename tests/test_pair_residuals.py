@@ -12,6 +12,10 @@ semidirect product and the morphism equations of orders 0-2.  The inputs are
 random dense rational matrices on the six default fixtures and on their dense
 transports (``test_transport.G``); the public witnesses are checked on random
 twist-compatible operators, and a seeded sample of them is pinned by SHA-256.
+One ``_induced_structures`` call builds and checks each distinct induced
+structure once: the tests count the checks of every relative context, compare
+each entry with the operator's standalone build, and make the two weights
+differ by running the contexts on the adjoint action.
 """
 
 import hashlib
@@ -20,9 +24,9 @@ from itertools import combinations
 
 import pytest
 
-from homlie import operators, structures
+from homlie import operators, structures, theorems
 from homlie.cochains import (SkewCochain, TwistedSpace, cochain_matrix, compatibility_basis,
-                             evaluate)
+                             evaluate, operator_cochain)
 from homlie.differentials import _action_columns
 from homlie.linalg import Mat, Vec, mat_rank
 from homlie.operators import nijenhuis_defect, relative_rb_defect, rota_baxter_defect
@@ -205,7 +209,7 @@ def test_graph_closure_induced_structures_and_semidirect_products_are_the_vec_on
         action, verified = _relative_context(alg)
         g, h = action.acting, action.acted
         for lam, R in verified[:6]:
-            [(induced, rep)] = operators._induced_structures(action, [R], lam)
+            [(induced, rep)] = operators._induced_structures(action, [(lam, R)])
             deformed = vec_deformed(action, R, lam)
             e = h.space.basis
             assert all(induced.mu.value_on(pair) == deformed(e[pair[0]], e[pair[1]])
@@ -266,6 +270,79 @@ def test_a_witness_builds_vecs_for_the_first_failing_pair_alone(monkeypatch):
     assert len(built) == 2
     assert structures._witness(["a", "b"], lhs[:2], 2, rhs[:2], 4) is None and len(built) == 2
     assert structures._witness(["a"], [[1, 2]], 1, [[1, 3]], 1)[0] == "a"
+
+
+# ---------------------------------------------------------------------------
+# Induced structures shared within one call
+
+
+def _counting(monkeypatch, *names):
+    """Wrap each named check of ``operators`` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(operators, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(operators, name, counting)
+    return calls
+
+
+def assert_standalone(action, verified, entries):
+    """Each context entry (lam, rc, rep) of verified's (lam, R) is what R builds alone."""
+    assert [lam for lam, _ in verified] == [lam for lam, _, _ in entries]
+    for (lam, R), (_, rc, rep) in zip(verified, entries):
+        alone, alone_rep = operators.induced_structures(action, R, lam)
+        assert rc == operator_cochain(action.acted.space, action.acting.space, R)
+        assert rep.algebra == alone and rep.algebra.space == action.acted.space
+        assert rep.module == alone_rep.module == action.acting.space
+        assert rep.table == alone_rep.table
+
+
+def test_one_operator_at_two_weights_of_the_adjoint_action_induces_two_structures(monkeypatch):
+    alg, Z = dict(default_fixtures())["threedim-multiplicative"], Mat.zero(3, 3)
+    adj = adjoint_action(alg)
+    calls = _counting(monkeypatch, "representation_witness")
+    (zero, _), (one, _) = operators._induced_structures(adj, [(Fraction(0), Z), (Fraction(1), Z)])
+    assert zero.mu.is_zero() and one.mu == alg.mu and calls["representation_witness"] == 2
+    # nothing is kept between calls: a second call checks again, on its own action's spaces
+    other = adjoint_action(fixture_yau_sl2())
+    for action in (adj, other, adj):
+        [(induced, rep)] = operators._induced_structures(action, [(Fraction(0), Z)])
+        assert induced.space == action.acted.space and rep.module == action.acting.space
+    assert calls["representation_witness"] == 5
+
+
+DISTINCT = {"abelian-dim2": 81, "threedim-multiplicative": 11, "yau-sl2": 3,
+            "yau-heisenberg": 7, "yau-shear": 27, "yau-dim4": 15,
+            "yau-sl2-t3": 3, "yau-heisenberg-half": 7}
+
+
+@pytest.mark.parametrize("name,alg", default_fixtures() + FRACTIONAL)
+def test_a_context_checks_each_distinct_induced_structure_once(name, alg, monkeypatch):
+    # the acted bracket of the abelian copy is zero, so both weights find one list
+    shared = {}
+    calls = _counting(monkeypatch, "representation_witness", "check_morphism")
+    action, entries = theorems._context("d_r_matches_induced", alg, 3, shared)
+    verified = shared["relative"][1]
+    assert calls == dict.fromkeys(calls, DISTINCT[name]) and len(verified) == 2 * DISTINCT[name]
+    assert len({id(rep) for _, _, rep in entries}) == DISTINCT[name]
+    assert_standalone(action, verified, entries)
+
+
+def test_the_adjoint_action_s_two_weights_build_their_own_structures(monkeypatch):
+    # on the adjoint action, lam [h, k] no longer vanishes: the weights find different lists
+    monkeypatch.setattr(theorems, "bracket_action_on_abelian", adjoint_action)
+    lengths = []
+    for name, alg in default_fixtures():
+        shared = {}
+        action, entries = theorems._context("d_r_matches_induced", alg, 3, shared)
+        lengths.append(len(entries))
+        assert_standalone(action, shared["relative"][1], entries)
+        assert theorems._verify("d_r_matches_induced", alg, 50, 0, 3, shared).passed
+    assert lengths == [162, 25, 11, 19, 45, 103]
 
 
 # ---------------------------------------------------------------------------
